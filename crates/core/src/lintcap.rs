@@ -281,7 +281,8 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
         for (addr, bytes) in staged {
             dram.write(addr, &bytes);
         }
-        let outbox = task.drain_outbox();
+        let mut outbox = Vec::new();
+        task.drain_outbox(&mut outbox);
         if outbox.is_empty() {
             if status == TaskStatus::Finished {
                 break;

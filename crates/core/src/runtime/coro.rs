@@ -178,12 +178,12 @@ impl SoftTask for CoroTask {
         }
     }
 
-    fn drain_outbox(&mut self) -> Vec<(u64, Transaction)> {
-        std::mem::take(&mut self.mb.borrow_mut().outbox)
+    fn drain_outbox(&mut self, out: &mut Vec<(u64, Transaction)>) {
+        out.append(&mut self.mb.borrow_mut().outbox);
     }
 
     fn deliver(&mut self, local_ticket: u64, result: TxnResult) {
-        self.mb.borrow_mut().results.insert(local_ticket, result);
+        self.mb.borrow_mut().deliver(local_ticket, result);
     }
 
     fn take_sleep(&mut self) -> Option<SimDuration> {
@@ -222,6 +222,7 @@ impl SoftTask for CoroTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::drained;
     use babol_onfi::bus::ChipMask;
     use babol_onfi::opcode::op;
     use babol_ufsm::{DmaDest, Latch, PostWait};
@@ -249,7 +250,7 @@ mod tests {
         let mut task = CoroTask::new(&ctx, body);
         // First advance: submits and blocks.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         assert_eq!(out.len(), 1);
         assert!(task.take_outcome().is_none());
         // Deliver the result; next advance finishes.
@@ -285,7 +286,7 @@ mod tests {
         // Three busy polls, then ready.
         for i in 0..3 {
             assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked, "poll {i}");
-            let out = task.drain_outbox();
+            let out = drained(&mut task);
             assert_eq!(out.len(), 1);
             task.deliver(
                 out[0].0,
@@ -296,7 +297,7 @@ mod tests {
             );
         }
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {

@@ -16,21 +16,21 @@
 //!
 //! Every software action charges the CPU model, so the same controller
 //! logic slows down on a 150 MHz soft-core exactly the way Figure 10 shows.
-
-// Determinism allowlist: the scheduler's tables are keyed lookups on the
-// simulator's hot path and are never iterated — scheduling order is decided
-// by the ready queue, not map order (`scripts/lint.sh` documents the gate).
-#![allow(clippy::disallowed_types)]
+//!
+//! The transaction control path allocates nothing and hashes nothing at
+//! steady state: a transaction's owner and trace attribution ride in its
+//! queue entry, per-task and per-LUN state lives in vectors indexed by task
+//! id or LUN, and the scheduler passes reuse scratch vectors.
 
 pub mod coro;
 pub mod rtos;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
 use babol_trace::{Component, Counter, Metric, TraceKind, TraceSink};
-use babol_ufsm::{execute_traced, Transaction};
+use babol_ufsm::{execute_traced, EmitScratch, Transaction};
 
 use crate::sched::{TaskMeta, TaskPolicy, TxnMeta, TxnPolicy};
 use crate::system::{Controller, Event, IoRequest, System};
@@ -88,8 +88,10 @@ pub struct Mailbox {
     next_local: u64,
     /// Transactions built during the current advance (local ticket, txn).
     pub outbox: Vec<(u64, Transaction)>,
-    /// Results delivered by the runtime, keyed by local ticket.
-    pub results: HashMap<u64, TxnResult>,
+    /// Results delivered by the runtime and not yet taken, with their local
+    /// tickets. A task awaits few transactions at once, so a scan beats a
+    /// map.
+    results: Vec<(u64, TxnResult)>,
     /// Sleep request set during the current advance.
     pub sleep: Option<SimDuration>,
     /// DRAM staging writes requested during the current advance (the CPU
@@ -125,7 +127,13 @@ impl Mailbox {
 
     /// Takes the result for `ticket` if it has been delivered.
     pub fn take_result(&mut self, ticket: u64) -> Option<TxnResult> {
-        self.results.remove(&ticket)
+        let i = self.results.iter().position(|(t, _)| *t == ticket)?;
+        Some(self.results.swap_remove(i).1)
+    }
+
+    /// Stores the result for `ticket` (each local ticket completes once).
+    pub fn deliver(&mut self, ticket: u64, result: TxnResult) {
+        self.results.push((ticket, result));
     }
 
     /// Queues a DRAM staging write of `bytes` at `addr`, copying once into
@@ -152,8 +160,9 @@ pub trait SoftTask {
     /// Runs the task until it blocks or finishes. `now` is the simulated
     /// time of this scheduling slot.
     fn advance(&mut self, now: SimTime) -> TaskStatus;
-    /// Drains transactions built during the last advance.
-    fn drain_outbox(&mut self) -> Vec<(u64, Transaction)>;
+    /// Drains transactions built during the last advance into `out` (an
+    /// out-parameter so the runtime reuses one scratch vector).
+    fn drain_outbox(&mut self, out: &mut Vec<(u64, Transaction)>);
     /// Delivers a transaction result.
     fn deliver(&mut self, local_ticket: u64, result: TxnResult);
     /// Takes a pending sleep request.
@@ -175,6 +184,14 @@ pub trait SoftTask {
     fn op_id(&self) -> u64 {
         0
     }
+}
+
+/// Drains a task's outbox into a fresh vector (test convenience).
+#[cfg(test)]
+fn drained(task: &mut dyn SoftTask) -> Vec<(u64, Transaction)> {
+    let mut out = Vec::new();
+    task.drain_outbox(&mut out);
+    out
 }
 
 /// Configuration of a software runtime instance.
@@ -229,9 +246,22 @@ impl RuntimeConfig {
     }
 }
 
+/// What travels with a transaction from enqueue to completion: its ticket,
+/// the task waiting on it, and its trace attribution.
+#[derive(Debug, Clone, Copy)]
+struct TxnTag {
+    ticket: u64,
+    /// The owning task and the local ticket its result is delivered under.
+    waiter: (TaskId, u64),
+    /// Enqueue time, for the transaction-latency metric.
+    enqueued: SimTime,
+    lun: u32,
+    op_id: u64,
+}
+
 #[derive(Debug)]
 struct ReadyTxn {
-    ticket: u64,
+    tag: TxnTag,
     txn: Transaction,
     meta: TxnMeta,
     avail: SimTime,
@@ -239,9 +269,27 @@ struct ReadyTxn {
 
 #[derive(Debug)]
 struct HwEntry {
-    ticket: u64,
+    tag: TxnTag,
     txn: Transaction,
     avail: SimTime,
+}
+
+/// The transaction on the bus, with its outcome held until `TxnDone`.
+#[derive(Debug)]
+struct InFlight {
+    tag: TxnTag,
+    end: SimTime,
+    inline: Vec<u8>,
+}
+
+/// Admission state of one LUN: the task scheduler admits "an operation
+/// when a given package is available" (paper §V).
+#[derive(Debug, Default)]
+struct LunSlot {
+    /// An operation is admitted on this LUN.
+    busy: bool,
+    /// Tasks parked until the LUN frees up, in arrival order.
+    parked: VecDeque<TaskId>,
 }
 
 /// The shared software runtime: task scheduling, transaction scheduling,
@@ -252,32 +300,31 @@ pub struct SoftRuntime {
     free_ids: Vec<TaskId>,
     active: usize,
     runnable: VecDeque<TaskId>,
-    waiting: HashMap<u64, (TaskId, u64)>,
-    sleeping: HashMap<u64, TaskId>,
+    /// Sleeping tasks by timer tag (few at a time; scanned).
+    sleeping: Vec<(u64, TaskId)>,
     ready: Vec<ReadyTxn>,
     hw_queue: VecDeque<HwEntry>,
-    in_flight: Option<u64>,
-    outcomes: HashMap<u64, (SimTime, Vec<u8>)>,
+    in_flight: Option<InFlight>,
     next_ticket: u64,
     next_timer: u64,
     last_task_lun: u32,
     last_txn_lun: u32,
-    /// LUNs with an operation currently admitted (the task scheduler admits
-    /// "an operation when a given package is available", paper §V).
-    lun_active: HashMap<u32, TaskId>,
-    /// Tasks parked until their LUN frees up.
-    lun_parked: HashMap<u32, VecDeque<TaskId>>,
+    /// Admission state per LUN, indexed by LUN.
+    luns: Vec<LunSlot>,
     finished: Vec<FinishedTask>,
     /// Cumulative count of issued transactions (stats).
     pub txns_issued: u64,
-    /// When each runnable task entered the runnable queue (traced runs
-    /// only; feeds the scheduler pick-wait histogram).
-    runnable_since: HashMap<TaskId, SimTime>,
-    /// Per-ticket (enqueue time, lun, op id) for transaction latency and
-    /// event attribution (traced runs only).
-    txn_info: HashMap<u64, (SimTime, u32, u64)>,
-    /// Reused receptacle for staged DRAM writes drained each pump pass.
+    /// When each task entered the runnable queue, indexed by task id
+    /// (traced runs only; feeds the scheduler pick-wait histogram).
+    runnable_since: Vec<Option<SimTime>>,
+    /// Reused receptacles: staged DRAM writes and built transactions
+    /// drained each pump pass, the policies' candidate lists, and the
+    /// μFSM engine's phase buffers.
     staged_scratch: Vec<(u64, PageBuf)>,
+    outbox_scratch: Vec<(u64, Transaction)>,
+    task_metas: Vec<TaskMeta>,
+    txn_metas: Vec<TxnMeta>,
+    emit_scratch: EmitScratch,
 }
 
 impl fmt::Debug for SoftRuntime {
@@ -299,23 +346,23 @@ impl SoftRuntime {
             free_ids: Vec::new(),
             active: 0,
             runnable: VecDeque::new(),
-            waiting: HashMap::new(),
-            sleeping: HashMap::new(),
+            sleeping: Vec::new(),
             ready: Vec::new(),
             hw_queue: VecDeque::new(),
             in_flight: None,
-            outcomes: HashMap::new(),
             next_ticket: 0,
             next_timer: 0,
             last_task_lun: 0,
             last_txn_lun: 0,
-            lun_active: HashMap::new(),
-            lun_parked: HashMap::new(),
+            luns: Vec::new(),
             finished: Vec::new(),
             txns_issued: 0,
-            runnable_since: HashMap::new(),
-            txn_info: HashMap::new(),
+            runnable_since: Vec::new(),
             staged_scratch: Vec::new(),
+            outbox_scratch: Vec::new(),
+            task_metas: Vec::new(),
+            txn_metas: Vec::new(),
+            emit_scratch: EmitScratch::default(),
         }
     }
 
@@ -340,6 +387,7 @@ impl SoftRuntime {
             tid
         } else {
             self.tasks.push(Some(task));
+            self.runnable_since.push(None);
             self.tasks.len() - 1
         };
         self.active += 1;
@@ -349,17 +397,15 @@ impl SoftRuntime {
         // One operation per LUN at a time: a LUN has one page register, so
         // overlapping operations would corrupt each other. Later arrivals
         // park until the LUN frees up.
-        let admitted = match self.lun_active.entry(lun) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                self.lun_parked.entry(lun).or_default().push_back(tid);
-                false
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(tid);
-                true
-            }
-        };
-        if admitted {
+        let idx = lun as usize;
+        if idx >= self.luns.len() {
+            self.luns.resize_with(idx + 1, LunSlot::default);
+        }
+        let slot = &mut self.luns[idx];
+        if slot.busy {
+            slot.parked.push_back(tid);
+        } else {
+            slot.busy = true;
             self.mark_runnable(sys, tid);
         }
         tid
@@ -372,7 +418,7 @@ impl SoftRuntime {
     fn mark_runnable(&mut self, sys: &mut System, tid: TaskId) {
         self.runnable.push_back(tid);
         if sys.trace.is_enabled() {
-            self.runnable_since.insert(tid, sys.now);
+            self.runnable_since[tid] = Some(sys.now);
             if let Some(task) = self.tasks[tid].as_ref() {
                 sys.trace.event(
                     sys.now,
@@ -407,40 +453,43 @@ impl SoftRuntime {
     }
 
     fn on_timer(&mut self, sys: &mut System, tag: u64) {
-        if let Some(tid) = self.sleeping.remove(&tag) {
+        if let Some(i) = self.sleeping.iter().position(|&(t, _)| t == tag) {
+            let (_, tid) = self.sleeping.swap_remove(i);
             self.mark_runnable(sys, tid);
             self.pump(sys);
         }
     }
 
     fn on_txn_done(&mut self, sys: &mut System, ticket: u64) {
-        debug_assert_eq!(self.in_flight, Some(ticket));
-        self.in_flight = None;
-        let (end, data) = self
-            .outcomes
-            .remove(&ticket)
+        let done = self
+            .in_flight
+            .take()
             .expect("completion for unknown transaction");
+        debug_assert_eq!(done.tag.ticket, ticket);
+        let tag = done.tag;
         sys.cpu.charge(sys.now, self.cfg.cost.completion_irq);
         sys.trace.count(Component::Sched, Counter::TxnsCompleted, 1);
         if sys.trace.is_enabled() {
-            if let Some((enq, lun, op_id)) = self.txn_info.remove(&ticket) {
-                sys.trace.event(
-                    sys.now,
-                    Component::Sched,
-                    TraceKind::TxnComplete,
-                    lun,
-                    op_id,
-                );
-                sys.trace
-                    .observe(Metric::TxnLatency, sys.now.saturating_since(enq));
-            }
+            sys.trace.event(
+                sys.now,
+                Component::Sched,
+                TraceKind::TxnComplete,
+                tag.lun,
+                tag.op_id,
+            );
+            sys.trace
+                .observe(Metric::TxnLatency, sys.now.saturating_since(tag.enqueued));
         }
-        if let Some((tid, local)) = self.waiting.remove(&ticket) {
-            if self.tasks[tid].is_some() {
-                let task = self.tasks[tid].as_mut().expect("checked above");
-                task.deliver(local, TxnResult { inline: data, end });
-                self.mark_runnable(sys, tid);
-            }
+        let (tid, local) = tag.waiter;
+        if let Some(task) = self.tasks[tid].as_mut() {
+            task.deliver(
+                local,
+                TxnResult {
+                    inline: done.inline,
+                    end: done.end,
+                },
+            );
+            self.mark_runnable(sys, tid);
         }
         // The hardware proceeds to the next queued transaction regardless of
         // what the software does with the completion.
@@ -482,30 +531,34 @@ impl SoftRuntime {
                 sys.cpu.charge(sys.now, cost.op_body_step);
                 sys.dram.write(addr, &bytes);
             }
-            for (local, txn) in task.drain_outbox() {
+            task.drain_outbox(&mut self.outbox_scratch);
+            let task_meta = task.meta();
+            let op_id = task.op_id();
+            for (local, txn) in self.outbox_scratch.drain(..) {
                 sys.cpu.charge(sys.now, cost.enqueue_txn);
                 let ticket = self.next_ticket;
                 self.next_ticket += 1;
-                self.waiting.insert(ticket, (tid, local));
                 let meta = TxnMeta {
-                    lun: task.meta().lun,
+                    lun: task_meta.lun,
                     data_bytes: txn.data_bytes(),
-                    priority: task.meta().priority,
+                    priority: task_meta.priority,
                 };
                 sys.trace.count(Component::Sched, Counter::TxnsEnqueued, 1);
-                if sys.trace.is_enabled() {
-                    let op_id = task.op_id();
-                    sys.trace.event(
-                        sys.now,
-                        Component::Sched,
-                        TraceKind::TxnEnqueue,
-                        meta.lun,
-                        op_id,
-                    );
-                    self.txn_info.insert(ticket, (sys.now, meta.lun, op_id));
-                }
+                sys.trace.event(
+                    sys.now,
+                    Component::Sched,
+                    TraceKind::TxnEnqueue,
+                    meta.lun,
+                    op_id,
+                );
                 self.ready.push(ReadyTxn {
-                    ticket,
+                    tag: TxnTag {
+                        ticket,
+                        waiter: (tid, local),
+                        enqueued: sys.now,
+                        lun: meta.lun,
+                        op_id,
+                    },
                     txn,
                     meta,
                     avail: sys.cpu.busy_until(),
@@ -514,7 +567,7 @@ impl SoftRuntime {
             if let Some(dur) = task.take_sleep() {
                 let tag = self.next_timer;
                 self.next_timer += 1;
-                self.sleeping.insert(tag, tid);
+                self.sleeping.push((tag, tid));
                 sys.schedule(sys.cpu.busy_until() + dur, Event::Timer { tag });
             }
             sys.cpu.charge(sys.now, cost.suspend);
@@ -537,28 +590,24 @@ impl SoftRuntime {
                 // Release the LUN and admit the next parked operation —
                 // highest priority first, FIFO among equals (the task
                 // scheduler's admission decision, paper §V).
-                self.lun_active.remove(&lun);
-                let by_priority = self.cfg.task_policy == TaskPolicy::Priority;
-                let next = self.lun_parked.get_mut(&lun).and_then(|q| {
-                    if by_priority {
-                        let best = q
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(i, &tid)| {
-                                let prio = self.tasks[tid]
-                                    .as_ref()
-                                    .map(|t| t.meta().priority)
-                                    .unwrap_or(0);
-                                (prio, usize::MAX - i) // FIFO tie-break
-                            })
-                            .map(|(i, _)| i);
-                        best.and_then(|i| q.remove(i))
-                    } else {
-                        q.pop_front()
-                    }
-                });
+                let slot = &mut self.luns[lun as usize];
+                let next = if self.cfg.task_policy == TaskPolicy::Priority {
+                    let tasks = &self.tasks;
+                    let best = slot
+                        .parked
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|(i, &tid)| {
+                            let prio = tasks[tid].as_ref().map(|t| t.meta().priority).unwrap_or(0);
+                            (prio, usize::MAX - i) // FIFO tie-break
+                        })
+                        .map(|(i, _)| i);
+                    best.and_then(|i| slot.parked.remove(i))
+                } else {
+                    slot.parked.pop_front()
+                };
+                slot.busy = next.is_some();
                 if let Some(next) = next {
-                    self.lun_active.insert(lun, next);
                     self.mark_runnable(sys, next);
                 }
             }
@@ -567,14 +616,15 @@ impl SoftRuntime {
         let mut pushed = false;
         while self.hw_queue.len() < self.cfg.lookahead && !self.ready.is_empty() {
             sys.cpu.charge(sys.now, cost.txn_sched_pass);
-            let metas: Vec<TxnMeta> = self.ready.iter().map(|r| r.meta).collect();
-            let Some(idx) = self.cfg.txn_policy.pick(&metas, self.last_txn_lun) else {
+            self.txn_metas.clear();
+            self.txn_metas.extend(self.ready.iter().map(|r| r.meta));
+            let Some(idx) = self.cfg.txn_policy.pick(&self.txn_metas, self.last_txn_lun) else {
                 break;
             };
             let r = self.ready.remove(idx);
             self.last_txn_lun = r.meta.lun;
             self.hw_queue.push_back(HwEntry {
-                ticket: r.ticket,
+                tag: r.tag,
                 txn: r.txn,
                 avail: r.avail.max(sys.cpu.busy_until()),
             });
@@ -586,28 +636,29 @@ impl SoftRuntime {
     }
 
     fn pick_runnable(&mut self, sys: &mut System) -> Option<TaskId> {
-        let metas: Vec<TaskMeta> = self
-            .runnable
-            .iter()
-            .map(|&tid| self.tasks[tid].as_ref().expect("runnable").meta())
-            .collect();
-        let idx = self.cfg.task_policy.pick(&metas, self.last_task_lun)?;
-        self.last_task_lun = metas[idx].lun;
+        let tasks = &self.tasks;
+        self.task_metas.clear();
+        self.task_metas.extend(
+            self.runnable
+                .iter()
+                .map(|&tid| tasks[tid].as_ref().expect("runnable").meta()),
+        );
+        let idx = self
+            .cfg
+            .task_policy
+            .pick(&self.task_metas, self.last_task_lun)?;
+        let lun = self.task_metas[idx].lun;
+        self.last_task_lun = lun;
         let tid = self.runnable.remove(idx);
         sys.trace.count(Component::Sched, Counter::SchedPicks, 1);
         if sys.trace.is_enabled() {
             if let Some(&tid) = tid.as_ref() {
-                let since = self.runnable_since.remove(&tid).unwrap_or(sys.now);
+                let since = self.runnable_since[tid].take().unwrap_or(sys.now);
                 sys.trace
                     .observe(Metric::SchedWait, sys.now.saturating_since(since));
                 let op_id = self.tasks[tid].as_ref().map(|t| t.op_id()).unwrap_or(0);
-                sys.trace.event(
-                    sys.now,
-                    Component::Sched,
-                    TraceKind::SchedPick,
-                    metas[idx].lun,
-                    op_id,
-                );
+                sys.trace
+                    .event(sys.now, Component::Sched, TraceKind::SchedPick, lun, op_id);
             }
         }
         tid
@@ -628,42 +679,34 @@ impl SoftRuntime {
             return;
         }
         let entry = self.hw_queue.pop_front().expect("front exists");
+        let tag = entry.tag;
         let start = sys.now.max(sys.channel.busy_until()) + self.cfg.issue_gap;
-        let op_id = self
-            .txn_info
-            .get(&entry.ticket)
-            .map(|&(_, _, op_id)| op_id)
-            .unwrap_or(0);
         sys.trace.count(Component::Sched, Counter::TxnsIssued, 1);
-        if sys.trace.is_enabled() {
-            let lun = self
-                .txn_info
-                .get(&entry.ticket)
-                .map(|&(_, lun, _)| lun)
-                .unwrap_or(0);
-            sys.trace
-                .event(start, Component::Sched, TraceKind::TxnIssue, lun, op_id);
-        }
+        sys.trace.event(
+            start,
+            Component::Sched,
+            TraceKind::TxnIssue,
+            tag.lun,
+            tag.op_id,
+        );
         let outcome = execute_traced(
             &mut sys.channel,
             &mut sys.dram,
             &sys.emit,
             start,
             &entry.txn,
-            op_id,
+            tag.op_id,
             &mut sys.trace,
+            &mut self.emit_scratch,
         )
         .unwrap_or_else(|e| panic!("operation logic drove an illegal waveform: {e}"));
         self.txns_issued += 1;
-        self.outcomes
-            .insert(entry.ticket, (outcome.end, outcome.inline));
-        self.in_flight = Some(entry.ticket);
-        sys.schedule(
-            outcome.end,
-            Event::TxnDone {
-                ticket: entry.ticket,
-            },
-        );
+        self.in_flight = Some(InFlight {
+            tag,
+            end: outcome.end,
+            inline: outcome.inline,
+        });
+        sys.schedule(outcome.end, Event::TxnDone { ticket: tag.ticket });
     }
 }
 
@@ -673,12 +716,11 @@ pub struct SoftController {
     name: &'static str,
     rt: SoftRuntime,
     factory: TaskFactory,
-    req_of: HashMap<TaskId, IoRequest>,
+    /// The request each task serves and, in traced runs, its submission
+    /// time (for op-latency observations); indexed by task id.
+    req_of: Vec<Option<(IoRequest, Option<SimTime>)>>,
     done: Vec<(IoRequest, SimTime)>,
     scratch: Vec<FinishedTask>,
-    /// Submission time per in-flight task, for op-latency observations
-    /// (traced runs only).
-    submitted_at: HashMap<TaskId, SimTime>,
     /// Operations that finished with an error (visible to experiments).
     pub errors: Vec<(IoRequest, OpError)>,
 }
@@ -695,10 +737,9 @@ impl SoftController {
             name,
             rt: SoftRuntime::new(cfg),
             factory: Box::new(factory),
-            req_of: HashMap::new(),
+            req_of: Vec::new(),
             done: Vec::new(),
             scratch: Vec::new(),
-            submitted_at: HashMap::new(),
             errors: Vec::new(),
         }
     }
@@ -712,8 +753,7 @@ impl SoftController {
         let mut fin = std::mem::take(&mut self.scratch);
         self.rt.drain_finished(&mut fin);
         for (tid, at, outcome) in fin.drain(..) {
-            let t0 = self.submitted_at.remove(&tid);
-            if let Some(req) = self.req_of.remove(&tid) {
+            if let Some((req, t0)) = self.req_of.get_mut(tid).and_then(Option::take) {
                 if let Some(Err(e)) = outcome {
                     self.errors.push((req, e));
                 }
@@ -742,18 +782,18 @@ impl Controller for SoftController {
         }
         let task = (self.factory)(&req);
         let tid = self.rt.spawn(sys, task);
-        self.req_of.insert(tid, req);
-        sys.trace.count(Component::Ctrl, Counter::OpsSubmitted, 1);
-        if sys.trace.is_enabled() {
-            sys.trace.event(
-                sys.now,
-                Component::Ctrl,
-                TraceKind::OpIssue,
-                req.lun,
-                req.id,
-            );
-            self.submitted_at.insert(tid, sys.now);
+        if tid >= self.req_of.len() {
+            self.req_of.resize(tid + 1, None);
         }
+        self.req_of[tid] = Some((req, sys.trace.is_enabled().then_some(sys.now)));
+        sys.trace.count(Component::Ctrl, Counter::OpsSubmitted, 1);
+        sys.trace.event(
+            sys.now,
+            Component::Ctrl,
+            TraceKind::OpIssue,
+            req.lun,
+            req.id,
+        );
         sys.schedule(sys.now, Event::CpuDone);
         true
     }
@@ -768,7 +808,9 @@ impl Controller for SoftController {
     }
 
     fn in_flight(&self) -> usize {
-        self.req_of.len()
+        // Every admitted task serves one request, and `harvest` retires a
+        // request in the same `on_event` that finishes its task.
+        self.rt.active_tasks()
     }
 }
 
@@ -801,7 +843,11 @@ mod tests {
     }
 
     fn status_task(lun: u32) -> Box<dyn SoftTask> {
-        let ctx = OpCtx::new(lun, 0);
+        status_task_at(lun, 0)
+    }
+
+    fn status_task_at(lun: u32, priority: u8) -> Box<dyn SoftTask> {
+        let ctx = OpCtx::new(lun, priority);
         let c = ctx.clone();
         let t = Target {
             chip: lun,
@@ -816,6 +862,12 @@ mod tests {
             });
         };
         Box::new(CoroTask::new(&ctx, fut))
+    }
+
+    fn status_txn(bytes: usize) -> Transaction {
+        Transaction::new(ChipMask::single(0))
+            .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
+            .read(bytes, DmaDest::Inline)
     }
 
     /// Drains the event queue, routing everything into the runtime.
@@ -916,5 +968,100 @@ mod tests {
         let mut fin = Vec::new();
         rt.drain_finished(&mut fin);
         assert_eq!(fin[0].2, Some(Ok(())));
+    }
+
+    /// Two transactions submitted in one advance: each result comes back
+    /// under its own local ticket, whichever is awaited first.
+    #[test]
+    fn two_submissions_in_one_advance_get_their_own_results() {
+        let ctx = OpCtx::new(0, 0);
+        let c = ctx.clone();
+        let fut = async move {
+            let first = c.submit(status_txn(1));
+            let second = c.submit(status_txn(3));
+            let b = second.await;
+            let a = first.await;
+            let ok = a.inline.len() == 1 && b.inline.len() == 3 && a.end < b.end;
+            c.set_outcome(if ok { Ok(()) } else { Err(OpError::Timeout) });
+        };
+        let mut s = sys(1);
+        let mut rt = SoftRuntime::new(RuntimeConfig::rtos());
+        rt.spawn(&mut s, Box::new(CoroTask::new(&ctx, fut)));
+        rt.pump(&mut s);
+        assert_eq!(
+            rt.ready.len() + rt.hw_queue.len(),
+            2,
+            "both built in one advance"
+        );
+        drain(&mut rt, &mut s);
+        let mut fin = Vec::new();
+        rt.drain_finished(&mut fin);
+        assert_eq!(fin[0].2, Some(Ok(())));
+        assert_eq!(rt.txns_issued, 2);
+    }
+
+    /// Under `TaskPolicy::Priority`, tasks parked on a busy LUN are admitted
+    /// highest priority first, in arrival order among equals.
+    #[test]
+    fn priority_admission_from_a_parked_lun() {
+        let mut cfg = RuntimeConfig::rtos();
+        cfg.task_policy = TaskPolicy::Priority;
+        let mut s = sys(1);
+        let mut rt = SoftRuntime::new(cfg);
+        // The first task takes the LUN; the rest park behind it.
+        let prios = [0, 1, 5, 5, 1, 3];
+        let tids: Vec<TaskId> = prios
+            .iter()
+            .map(|&p| rt.spawn(&mut s, status_task_at(0, p)))
+            .collect();
+        s.schedule(s.now, Event::CpuDone);
+        drain(&mut rt, &mut s);
+        let mut fin = Vec::new();
+        rt.drain_finished(&mut fin);
+        let order: Vec<TaskId> = fin.iter().map(|f| f.0).collect();
+        let want = [0, 2, 3, 5, 1, 4].map(|i| tids[i]);
+        assert_eq!(order, want);
+        assert!(fin.windows(2).all(|w| w[0].1 <= w[1].1));
+    }
+
+    /// `in_flight` counts outstanding requests, not task slots ever used:
+    /// it stays right when a finished task's id is handed to a new one.
+    #[test]
+    fn controller_in_flight_survives_tid_reuse() {
+        let mut ctrl = SoftController::new("test", RuntimeConfig::rtos(), |r: &IoRequest| {
+            status_task(r.lun)
+        });
+        let mut s = sys(2);
+        let req = |id, lun| IoRequest {
+            id,
+            kind: crate::system::IoKind::Read,
+            lun,
+            block: 0,
+            page: 0,
+            col: 0,
+            len: 0,
+            dram_addr: 0,
+        };
+        let run = |ctrl: &mut SoftController, s: &mut System| {
+            while let Some((at, ev)) = s.pop_event() {
+                s.now = at;
+                ctrl.on_event(s, ev);
+            }
+        };
+        assert!(ctrl.submit(&mut s, req(1, 0)));
+        assert_eq!(ctrl.in_flight(), 1);
+        run(&mut ctrl, &mut s);
+        assert_eq!(ctrl.in_flight(), 0);
+        // Task id 0 is free again; the next request reuses it.
+        assert!(ctrl.submit(&mut s, req(2, 0)));
+        assert!(ctrl.submit(&mut s, req(3, 1)));
+        assert_eq!(ctrl.in_flight(), 2);
+        run(&mut ctrl, &mut s);
+        assert_eq!(ctrl.in_flight(), 0);
+        let mut done = Vec::new();
+        ctrl.take_completions(&mut done);
+        let ids: Vec<u64> = done.iter().map(|(r, _)| r.id).collect();
+        assert_eq!(ids.len(), 3);
+        assert!([1, 2, 3].iter().all(|id| ids.contains(id)));
     }
 }

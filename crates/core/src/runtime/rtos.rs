@@ -96,12 +96,12 @@ impl<M: RtosMachine> SoftTask for RtosTask<M> {
         }
     }
 
-    fn drain_outbox(&mut self) -> Vec<(u64, Transaction)> {
-        std::mem::take(&mut self.mb.outbox)
+    fn drain_outbox(&mut self, out: &mut Vec<(u64, Transaction)>) {
+        out.append(&mut self.mb.outbox);
     }
 
     fn deliver(&mut self, local_ticket: u64, result: TxnResult) {
-        self.mb.results.insert(local_ticket, result);
+        self.mb.deliver(local_ticket, result);
     }
 
     fn take_sleep(&mut self) -> Option<SimDuration> {
@@ -463,6 +463,7 @@ impl RtosMachine for EraseOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::drained;
     use babol_onfi::addr::AddrLayout;
 
     fn target() -> Target {
@@ -486,7 +487,7 @@ mod tests {
         let mut task = RtosTask::new(0, 0, machine);
         // Latch.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         assert_eq!(out.len(), 1);
         task.deliver(
             out[0].0,
@@ -497,7 +498,7 @@ mod tests {
         );
         // Poll: busy once, then ready.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {
@@ -506,7 +507,7 @@ mod tests {
             },
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {
@@ -516,7 +517,7 @@ mod tests {
         );
         // Fetch.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         assert_eq!(out[0].1.data_bytes(), 64);
         task.deliver(
             out[0].0,
@@ -534,7 +535,7 @@ mod tests {
         let machine = ReadOp::new(target(), row(), 0, 64, 0, false);
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {
@@ -543,7 +544,7 @@ mod tests {
             },
         );
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         // Ready with FAIL set.
         task.deliver(
             out[0].0,
@@ -564,7 +565,7 @@ mod tests {
         let machine = ReadOp::new(target(), row(), 0, 64, 0, true);
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         let instrs = out[0].1.instrs();
         match &instrs[0] {
             babol_ufsm::Instr::CaWriter { latches, .. } => {
@@ -579,7 +580,7 @@ mod tests {
         let machine = ProgramOp::new(target(), row(), 0x2000, 64, false);
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         assert_eq!(out[0].1.data_bytes(), 64);
         task.deliver(
             out[0].0,
@@ -589,7 +590,7 @@ mod tests {
             },
         );
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {
@@ -606,7 +607,7 @@ mod tests {
         let machine = EraseOp::new(target(), row());
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {
@@ -615,7 +616,7 @@ mod tests {
             },
         );
         task.advance(SimTime::ZERO);
-        let out = task.drain_outbox();
+        let out = drained(&mut task);
         task.deliver(
             out[0].0,
             TxnResult {

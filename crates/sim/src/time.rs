@@ -337,8 +337,17 @@ pub struct Freq(u64);
 
 impl Freq {
     /// Creates a frequency from hertz.
+    ///
+    /// # Panics
+    ///
+    /// If `hz` is zero or above `u32::MAX` (~4.29 GHz). The bound keeps
+    /// [`Freq::cycles`] exact in u64 arithmetic.
     pub const fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "frequency must be nonzero");
+        assert!(
+            hz <= u32::MAX as u64,
+            "frequency must be at most u32::MAX Hz"
+        );
         Freq(hz)
     }
 
@@ -377,15 +386,25 @@ impl Freq {
 
     /// Duration of `n` cycles, computed without accumulating per-cycle
     /// rounding error.
+    ///
+    /// # Panics
+    ///
+    /// If the duration exceeds the picosecond range of [`SimDuration`].
     pub const fn cycles(self, n: u64) -> SimDuration {
-        // n * 1e12 / hz, rounded. Whole seconds are split off so only the
-        // remainder is scaled, in u128: in u64 its product would overflow
-        // once the remainder passes ~1.8e7 cycles.
+        // n * 1e12 / hz, rounded to the nearest picosecond. Whole seconds
+        // are split off, and the remainder's scaling is split by
+        // 1e12 = q*hz + r: rem*1e12/hz = rem*q + rem*r/hz, so only rem*r is
+        // divided. With hz <= u32::MAX (see `from_hz`), rem*r + hz/2 < 2^64
+        // and rem*q < 1e12, so every step is exact in u64.
         const PS: u64 = 1_000_000_000_000;
-        let whole = n / self.0;
-        let rem = n % self.0;
-        let frac = (rem as u128 * PS as u128 + self.0 as u128 / 2) / self.0 as u128;
-        SimDuration(whole * PS + frac as u64)
+        let hz = self.0;
+        let whole = n / hz;
+        let rem = n % hz;
+        let frac = rem * (PS / hz) + (rem * (PS % hz) + hz / 2) / hz;
+        match whole.checked_mul(PS) {
+            Some(ps) if ps <= u64::MAX - frac => SimDuration(ps + frac),
+            _ => panic!("cycle count overflows SimDuration"),
+        }
     }
 }
 
@@ -487,6 +506,34 @@ mod tests {
             Freq::from_ghz(1).cycles(18_000_000),
             SimDuration::from_millis(18)
         );
+    }
+
+    /// The u64 conversion equals the exact rounded quotient
+    /// `(n * 1e12 + hz/2) / hz`, computed here in u128, at the edges of
+    /// both operands; a result beyond `SimDuration`'s range panics.
+    #[test]
+    fn freq_cycles_matches_u128_reference() {
+        const PS: u128 = 1_000_000_000_000;
+        let max = u32::MAX as u64;
+        for hz in [1, 150_000_000, 1_000_000_000, 4_000_000_000, max] {
+            let f = Freq::from_hz(hz);
+            for n in [0, 1, hz - 1, hz, hz + 1, 1 << 40, u64::MAX] {
+                let want = (n as u128 * PS + hz as u128 / 2) / hz as u128;
+                match u64::try_from(want) {
+                    Ok(ps) => assert_eq!(f.cycles(n).as_picos(), ps, "hz={hz} n={n}"),
+                    Err(_) => assert!(
+                        std::panic::catch_unwind(|| f.cycles(n)).is_err(),
+                        "hz={hz} n={n} should overflow"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn freq_above_u32_max_hz_is_rejected() {
+        let _ = Freq::from_hz(u32::MAX as u64 + 1);
     }
 
     #[test]

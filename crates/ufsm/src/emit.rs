@@ -166,6 +166,22 @@ pub struct Outcome {
     pub inline: Vec<u8>,
 }
 
+/// Working buffers of [`execute_traced`], owned by its caller so a
+/// steady-state transaction stream reuses them instead of allocating.
+/// Nothing carries over from one transaction to the next.
+#[derive(Debug, Default)]
+pub struct EmitScratch {
+    /// The transaction's bus phases.
+    phases: Vec<BusPhase>,
+    /// One entry per data-out packet: its length and where it lands. A
+    /// DRAM packet carries its own address (the reader's base plus the
+    /// reader's running offset).
+    reads: Vec<(usize, DmaDest)>,
+    /// Phase index where each instruction's waveform starts (traced runs
+    /// only).
+    instr_marks: Vec<usize>,
+}
+
 /// Expands `txn` into bus phases, transmits them at `start`, and moves DMA
 /// data. Fails if the bus is owned, the mask is invalid, or a LUN rejects a
 /// phase (protocol bug in the operation logic).
@@ -184,13 +200,16 @@ pub fn execute(
         txn,
         0,
         &mut babol_trace::NoopSink,
+        &mut EmitScratch::default(),
     )
 }
 
 /// [`execute`], reporting to a trace sink: one `InstrDispatch` event per
 /// μFSM instruction (timestamped at the instruction's first bus phase), an
 /// instruction counter, and — via [`Channel::transmit_traced`] — the bus
-/// acquire/release pair for the whole segment.
+/// acquire/release pair for the whole segment. `scratch` supplies the
+/// working buffers.
+#[allow(clippy::too_many_arguments)]
 pub fn execute_traced(
     channel: &mut Channel,
     dram: &mut Dram,
@@ -199,19 +218,22 @@ pub fn execute_traced(
     txn: &Transaction,
     op_id: u64,
     sink: &mut dyn TraceSink,
+    scratch: &mut EmitScratch,
 ) -> Result<Outcome, ChannelError> {
     // Debug builds verify the transaction before playing it (see
     // `hook`); release builds compile this line out entirely.
     #[cfg(debug_assertions)]
     crate::hook::run(channel, txn);
     let trace_on = sink.is_enabled();
-    let mut phases = Vec::new();
-    // (phase index, length, dest) for each data-out burst, to split the
-    // returned byte stream afterwards.
-    let mut reads: Vec<(usize, DmaDest)> = Vec::new();
-    // Phase index where each instruction's waveform starts (traced runs
-    // only; the disabled path must not allocate beyond `execute`'s own).
-    let mut instr_marks: Vec<usize> = Vec::new();
+    // A failed call may have left buffers behind.
+    scratch.phases.clear();
+    scratch.reads.clear();
+    scratch.instr_marks.clear();
+    let EmitScratch {
+        phases,
+        reads,
+        instr_marks,
+    } = scratch;
     for instr in txn.instrs() {
         if trace_on {
             instr_marks.push(phases.len());
@@ -250,17 +272,23 @@ pub fn execute_traced(
                 }
             }
             Instr::DataReader { bytes, dest } => {
+                let mut offset = 0u64;
                 for pkt in cfg.packetizer.packets(*bytes) {
                     // Inline reads (status bytes, IDs) land in a controller
                     // register, not DRAM: no DMA descriptor gap.
-                    if matches!(dest, DmaDest::Dram(_)) {
-                        phases.push(BusPhase::new(PhaseKind::Pause, cfg.packetizer.packet_gap));
-                    }
+                    let dest = match *dest {
+                        DmaDest::Inline => DmaDest::Inline,
+                        DmaDest::Dram(base) => {
+                            phases.push(BusPhase::new(PhaseKind::Pause, cfg.packetizer.packet_gap));
+                            DmaDest::Dram(base + offset)
+                        }
+                    };
                     phases.push(BusPhase::new(
                         PhaseKind::DataOut { bytes: pkt },
                         cfg.timing.data_out_burst(cfg.iface, pkt),
                     ));
-                    reads.push((pkt, *dest));
+                    reads.push((pkt, dest));
+                    offset += pkt as u64;
                 }
             }
             Instr::Timer { duration } => {
@@ -268,7 +296,7 @@ pub fn execute_traced(
             }
         }
     }
-    let tx = channel.transmit_traced(start, txn.chip_mask(), &phases, op_id, sink)?;
+    let tx = channel.transmit_traced(start, txn.chip_mask(), phases, op_id, sink)?;
     sink.count(
         Component::Ufsm,
         Counter::InstrsDispatched,
@@ -278,7 +306,7 @@ pub fn execute_traced(
         let lun = txn.chip_mask().iter().next().unwrap_or(0);
         let mut t = start;
         let mut next_phase = 0usize;
-        for &mark in &instr_marks {
+        for &mark in instr_marks.iter() {
             while next_phase < mark {
                 t += phases[next_phase].duration;
                 next_phase += 1;
@@ -295,23 +323,22 @@ pub fn execute_traced(
     // Split the returned stream across the data readers.
     let mut inline = Vec::new();
     let mut cursor = 0usize;
-    let mut dram_offsets: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for (len, dest) in reads {
+    for (len, dest) in reads.drain(..) {
         let chunk = &tx.data[cursor..cursor + len];
         cursor += len;
         match dest {
             DmaDest::Inline => inline.extend_from_slice(chunk),
-            DmaDest::Dram(base) => {
-                let off = dram_offsets.entry(base).or_insert(0);
-                dram.write(base + *off, chunk);
-                *off += len as u64;
-            }
+            DmaDest::Dram(addr) => dram.write(addr, chunk),
         }
     }
-    Ok(Outcome {
-        end: tx.end,
-        inline,
-    })
+    let end = tx.end;
+    // Hand the segment's pooled buffers back before returning (the
+    // returned data, then the data-in packets) so the next transaction
+    // finds them in the pool.
+    drop(tx);
+    phases.clear();
+    instr_marks.clear();
+    Ok(Outcome { end, inline })
 }
 
 #[cfg(test)]
@@ -504,6 +531,7 @@ mod tests {
             &txn,
             7,
             &mut tracer,
+            &mut EmitScratch::default(),
         )
         .unwrap();
         let (mut ch2, mut dram2, _) = setup(1);

@@ -35,19 +35,11 @@ impl PacketizerConfig {
         }
     }
 
-    /// Splits a burst of `bytes` into packet sizes.
-    pub fn packets(&self, bytes: usize) -> Vec<usize> {
-        if bytes == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(bytes.div_ceil(self.packet_bytes));
-        let mut remaining = bytes;
-        while remaining > 0 {
-            let take = remaining.min(self.packet_bytes);
-            out.push(take);
-            remaining -= take;
-        }
-        out
+    /// Splits a burst of `bytes` into packet sizes: full packets, then the
+    /// remainder.
+    pub fn packets(&self, bytes: usize) -> impl Iterator<Item = usize> {
+        let size = self.packet_bytes;
+        (0..bytes.div_ceil(size)).map(move |i| (bytes - i * size).min(size))
     }
 
     /// Number of inter-packet gaps in a burst of `bytes`.
@@ -72,10 +64,11 @@ mod tests {
     #[test]
     fn packets_cover_exactly() {
         let p = PacketizerConfig::paper();
-        assert_eq!(p.packets(16384), vec![2048; 8]);
-        assert_eq!(p.packets(5000), vec![2048, 2048, 904]);
-        assert_eq!(p.packets(1), vec![1]);
-        assert!(p.packets(0).is_empty());
+        let packets = |bytes| p.packets(bytes).collect::<Vec<_>>();
+        assert_eq!(packets(16384), vec![2048; 8]);
+        assert_eq!(packets(5000), vec![2048, 2048, 904]);
+        assert_eq!(packets(1), vec![1]);
+        assert!(packets(0).is_empty());
     }
 
     #[test]

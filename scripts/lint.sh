@@ -22,9 +22,6 @@ HASH_ALLOW=(
   # Hottest map in the simulator (page store); keyed lookups only, never
   # iterated, so order cannot reach behavior or output.
   "crates/flash/src/array.rs"
-  # Scheduler tables; keyed lookups on the hot path, never iterated —
-  # scheduling order is decided by the ready queue, not map order.
-  "crates/core/src/runtime/mod.rs"
 )
 CLOCK_ALLOW=(
   # The benchmark runner's purpose is wall-clock measurement; readings are
