@@ -57,9 +57,10 @@ pub enum MultiControllerKind {
 pub struct MultiSsdConfig {
     /// Number of channels; each gets its own event-queue shard.
     pub channels: u32,
-    /// Worker threads for the shard pool. `1` keeps every shard on the
-    /// caller's thread (the reference order); more threads reproduce that
-    /// order exactly.
+    /// Threads doing shard work, counting the calling thread. `1` keeps
+    /// every shard on the caller's thread (the reference order); `2` spawns
+    /// one worker and the caller steps the other half of the shards. Any
+    /// count reproduces the reference order exactly.
     pub threads: usize,
     /// Barrier window: how far past the earliest pending event every shard
     /// may run per round. A model parameter — never derived from the thread
@@ -197,7 +198,7 @@ pub struct ChannelShard {
 
 impl ChannelShard {
     /// Builds channel `id` of the device described by `cfg`. Runs on the
-    /// worker thread that will own the shard.
+    /// thread that will own the shard.
     pub fn build(cfg: &MultiSsdConfig, id: u32) -> Self {
         let luns = (0..cfg.shard.luns)
             .map(|i| {
@@ -413,8 +414,10 @@ pub struct MultiSsd {
 }
 
 impl MultiSsd {
-    /// Builds the device. Shards are constructed lazily on their worker
-    /// threads; this returns once the pool is up.
+    /// Builds the device. Each shard is constructed on the thread that owns
+    /// it: the caller builds its own share after spawning the workers, so
+    /// construction overlaps, and this returns once the caller's share is
+    /// built (the workers may still be building theirs).
     pub fn new(cfg: MultiSsdConfig) -> Self {
         assert!(cfg.channels >= 1, "a device needs at least one channel");
         assert!(!cfg.window.is_zero(), "the barrier window must be positive");

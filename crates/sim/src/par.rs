@@ -34,15 +34,27 @@
 //! globally. Overshoot changes nothing across thread counts because it is a
 //! property of the shard's event stream, not of scheduling.
 //!
+//! # Threads
+//!
+//! With `threads = N >= 2` the pool spawns N-1 workers; the calling thread
+//! is worker 0. Each round the caller sends the spawned workers their
+//! inboxes, runs its own shards while they run theirs, then collects their
+//! replies, so a round costs the shards' own work rather than a thread
+//! hand-off. A waiting thread (a worker between rounds, the caller for
+//! replies) polls its channel for a fixed budget, spinning and now and then
+//! yielding its CPU, before it parks in a blocking receive: back-to-back
+//! rounds never pay a kernel wake-up, and an idle pool burns no CPU.
+//!
 //! # Determinism
 //!
 //! With `threads <= 1` the pool keeps every shard on the caller's thread and
 //! steps them in shard-id order — this *defines* the reference order. With
-//! more threads, shards are pinned to workers (`shard % threads`), constructed
-//! inside their worker (shards need not be `Send`; only messages, outputs and
-//! ctors are), and every round's results are re-assembled by shard id before
-//! the coordinator looks at them. Arrival order never reaches the model, so
-//! any thread count reproduces the single-thread stream bit for bit.
+//! more threads, shards are pinned to workers (`shard % threads`, worker 0
+//! being the caller), constructed on the thread that owns them (shards need
+//! not be `Send`; only messages, outputs and ctors are), and every round's
+//! results are re-assembled by shard id before the coordinator looks at
+//! them. Arrival order never reaches the model, so any thread count
+//! reproduces the single-thread stream bit for bit.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -53,8 +65,9 @@ use crate::time::SimTime;
 /// One isolated simulation domain driven by a [`ShardPool`].
 ///
 /// Implementations own their full state (event queue, clock, model). They
-/// do not need to be `Send`: each shard is constructed inside the worker
-/// thread that will drive it and never moves again.
+/// do not need to be `Send`: each shard is constructed on the thread that
+/// will drive it (a spawned worker or the pool's caller) and never moves
+/// again.
 pub trait Shard: 'static {
     /// Message type delivered into the shard at a barrier (host commands,
     /// cross-shard notifications).
@@ -88,7 +101,7 @@ pub trait Shard: 'static {
     fn finish(self) -> Self::Digest;
 }
 
-/// Constructor for one shard, run on the worker thread that will own it.
+/// Constructor for one shard, run on the thread that will own it.
 pub type ShardCtor<S> = Box<dyn FnOnce() -> S + Send>;
 
 /// Per-shard result of one barrier window.
@@ -134,7 +147,10 @@ enum Backend<S: Shard> {
     /// shard-id order. This is the reference order every other mode must
     /// reproduce.
     Inline(Vec<S>),
+    /// `threads = N >= 2`: the caller is worker 0 and owns `local`
+    /// (`(global shard id, shard)`); `workers` are the N-1 spawned threads.
     Threaded {
+        local: Vec<(usize, S)>,
         workers: Vec<Worker<S>>,
         replies: mpsc::Receiver<Reply<S::Out, S::Digest>>,
         shards: usize,
@@ -158,10 +174,37 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// `try_recv` polls before a waiting thread parks in a blocking `recv`.
+/// A barrier round lasts tens of microseconds, so a waiter usually sees its
+/// message while still polling and never pays a kernel wake-up.
+const SPIN_POLLS: u32 = 1 << 14;
+/// Every this many polls the waiter yields its CPU instead of spinning, so
+/// the thread it waits for can run even when both share one CPU.
+const YIELD_EVERY: u32 = 32;
+
+/// Receives from `rx`: spin, then park. Fails only once every sender is gone.
+fn spin_recv<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
+    for poll in 1..=SPIN_POLLS {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) if poll % YIELD_EVERY == 0 => {
+                std::thread::yield_now();
+            }
+            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+    rx.recv()
+}
+
 impl<S: Shard> ShardPool<S> {
     /// Builds the pool. Each constructor runs exactly once, on the thread
-    /// that will own the shard; shard `i` is pinned to worker `i % threads`.
-    /// `threads <= 1` (or a single shard) selects the inline backend.
+    /// that will own the shard; shard `i` is pinned to worker `i % threads`,
+    /// and worker 0 is the calling thread, so `threads` counts the caller
+    /// and `threads - 1` threads are spawned. The spawned workers start
+    /// building before the caller builds its own shards, so all
+    /// construction overlaps. `threads <= 1` (or a single shard) selects the
+    /// inline backend.
     pub fn new(ctors: Vec<ShardCtor<S>>, threads: usize) -> Self {
         assert!(!ctors.is_empty(), "a shard pool needs at least one shard");
         let shards = ctors.len();
@@ -178,9 +221,11 @@ impl<S: Shard> ShardPool<S> {
         for (id, ctor) in ctors.into_iter().enumerate() {
             slots[id % threads].push((id, ctor));
         }
+        let own = std::mem::take(&mut slots[0]);
         let workers = slots
             .into_iter()
             .enumerate()
+            .skip(1)
             .map(|(w, ctors)| {
                 let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<S::In>>();
                 let reply_tx = reply_tx.clone();
@@ -194,13 +239,21 @@ impl<S: Shard> ShardPool<S> {
                 }
             })
             .collect();
-        ShardPool {
+        let mut pool = ShardPool {
             backend: Backend::Threaded {
+                local: Vec::new(),
                 workers,
                 replies,
                 shards,
             },
+        };
+        // Built after every worker is spawned, so construction overlaps; if
+        // a constructor panics, dropping `pool` joins the workers.
+        let built = own.into_iter().map(|(id, ctor)| (id, ctor())).collect();
+        if let Backend::Threaded { local, .. } = &mut pool.backend {
+            *local = built;
         }
+        pool
     }
 
     /// Number of shards in the pool.
@@ -228,30 +281,35 @@ impl<S: Shard> ShardPool<S> {
                 .map(|(shard, inbox)| run_window(shard, deliver_at, horizon, inbox))
                 .collect(),
             Backend::Threaded {
+                local,
                 workers,
                 replies,
                 shards,
             } => {
-                let threads = workers.len();
+                let threads = workers.len() + 1;
                 let mut per_worker: Vec<Vec<Vec<S::In>>> =
                     (0..threads).map(|_| Vec::new()).collect();
                 for (id, inbox) in inboxes.drain(..).enumerate() {
                     per_worker[id % threads].push(inbox);
                 }
+                let mut per_worker = per_worker.into_iter();
+                let own = per_worker.next().expect("worker 0 is the caller");
                 for (worker, inboxes) in workers.iter().zip(per_worker) {
-                    worker
-                        .cmd
-                        .send(Cmd::Step {
-                            deliver_at,
-                            horizon,
-                            inboxes,
-                        })
-                        .expect("shard worker hung up");
+                    // A worker that hung up has already sent its panic as a
+                    // reply; the collection below surfaces it.
+                    let _ = worker.cmd.send(Cmd::Step {
+                        deliver_at,
+                        horizon,
+                        inboxes,
+                    });
                 }
                 let mut outcomes: Vec<Option<StepOutcome<S::Out>>> =
                     (0..*shards).map(|_| None).collect();
-                for _ in 0..threads {
-                    match replies.recv().expect("shard worker hung up") {
+                for ((id, shard), inbox) in local.iter_mut().zip(own) {
+                    outcomes[*id] = Some(run_window(shard, deliver_at, horizon, inbox));
+                }
+                for _ in 0..workers.len() {
+                    match spin_recv(replies).expect("shard worker hung up") {
                         Reply::Stepped(list) => {
                             for (id, outcome) in list {
                                 outcomes[id] = Some(outcome);
@@ -274,16 +332,20 @@ impl<S: Shard> ShardPool<S> {
         match std::mem::replace(&mut self.backend, Backend::Inline(Vec::new())) {
             Backend::Inline(shards) => shards.into_iter().map(Shard::finish).collect(),
             Backend::Threaded {
+                local,
                 mut workers,
                 replies,
                 shards,
             } => {
                 for worker in &workers {
-                    worker.cmd.send(Cmd::Finish).expect("shard worker hung up");
+                    let _ = worker.cmd.send(Cmd::Finish);
                 }
                 let mut digests: Vec<Option<S::Digest>> = (0..shards).map(|_| None).collect();
+                for (id, shard) in local {
+                    digests[id] = Some(shard.finish());
+                }
                 for _ in 0..workers.len() {
-                    match replies.recv().expect("shard worker hung up") {
+                    match spin_recv(&replies).expect("shard worker hung up") {
                         Reply::Finished(list) => {
                             for (id, digest) in list {
                                 digests[id] = Some(digest);
@@ -311,13 +373,16 @@ impl<S: Shard> ShardPool<S> {
 
 impl<S: Shard> Drop for ShardPool<S> {
     fn drop(&mut self) {
-        if let Backend::Threaded { workers, .. } = &mut self.backend {
+        if let Backend::Threaded { local, workers, .. } = &mut self.backend {
             // Closing the command channels makes workers drop their shards
-            // and exit; join so no thread outlives the pool. Panics were
-            // either already surfaced through a reply or are repeated here.
+            // and exit while the caller drops its own; join so no thread
+            // outlives the pool. Panics were either already surfaced through
+            // a reply or are repeated here.
             for worker in workers.iter_mut() {
-                let (closed, _) = mpsc::channel();
-                worker.cmd = closed;
+                worker.cmd = mpsc::channel().0;
+            }
+            local.clear();
+            for worker in workers.iter_mut() {
                 if let Some(handle) = worker.handle.take() {
                     let _ = handle.join();
                 }
@@ -365,7 +430,7 @@ fn worker_main<S: Shard>(
             return;
         }
     };
-    while let Ok(cmd) = cmd_rx.recv() {
+    while let Ok(cmd) = spin_recv(&cmd_rx) {
         match cmd {
             Cmd::Step {
                 deliver_at,
@@ -524,36 +589,96 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "echo shard exploded")]
-    fn worker_panics_propagate_to_the_coordinator() {
-        struct Bomb;
-        impl Shard for Bomb {
-            type In = ();
-            type Out = ();
-            type Digest = ();
-            fn deliver(&mut self, _at: SimTime, _msg: ()) {}
-            fn run_until(&mut self, _h: SimTime, _o: &mut Vec<()>) {
+    fn worker_zero_is_the_calling_thread() {
+        let (tx, rx) = mpsc::channel();
+        let ctors: Vec<ShardCtor<Echo>> = (0..2u64)
+            .map(|id| {
+                let tx = tx.clone();
+                Box::new(move || {
+                    tx.send((id, std::thread::current().id())).unwrap();
+                    Echo::new(id, 100)
+                }) as ShardCtor<Echo>
+            })
+            .collect();
+        let pool = ShardPool::new(ctors, 2);
+        let mut built: Vec<_> = rx.iter().take(2).collect();
+        built.sort_by_key(|&(id, _)| id);
+        let caller = std::thread::current().id();
+        assert_eq!(built[0].1, caller, "shard 0 is built on the caller");
+        assert_ne!(built[1].1, caller, "shard 1 is built on a spawned worker");
+        drop(pool);
+    }
+
+    #[test]
+    fn constructors_overlap() {
+        // Shard 0 (the caller's) can only finish once shard 1 (a worker's)
+        // has started: this holds only if the workers are spawned first.
+        let (tx, rx) = mpsc::channel::<()>();
+        let ctors: Vec<ShardCtor<Echo>> = vec![
+            Box::new(move || {
+                rx.recv_timeout(std::time::Duration::from_secs(5))
+                    .expect("constructors did not overlap");
+                Echo::new(0, 100)
+            }),
+            Box::new(move || {
+                let _ = tx.send(());
+                Echo::new(1, 100)
+            }),
+        ];
+        drop(ShardPool::new(ctors, 2));
+    }
+
+    /// A shard that panics in its first window if it is the bomb.
+    struct Bomb(bool);
+
+    impl Shard for Bomb {
+        type In = ();
+        type Out = ();
+        type Digest = ();
+        fn deliver(&mut self, _at: SimTime, _msg: ()) {}
+        fn run_until(&mut self, _h: SimTime, _o: &mut Vec<()>) {
+            if self.0 {
                 panic!("echo shard exploded");
             }
-            fn next_event_time(&self) -> Option<SimTime> {
-                None
-            }
-            fn now(&self) -> SimTime {
-                SimTime::ZERO
-            }
-            fn events_processed(&self) -> u64 {
-                0
-            }
-            fn finish(self) {}
         }
+        fn next_event_time(&self) -> Option<SimTime> {
+            None
+        }
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn events_processed(&self) -> u64 {
+            0
+        }
+        fn finish(self) {}
+    }
+
+    /// Steps a two-thread pool whose shard `bomb` panics: the panic reaches
+    /// the caller, and dropping the pool afterwards still joins every worker.
+    fn explode(bomb: usize) {
         let ctors: Vec<ShardCtor<Bomb>> = (0..2)
-            .map(|_| Box::new(|| Bomb) as ShardCtor<Bomb>)
+            .map(|id| Box::new(move || Bomb(id == bomb)) as ShardCtor<Bomb>)
             .collect();
         let mut pool = ShardPool::new(ctors, 2);
-        pool.step(
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_picos(1),
-            vec![vec![], vec![]],
-        );
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.step(
+                SimTime::ZERO,
+                SimTime::ZERO + SimDuration::from_picos(1),
+                vec![vec![], vec![]],
+            )
+        }))
+        .expect_err("the bomb went off");
+        assert_eq!(panic_message(payload), "echo shard exploded");
+        drop(pool);
+    }
+
+    #[test]
+    fn caller_shard_panics_propagate() {
+        explode(0);
+    }
+
+    #[test]
+    fn worker_shard_panics_propagate_to_the_caller() {
+        explode(1);
     }
 }

@@ -20,7 +20,8 @@
 //!
 //! With `--channels N` (N > 1) the whole device is simulated instead of a
 //! single channel: N per-channel shards driven by the conservative-barrier
-//! parallel kernel on `--threads M` workers. Results are bit-identical at
+//! parallel kernel on `--threads M` threads (the main thread plus M-1
+//! spawned workers). Results are bit-identical at
 //! every thread count; `--report` then prints a per-shard utilization
 //! table and `--trace` writes one timeline pair per channel
 //! (`<path>.shardK` / `<path>.shardK.jsonl`).

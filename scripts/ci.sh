@@ -67,11 +67,11 @@ cargo test --offline -q --test properties -- ftl_ cache
 # Mirror of the hosted determinism matrix: both digest tests (plain
 # read path + production FTL with cache, wear leveling, and GC) run once
 # per thread count, and the printed `determinism-digest` lines
-# (3 read seeds + 2 production seeds, x 3 legs = 15 digests) must be
-# byte-identical across legs. `--test-threads=1` keeps the two tests'
+# (3 read seeds + 2 production seeds, x 4 legs = 20 digests) must be
+# byte-identical across legs; 3 threads is the uneven split. `--test-threads=1` keeps the two tests'
 # printed lines from interleaving mid-line.
-step "determinism matrix (BABOL_THREADS 1/2/8 x 5 seeds)"
-for t in 1 2 8; do
+step "determinism matrix (BABOL_THREADS 1/2/3/8 x 5 seeds)"
+for t in 1 2 3 8; do
   BABOL_THREADS=$t cargo test --offline -q --test determinism \
     thread_count_invariant -- --nocapture --test-threads=1 \
     | grep -o 'determinism-digest.*' | sort > "/tmp/babol_digests_$t.txt"
@@ -79,6 +79,7 @@ for t in 1 2 8; do
   cat "/tmp/babol_digests_$t.txt"
 done
 cmp /tmp/babol_digests_1.txt /tmp/babol_digests_2.txt
+cmp /tmp/babol_digests_1.txt /tmp/babol_digests_3.txt
 cmp /tmp/babol_digests_1.txt /tmp/babol_digests_8.txt
 echo "determinism matrix: all legs byte-identical"
 

@@ -216,7 +216,7 @@ fn parallel_production_ftl_is_thread_count_invariant() {
         .unwrap_or(1);
     for seed in [0xCAC4E_u64, 0x3EA5] {
         let reference = production_fio_digest(1, seed);
-        for threads in [2usize, 8] {
+        for threads in [2usize, 3, 8] {
             assert_eq!(
                 production_fio_digest(threads, seed),
                 reference,
@@ -242,7 +242,7 @@ fn parallel_fio_is_thread_count_invariant() {
     let mut digests = Vec::new();
     for seed in [0xBAB01_u64, 0xD15C, 0x5EED] {
         let reference = parallel_fio_digest(1, seed);
-        for threads in [2usize, 8] {
+        for threads in [2usize, 3, 8] {
             assert_eq!(
                 parallel_fio_digest(threads, seed),
                 reference,
