@@ -13,11 +13,31 @@
 //! selects what unwritten pages contain: `Pristine` (erased, all `0xFF`) or
 //! `Preloaded` (deterministic pseudo-random content, standing in for the
 //! paper's "initialized the SSDs with data" step of §VI-C).
+//!
+//! # The read data path
+//!
+//! A preloaded page is synthesized on every read, so the generator is on
+//! the hottest path of read workloads. [`ArrayStore::read_page_into`]
+//! writes straight into the caller's buffer (the LUN's page register), and
+//! [`fill_deterministic_page`] produces the content one 64-bit word per
+//! step. Word `i` is the `i+1`-th output of a [`SplitMix64`] seeded for
+//! the page, [`SplitMix64::mix`] of the state `seed + (i+1)·γ`, so no word
+//! waits on the previous one's mixing and the loop vectorizes. On x86-64
+//! the one kernel body is compiled three times: for AVX-512 (`avx512f` +
+//! `avx512dq`, whose 64-bit multiply LLVM uses), for AVX2, and portable.
+//! The fastest copy the CPU supports is picked at run time. Every copy
+//! writes the same bytes; the unit tests pin each copy the CPU can run to
+//! a reference loop over [`SplitMix64::next_u64`]. The AVX-512 copy needs
+//! a compiler that accepts AVX-512 target features (Rust 1.89+);
+//! `build.rs` sets `cfg(babol_avx512)` when it does.
 
 // Determinism allowlist: the page store is the hottest map in the
 // simulator and is only ever used for keyed lookups — iteration order
 // never reaches behavior or output (`scripts/lint.sh` documents the gate).
 #![allow(clippy::disallowed_types)]
+// Every unsafe block here (the kernel's target-feature calls) carries a
+// `SAFETY:` note; `scripts/lint.sh` keeps `unsafe` out of other files.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::collections::HashMap;
 
@@ -101,23 +121,41 @@ impl ArrayStore {
 
     /// Reads the raw page (data + spare) at `row`.
     pub fn read_page(&self, row: RowAddr) -> Result<Vec<u8>, FlashError> {
+        let mut page = vec![0; self.geometry.raw_page_size()];
+        self.read_page_into(row, &mut page)?;
+        Ok(page)
+    }
+
+    /// Reads the raw page (data + spare) at `row` into `out`, which must be
+    /// exactly one raw page long. On error `out` is left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not the raw page size.
+    pub fn read_page_into(&self, row: RowAddr, out: &mut [u8]) -> Result<(), FlashError> {
+        assert_eq!(
+            out.len(),
+            self.geometry.raw_page_size(),
+            "read_page_into needs a raw-page buffer"
+        );
         self.check(row)?;
         let idx = self.geometry.page_index(row);
         if let Some(bytes) = self.data.get(&idx) {
-            return Ok(bytes.to_vec());
+            out.copy_from_slice(bytes);
+            return Ok(());
         }
         let state = self.blocks[row.block as usize].pages[row.page as usize];
-        Ok(match (state, self.mode) {
-            (PageState::Erased, _) => vec![0xFF; self.geometry.raw_page_size()],
+        match (state, self.mode) {
             (PageState::Programmed { .. }, ContentMode::Preloaded { seed }) => {
-                deterministic_page(seed, idx, self.geometry.raw_page_size())
+                fill_deterministic_page(seed, idx, out)
             }
             // Programmed but never written in pristine mode cannot happen,
             // but answer erased content defensively.
-            (PageState::Programmed { .. }, ContentMode::Pristine) => {
-                vec![0xFF; self.geometry.raw_page_size()]
+            (PageState::Erased, _) | (PageState::Programmed { .. }, ContentMode::Pristine) => {
+                out.fill(0xFF)
             }
-        })
+        }
+        Ok(())
     }
 
     /// State of the page at `row`.
@@ -156,8 +194,9 @@ impl ArrayStore {
                 expected: block.next_page,
             });
         }
-        let mut page = vec![0xFF; raw_size];
-        page[..data.len()].copy_from_slice(data);
+        let mut page = Vec::with_capacity(raw_size);
+        page.extend_from_slice(data);
+        page.resize(raw_size, 0xFF);
         self.data
             .insert(self.geometry.page_index(row), page.into_boxed_slice());
         block.pages[row.page as usize] = PageState::Programmed { pslc };
@@ -205,17 +244,76 @@ impl ArrayStore {
 
 /// Deterministic pseudo-random page content for preloaded arrays.
 pub fn deterministic_page(seed: u64, page_index: u64, len: usize) -> Vec<u8> {
-    let mut rng = SplitMix64::new(seed ^ page_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        out.extend_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    out.truncate(len);
+    let mut out = vec![0; len];
+    fill_deterministic_page(seed, page_index, &mut out);
     out
+}
+
+/// Fills `out` with the content of preloaded page `page_index`: the
+/// little-endian output words of a [`SplitMix64`] seeded with
+/// `seed ^ page_index·γ`, the last word truncated to its low bytes.
+pub fn fill_deterministic_page(seed: u64, page_index: u64, out: &mut [u8]) {
+    let state = seed ^ page_index.wrapping_mul(SplitMix64::GAMMA);
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[cfg(babol_avx512)]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+            // SAFETY: the CPU supports every feature `fill_avx512` enables.
+            return unsafe { fill_avx512(state, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports every feature `fill_avx2` enables.
+            return unsafe { fill_avx2(state, out) };
+        }
+    }
+    fill_portable(state, out)
+}
+
+/// [`fill_portable`] compiled for AVX-512.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(all(target_arch = "x86_64", babol_avx512))]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn fill_avx512(state: u64, out: &mut [u8]) {
+    fill_portable(state, out)
+}
+
+/// [`fill_portable`] compiled for AVX2.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_avx2(state: u64, out: &mut [u8]) {
+    fill_portable(state, out)
+}
+
+/// The kernel body, inlined into each feature-specific copy. The state
+/// advances by γ per word, so lane `k` of a vector is `state + k·γ` and the
+/// only loop-carried value is that induction variable.
+#[inline(always)]
+fn fill_portable(mut state: u64, out: &mut [u8]) {
+    let mut chunks = out.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        state = state.wrapping_add(SplitMix64::GAMMA);
+        chunk.copy_from_slice(&SplitMix64::mix(state).to_le_bytes());
+    }
+    let tail = chunks.into_remainder();
+    if !tail.is_empty() {
+        let n = tail.len();
+        let last = SplitMix64::mix(state.wrapping_add(SplitMix64::GAMMA));
+        tail.copy_from_slice(&last.to_le_bytes()[..n]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use babol_testkit::prop::{any, select, Property};
+    use babol_testkit::prop_assert_eq;
+
     use super::*;
 
     fn row(block: u32, page: u32) -> RowAddr {
@@ -339,6 +437,92 @@ mod tests {
             a.page_state(row(0, 0)).unwrap(),
             PageState::Programmed { pslc: true }
         );
+    }
+
+    /// The generator as first written: whole SplitMix64 words, truncated.
+    /// Every kernel copy must reproduce it byte for byte.
+    fn reference_page(seed: u64, page_index: u64, len: usize) -> Vec<u8> {
+        let mut rng = SplitMix64::new(seed ^ page_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            out.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    /// Every kernel copy this CPU can run — the dispatched one, the
+    /// portable body and, where supported, the AVX2 copy (which dispatch
+    /// skips on AVX-512 hosts) — each into a buffer pre-filled with a
+    /// marker, so a skipped byte shows up as well as a wrong one.
+    fn kernels(seed: u64, page_index: u64, len: usize) -> Vec<Vec<u8>> {
+        let state = seed ^ page_index.wrapping_mul(SplitMix64::GAMMA);
+        let run = |fill: &dyn Fn(&mut [u8])| {
+            let mut buf = vec![0xA5; len];
+            fill(&mut buf);
+            buf
+        };
+        #[allow(unused_mut)]
+        let mut out = vec![
+            run(&|b| fill_deterministic_page(seed, page_index, b)),
+            run(&|b| fill_portable(state, b)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2.
+            out.push(run(&|b| unsafe { fill_avx2(state, b) }));
+        }
+        out
+    }
+
+    const LENGTHS: [usize; 10] = [0, 1, 7, 8, 9, 31, 32, 33, 576, 18256];
+
+    #[test]
+    fn kernels_match_the_reference_on_a_fixed_table() {
+        let seeds = [0, 1, 0xBAB01, 0x9E37_79B9_7F4A_7C15, u64::MAX];
+        let pages = [0, 1, 2, 4095, 1 << 40, u64::MAX];
+        for seed in seeds {
+            for page in pages {
+                for len in LENGTHS {
+                    let want = reference_page(seed, page, len);
+                    for got in kernels(seed, page, len) {
+                        assert_eq!(got, want, "seed {seed:#x} page {page} len {len}");
+                    }
+                }
+            }
+        }
+        // Pin the bytes themselves, not just agreement with the reference:
+        // SplitMix64 from state 0 yields 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4.
+        assert_eq!(
+            reference_page(0, 0, 9),
+            [0xAF, 0xCD, 0x1D, 0x7B, 0x39, 0xA8, 0x20, 0xE2, 0xF4]
+        );
+    }
+
+    #[test]
+    fn kernels_match_the_reference_on_random_inputs() {
+        let gen = (any::<u64>(), any::<u64>(), select(&LENGTHS));
+        Property::new("preloaded page kernels").run(gen, |&(seed, page, len)| {
+            let want = reference_page(seed, page, len);
+            for got in kernels(seed, page, len) {
+                prop_assert_eq!(got, want);
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn read_page_into_matches_read_page() {
+        let mut a = ArrayStore::new(Geometry::tiny(), ContentMode::Preloaded { seed: 5 });
+        a.erase_block(row(1, 0)).unwrap();
+        a.program_page(row(1, 0), b"resident", false).unwrap();
+        let mut buf = vec![0; Geometry::tiny().raw_page_size()];
+        // Resident, erased and synthesized pages, each over stale bytes.
+        for r in [row(1, 0), row(1, 1), row(2, 3), row(1, 0)] {
+            a.read_page_into(r, &mut buf).unwrap();
+            assert_eq!(buf, a.read_page(r).unwrap());
+        }
+        assert!(a.read_page_into(row(99, 0), &mut buf).is_err());
     }
 
     #[test]

@@ -418,8 +418,7 @@ impl Lun {
             } => {
                 for row in &rows {
                     let plane = self.array.geometry().plane_of(row.block) as usize;
-                    let data = self.fetch_with_errors(*row, pslc);
-                    self.page_regs[plane] = data;
+                    self.fetch_with_errors(*row, pslc, plane);
                     self.stats.reads += 1;
                 }
                 if let Some(last) = rows.last() {
@@ -437,8 +436,7 @@ impl Lun {
             Effect::CommitProgram { row, pslc } => {
                 self.stats.program_attempts += 1;
                 let plane = self.array.geometry().plane_of(row.block) as usize;
-                let data = self.page_regs[plane].clone();
-                match self.array.program_page(row, &data, pslc) {
+                match self.array.program_page(row, &self.page_regs[plane], pslc) {
                     Ok(()) => {
                         self.last_fail = false;
                         self.stats.programs += 1;
@@ -485,14 +483,14 @@ impl Lun {
         }
     }
 
-    /// Array fetch plus the raw-bit-error process.
-    fn fetch_with_errors(&mut self, row: RowAddr, pslc_read: bool) -> Vec<u8> {
-        let mut data = self
-            .array
-            .read_page(row)
-            .unwrap_or_else(|_| vec![0xFF; self.array.geometry().raw_page_size()]);
+    /// Array fetch into `page_regs[plane]`, plus the raw-bit-error process.
+    fn fetch_with_errors(&mut self, row: RowAddr, pslc_read: bool, plane: usize) {
+        let data = &mut self.page_regs[plane];
+        if self.array.read_page_into(row, data).is_err() {
+            data.fill(0xFF);
+        }
         if !self.cfg.inject_errors {
-            return data;
+            return;
         }
         let page_pslc = matches!(
             self.array.page_state(row),
@@ -511,7 +509,6 @@ impl Lun {
             let bit = self.rng.next_below(data.len() as u64 * 8);
             data[(bit / 8) as usize] ^= 1 << (bit % 8);
         }
-        data
     }
 
     fn jittered(&mut self, nominal: SimDuration) -> SimDuration {
@@ -665,7 +662,8 @@ impl Lun {
                         phase: "CMD READ-CACHE-SEQ".into(),
                     });
                 };
-                self.cache_reg = self.page_regs[self.active_plane as usize].clone();
+                self.cache_reg
+                    .clone_from(&self.page_regs[self.active_plane as usize]);
                 self.out = OutSource::CacheRegister;
                 self.col = 0;
                 let next = RowAddr {
@@ -690,7 +688,8 @@ impl Lun {
                 if self.decode != Decode::Idle {
                     return Err(unexpected(&self.decode.clone(), "CMD READ-CACHE-END"));
                 }
-                self.cache_reg = self.page_regs[self.active_plane as usize].clone();
+                self.cache_reg
+                    .clone_from(&self.page_regs[self.active_plane as usize]);
                 self.out = OutSource::CacheRegister;
                 self.col = 0;
                 self.begin_busy(
@@ -842,8 +841,7 @@ impl Lun {
                 let col = self.layout.unpack_col(&bytes[..self.layout.col_cycles]).0;
                 let row = self.layout.unpack_row(&bytes[self.layout.col_cycles..]);
                 self.active_plane = self.array.geometry().plane_of(row.block);
-                let raw = self.array.geometry().raw_page_size();
-                self.page_regs[self.active_plane as usize] = vec![0xFF; raw];
+                self.page_regs[self.active_plane as usize].fill(0xFF);
                 self.col = col;
                 self.decode = Decode::ProgData { row };
                 Ok(LunResponse::Accepted)
@@ -1481,6 +1479,39 @@ mod tests {
         d.wait_ready();
         d.lun.status(d.now);
         assert_eq!(d.dout(9), b"page-one!".to_vec());
+    }
+
+    #[test]
+    fn reused_registers_never_leak_stale_bytes() {
+        let mut cfg = LunConfig::test_default();
+        cfg.content = ContentMode::Preloaded { seed: 3 };
+        let mut d = Driver::new(cfg);
+        let raw = Geometry::tiny().raw_page_size();
+        // Blocks 0 and 2 are both on plane 0: the read leaves preloaded
+        // bytes in the register the program then reuses.
+        let preloaded = d.lun.array().read_page(row(2, 5)).unwrap();
+        assert_eq!(d.read(row(2, 5), raw), preloaded);
+        d.cmd(op::ERASE_1);
+        let a = d.row_addr(row(0, 0));
+        d.addr(a);
+        d.cmd(op::ERASE_2);
+        d.wait_ready();
+        d.program(row(0, 0), b"hello flash");
+        let page = d.read(row(0, 0), raw);
+        assert_eq!(&page[..11], b"hello flash");
+        assert!(page[11..].iter().all(|&b| b == 0xFF), "stale register tail");
+
+        // A cache read copies the register into the cache register in place.
+        let first = d.lun.array().read_page(row(2, 3)).unwrap();
+        let next = d.lun.array().read_page(row(2, 4)).unwrap();
+        d.read(row(2, 3), 1);
+        d.cmd(op::READ_CACHE_SEQ);
+        assert_eq!(d.dout(raw), first);
+        d.wait_ready();
+        d.cmd(op::READ_CACHE_END);
+        d.wait_ready();
+        d.lun.status(d.now);
+        assert_eq!(d.dout(raw), next);
     }
 
     #[test]

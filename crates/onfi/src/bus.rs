@@ -125,9 +125,17 @@ impl ChipMask {
         self.0.count_ones()
     }
 
-    /// Iterates over selected LUN indexes in ascending order.
+    /// Iterates over selected LUN indexes in ascending order, visiting only
+    /// the set bits.
     pub fn iter(self) -> impl Iterator<Item = u32> {
-        (0..16).filter(move |&i| self.contains(i))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let lun = bits.trailing_zeros();
+                bits &= bits - 1;
+                lun
+            })
+        })
     }
 }
 
@@ -170,6 +178,15 @@ mod tests {
         assert!(m.contains(2) && m.contains(7) && !m.contains(3));
         assert_eq!(m.count(), 2);
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![2, 7]);
+    }
+
+    #[test]
+    fn mask_iter_matches_contains_for_every_mask() {
+        for bits in 0..=u16::MAX {
+            let m = ChipMask(bits);
+            let want: Vec<u32> = (0..16).filter(|&i| m.contains(i)).collect();
+            assert_eq!(m.iter().collect::<Vec<_>>(), want, "mask {bits:#06x}");
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The state increment γ (the golden-ratio constant).
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from a seed.
     pub const fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
@@ -30,8 +33,17 @@ impl SplitMix64 {
 
     /// Returns the next 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
+        self.state = self.state.wrapping_add(Self::GAMMA);
+        Self::mix(self.state)
+    }
+
+    /// The output function: the value `next_u64` returns once the state
+    /// has advanced to `state`. The `n`-th output of a generator seeded
+    /// with `s` is `mix(s + n·GAMMA)`, which lets bulk generators compute
+    /// words independently.
+    #[inline(always)]
+    pub const fn mix(state: u64) -> u64 {
+        let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)

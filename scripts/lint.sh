@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Workspace determinism lint.
+# Workspace determinism and `unsafe` lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
 # reads (Instant::now/SystemTime::now) are banned from Rust sources unless a
-# file is on the allowlist below. `clippy.toml` enforces the same policy
-# through `cargo clippy` (disallowed-types / disallowed-methods); this grep
-# gate is the dependency-free mirror that runs even where clippy cannot,
-# and the single place the allowlist is documented.
+# file is on the allowlist below. `unsafe` is banned the same way: the
+# workspace is safe Rust except for the files in UNSAFE_ALLOW.
+# `clippy.toml` enforces the hash and clock policy through `cargo clippy`
+# (disallowed-types / disallowed-methods); this grep gate is the
+# dependency-free mirror that runs even where clippy cannot, and the single
+# place the allowlists are documented.
 #
 # Adding an exception: the file must use a `#[allow(clippy::disallowed_*)]`
 # with a written justification at the use site, AND be listed here with the
 # same justification. Keyed-lookup-only maps (never iterated) are the only
 # accepted reason for hash collections; wall-clock measurement as the
-# feature itself is the only accepted reason for Instant::now.
+# feature itself is the only accepted reason for Instant::now. An allowed
+# `unsafe` file gives a `// SAFETY:` reason at every unsafe block or impl.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +30,14 @@ CLOCK_ALLOW=(
   # The benchmark runner's purpose is wall-clock measurement; readings are
   # reported, never fed back into simulation state.
   "crates/testkit/src/bench.rs"
+)
+UNSAFE_ALLOW=(
+  # Preloaded-page kernel: calls its AVX-512 / AVX2 `#[target_feature]`
+  # copies only after `is_x86_feature_detected!` confirmed the features.
+  "crates/flash/src/array.rs"
+  # The allocation-budget tests' counting global allocator (`GlobalAlloc`
+  # is an unsafe trait); it forwards every call to the system allocator.
+  "tests/common/counting_alloc.rs"
 )
 
 fail=0
@@ -46,7 +57,7 @@ scan() {
       [ "$file" = "$a" ] && ok=1 && break
     done
     if [ "$ok" -eq 0 ]; then
-      echo "determinism lint: disallowed $what outside the allowlist:"
+      echo "lint: disallowed $what outside the allowlist:"
       echo "  $hit"
       fail=1
     fi
@@ -55,11 +66,13 @@ scan() {
 
 scan '\bHash(Map|Set)\b' "hash collection" "${HASH_ALLOW[@]}"
 scan '\b(Instant|SystemTime)::now\b' "wall-clock read" "${CLOCK_ALLOW[@]}"
+scan '\bunsafe\b' "unsafe code" "${UNSAFE_ALLOW[@]}"
 
 if [ "$fail" -ne 0 ]; then
   echo
-  echo "Use BTreeMap/BTreeSet (or SimTime for time), or add an #[allow] with"
-  echo "a written justification and extend the allowlist in scripts/lint.sh."
+  echo "Use BTreeMap/BTreeSet (or SimTime for time) and safe code, or add an"
+  echo "#[allow] / SAFETY note with a written justification and extend the"
+  echo "allowlist in scripts/lint.sh."
   exit 1
 fi
-echo "determinism lint: clean"
+echo "determinism and unsafe lint: clean"

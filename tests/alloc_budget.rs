@@ -10,9 +10,6 @@
 //! One test only: the counter is process-wide, so a second test running
 //! concurrently would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use babol::factory::coro_controller;
 use babol::runtime::RuntimeConfig;
 use babol::System;
@@ -24,40 +21,17 @@ use babol_ftl::{FioWorkload, IoPattern, Ssd, SsdConfig};
 use babol_sim::{CostModel, Cpu, Freq};
 use babol_ufsm::EmitConfig;
 
-/// Counts every allocation and reallocation; frees are not counted.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        SysAlloc.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        SysAlloc.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        SysAlloc.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        SysAlloc.dealloc(ptr, layout)
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Allowed heap allocations per issued transaction at steady state, about
-/// 10% above the measured 6.25 (release) and 9.72 (debug). Debug builds
+/// 10% above the measured 5.91 (release) and 9.38 (debug). Debug builds
 /// also run the static verifier on every transaction before it plays
 /// (`babol_ufsm::hook`), which allocates its own working state.
-const BUDGET_PER_TXN: f64 = if cfg!(debug_assertions) { 10.5 } else { 7.0 };
+const BUDGET_PER_TXN: f64 = if cfg!(debug_assertions) { 10.3 } else { 6.5 };
 
 #[test]
 fn steady_state_gc_writes_stay_within_the_allocation_budget() {
@@ -95,9 +69,9 @@ fn steady_state_gc_writes_stay_within_the_allocation_budget() {
 
     let txns_before = ctrl.runtime().txns_issued;
     let gc_before = ssd.gc_cycles;
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = counting_alloc::allocs();
     let report = ssd.run(&mut sys, &mut ctrl, job(4));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = counting_alloc::allocs() - allocs_before;
     let txns = ctrl.runtime().txns_issued - txns_before;
 
     assert_eq!(report.ios, 200);
