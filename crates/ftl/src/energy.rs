@@ -78,10 +78,8 @@ impl EnergyTally {
         self.total_pj() as f64 * 1e-12
     }
 
-    /// Charges one operation against the tally, returning the per-class
-    /// deltas `(read, program, erase, transfer)` so callers can mirror
-    /// them into trace counters.
-    pub fn charge(&mut self, model: &EnergyModel, req: &IoRequest) -> (u64, u64, u64, u64) {
+    /// Charges one operation against the tally.
+    pub fn charge(&mut self, model: &EnergyModel, req: &IoRequest) {
         let transfer = model.transfer_pj(req.len);
         let (read, program, erase) = match req.kind {
             IoKind::Read => (model.read_pj, 0, 0),
@@ -92,7 +90,6 @@ impl EnergyTally {
         self.program_pj += program;
         self.erase_pj += erase;
         self.transfer_pj += transfer;
-        (read, program, erase, transfer)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use babol_sim::rng::SplitMix64;
 use babol_sim::SimDuration;
-use babol_trace::MetricsSnapshot;
+use babol_trace::{FtlCounter, FtlCounters};
 
 /// Access pattern of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl FioReport {
         mut latencies: Vec<SimDuration>,
         page: usize,
         elapsed: SimDuration,
-        counters: &MetricsSnapshot,
+        counters: &FtlCounters,
     ) -> FioReport {
         latencies.sort();
         let ios = latencies.len() as u64;
@@ -113,13 +113,13 @@ impl FioReport {
             p50_latency: pct(0.50),
             p95_latency: pct(0.95),
             p99_latency: pct(0.99),
-            gc_cycles: counters.gc_cycles,
-            energy_pj: counters.energy_pj,
-            cache_hits: counters.cache_hits,
-            cache_misses: counters.cache_misses,
-            cache_dirty_evicts: counters.cache_dirty_evicts,
-            wear_migrations: counters.wear_migrations,
-            blocks_retired: counters.blocks_retired,
+            gc_cycles: counters[FtlCounter::GcCycles],
+            energy_pj: counters[FtlCounter::EnergyPj],
+            cache_hits: counters[FtlCounter::CacheHits],
+            cache_misses: counters[FtlCounter::CacheMisses],
+            cache_dirty_evicts: counters[FtlCounter::CacheDirtyEvicts],
+            wear_migrations: counters[FtlCounter::WearMigrations],
+            blocks_retired: counters[FtlCounter::BlocksRetired],
         }
     }
 

@@ -37,7 +37,7 @@ use babol_sim::rng::SplitMix64;
 use babol_sim::{
     CostModel, Cpu, Freq, PoolStats, Shard, ShardCtor, ShardPool, SimDuration, SimTime, Watchdog,
 };
-use babol_trace::{MetricsHub, MetricsSnapshot, Tracer};
+use babol_trace::{FtlCounter, FtlCounters, MetricsHub, Tracer};
 use babol_ufsm::EmitConfig;
 
 use crate::fio::{FioReport, FioWorkload};
@@ -141,8 +141,8 @@ pub enum ShardEvent {
     Counters {
         /// The shard clock when the round ended.
         at: SimTime,
-        /// The counter deltas (the gauges read zero).
-        delta: MetricsSnapshot,
+        /// The counter deltas.
+        delta: FtlCounters,
     },
 }
 
@@ -164,16 +164,11 @@ pub struct ShardDigest {
     pub now: SimTime,
     /// Events the shard processed, inline FTL steps included.
     pub events: u64,
-    /// GC cycles the shard ran.
-    pub gc_cycles: u64,
-    /// Flash energy the shard spent, picojoules.
-    pub energy_pj: u64,
-    /// Blocks the shard retired (factory map plus grown failures).
-    pub blocks_retired: u64,
     /// Page-buffer pool counters (zero-copy accounting).
     pub pool: PoolStats,
-    /// The shard's tracer (empty when tracing was off), with pool counters
-    /// exported. Tagged with the shard id for per-channel timelines.
+    /// The shard's tracer (empty when tracing was off), with pool and FTL
+    /// counters exported. Tagged with the shard id for per-channel
+    /// timelines.
     pub tracer: Tracer,
     /// The shard's telemetry hub (disabled when the device ran without
     /// metrics): per-window counter deltas and op counts for this channel.
@@ -193,7 +188,7 @@ pub struct ChannelShard {
     pending: VecDeque<IoRequest>,
     scratch: Vec<(IoRequest, SimTime)>,
     /// Counter totals already reported through [`ShardEvent::Counters`].
-    reported: MetricsSnapshot,
+    reported: FtlCounters,
 }
 
 impl ChannelShard {
@@ -256,7 +251,7 @@ impl ChannelShard {
             inbox: VecDeque::new(),
             pending: VecDeque::new(),
             scratch: Vec::new(),
-            reported: MetricsSnapshot::default(),
+            reported: FtlCounters::default(),
         }
     }
 
@@ -300,7 +295,7 @@ impl ChannelShard {
             if !self.ctrl.submit(&mut self.sys, req) {
                 break;
             }
-            self.ssd.account_io(&mut self.sys, &req);
+            self.ssd.account_io(&req);
             self.pending.pop_front();
         }
     }
@@ -365,14 +360,11 @@ impl Shard for ChannelShard {
 
     fn finish(mut self) -> ShardDigest {
         self.sys.export_pool_stats();
-        let counters = self.ssd.counters();
+        self.ssd.export_counters(&mut self.sys.trace);
         ShardDigest {
             shard: self.id,
             now: self.sys.now,
             events: self.sys.events_popped(),
-            gc_cycles: counters.gc_cycles,
-            energy_pj: counters.energy_pj,
-            blocks_retired: counters.blocks_retired,
             pool: self.sys.pool().stats(),
             tracer: std::mem::take(&mut self.sys.trace),
             metrics: self.ssd.take_metrics(),
@@ -486,7 +478,7 @@ impl MultiSsd {
         let mut per_shard_ios = vec![0u64; self.channels as usize];
         let mut next_events: Vec<Option<SimTime>> = vec![None; self.channels as usize];
         let mut inboxes: Vec<Vec<HostCmd>> = vec![Vec::new(); self.channels as usize];
-        let mut counters = MetricsSnapshot::default();
+        let mut counters = FtlCounters::default();
         let mut rounds = 0u64;
         let mut end = start;
 
@@ -565,7 +557,7 @@ impl MultiSsd {
                     latencies.len(),
                     wl.total_ios,
                     inflight.len(),
-                    counters.gc_cycles,
+                    counters[FtlCounter::GcCycles],
                 );
             }
         }
@@ -584,7 +576,7 @@ impl MultiSsd {
     }
 
     /// Shuts the device down, returning per-shard digests (tracers, pool
-    /// counters, GC totals) in channel order.
+    /// counters, telemetry) in channel order.
     pub fn finish(self) -> Vec<ShardDigest> {
         self.pool.finish()
     }

@@ -20,7 +20,10 @@ use babol::system::{Controller, IoKind, IoRequest, StepLimit, System};
 use babol_flash::Geometry;
 use babol_sim::rng::SplitMix64;
 use babol_sim::{PageBufMut, SimDuration, SimTime, Watchdog};
-use babol_trace::{Component, Counter, Metric, MetricsHub, MetricsSnapshot, TraceKind, TraceSink};
+use babol_trace::{
+    Component, Counter, FtlCounter, FtlCounters, Metric, MetricsHub, MetricsSnapshot, TraceKind,
+    TraceSink, Tracer,
+};
 
 use crate::bad::{BadBlockConfig, BadBlockModel};
 use crate::cache::{CachePolicy, WriteCache};
@@ -352,28 +355,51 @@ impl Ssd {
         self.metrics.prime(&snap);
     }
 
-    /// The production counters since construction; the gauges read zero.
-    pub(crate) fn counters(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_dirty_evicts: self.cache.dirty_evicts(),
-            gc_cycles: self.gc_cycles,
-            energy_pj: self.energy.total_pj(),
-            wear_migrations: self.wear_migrations,
-            blocks_retired: self.blocks_retired,
-            ..MetricsSnapshot::default()
+    /// The production counters since construction, gathered from the
+    /// layer that counts each one. Every report reads this set.
+    pub(crate) fn counters(&self) -> FtlCounters {
+        FtlCounters::from_fn(|c| match c {
+            FtlCounter::CacheHits => self.cache.hits(),
+            FtlCounter::CacheMisses => self.cache.misses(),
+            FtlCounter::CacheDirtyEvicts => self.cache.dirty_evicts(),
+            FtlCounter::GcCycles => self.gc_cycles,
+            FtlCounter::EnergyPj => self.energy.total_pj(),
+            FtlCounter::WearMigrations => self.wear_migrations,
+            FtlCounter::BlocksRetired => self.blocks_retired,
+        })
+    }
+
+    /// Snapshots the production counters into `trace`'s FTL counters, with
+    /// the energy split by operation class: the one place the FTL writes
+    /// them, called wherever a job ends. Like
+    /// [`System::export_pool_stats`], a no-op while tracing is off.
+    pub(crate) fn export_counters(&self, trace: &mut Tracer) {
+        let c = self.counters();
+        let e = &self.energy;
+        for (counter, n) in [
+            (Counter::CacheHits, c[FtlCounter::CacheHits]),
+            (Counter::CacheMisses, c[FtlCounter::CacheMisses]),
+            (Counter::CacheDirtyEvicts, c[FtlCounter::CacheDirtyEvicts]),
+            (Counter::GcCycles, c[FtlCounter::GcCycles]),
+            (Counter::WearMigrations, c[FtlCounter::WearMigrations]),
+            (Counter::BlocksRetired, c[FtlCounter::BlocksRetired]),
+            (Counter::EnergyReadPj, e.read_pj),
+            (Counter::EnergyProgramPj, e.program_pj),
+            (Counter::EnergyErasePj, e.erase_pj),
+            (Counter::EnergyTransferPj, e.transfer_pj),
+        ] {
+            trace.set_counter(Component::Ftl, counter, n);
         }
     }
 
     fn metrics_snapshot(&self, queue_depth: u32) -> MetricsSnapshot {
         MetricsSnapshot {
+            counters: self.counters(),
             queue_depth,
             cache_dirty: self.cache.dirty_len() as u32,
             cache_len: self.cache.len() as u32,
             free_blocks: (0..self.cfg.luns).map(|l| self.map.free_blocks(l)).sum(),
             wear_spread: self.metrics_wear_spread,
-            ..self.counters()
         }
     }
 
@@ -440,7 +466,7 @@ impl Ssd {
                     staged = Some(req);
                     break;
                 }
-                self.account_io(sys, &req);
+                self.account_io(&req);
                 inflight.insert(req.id, sys.now);
             }
             if latencies.len() as u64 >= wl.total_ios {
@@ -454,6 +480,7 @@ impl Ssd {
         // later — otherwise the tail frame's gauges would stay unstamped.
         let close = SimTime::from_picos(self.metrics.end_ps().max(sys.now.as_picos()));
         self.metrics_flush(close, 0);
+        self.export_counters(&mut sys.trace);
         FioReport::summarize(latencies, page, sys.now - start, &self.counters())
     }
 
@@ -674,7 +701,7 @@ impl Ssd {
         lun: u32,
         block: u32,
     ) {
-        self.retire(sys, lun, block);
+        self.retire(lun, block);
         let moves = self.map.block_moves(lun, block);
         self.relocate(sys, controller, &moves, None);
     }
@@ -697,7 +724,6 @@ impl Ssd {
         self.relocate(sys, controller, &moves, Some(target));
         self.erase_or_retire(sys, controller, lun, block);
         self.wear_migrations += 1;
-        sys.trace.count(Component::Ftl, Counter::WearMigrations, 1);
     }
 
     /// Relocates a list of valid pages: read each out, program it at a
@@ -749,17 +775,16 @@ impl Ssd {
             .bad
             .erase_fails(lun, block, self.map.erase_count(lun, block))
         {
-            self.retire(sys, lun, block);
+            self.retire(lun, block);
         } else {
             self.map.finish_gc(victim);
         }
     }
 
     /// Retires a block (grown failure), counting it.
-    fn retire(&mut self, sys: &mut System, lun: u32, block: u32) {
+    fn retire(&mut self, lun: u32, block: u32) {
         self.map.retire_block(lun, block);
         self.blocks_retired += 1;
-        sys.trace.count(Component::Ftl, Counter::BlocksRetired, 1);
     }
 
     /// Absorbs a host write of `lpn` into the write-back cache: flushes the
@@ -767,7 +792,6 @@ impl Ssd {
     /// then stages the new data into the slot. Flash is untouched unless
     /// the eviction forces a program.
     fn cache_write(&mut self, sys: &mut System, controller: &mut dyn Controller, lpn: u64) {
-        let before = self.counters();
         let (slot, evicted) = self.cache.touch_write(lpn);
         if let Some(ev) = evicted {
             if ev.dirty {
@@ -776,15 +800,6 @@ impl Ssd {
         }
         let page = self.cfg.geometry.page_size as u64;
         self.stage_pattern(sys, lpn, CACHE_BUF + slot as u64 * page);
-        let d = self.counters().since(&before);
-        count_nonzero(
-            sys,
-            [
-                (Counter::CacheHits, d.cache_hits),
-                (Counter::CacheMisses, d.cache_misses),
-                (Counter::CacheDirtyEvicts, d.cache_dirty_evicts),
-            ],
-        );
     }
 
     /// Programs flash from cache slot `slot`, which holds `lpn`'s data
@@ -819,22 +834,12 @@ impl Ssd {
         for (lpn, slot) in self.cache.drain_dirty() {
             self.flush_slot(sys, controller, lpn, slot);
         }
+        self.export_counters(&mut sys.trace);
     }
 
-    /// Charges one admitted operation's energy, mirroring the nonzero
-    /// per-class deltas into the trace counters (a no-op observer when
-    /// tracing is disabled — energy state itself lives in the tally).
-    pub(crate) fn account_io(&mut self, sys: &mut System, req: &IoRequest) {
-        let (r, p, e, t) = self.energy.charge(&self.cfg.energy, req);
-        count_nonzero(
-            sys,
-            [
-                (Counter::EnergyReadPj, r),
-                (Counter::EnergyProgramPj, p),
-                (Counter::EnergyErasePj, e),
-                (Counter::EnergyTransferPj, t),
-            ],
-        );
+    /// Charges one admitted operation's energy.
+    pub(crate) fn account_io(&mut self, req: &IoRequest) {
+        self.energy.charge(&self.cfg.energy, req);
     }
 
     /// One full GC cycle on `lun`: relocate valid pages, erase the victim.
@@ -851,7 +856,6 @@ impl Ssd {
             .expect("GC needed but no full block to collect");
         self.relocate(sys, controller, &plan.moves, None);
         self.erase_or_retire(sys, controller, lun, plan.victim.block);
-        sys.trace.count(Component::Ftl, Counter::GcCycles, 1);
         if sys.trace.is_enabled() {
             let t = sys.now;
             sys.trace
@@ -873,7 +877,7 @@ impl Ssd {
         while !controller.submit(sys, req) {
             self.step(sys, controller);
         }
-        self.account_io(sys, &req);
+        self.account_io(&req);
         loop {
             let seen = self.stashed.len();
             controller.take_completions(&mut self.stashed);
@@ -888,15 +892,6 @@ impl Ssd {
                 return;
             }
             self.step(sys, controller);
-        }
-    }
-}
-
-/// Adds each nonzero delta to its FTL trace counter.
-fn count_nonzero<const N: usize>(sys: &mut System, deltas: [(Counter, u64); N]) {
-    for (counter, n) in deltas {
-        if n > 0 {
-            sys.trace.count(Component::Ftl, counter, n);
         }
     }
 }
@@ -1135,20 +1130,17 @@ mod tests {
         }
         assert_eq!(frames.iter().map(|f| f.ops).sum::<u64>(), r.ios);
         assert_eq!(hub.merged_latency().count(), r.ios);
-        assert_eq!(frames.iter().map(|f| f.gc_cycles).sum::<u64>(), r.gc_cycles);
-        assert_eq!(
-            frames.iter().map(|f| f.energy_pj).sum::<u64>(),
-            r.energy_pj,
-            "per-window energy deltas must sum to the run total"
-        );
-        assert_eq!(
-            frames.iter().map(|f| f.wear_migrations).sum::<u64>(),
-            r.wear_migrations
-        );
+        // The device started empty, so the per-window counter deltas sum
+        // to its totals.
+        let mut sum = FtlCounters::default();
+        for f in frames {
+            sum += f.snap.counters;
+        }
+        assert_eq!(sum, ssd.counters());
         // Gauges: the last frame closed with the final device state.
         let last = frames.last().unwrap();
         assert_eq!(
-            last.free_blocks,
+            last.snap.free_blocks,
             (0..2).map(|l| ssd.map().free_blocks(l)).sum::<u32>()
         );
     }
@@ -1264,6 +1256,53 @@ mod tests {
             sys.trace.counter(Component::Sim, Counter::PoolHighWater),
             stats.high_water
         );
+    }
+
+    /// Every FTL production counter in a trace footer equals the SSD's own
+    /// count. Regression for two drifts between the tracer and the report:
+    /// read-coherence flushes counted as cache hits in the report only, and
+    /// factory-bad blocks retired before any tracer existed.
+    #[test]
+    fn trace_footer_counters_match_the_ssd() {
+        for bad in [BadBlockConfig::default(), one_factory_bad_block()] {
+            let (mut sys, mut ctrl, mut ssd) = tiny_stack_with(2, false, |c| {
+                c.cache_pages = 8;
+                c.bad = bad;
+            });
+            sys.trace = babol_trace::Tracer::with_capacity(1 << 16);
+            // Write every logical page once; the last eight stay dirty in
+            // the cache, and the random reads flush the ones they hit.
+            let mut job = FioWorkload {
+                pattern: IoPattern::SequentialWrite,
+                total_ios: ssd.map().logical_pages(),
+                queue_depth: 2,
+                seed: 1,
+            };
+            ssd.run(&mut sys, &mut ctrl, job);
+            job.pattern = IoPattern::RandomRead;
+            job.total_ios = 64;
+            let r = ssd.run(&mut sys, &mut ctrl, job);
+            assert!(ssd.cache().flushes() > 0, "the reads must flush the cache");
+            let footer = babol_trace::parse_json_lines(&sys.trace.to_json_lines()).unwrap();
+            let e = ssd.energy();
+            for (c, want) in [
+                (Counter::CacheHits, r.cache_hits),
+                (Counter::CacheMisses, r.cache_misses),
+                (Counter::CacheDirtyEvicts, r.cache_dirty_evicts),
+                (Counter::WearMigrations, r.wear_migrations),
+                (Counter::BlocksRetired, r.blocks_retired),
+                (Counter::EnergyReadPj, e.read_pj),
+                (Counter::EnergyProgramPj, e.program_pj),
+                (Counter::EnergyErasePj, e.erase_pj),
+                (Counter::EnergyTransferPj, e.transfer_pj),
+            ] {
+                assert_eq!(footer.ftl_counter(c), want, "{} ({bad:?})", c.name());
+            }
+            assert_eq!(
+                sys.trace.counter(Component::Ftl, Counter::GcCycles),
+                r.gc_cycles
+            );
+        }
     }
 
     /// A controller that accepts every request and then spins: its timer
@@ -1496,6 +1535,27 @@ mod tests {
         }
     }
 
+    /// The trace jsonl footer of a cached, GC-free write job, byte for
+    /// byte: the FTL production counters the export carries, in footer
+    /// order, after the end-of-job flush.
+    #[test]
+    fn cached_write_footer_is_pinned() {
+        let (mut sys, mut ctrl, mut ssd) = tiny_stack_with(2, false, |c| c.cache_pages = 4);
+        sys.trace = babol_trace::Tracer::enabled();
+        let wl = FioWorkload {
+            pattern: IoPattern::SequentialWrite,
+            total_ios: 12,
+            queue_depth: 2,
+            seed: 1,
+        };
+        ssd.run(&mut sys, &mut ctrl, wl);
+        ssd.flush_cache(&mut sys, &mut ctrl);
+        assert_eq!(
+            sys.trace.to_json_lines().lines().last().unwrap(),
+            r#"{"footer":true,"events":672,"dropped":0,"shard":0,"cache_misses":12,"cache_dirty_evicts":8,"energy_program_pj":198000000,"energy_transfer_pj":1800000,"envelope_worst_op_ps":252480000,"watchdog_budget_ps":8079360000}"#
+        );
+    }
+
     #[test]
     fn cached_write_jobs_are_deterministic() {
         let run = |seed| {
@@ -1556,31 +1616,30 @@ mod tests {
         assert_ne!(moved, cold, "cold data did not move");
     }
 
-    #[test]
-    fn factory_bad_blocks_are_retired_at_build() {
-        // Find a seed marking exactly one of the 16 tiny blocks bad, so
-        // the over-provisioning check stays satisfied.
-        let seed = (0..512u64)
-            .find(|&s| {
-                let m = BadBlockModel::new(BadBlockConfig {
-                    seed: s,
-                    factory_bad_per_mille: 30,
-                    ..Default::default()
-                });
+    /// A factory map marking exactly one of the 16 blocks of a 2-LUN tiny
+    /// device bad, so the over-provisioning check stays satisfied.
+    fn one_factory_bad_block() -> BadBlockConfig {
+        (0..512u64)
+            .map(|seed| BadBlockConfig {
+                seed,
+                factory_bad_per_mille: 30,
+                ..Default::default()
+            })
+            .find(|&cfg| {
+                let m = BadBlockModel::new(cfg);
                 (0..2u32)
                     .flat_map(|l| (0..8u32).map(move |b| (l, b)))
                     .filter(|&(l, b)| m.factory_bad(l, b))
                     .count()
                     == 1
             })
-            .expect("some seed marks exactly one block");
-        let (mut sys, mut ctrl, mut ssd) = tiny_stack_with(2, false, |c| {
-            c.bad = BadBlockConfig {
-                seed,
-                factory_bad_per_mille: 30,
-                ..Default::default()
-            };
-        });
+            .expect("some seed marks exactly one block")
+    }
+
+    #[test]
+    fn factory_bad_blocks_are_retired_at_build() {
+        let (mut sys, mut ctrl, mut ssd) =
+            tiny_stack_with(2, false, |c| c.bad = one_factory_bad_block());
         assert_eq!(ssd.blocks_retired(), 1);
         assert_eq!(ssd.map().usable_pages(), 120);
         // The device still runs a full write job around the dead block.

@@ -37,8 +37,8 @@ mod tracer;
 pub use hist::Histogram;
 pub use interval::IntervalSet;
 pub use metrics::{
-    parse_metrics_lines, render_metrics_dashboard, MetricsFrame, MetricsHub, MetricsSeries,
-    MetricsSnapshot, ParsedMetrics, METRICS_SCHEMA,
+    parse_metrics_lines, render_metrics_dashboard, FtlCounter, FtlCounters, MetricsFrame,
+    MetricsHub, MetricsSeries, MetricsSnapshot, ParsedMetrics, METRICS_SCHEMA,
 };
 pub use parse::{parse_json_lines, ParseError, ParsedTrace};
 pub use phase::{OpPhase, PhaseBreakdown, PhaseLedger};

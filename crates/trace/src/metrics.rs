@@ -37,7 +37,7 @@ use std::path::Path;
 use babol_sim::{SimDuration, SimTime};
 
 use crate::hist::Histogram;
-use crate::parse::fields;
+use crate::parse::read_records;
 use crate::slo::{SloSpec, SloVerdict};
 use crate::ParseError;
 
@@ -47,26 +47,104 @@ pub const METRICS_SCHEMA: &str = "babol-metrics-v1";
 /// Shard tag used for device-level (cross-shard) frames in the export.
 const DEVICE_SHARD: i64 = -1;
 
-/// Cumulative controller totals handed to [`MetricsHub::sample`]. The
-/// first group are monotonic counters (the hub attributes successive
-/// differences to windows); the rest are instantaneous gauges (the hub
-/// stamps the last value seen inside each window).
+/// The FTL's production counters, named by their `babol-metrics-v1` keys
+/// and listed in export order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FtlCounter {
+    /// Write-cache hits: host writes absorbed while the page was resident,
+    /// and reads whose dirty copy was flushed first.
+    CacheHits,
+    /// Write-cache misses: host writes that claimed a fresh slot.
+    CacheMisses,
+    /// Dirty cache evictions flushed to flash.
+    CacheDirtyEvicts,
+    /// Foreground GC cycles.
+    GcCycles,
+    /// Flash energy spent, picojoules.
+    EnergyPj,
+    /// Cold blocks migrated by the wear leveler.
+    WearMigrations,
+    /// Blocks retired to the bad-block map (factory map plus grown).
+    BlocksRetired,
+}
+
+impl FtlCounter {
+    /// Number of counters.
+    pub const COUNT: usize = 7;
+
+    /// All counters, in export order.
+    pub const ALL: [FtlCounter; FtlCounter::COUNT] = [
+        FtlCounter::CacheHits,
+        FtlCounter::CacheMisses,
+        FtlCounter::CacheDirtyEvicts,
+        FtlCounter::GcCycles,
+        FtlCounter::EnergyPj,
+        FtlCounter::WearMigrations,
+        FtlCounter::BlocksRetired,
+    ];
+
+    /// The `babol-metrics-v1` key.
+    pub const fn name(self) -> &'static str {
+        match self {
+            FtlCounter::CacheHits => "cache_hits",
+            FtlCounter::CacheMisses => "cache_misses",
+            FtlCounter::CacheDirtyEvicts => "cache_dirty_evicts",
+            FtlCounter::GcCycles => "gc_cycles",
+            FtlCounter::EnergyPj => "energy_pj",
+            FtlCounter::WearMigrations => "wear_migrations",
+            FtlCounter::BlocksRetired => "blocks_retired",
+        }
+    }
+}
+
+/// One value per [`FtlCounter`]. The FTL gathers its totals into this set
+/// once, and every view reads it: fio reports, shard deltas, metrics
+/// frames and the tracer's counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FtlCounters([u64; FtlCounter::COUNT]);
+
+impl FtlCounters {
+    /// The set with each counter `c` at `value(c)`.
+    pub fn from_fn(value: impl FnMut(FtlCounter) -> u64) -> FtlCounters {
+        FtlCounters(FtlCounter::ALL.map(value))
+    }
+
+    /// Each counter's growth from `base` to `self`.
+    pub fn since(&self, base: &FtlCounters) -> FtlCounters {
+        FtlCounters(std::array::from_fn(|i| self.0[i] - base.0[i]))
+    }
+}
+
+impl std::ops::Index<FtlCounter> for FtlCounters {
+    type Output = u64;
+
+    fn index(&self, c: FtlCounter) -> &u64 {
+        &self.0[c as usize]
+    }
+}
+
+impl std::ops::IndexMut<FtlCounter> for FtlCounters {
+    fn index_mut(&mut self, c: FtlCounter) -> &mut u64 {
+        &mut self.0[c as usize]
+    }
+}
+
+impl std::ops::AddAssign for FtlCounters {
+    fn add_assign(&mut self, other: FtlCounters) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+}
+
+/// Controller state handed to [`MetricsHub::sample`]: the cumulative FTL
+/// counters (the hub attributes successive differences to windows) and
+/// instantaneous gauges (the hub stamps the last value seen inside each
+/// window).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Write-cache hits, cumulative.
-    pub cache_hits: u64,
-    /// Write-cache misses, cumulative.
-    pub cache_misses: u64,
-    /// Dirty cache evictions flushed to flash, cumulative.
-    pub cache_dirty_evicts: u64,
-    /// Foreground GC cycles, cumulative.
-    pub gc_cycles: u64,
-    /// Energy spent, cumulative picojoules.
-    pub energy_pj: u64,
-    /// Cold blocks migrated by the wear leveler, cumulative.
-    pub wear_migrations: u64,
-    /// Blocks retired to the bad-block map, cumulative.
-    pub blocks_retired: u64,
+    /// The production counters.
+    pub counters: FtlCounters,
     /// Host ops in flight right now (gauge).
     pub queue_depth: u32,
     /// Dirty pages resident in the write cache (gauge).
@@ -79,36 +157,6 @@ pub struct MetricsSnapshot {
     pub wear_spread: u32,
 }
 
-impl MetricsSnapshot {
-    /// The counter group's growth from `base` to `self`, with `self`'s
-    /// gauges.
-    pub fn since(&self, base: &MetricsSnapshot) -> MetricsSnapshot {
-        self.zip_counters(base, |now, then| now - then)
-    }
-
-    /// `self` with each counter `c` replaced by `f(c, other's c)`.
-    fn zip_counters(&self, other: &MetricsSnapshot, f: fn(u64, u64) -> u64) -> MetricsSnapshot {
-        MetricsSnapshot {
-            cache_hits: f(self.cache_hits, other.cache_hits),
-            cache_misses: f(self.cache_misses, other.cache_misses),
-            cache_dirty_evicts: f(self.cache_dirty_evicts, other.cache_dirty_evicts),
-            gc_cycles: f(self.gc_cycles, other.gc_cycles),
-            energy_pj: f(self.energy_pj, other.energy_pj),
-            wear_migrations: f(self.wear_migrations, other.wear_migrations),
-            blocks_retired: f(self.blocks_retired, other.blocks_retired),
-            ..*self
-        }
-    }
-}
-
-/// Folds a later delta in: the counters add up, the gauges take the later
-/// values.
-impl std::ops::AddAssign for MetricsSnapshot {
-    fn add_assign(&mut self, later: MetricsSnapshot) {
-        *self = later.zip_counters(self, |a, b| a + b);
-    }
-}
-
 /// One sim-time window's worth of telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsFrame {
@@ -116,30 +164,9 @@ pub struct MetricsFrame {
     pub index: u64,
     /// Host ops completed in the window.
     pub ops: u64,
-    /// Write-cache hits in the window.
-    pub cache_hits: u64,
-    /// Write-cache misses in the window.
-    pub cache_misses: u64,
-    /// Dirty cache evictions in the window.
-    pub cache_dirty_evicts: u64,
-    /// GC cycles run in the window.
-    pub gc_cycles: u64,
-    /// Energy spent in the window, picojoules.
-    pub energy_pj: u64,
-    /// Wear-leveling migrations in the window.
-    pub wear_migrations: u64,
-    /// Blocks retired in the window.
-    pub blocks_retired: u64,
-    /// Queue depth at the last sample in the window (gauge).
-    pub queue_depth: u32,
-    /// Dirty cache pages at the last sample in the window (gauge).
-    pub cache_dirty: u32,
-    /// Cache pages resident at the last sample in the window (gauge).
-    pub cache_len: u32,
-    /// Free blocks at the last sample in the window (gauge).
-    pub free_blocks: u32,
-    /// Worst wear spread at the last sample in the window (gauge).
-    pub wear_spread: u32,
+    /// The counters' growth in the window and the gauges at the window's
+    /// last sample.
+    pub snap: MetricsSnapshot,
     /// Latencies of ops whose completion fell in the window.
     pub lat: Histogram,
 }
@@ -163,8 +190,9 @@ impl MetricsFrame {
     /// Cache hit fraction in basis points (10000 = all hits); 0 when the
     /// window saw no cache traffic.
     pub fn cache_hit_bp(&self) -> u64 {
-        let total = self.cache_hits + self.cache_misses;
-        (self.cache_hits * 10_000).checked_div(total).unwrap_or(0)
+        let c = &self.snap.counters;
+        let (hits, misses) = (c[FtlCounter::CacheHits], c[FtlCounter::CacheMisses]);
+        (hits * 10_000).checked_div(hits + misses).unwrap_or(0)
     }
 }
 
@@ -176,7 +204,7 @@ pub struct MetricsHub {
     window_ps: u64,
     shard: u32,
     primed: bool,
-    base: MetricsSnapshot,
+    base: FtlCounters,
     end_ps: u64,
     frames: Vec<MetricsFrame>,
 }
@@ -195,7 +223,7 @@ impl MetricsHub {
             window_ps: u64::MAX,
             shard: 0,
             primed: false,
-            base: MetricsSnapshot::default(),
+            base: FtlCounters::default(),
             end_ps: 0,
             frames: Vec::new(),
         }
@@ -263,7 +291,7 @@ impl MetricsHub {
         if !self.enabled || self.primed {
             return;
         }
-        self.base = *snap;
+        self.base = snap.counters;
         self.primed = true;
     }
 
@@ -277,24 +305,17 @@ impl MetricsHub {
             return;
         }
         if !self.primed {
-            self.base = *snap;
+            self.base = snap.counters;
             self.primed = true;
         }
-        let d = snap.since(&self.base);
-        let f = self.frame_at(now.as_picos());
-        f.cache_hits += d.cache_hits;
-        f.cache_misses += d.cache_misses;
-        f.cache_dirty_evicts += d.cache_dirty_evicts;
-        f.gc_cycles += d.gc_cycles;
-        f.energy_pj += d.energy_pj;
-        f.wear_migrations += d.wear_migrations;
-        f.blocks_retired += d.blocks_retired;
-        f.queue_depth = d.queue_depth;
-        f.cache_dirty = d.cache_dirty;
-        f.cache_len = d.cache_len;
-        f.free_blocks = d.free_blocks;
-        f.wear_spread = d.wear_spread;
-        self.base = *snap;
+        let delta = snap.counters.since(&self.base);
+        self.base = snap.counters;
+        let f = &mut self.frame_at(now.as_picos()).snap;
+        f.counters += delta;
+        *f = MetricsSnapshot {
+            counters: f.counters,
+            ..*snap
+        };
     }
 
     /// Records one completed host op: routed by completion time, so
@@ -401,13 +422,8 @@ impl MetricsSeries {
             let mut frames = h.frames.clone();
             pad_frames(&mut frames, len);
             for (d, s) in device.iter_mut().zip(frames.iter()) {
-                d.cache_hits += s.cache_hits;
-                d.cache_misses += s.cache_misses;
-                d.cache_dirty_evicts += s.cache_dirty_evicts;
-                d.gc_cycles += s.gc_cycles;
-                d.energy_pj += s.energy_pj;
-                d.wear_migrations += s.wear_migrations;
-                d.blocks_retired += s.blocks_retired;
+                let (d, s) = (&mut d.snap, &s.snap);
+                d.counters += s.counters;
                 d.queue_depth += s.queue_depth;
                 d.cache_dirty += s.cache_dirty;
                 d.cache_len += s.cache_len;
@@ -500,22 +516,21 @@ impl MetricsSeries {
 fn push_frame(out: &mut String, shard: i64, f: &MetricsFrame) {
     let _ = write!(
         out,
-        r#"{{"frame":{},"shard":{},"ops":{},"cache_hits":{},"cache_misses":{},"cache_dirty_evicts":{},"gc_cycles":{},"energy_pj":{},"wear_migrations":{},"blocks_retired":{},"qd":{},"cache_dirty":{},"cache_len":{},"free_blocks":{},"wear_spread":{},"lat_count":{},"lat_sum_ps":{},"lat_max_ps":{}"#,
-        f.index,
-        shard,
-        f.ops,
-        f.cache_hits,
-        f.cache_misses,
-        f.cache_dirty_evicts,
-        f.gc_cycles,
-        f.energy_pj,
-        f.wear_migrations,
-        f.blocks_retired,
-        f.queue_depth,
-        f.cache_dirty,
-        f.cache_len,
-        f.free_blocks,
-        f.wear_spread,
+        r#"{{"frame":{},"shard":{},"ops":{}"#,
+        f.index, shard, f.ops
+    );
+    let s = &f.snap;
+    for c in FtlCounter::ALL {
+        let _ = write!(out, r#","{}":{}"#, c.name(), s.counters[c]);
+    }
+    let _ = write!(
+        out,
+        r#","qd":{},"cache_dirty":{},"cache_len":{},"free_blocks":{},"wear_spread":{},"lat_count":{},"lat_sum_ps":{},"lat_max_ps":{}"#,
+        s.queue_depth,
+        s.cache_dirty,
+        s.cache_len,
+        s.free_blocks,
+        s.wear_spread,
         f.lat.count(),
         f.lat.sum_ps(),
         f.lat.max().as_picos()
@@ -556,133 +571,101 @@ pub fn parse_metrics_lines(text: &str) -> Result<ParsedMetrics, ParseError> {
     let mut per_shard: Vec<Vec<MetricsFrame>> = Vec::new();
     let mut verdicts: Vec<SloVerdict> = Vec::new();
     let mut saw_header = false;
-    let mut saw_footer = false;
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let err = |reason: &str| ParseError {
-            line: lineno,
-            reason: reason.to_string(),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if saw_footer {
-            return Err(err("record after footer"));
-        }
-        let fields = fields(line).ok_or_else(|| err("not a flat JSON object"))?;
-        let get = |key: &str| fields.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-        let get_u64 = |key: &str| -> Result<u64, ParseError> {
-            get(key)
-                .ok_or_else(|| err(&format!("missing {key}")))?
-                .parse()
-                .map_err(|_| err(&format!("bad {key}")))
-        };
-        if let Some(schema) = get("schema") {
+    let saw_footer = read_records(text, |rec| {
+        if let Some(schema) = rec.get("schema") {
             if schema != format!("\"{METRICS_SCHEMA}\"") {
-                return Err(err("unknown metrics schema"));
+                return Err(rec.err("unknown metrics schema"));
             }
-            window_ps = get_u64("window_ps")?;
-            shards = get_u64("shards")? as u32;
+            window_ps = rec.req("window_ps")?;
+            shards = rec.req("shards")?;
             saw_header = true;
-            continue;
+            return Ok(());
         }
         if !saw_header {
-            return Err(err("missing babol-metrics-v1 header"));
+            return Err(rec.err("missing babol-metrics-v1 header"));
         }
-        if get("footer").is_some() {
-            end_ps = get_u64("end_ps")?;
-            let frames = get_u64("frames")? as usize;
-            if frames != device.len() {
-                return Err(err("footer frame count disagrees with device frames"));
+        if rec.get("footer").is_some() {
+            end_ps = rec.req("end_ps")?;
+            if rec.req::<usize>("frames")? != device.len() {
+                return Err(rec.err("footer frame count disagrees with device frames"));
             }
-            saw_footer = true;
-            continue;
+            return Ok(());
         }
-        if let Some(spec) = get("slo") {
-            let spec = spec
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| err("slo spec not a string"))?;
-            let spec = SloSpec::parse(spec).map_err(|e| err(&e))?;
+        if rec.get("slo").is_some() {
+            let spec = SloSpec::parse(rec.string("slo")?).map_err(|e| rec.err(e))?;
             verdicts.push(SloVerdict {
                 spec,
-                evaluated: get_u64("evaluated")?,
-                breaches: get_u64("breaches")?,
-                longest_streak: get_u64("longest_streak")?,
-                burn_short_bp: get_u64("burn_short_bp")?,
-                burn_long_bp: get_u64("burn_long_bp")?,
+                evaluated: rec.req("evaluated")?,
+                breaches: rec.req("breaches")?,
+                longest_streak: rec.req("longest_streak")?,
+                burn_short_bp: rec.req("burn_short_bp")?,
+                burn_long_bp: rec.req("burn_long_bp")?,
             });
-            continue;
+            return Ok(());
         }
         // A frame row.
-        let shard: i64 = get("shard")
-            .ok_or_else(|| err("missing shard"))?
-            .parse()
-            .map_err(|_| err("bad shard"))?;
+        let shard: i64 = rec.req("shard")?;
+        let mut counters = FtlCounters::default();
+        for c in FtlCounter::ALL {
+            counters[c] = rec.req(c.name())?;
+        }
         let mut f = MetricsFrame {
-            index: get_u64("frame")?,
-            ops: get_u64("ops")?,
-            cache_hits: get_u64("cache_hits")?,
-            cache_misses: get_u64("cache_misses")?,
-            cache_dirty_evicts: get_u64("cache_dirty_evicts")?,
-            gc_cycles: get_u64("gc_cycles")?,
-            energy_pj: get_u64("energy_pj")?,
-            wear_migrations: get_u64("wear_migrations")?,
-            blocks_retired: get_u64("blocks_retired")?,
-            queue_depth: get_u64("qd")? as u32,
-            cache_dirty: get_u64("cache_dirty")? as u32,
-            cache_len: get_u64("cache_len")? as u32,
-            free_blocks: get_u64("free_blocks")? as u32,
-            wear_spread: get_u64("wear_spread")? as u32,
+            index: rec.req("frame")?,
+            ops: rec.req("ops")?,
+            snap: MetricsSnapshot {
+                counters,
+                queue_depth: rec.req("qd")?,
+                cache_dirty: rec.req("cache_dirty")?,
+                cache_len: rec.req("cache_len")?,
+                free_blocks: rec.req("free_blocks")?,
+                wear_spread: rec.req("wear_spread")?,
+            },
             lat: Histogram::new(),
         };
-        let buckets = get("lat_buckets")
-            .and_then(|v| v.strip_prefix('"'))
-            .and_then(|v| v.strip_suffix('"'))
-            .ok_or_else(|| err("missing lat_buckets"))?;
-        let max_ps = get_u64("lat_max_ps")?;
-        for tok in buckets.split(' ').filter(|t| !t.is_empty()) {
-            let (b, n) = tok.split_once(':').ok_or_else(|| err("bad bucket token"))?;
-            let b: usize = b.parse().map_err(|_| err("bad bucket index"))?;
-            let n: u64 = n.parse().map_err(|_| err("bad bucket count"))?;
+        // Sparse "bucket:count ..." tokens (see `push_frame`).
+        for tok in rec
+            .string("lat_buckets")?
+            .split(' ')
+            .filter(|t| !t.is_empty())
+        {
+            let (b, n) = tok
+                .split_once(':')
+                .ok_or_else(|| rec.err("bad bucket token"))?;
+            let b: usize = b.parse().map_err(|_| rec.err("bad bucket index"))?;
+            let n: u64 = n.parse().map_err(|_| rec.err("bad bucket count"))?;
             f.lat
                 .load_bucket(b, n)
-                .map_err(|_| err("bucket index out of range"))?;
+                .map_err(|_| rec.err("bucket index out of range"))?;
         }
         f.lat
             .load_summary(
-                get_u64("lat_count")?,
-                u128::from(get_u64("lat_sum_ps")?),
-                max_ps,
+                rec.req("lat_count")?,
+                rec.req("lat_sum_ps")?,
+                rec.req("lat_max_ps")?,
             )
-            .map_err(|_| err("bucket counts disagree with lat_count"))?;
-        if shard == DEVICE_SHARD {
-            if f.index as usize != device.len() {
-                return Err(err("device frames out of order"));
+            .map_err(|_| rec.err("bucket counts disagree with lat_count"))?;
+        let lane = match usize::try_from(shard) {
+            Err(_) if shard == DEVICE_SHARD => &mut device,
+            Err(_) => return Err(rec.err("bad shard")),
+            Ok(sid) => {
+                if per_shard.len() <= sid {
+                    per_shard.resize_with(sid + 1, Vec::new);
+                }
+                &mut per_shard[sid]
             }
-            device.push(f);
-        } else {
-            let sid = usize::try_from(shard).map_err(|_| err("bad shard"))?;
-            while per_shard.len() <= sid {
-                per_shard.push(Vec::new());
-            }
-            if f.index as usize != per_shard[sid].len() {
-                return Err(err("shard frames out of order"));
-            }
-            per_shard[sid].push(f);
+        };
+        if f.index as usize != lane.len() {
+            return Err(rec.err("frames out of order"));
         }
-    }
+        lane.push(f);
+        Ok(())
+    })?;
     if !saw_header {
-        return Err(ParseError {
-            line: 1,
-            reason: "empty metrics file".to_string(),
-        });
+        return Err(ParseError::at(1, "empty metrics file"));
     }
     if !saw_footer {
-        return Err(ParseError {
-            line: text.lines().count().max(1),
-            reason: "missing metrics footer".to_string(),
-        });
+        let last = text.lines().count().max(1);
+        return Err(ParseError::at(last, "missing metrics footer"));
     }
     Ok(ParsedMetrics {
         series: MetricsSeries {
@@ -756,6 +739,11 @@ fn marker_lane(marks: &[char]) -> String {
         .collect()
 }
 
+/// One counter's value in every device frame.
+fn device_counter(series: &MetricsSeries, c: FtlCounter) -> Vec<u64> {
+    series.device.iter().map(|f| f.snap.counters[c]).collect()
+}
+
 fn fmt_us(ps: u64) -> String {
     format!("{:.1}us", ps as f64 / 1e6)
 }
@@ -805,7 +793,7 @@ pub fn render_metrics_dashboard(series: &MetricsSeries, verdicts: &[SloVerdict])
     let qd: Vec<u64> = series
         .device
         .iter()
-        .map(|f| u64::from(f.queue_depth))
+        .map(|f| u64::from(f.snap.queue_depth))
         .collect();
     let max_qd = qd.iter().copied().max().unwrap_or(0);
     lane(&mut out, "queue", &qd, format!("max {max_qd}"));
@@ -819,7 +807,7 @@ pub fn render_metrics_dashboard(series: &MetricsSeries, verdicts: &[SloVerdict])
             format!("best {}.{:02}%", best / 100, best % 100),
         );
     }
-    let gc: Vec<u64> = series.device.iter().map(|f| f.gc_cycles).collect();
+    let gc = device_counter(series, FtlCounter::GcCycles);
     let gc_total: u64 = gc.iter().sum();
     if gc_total != 0 {
         lane(&mut out, "gc", &gc, format!("total {gc_total} cycles"));
@@ -827,13 +815,13 @@ pub fn render_metrics_dashboard(series: &MetricsSeries, verdicts: &[SloVerdict])
     let dirty: Vec<u64> = series
         .device
         .iter()
-        .map(|f| u64::from(f.cache_dirty))
+        .map(|f| u64::from(f.snap.cache_dirty))
         .collect();
     if dirty.iter().any(|&v| v != 0) {
         let peak = dirty.iter().copied().max().unwrap_or(0);
         lane(&mut out, "dirty pages", &dirty, format!("peak {peak}"));
     }
-    let energy: Vec<u64> = series.device.iter().map(|f| f.energy_pj).collect();
+    let energy = device_counter(series, FtlCounter::EnergyPj);
     let total_pj: u64 = energy.iter().sum();
     lane(
         &mut out,
@@ -844,7 +832,7 @@ pub fn render_metrics_dashboard(series: &MetricsSeries, verdicts: &[SloVerdict])
     let wear: Vec<u64> = series
         .device
         .iter()
-        .map(|f| u64::from(f.wear_spread))
+        .map(|f| u64::from(f.snap.wear_spread))
         .collect();
     if wear.iter().any(|&v| v != 0) {
         let peak = wear.iter().copied().max().unwrap_or(0);
@@ -887,6 +875,7 @@ pub fn render_metrics_dashboard(series: &MetricsSeries, verdicts: &[SloVerdict])
 mod tests {
     use super::*;
     use crate::slo::evaluate_slo;
+    use FtlCounter::{CacheHits, CacheMisses, EnergyPj, GcCycles};
 
     fn ps(v: u64) -> SimDuration {
         SimDuration::from_picos(v)
@@ -929,27 +918,25 @@ mod tests {
     fn sample_attributes_deltas_and_stamps_gauges() {
         let w = 1_000_000u64;
         let mut hub = MetricsHub::new(ps(w));
-        let mut snap = MetricsSnapshot {
-            cache_hits: 100, // pre-run total: must not leak into window 0
-            energy_pj: 5_000,
-            ..MetricsSnapshot::default()
-        };
+        let mut snap = MetricsSnapshot::default();
+        snap.counters[CacheHits] = 100; // pre-run total: must not leak into window 0
+        snap.counters[EnergyPj] = 5_000;
         hub.prime(&snap);
-        snap.cache_hits = 110;
-        snap.energy_pj = 5_400;
+        snap.counters[CacheHits] = 110;
+        snap.counters[EnergyPj] = 5_400;
         snap.queue_depth = 4;
         hub.sample(at(10), &snap);
-        snap.cache_hits = 115;
-        snap.energy_pj = 6_000;
+        snap.counters[CacheHits] = 115;
+        snap.counters[EnergyPj] = 6_000;
         snap.queue_depth = 2;
         hub.sample(at(w + 10), &snap);
         let frames = hub.frames();
-        assert_eq!(frames[0].cache_hits, 10);
-        assert_eq!(frames[0].energy_pj, 400);
-        assert_eq!(frames[0].queue_depth, 4);
-        assert_eq!(frames[1].cache_hits, 5);
-        assert_eq!(frames[1].energy_pj, 600);
-        assert_eq!(frames[1].queue_depth, 2);
+        assert_eq!(frames[0].snap.counters[CacheHits], 10);
+        assert_eq!(frames[0].snap.counters[EnergyPj], 400);
+        assert_eq!(frames[0].snap.queue_depth, 4);
+        assert_eq!(frames[1].snap.counters[CacheHits], 5);
+        assert_eq!(frames[1].snap.counters[EnergyPj], 600);
+        assert_eq!(frames[1].snap.queue_depth, 2);
     }
 
     #[test]
@@ -975,10 +962,10 @@ mod tests {
         hub.prime(&snap);
         for i in 0..5u64 {
             hub.observe_latency(at(i * w + 500), ps((i + 1) * 111));
-            snap.cache_hits += i;
-            snap.cache_misses += 1;
-            snap.energy_pj += 1000 * (i + 1);
-            snap.gc_cycles += u64::from(i == 3);
+            snap.counters[CacheHits] += i;
+            snap.counters[CacheMisses] += 1;
+            snap.counters[EnergyPj] += 1000 * (i + 1);
+            snap.counters[GcCycles] += u64::from(i == 3);
             snap.queue_depth = i as u32;
             snap.free_blocks = 40 - i as u32;
             hub.sample(at(i * w + 900), &snap);
@@ -1000,9 +987,7 @@ mod tests {
         assert_eq!(parsed.verdicts, vec![verdict]);
         for (a, b) in parsed.series.device.iter().zip(series.device.iter()) {
             assert_eq!(a.ops, b.ops);
-            assert_eq!(a.cache_hits, b.cache_hits);
-            assert_eq!(a.energy_pj, b.energy_pj);
-            assert_eq!(a.queue_depth, b.queue_depth);
+            assert_eq!(a.snap, b.snap);
             assert_eq!(a.lat.buckets(), b.lat.buckets());
             assert_eq!(a.lat.count(), b.lat.count());
             assert_eq!(a.lat.max(), b.lat.max());
@@ -1046,26 +1031,65 @@ mod tests {
         s1.note_op(at(w + 100));
         let mut snap = MetricsSnapshot::default();
         s0.prime(&snap);
-        snap.energy_pj = 300;
+        snap.counters[EnergyPj] = 300;
         s0.sample(at(150), &snap);
         let mut snap1 = MetricsSnapshot::default();
         s1.prime(&snap1);
-        snap1.energy_pj = 500;
+        snap1.counters[EnergyPj] = 500;
         snap1.queue_depth = 2;
         s1.sample(at(w + 150), &snap1);
         let series = MetricsSeries::from_shards(&dev, &[&s0, &s1]);
         assert_eq!(series.shards, 2);
         assert_eq!(series.device.len(), 2);
         assert_eq!(series.per_shard.len(), 2);
-        assert_eq!(series.device[0].energy_pj, 300);
-        assert_eq!(series.device[1].energy_pj, 500);
-        assert_eq!(series.device[1].queue_depth, 2);
+        assert_eq!(series.device[0].snap.counters[EnergyPj], 300);
+        assert_eq!(series.device[1].snap.counters[EnergyPj], 500);
+        assert_eq!(series.device[1].snap.queue_depth, 2);
         assert_eq!(series.device[0].ops, 1, "ops come from the device hub");
         assert_eq!(series.per_shard[1][1].ops, 1);
         // Round-trip keeps the shard lanes.
         let parsed = parse_metrics_lines(&series.to_json_lines(&[])).unwrap();
         assert_eq!(parsed.series.per_shard.len(), 2);
         assert_eq!(parsed.series.per_shard[1][1].ops, 1);
+    }
+
+    /// `babol-metrics-v1` frame lines, byte for byte: a device frame (shard
+    /// counters and gauges summed, wear spread maxed, latency from the
+    /// coordinator) and a shard frame. Every value is distinct, so a key
+    /// that reads the wrong field shows.
+    #[test]
+    fn frame_lines_are_pinned() {
+        let w = 1_000_000u64;
+        let mut dev = MetricsHub::new(ps(w));
+        dev.observe_latency(at(100), ps(5_000));
+        let shard = |id: u32, k: u64| {
+            let mut hub = MetricsHub::new(ps(w));
+            hub.set_shard(id);
+            hub.prime(&MetricsSnapshot::default());
+            hub.note_op(at(100));
+            let g = |n: u64| (n * k) as u32;
+            let snap = MetricsSnapshot {
+                counters: FtlCounters::from_fn(|c| (c as u64 + 1) * k),
+                queue_depth: g(8),
+                cache_dirty: g(9),
+                cache_len: g(10),
+                free_blocks: g(11),
+                wear_spread: g(12),
+            };
+            hub.sample(at(200), &snap);
+            hub
+        };
+        let (s0, s1) = (shard(0, 1), shard(1, 100));
+        let text = MetricsSeries::from_shards(&dev, &[&s0, &s1]).to_json_lines(&[]);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[1],
+            r#"{"frame":0,"shard":-1,"ops":1,"cache_hits":101,"cache_misses":202,"cache_dirty_evicts":303,"gc_cycles":404,"energy_pj":505,"wear_migrations":606,"blocks_retired":707,"qd":808,"cache_dirty":909,"cache_len":1010,"free_blocks":1111,"wear_spread":1200,"lat_count":1,"lat_sum_ps":5000,"lat_max_ps":5000,"lat_buckets":"13:1"}"#
+        );
+        assert_eq!(
+            lines[3],
+            r#"{"frame":0,"shard":1,"ops":1,"cache_hits":100,"cache_misses":200,"cache_dirty_evicts":300,"gc_cycles":400,"energy_pj":500,"wear_migrations":600,"blocks_retired":700,"qd":800,"cache_dirty":900,"cache_len":1000,"free_blocks":1100,"wear_spread":1200,"lat_count":0,"lat_sum_ps":0,"lat_max_ps":0,"lat_buckets":""}"#
+        );
     }
 
     #[test]

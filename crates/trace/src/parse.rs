@@ -8,6 +8,7 @@
 //! corrupted trace should fail loudly, not produce a subtly wrong report.
 
 use std::fmt;
+use std::str::FromStr;
 
 use babol_sim::SimTime;
 
@@ -29,8 +30,8 @@ pub struct ParsedTrace {
     pub shard: u32,
     /// Whether a footer record was present.
     pub has_footer: bool,
-    /// FTL production counters carried in the footer
-    /// ([`Counter::FTL_FOOTER`]), in footer key order; absent keys are 0.
+    /// FTL production counters carried in the footer, in
+    /// [`Counter::FTL_FOOTER`] order; absent keys are 0.
     pub ftl_counters: Vec<(Counter, u64)>,
 }
 
@@ -78,9 +79,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+impl ParseError {
+    pub(crate) fn at(line: usize, reason: impl Into<String>) -> ParseError {
+        ParseError {
+            line,
+            reason: reason.into(),
+        }
+    }
+}
+
 /// Splits one flat JSON object (`{"k":v,...}`, no nesting except the
 /// values themselves being bare ints/strings/bools) into key/value pairs.
-pub(crate) fn fields(line: &str) -> Option<Vec<(&str, &str)>> {
+fn fields(line: &str) -> Option<Vec<(&str, &str)>> {
     let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
     if body.trim().is_empty() {
         return Some(Vec::new());
@@ -94,8 +104,76 @@ pub(crate) fn fields(line: &str) -> Option<Vec<(&str, &str)>> {
     Some(out)
 }
 
-fn unquote(v: &str) -> Option<&str> {
-    v.strip_prefix('"')?.strip_suffix('"')
+/// One record of a flat line-JSON file, with typed key lookup whose errors
+/// carry the record's line number.
+pub(crate) struct Record<'a> {
+    line: usize,
+    fields: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Record<'a> {
+    /// An error at this record's line.
+    pub(crate) fn err(&self, reason: impl Into<String>) -> ParseError {
+        ParseError::at(self.line, reason)
+    }
+
+    /// The raw value of `key`.
+    pub(crate) fn get(&self, key: &str) -> Option<&'a str> {
+        self.fields
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, v)| v)
+    }
+
+    /// `key`'s value parsed as `T`, or `None` when the key is absent.
+    pub(crate) fn opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, ParseError> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| self.err(format!("bad {key}"))))
+            .transpose()
+    }
+
+    /// `key`'s value parsed as `T`; an absent key is an error.
+    pub(crate) fn req<T: FromStr>(&self, key: &str) -> Result<T, ParseError> {
+        self.opt(key)?
+            .ok_or_else(|| self.err(format!("missing {key}")))
+    }
+
+    /// `key`'s string value, without its quotes.
+    pub(crate) fn string(&self, key: &str) -> Result<&'a str, ParseError> {
+        self.get(key)
+            .ok_or_else(|| self.err(format!("missing {key}")))?
+            .strip_prefix('"')
+            .and_then(|v| v.strip_suffix('"'))
+            .ok_or_else(|| self.err(format!("{key} not a string")))
+    }
+}
+
+/// Reads a flat line-JSON file, handing each record to `each` in file
+/// order. Blank lines are skipped, and a record carrying a `footer` key
+/// must be the last one. Returns whether a footer was seen.
+pub(crate) fn read_records<'a>(
+    text: &'a str,
+    mut each: impl FnMut(&Record<'a>) -> Result<(), ParseError>,
+) -> Result<bool, ParseError> {
+    let mut saw_footer = false;
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let line_no = idx + 1;
+        if saw_footer {
+            return Err(ParseError::at(line_no, "record after footer"));
+        }
+        let fields =
+            fields(line).ok_or_else(|| ParseError::at(line_no, "not a flat JSON object"))?;
+        let rec = Record {
+            line: line_no,
+            fields,
+        };
+        saw_footer = rec.get("footer").is_some();
+        each(&rec)?;
+    }
+    Ok(saw_footer)
 }
 
 /// Parses a line-JSON trace export (see
@@ -103,72 +181,34 @@ fn unquote(v: &str) -> Option<&str> {
 /// are skipped; the footer record, if present, must be last.
 pub fn parse_json_lines(text: &str) -> Result<ParsedTrace, ParseError> {
     let mut trace = ParsedTrace::default();
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let err = |reason: &str| ParseError {
-            line: lineno,
-            reason: reason.to_string(),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if trace.has_footer {
-            return Err(err("event record after footer"));
-        }
-        let fields = fields(line).ok_or_else(|| err("not a flat JSON object"))?;
-        if fields.iter().any(|&(k, _)| k == "footer") {
-            for (k, v) in fields {
-                match k {
-                    "dropped" => {
-                        trace.dropped = v.parse().map_err(|_| err("bad dropped count"))?;
-                    }
-                    "shard" => {
-                        trace.shard = v.parse().map_err(|_| err("bad shard id"))?;
-                    }
-                    _ => {
-                        if let Some(kind) =
-                            k.strip_prefix("dropped_").and_then(TraceKind::from_name)
-                        {
-                            let n = v.parse().map_err(|_| err("bad drop count"))?;
-                            trace.dropped_by_kind.push((kind, n));
-                        } else if let Some(c) =
-                            Counter::FTL_FOOTER.into_iter().find(|c| c.name() == k)
-                        {
-                            let n = v.parse().map_err(|_| err("bad ftl counter"))?;
-                            trace.ftl_counters.push((c, n));
-                        }
-                    }
+    trace.has_footer = read_records(text, |rec| {
+        if rec.get("footer").is_some() {
+            trace.dropped = rec.opt("dropped")?.unwrap_or(0);
+            trace.shard = rec.opt("shard")?.unwrap_or(0);
+            for &(k, _) in &rec.fields {
+                if let Some(kind) = k.strip_prefix("dropped_").and_then(TraceKind::from_name) {
+                    trace.dropped_by_kind.push((kind, rec.req(k)?));
                 }
             }
-            trace.has_footer = true;
-            continue;
-        }
-        let (mut t, mut component, mut kind, mut lun, mut op_id) = (None, None, None, None, None);
-        for (k, v) in fields {
-            match k {
-                "t_ps" => t = Some(v.parse().map_err(|_| err("bad t_ps"))?),
-                "component" => {
-                    let name = unquote(v).ok_or_else(|| err("component not a string"))?;
-                    component =
-                        Some(Component::from_name(name).ok_or_else(|| err("unknown component"))?);
+            for c in Counter::FTL_FOOTER {
+                if let Some(n) = rec.opt(c.name())? {
+                    trace.ftl_counters.push((c, n));
                 }
-                "kind" => {
-                    let name = unquote(v).ok_or_else(|| err("kind not a string"))?;
-                    kind = Some(TraceKind::from_name(name).ok_or_else(|| err("unknown kind"))?);
-                }
-                "lun" => lun = Some(v.parse().map_err(|_| err("bad lun"))?),
-                "op_id" => op_id = Some(v.parse().map_err(|_| err("bad op_id"))?),
-                _ => {} // unknown keys: forward-compatible skip
             }
+            return Ok(());
         }
+        let component = rec.string("component")?;
+        let kind = rec.string("kind")?;
         trace.events.push(TraceEvent {
-            t: SimTime::from_picos(t.ok_or_else(|| err("missing t_ps"))?),
-            component: component.ok_or_else(|| err("missing component"))?,
-            kind: kind.ok_or_else(|| err("missing kind"))?,
-            lun: lun.ok_or_else(|| err("missing lun"))?,
-            op_id: op_id.ok_or_else(|| err("missing op_id"))?,
+            t: SimTime::from_picos(rec.req("t_ps")?),
+            component: Component::from_name(component)
+                .ok_or_else(|| rec.err("unknown component"))?,
+            kind: TraceKind::from_name(kind).ok_or_else(|| rec.err("unknown kind"))?,
+            lun: rec.req("lun")?,
+            op_id: rec.req("op_id")?,
         });
-    }
+        Ok(())
+    })?;
     Ok(trace)
 }
 

@@ -168,10 +168,7 @@ fn run_multi(
     use babol_ftl::{MultiSsd, MultiSsdConfig};
 
     let metrics_on = metrics.enabled();
-
-    // Cache/wear totals come off the per-shard tracers, so those flags
-    // also switch tracing on (a pure observer — results are unchanged).
-    let traced = trace_path.is_some() || report || cache_pages > 0 || wear_report;
+    let traced = trace_path.is_some() || report;
     let configure = |preload: bool| {
         let mut cfg = MultiSsdConfig::tiny(channels, threads);
         cfg.preload = preload;
@@ -251,29 +248,17 @@ fn run_multi(
         let series = babol_trace::MetricsSeries::from_shards(&device_hub, &shard_hubs);
         emit_metrics(&series, &metrics.specs, metrics.path.as_deref());
     }
-    if cache_pages > 0 || wear_report {
-        use babol_trace::Counter;
-        let total = |c: Counter| {
-            digests
-                .iter()
-                .map(|d| d.tracer.counter_total(c))
-                .sum::<u64>()
-        };
-        if cache_pages > 0 {
-            println!(
-                "cache              {cache_pages} pages/shard  hits {}  misses {}  dirty evicts {}",
-                total(Counter::CacheHits),
-                total(Counter::CacheMisses),
-                total(Counter::CacheDirtyEvicts)
-            );
-        }
-        if wear_report {
-            println!(
-                "wear               {} migrations  {} blocks retired (all shards)",
-                total(Counter::WearMigrations),
-                total(Counter::BlocksRetired)
-            );
-        }
+    if cache_pages > 0 {
+        println!(
+            "cache              {cache_pages} pages/shard  hits {}  misses {}  dirty evicts {}",
+            r.fio.cache_hits, r.fio.cache_misses, r.fio.cache_dirty_evicts
+        );
+    }
+    if wear_report {
+        println!(
+            "wear               {} migrations  {} blocks retired (all shards)",
+            r.fio.wear_migrations, r.fio.blocks_retired
+        );
     }
     if let Some(path) = &trace_path {
         for d in &digests {

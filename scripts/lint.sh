@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Workspace determinism and `unsafe` lint.
+# Workspace determinism, `unsafe` and FTL-counter lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -17,6 +17,13 @@
 # accepted reason for hash collections; wall-clock measurement as the
 # feature itself is the only accepted reason for Instant::now. An allowed
 # `unsafe` file gives a `// SAFETY:` reason at every unsafe block or impl.
+#
+# The FTL's production counters (cache, GC, wear, retirement, energy) reach
+# a tracer only through the FTL's one export point, which snapshots them
+# from the counter set every other report reads. Production code (above
+# `#[cfg(test)]`) must not write them anywhere else: no `count` or
+# `set_counter` call may name one, and a write to `Component::Ftl` through
+# a counter variable may only appear in the EXPORT_ALLOW file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +45,11 @@ UNSAFE_ALLOW=(
   # The allocation-budget tests' counting global allocator (`GlobalAlloc`
   # is an unsafe trait); it forwards every call to the system allocator.
   "tests/common/counting_alloc.rs"
+)
+FTL_COUNTERS='CacheHits|CacheMisses|CacheDirtyEvicts|GcCycles|WearMigrations|BlocksRetired|Energy(Read|Program|Erase|Transfer)Pj'
+EXPORT_ALLOW=(
+  # `Ssd::export_counters`, the one export point.
+  "crates/ftl/src/ssd.rs"
 )
 
 fail=0
@@ -68,11 +80,38 @@ scan '\bHash(Map|Set)\b' "hash collection" "${HASH_ALLOW[@]}"
 scan '\b(Instant|SystemTime)::now\b' "wall-clock read" "${CLOCK_ALLOW[@]}"
 scan '\bunsafe\b' "unsafe code" "${UNSAFE_ALLOW[@]}"
 
+# Tracer writes (`.count(component, counter, ..)` / `.set_counter(..)`),
+# which rustfmt may split over lines, in production code only.
+ftl_writes=$(find crates src examples -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
+  s/^#\[cfg\(test\)\].*//ms;
+  while (/\.(?:count|set_counter)\(\s*([\w:]+)\s*,\s*([\w:]+)\s*,/g) {
+    my ($component, $counter) = ($1, $2);
+    my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+    my $kind = $counter =~ /^Counter::(?:'"$FTL_COUNTERS"')$/ ? "literal"
+      : ($component eq "Component::Ftl" && $counter !~ /^Counter::/) ? "variable" : next;
+    print "$kind $ARGV:$line: $component, $counter\n";
+  }')
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  kind="${hit%% *}"; hit="${hit#* }"; file="${hit%%:*}"
+  if [ "$kind" = "variable" ]; then
+    ok=0
+    for a in "${EXPORT_ALLOW[@]}"; do
+      [ "$file" = "$a" ] && ok=1 && break
+    done
+    [ "$ok" -eq 1 ] && continue
+  fi
+  echo "lint: FTL counter written to a tracer outside the export point:"
+  echo "  $hit"
+  fail=1
+done <<< "$ftl_writes"
+
 if [ "$fail" -ne 0 ]; then
   echo
   echo "Use BTreeMap/BTreeSet (or SimTime for time) and safe code, or add an"
   echo "#[allow] / SAFETY note with a written justification and extend the"
-  echo "allowlist in scripts/lint.sh."
+  echo "allowlist in scripts/lint.sh. FTL counters are counted once, at their"
+  echo "source, and reach the tracer through Ssd::export_counters."
   exit 1
 fi
-echo "determinism and unsafe lint: clean"
+echo "determinism, unsafe and FTL-counter lint: clean"

@@ -757,7 +757,7 @@ fn metrics_windows_merge_to_whole_run_histogram() {
 /// attributed per window telescope back to the stream total.
 #[test]
 fn metrics_frames_partition_sim_time_exactly() {
-    use babol_trace::{MetricsHub, MetricsSnapshot};
+    use babol_trace::{FtlCounter, MetricsHub, MetricsSnapshot};
     use std::collections::BTreeMap;
     Property::new("metrics_frames_partition_sim_time_exactly").run(
         (
@@ -777,13 +777,9 @@ fn metrics_frames_partition_sim_time_exactly() {
                 hub.note_op(t);
                 *model.entry(at / w).or_insert(0) += 1;
                 total += delta;
-                hub.sample(
-                    t,
-                    &MetricsSnapshot {
-                        energy_pj: total,
-                        ..MetricsSnapshot::default()
-                    },
-                );
+                let mut snap = MetricsSnapshot::default();
+                snap.counters[FtlCounter::EnergyPj] = total;
+                hub.sample(t, &snap);
             }
             let frames = hub.frames();
             let last = steps.iter().map(|&(at, _)| at).max().unwrap();
@@ -803,7 +799,8 @@ fn metrics_frames_partition_sim_time_exactly() {
                 let f = &frames[(at / w) as usize];
                 prop_assert!(f.start(window).as_picos() <= at && at < f.end(window).as_picos());
             }
-            prop_assert_eq!(frames.iter().map(|f| f.energy_pj).sum::<u64>(), total);
+            let energy = frames.iter().map(|f| f.snap.counters[FtlCounter::EnergyPj]);
+            prop_assert_eq!(energy.sum::<u64>(), total);
             Ok(())
         },
     );
