@@ -18,11 +18,13 @@
 //!
 //! The logical-to-channel stripe means a shard's FTL and GC never touch
 //! another shard's state: host submissions in, completions out, nothing
-//! else crosses the boundary. Foreground GC inside one shard may run that
-//! shard's clock past the barrier horizon; the merge key keeps its
-//! completions correctly ordered relative to every other shard, and the
-//! overshoot is identical at every thread count (see the determinism notes
-//! on [`babol_sim::par`]).
+//! else crosses the boundary. A shard's clock overshoots the barrier
+//! horizon for one reason only: [`ChannelShard`]'s `run_until` steps past
+//! it while an FTL job (GC, cache flushes, wear migration) is queued, so
+//! the job finishes within the round. The merge key keeps its completions
+//! correctly ordered relative to every other shard, and the overshoot is
+//! identical at every thread count (see the determinism notes on
+//! [`babol_sim::par`]).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -162,7 +164,7 @@ pub struct ShardDigest {
     pub shard: u32,
     /// The shard's clock at shutdown.
     pub now: SimTime,
-    /// Events the shard processed, inline FTL steps included.
+    /// Events the shard processed, FTL job steps included.
     pub events: u64,
     /// Page-buffer pool counters (zero-copy accounting).
     pub pool: PoolStats,
@@ -186,7 +188,9 @@ pub struct ChannelShard {
     inbox: VecDeque<(SimTime, HostCmd)>,
     /// Prepared requests the controller has not yet admitted, FIFO.
     pending: VecDeque<IoRequest>,
-    scratch: Vec<(IoRequest, SimTime)>,
+    /// Harvested host completions, held while the inbox is prepared and
+    /// its jobs run.
+    done: Vec<(IoRequest, SimTime)>,
     /// Counter totals already reported through [`ShardEvent::Counters`].
     reported: FtlCounters,
 }
@@ -250,42 +254,27 @@ impl ChannelShard {
             ssd,
             inbox: VecDeque::new(),
             pending: VecDeque::new(),
-            scratch: Vec::new(),
+            done: Vec::new(),
             reported: FtlCounters::default(),
         }
     }
 
-    /// Prepares every delivered command (running foreground GC and cache
-    /// flushes inline) and queues the resulting controller request for
-    /// admission; a write the cache absorbs completes on the spot.
-    fn drain_inbox(&mut self, out: &mut Vec<ShardEvent>) {
-        while let Some((at, cmd)) = self.inbox.pop_front() {
-            self.sys.now = self.sys.now.max(at);
-            let buf = HOST_BUF + cmd.slot * self.ssd.cfg.geometry.page_size as u64;
-            let ctrl = self.ctrl.as_mut();
-            match self
-                .ssd
-                .prepare_host(&mut self.sys, ctrl, cmd.id, cmd.lpn, cmd.write, buf)
-            {
-                Some(req) => self.pending.push_back(req),
-                None => {
-                    let at = self.sys.now;
-                    self.ssd.note_done(at);
-                    out.push(ShardEvent::Done { id: cmd.id, at });
-                }
-            }
-        }
+    /// Prepares one delivered command, queueing the GC, flushes or
+    /// migration it needs on the SSD's job queue. Its controller request
+    /// waits in `pending` until the whole inbox is prepared.
+    fn prepare(&mut self, at: SimTime, cmd: HostCmd) {
+        self.sys.now = self.sys.now.max(at);
+        let buf = HOST_BUF + cmd.slot * self.ssd.cfg.geometry.page_size as u64;
+        let (id, lpn, write) = (cmd.id, cmd.lpn, cmd.write);
+        let req = self.ssd.prepare_host(&mut self.sys, id, lpn, write, buf);
+        self.pending.extend(req);
     }
 
-    /// Collects host completions from the controller queue and from the
-    /// SSD's inline-GC stash.
-    fn harvest(&mut self, out: &mut Vec<ShardEvent>) {
-        self.ctrl.take_completions(&mut self.scratch);
-        self.scratch.append(&mut self.ssd.stashed);
-        for (req, at) in self.scratch.drain(..) {
-            self.ssd.note_done(at);
-            out.push(ShardEvent::Done { id: req.id, at });
-        }
+    /// Reports host I/O `id` complete at `at`: one op in the shard's
+    /// telemetry (its latency is only known at the coordinator).
+    fn done(ssd: &mut Ssd, id: u64, at: SimTime, out: &mut Vec<ShardEvent>) {
+        ssd.metrics_mut().note_op(at);
+        out.push(ShardEvent::Done { id, at });
     }
 
     /// Admits prepared requests in FIFO order until the controller's
@@ -315,18 +304,41 @@ impl Shard for ChannelShard {
     }
 
     fn run_until(&mut self, horizon: SimTime, out: &mut Vec<ShardEvent>) {
-        self.drain_inbox(out);
         loop {
-            self.harvest(out);
-            self.try_admit();
-            if !self
-                .sys
-                .step(self.ctrl.as_mut(), StepLimit::Horizon(horizon))
-            {
+            self.ssd.harvest(self.ctrl.as_mut(), &mut self.done);
+            // Delivered commands are prepared one at a time, each once the
+            // job the one before it queued has run; a write the cache
+            // absorbed completes when its job reaches it.
+            let busy = loop {
+                match self.ssd.pump(&mut self.sys, self.ctrl.as_mut()) {
+                    Some(id) => Self::done(&mut self.ssd, id, self.sys.now, out),
+                    None if self.ssd.job_queued() => break true,
+                    None => match self.inbox.pop_front() {
+                        Some((at, cmd)) => self.prepare(at, cmd),
+                        None => break false,
+                    },
+                }
+            };
+            if !busy {
+                for (req, at) in self.done.drain(..) {
+                    Self::done(&mut self.ssd, req.id, at, out);
+                }
+                self.try_admit();
+            }
+            // The shard's one overshoot: while a job is queued the shard
+            // steps past the horizon, under the FTL's stall watchdog, until
+            // the job has run. Stopping at the horizon instead changes
+            // simulated latencies, so it waits for new benchmark baselines.
+            let headline = || self.ssd.stall_headline();
+            let limit = if busy {
+                StepLimit::Watched(&self.ssd.watchdog, &headline)
+            } else {
+                StepLimit::Horizon(horizon)
+            };
+            if !self.sys.step(self.ctrl.as_mut(), limit) {
                 break;
             }
         }
-        self.harvest(out);
         let counters = self.ssd.counters();
         if counters != self.reported {
             let delta = counters.since(&self.reported);
@@ -563,8 +575,8 @@ impl MultiSsd {
         }
 
         // Close the device lane at the last completion; shard lanes may run
-        // slightly longer (GC overshoot past the final barrier) and the
-        // series combiner pads every lane to the common length.
+        // slightly longer (a shard job's overshoot past the final barrier)
+        // and the series combiner pads every lane to the common length.
         self.metrics.touch(end);
         MultiFioReport {
             fio: FioReport::summarize(latencies, self.page_size, end - start, &counters),
@@ -620,8 +632,8 @@ mod tests {
     }
 
     /// Bugfix regression: events the FTL stepped inline (cache flushes,
-    /// GC) bypassed the shard's count, so a cached-write job reported next
-    /// to no events. Every pop now counts.
+    /// GC) once bypassed the shard's count, so a cached-write job reported
+    /// next to no events. Every pop counts, FTL job steps included.
     #[test]
     fn events_include_inline_ftl_steps() {
         use babol_trace::{Component, Counter};
@@ -677,18 +689,34 @@ mod tests {
         }
     }
 
+    /// Shard jobs (GC, and with a cache also flushes and absorbed-write
+    /// completions) leave the report and the completion log unchanged at
+    /// every thread count.
     #[test]
     fn write_job_with_gc_is_thread_count_invariant() {
-        let run = |threads: usize| {
-            let mut cfg = MultiSsdConfig::tiny(2, threads);
-            cfg.preload = false;
-            let mut ssd = MultiSsd::new(cfg);
-            // 2 channels x 96 logical pages; 3x overwrite forces GC.
-            let r = ssd.run(&job(IoPattern::RandomWrite, 560, 4, 7));
-            assert!(r.fio.gc_cycles > 0, "workload must reach GC");
-            format!("{r:?}")
-        };
-        assert_eq!(run(1), run(2));
+        for cache_pages in [0, 8] {
+            let run = |threads: usize| {
+                let mut cfg = MultiSsdConfig::tiny(2, threads);
+                cfg.preload = false;
+                cfg.shard.cache_pages = cache_pages;
+                let mut ssd = MultiSsd::new(cfg);
+                // 2 channels x 96 logical pages; 3x overwrite forces GC.
+                let r = ssd.run(&job(IoPattern::RandomWrite, 560, 4, 7));
+                assert!(r.fio.gc_cycles > 0, "workload must reach GC");
+                if cache_pages > 0 {
+                    assert!(r.fio.cache_dirty_evicts > 0, "the cache must flush");
+                }
+                format!("{r:?}")
+            };
+            let one = run(1);
+            for threads in [2, 3] {
+                assert_eq!(
+                    run(threads),
+                    one,
+                    "{cache_pages} cache pages, {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,24 @@
 //! migration of cold blocks when the erase spread opens up, bad-block
 //! retirement on (deterministic) program/erase failures
 //! ([`crate::bad`]), and per-op energy accounting ([`crate::energy`]).
+//!
+//! # The FTL job queue
+//!
+//! Internal work — GC cycles, wear migrations, failure evacuations and
+//! cache flushes — is planned, not run. Preparing a host I/O decides every
+//! step of the work it needs up front (victims, relocation targets,
+//! allocations, bad-block draws and the wear gate read only FTL state,
+//! never simulated time) and queues those steps on one reused FIFO per
+//! `Ssd`: internal flash ops, cache-slot stages that must follow their
+//! eviction flush, GC trace marks, and the completion of a write the cache
+//! absorbed. The driver loops ([`Ssd::run`], [`Ssd::flush_cache`] and the
+//! multi-channel shard's `run_until`) run the queue one flash op at a time
+//! through the same harvest that collects host completions, and prepare
+//! no host command while a job is queued, so the map changes in the order
+//! the work runs. The FTL never steps the event queue itself: only those
+//! driver loops call [`System::step`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use babol::system::{Controller, IoKind, IoRequest, StepLimit, System};
 use babol_flash::Geometry;
@@ -28,7 +44,7 @@ use babol_trace::{
 use crate::bad::{BadBlockConfig, BadBlockModel};
 use crate::cache::{CachePolicy, WriteCache};
 use crate::energy::{EnergyModel, EnergyTally};
-use crate::fio::{FioReport, FioWorkload};
+use crate::fio::{FioReport, FioWorkload, IoPattern};
 use crate::map::{PageMap, Ppn};
 
 /// Static configuration of the SSD.
@@ -112,15 +128,41 @@ const INTERNAL_ID: u64 = 1 << 62;
 /// rather than run to a no-victim fixpoint.
 const WEAR_CHECK_INTERVAL_GC: u64 = 8;
 
+/// The host side of a drive that only runs queued jobs.
+const NO_HOST_IO: FioWorkload = FioWorkload {
+    pattern: IoPattern::SequentialWrite,
+    total_ios: 0,
+    queue_depth: 0,
+    seed: 0,
+};
+
+/// One step of an FTL job. Planning queues them; the driver loop runs
+/// them in order, each after the flash op before it has completed.
+#[derive(Debug, Clone, Copy)]
+enum JobStep {
+    /// An internal flash op: a relocation read or program, an erase, a
+    /// flush.
+    Io(IoRequest),
+    /// Stages `lpn`'s host data into the cache slot at `buf`, after the
+    /// slot's eviction flush has programmed the old data.
+    Stage { lpn: u64, buf: u64 },
+    /// A GC start or end trace mark on a LUN for a GC cycle, stamped when
+    /// reached.
+    Gc(TraceKind, u32, u64),
+    /// A write the cache absorbed completes when reached.
+    HostDone { id: u64 },
+}
+
 /// An SSD: page map plus workload driver.
 #[derive(Debug)]
 pub struct Ssd {
     pub(crate) cfg: SsdConfig,
     map: PageMap,
     next_internal: u64,
-    /// Host completions observed while an internal (GC) request was being
-    /// waited on; drained by the driver loop (single- or multi-channel).
-    pub(crate) stashed: Vec<(IoRequest, SimTime)>,
+    /// The FTL job queue (see the module docs), reused across jobs.
+    jobs: VecDeque<JobStep>,
+    /// Whether the job's flash op is in flight: submitted, not harvested.
+    awaiting: bool,
     /// Pooled scratch for building host-write patterns, acquired once from
     /// the system's pool and reused for every write.
     scratch: Option<PageBufMut>,
@@ -158,7 +200,7 @@ pub struct Ssd {
     /// a foreground GC storm on the paper geometry can legitimately hold
     /// off host completions for a long stretch while relocations complete
     /// steadily, and those relocations are forward progress.
-    watchdog: Watchdog,
+    pub(crate) watchdog: Watchdog,
     /// True until [`Ssd::set_watchdog`] pins or disarms the budget: the
     /// watchdog is (re)armed from the static envelope of the target
     /// package at `run` start.
@@ -168,8 +210,9 @@ pub struct Ssd {
 impl Ssd {
     /// Headroom on the envelope-derived stall budget, in blocks' worth of
     /// worst-case operations. Far more generous than the engine's: a full
-    /// GC cycle relocates up to a block's worth of pages inline, and a
-    /// wear-leveling migration can chain another on top.
+    /// GC cycle relocates up to a block's worth of pages one op at a time
+    /// while host I/O waits, and a wear-leveling migration can chain
+    /// another on top.
     pub const WATCHDOG_HEADROOM_BLOCKS: u64 = 4;
 
     /// The stall budget derived from the static timing envelope (rule
@@ -209,7 +252,8 @@ impl Ssd {
         Ssd {
             map,
             next_internal: INTERNAL_ID,
-            stashed: Vec::new(),
+            jobs: VecDeque::new(),
+            awaiting: false,
             scratch: None,
             gc_cycles: 0,
             cache: WriteCache::new(cfg.cache_pages, cfg.cache_policy),
@@ -288,14 +332,6 @@ impl Ssd {
     /// Takes the telemetry hub, leaving metrics disabled.
     pub fn take_metrics(&mut self) -> MetricsHub {
         std::mem::take(&mut self.metrics)
-    }
-
-    /// Notes a host completion the multi-channel driver observed: stall
-    /// watchdog progress, and one op in the telemetry (its latency is only
-    /// known at the coordinator).
-    pub(crate) fn note_done(&mut self, at: SimTime) {
-        self.watchdog.note_progress(at);
-        self.metrics.note_op(at);
     }
 
     /// Per-step telemetry sampling point. Steps inside the current window
@@ -422,100 +458,190 @@ impl Ssd {
         }
         self.watchdog.arm_at(start);
         self.metrics_prime();
-        let mut rng = SplitMix64::new(wl.seed);
-        let mut issued = 0u64;
-        let mut inflight: BTreeMap<u64, SimTime> = BTreeMap::new();
-        // A fully prepared request the controller refused; resubmitted
-        // verbatim before anything new is prepared. Preparing is not
-        // idempotent — it draws the RNG, charges FTL cycles, and (for
-        // writes) allocates the target page — so a refused request must be
-        // retained, never rebuilt. (The old retry loop here re-prepared,
-        // leaving the L2P map pointing at a never-programmed page and
-        // double-charging the CPU for the same I/O index.)
-        let mut staged: Option<IoRequest> = None;
-        let mut latencies: Vec<SimDuration> = Vec::with_capacity(wl.total_ios as usize);
-        let mut scratch = Vec::new();
-        let page = self.cfg.geometry.page_size;
-
-        while (latencies.len() as u64) < wl.total_ios {
-            controller.take_completions(&mut scratch);
-            scratch.append(&mut self.stashed);
-            for (req, at) in scratch.drain(..) {
-                if let Some(t0) = inflight.remove(&req.id) {
-                    self.host_done(sys, &mut latencies, t0, at);
-                }
-            }
-            while inflight.len() < wl.queue_depth && (staged.is_some() || issued < wl.total_ios) {
-                let req = match staged.take() {
-                    Some(req) => req,
-                    None => {
-                        let (id, t0) = (issued, sys.now);
-                        issued += 1;
-                        let lpn = wl.lpn_of(id, self.map.logical_pages(), &mut rng);
-                        let buf = HOST_BUF + (id % wl.queue_depth as u64) * page as u64;
-                        let write = wl.pattern.is_write();
-                        let Some(req) = self.prepare_host(sys, controller, id, lpn, write, buf)
-                        else {
-                            self.host_done(sys, &mut latencies, t0, sys.now);
-                            continue;
-                        };
-                        req
-                    }
-                };
-                if !controller.submit(sys, req) {
-                    staged = Some(req);
-                    break;
-                }
-                self.account_io(&req);
-                inflight.insert(req.id, sys.now);
-            }
-            if latencies.len() as u64 >= wl.total_ios {
-                break;
-            }
-            self.step(sys, controller);
-            self.metrics_sample(sys.now, inflight.len());
-        }
+        let latencies = self.drive(sys, controller, &wl);
         // Closing flush: completions can carry timestamps past the driver
         // clock (their frame already exists), so close at whichever is
         // later — otherwise the tail frame's gauges would stay unstamped.
         let close = SimTime::from_picos(self.metrics.end_ps().max(sys.now.as_picos()));
         self.metrics_flush(close, 0);
         self.export_counters(&mut sys.trace);
-        FioReport::summarize(latencies, page, sys.now - start, &self.counters())
+        let (page, elapsed) = (self.cfg.geometry.page_size, sys.now - start);
+        FioReport::summarize(latencies, page, elapsed, &self.counters())
+    }
+
+    /// The FTL's drive loop, shared by [`Ssd::run`] and
+    /// [`Ssd::flush_cache`]: keeps `wl`'s queue depth of host I/O
+    /// outstanding and runs the job queue one flash op at a time, stepping
+    /// under the FTL's stall watchdog. A host command is prepared only while
+    /// no job is queued, and its request is submitted after the job its
+    /// preparation queued has run. Returns the host latencies.
+    fn drive(
+        &mut self,
+        sys: &mut System,
+        controller: &mut dyn Controller,
+        wl: &FioWorkload,
+    ) -> Vec<SimDuration> {
+        let mut rng = SplitMix64::new(wl.seed);
+        let mut issued = 0u64;
+        let mut inflight: BTreeMap<u64, SimTime> = BTreeMap::new();
+        // A fully prepared request not yet admitted: refused by the
+        // controller, or waiting on its job. Resubmitted verbatim before
+        // anything new is prepared. Preparing is not idempotent — it draws
+        // the RNG, charges FTL cycles, and (for writes) allocates the target
+        // page — so a refused request must be retained, never rebuilt. (The
+        // old retry loop here re-prepared, leaving the L2P map pointing at a
+        // never-programmed page and double-charging the CPU for the same I/O
+        // index.)
+        let mut staged: Option<IoRequest> = None;
+        let mut latencies = Vec::with_capacity(wl.total_ios as usize);
+        // Harvested host completions. Those that land during a job keep
+        // their queue slots until a host-level step, one taken with no job
+        // queued, has run: the admission pass a job interrupts resumes
+        // with them still counted.
+        let mut done = Vec::new();
+        let mut host_step = true;
+        let page = self.cfg.geometry.page_size as u64;
+        loop {
+            self.harvest(controller, &mut done);
+            while let Some(id) = self.pump(sys, controller) {
+                let t0 = inflight.remove(&id).expect("absorbed write in flight");
+                self.host_done(&mut sys.trace, &mut latencies, t0, sys.now);
+            }
+            let busy = self.job_queued();
+            if !busy {
+                if std::mem::take(&mut host_step) {
+                    for (req, at) in done.drain(..) {
+                        if let Some(t0) = inflight.remove(&req.id) {
+                            self.host_done(&mut sys.trace, &mut latencies, t0, at);
+                        }
+                    }
+                }
+                while inflight.len() < wl.queue_depth && (staged.is_some() || issued < wl.total_ios)
+                {
+                    if staged.is_none() {
+                        let id = issued;
+                        issued += 1;
+                        let lpn = wl.lpn_of(id, self.map.logical_pages(), &mut rng);
+                        let buf = HOST_BUF + (id % wl.queue_depth as u64) * page;
+                        staged = self.prepare_host(sys, id, lpn, wl.pattern.is_write(), buf);
+                        if staged.is_none() {
+                            inflight.insert(id, sys.now);
+                        }
+                        // Run the job first; an absorbed write completes in it.
+                        if self.job_queued() {
+                            break;
+                        }
+                    }
+                    let req = staged.take().expect("a prepared host request");
+                    if !controller.submit(sys, req) {
+                        staged = Some(req);
+                        break;
+                    }
+                    self.account_io(&req);
+                    inflight.insert(req.id, sys.now);
+                }
+                if self.job_queued() {
+                    continue;
+                }
+                if latencies.len() as u64 >= wl.total_ios {
+                    return latencies;
+                }
+            }
+            let headline = || self.stall_headline();
+            sys.step(controller, StepLimit::Watched(&self.watchdog, &headline));
+            host_step = !busy;
+            if host_step {
+                self.metrics_sample(sys.now, inflight.len());
+            }
+        }
     }
 
     /// Accounts one host I/O issued at `t0` that completed at `at`.
     fn host_done(
         &mut self,
-        sys: &mut System,
+        trace: &mut Tracer,
         latencies: &mut Vec<SimDuration>,
         t0: SimTime,
         at: SimTime,
     ) {
-        self.watchdog.note_progress(at);
         latencies.push(at - t0);
-        sys.trace.count(Component::Ftl, Counter::OpsCompleted, 1);
-        sys.trace.observe(Metric::HostLatency, at - t0);
+        trace.count(Component::Ftl, Counter::OpsCompleted, 1);
+        trace.observe(Metric::HostLatency, at - t0);
         self.metrics.observe_latency(at, at - t0);
     }
 
-    /// Advances the simulation by one event under the FTL's stall watchdog,
-    /// which counts internal (GC) completions as progress too.
-    fn step(&mut self, sys: &mut System, controller: &mut dyn Controller) {
-        let gc = self.gc_cycles;
-        let headline = || format!("SSD, host or internal; {gc} GC cycles");
-        sys.step(controller, StepLimit::Watched(&self.watchdog, &headline));
+    /// The FTL's headline in a stall diagnostic.
+    pub(crate) fn stall_headline(&self) -> String {
+        format!("SSD, host or internal; {} GC cycles", self.gc_cycles)
+    }
+
+    /// The FTL's one harvest of controller completions, shared by every
+    /// driver loop: appends them to `done`, notes each as watchdog progress
+    /// (host or internal), and takes out the job's flash op, so only host
+    /// completions are left for the driver.
+    pub(crate) fn harvest(
+        &mut self,
+        controller: &mut dyn Controller,
+        done: &mut Vec<(IoRequest, SimTime)>,
+    ) {
+        let seen = done.len();
+        controller.take_completions(done);
+        for &(_, at) in &done[seen..] {
+            self.watchdog.note_progress(at);
+        }
+        if let Some(i) = done[seen..].iter().position(|(r, _)| r.id >= INTERNAL_ID) {
+            done.remove(seen + i);
+            self.awaiting = false;
+        }
+    }
+
+    /// Runs the job queue as far as it goes without advancing time: marks
+    /// and stages run now, and the next flash op is submitted once the one
+    /// before it has completed (a refused op is retried on the next call).
+    /// Stops at a write the cache absorbed, returning its id: it completes
+    /// now.
+    pub(crate) fn pump(&mut self, sys: &mut System, ctrl: &mut dyn Controller) -> Option<u64> {
+        while !self.awaiting {
+            let step = self.jobs.pop_front()?;
+            match step {
+                JobStep::Io(req) if ctrl.submit(sys, req) => {
+                    self.account_io(&req);
+                    self.awaiting = true;
+                }
+                JobStep::Io(_) => {
+                    self.jobs.push_front(step);
+                    break;
+                }
+                JobStep::Stage { lpn, buf } => self.stage_pattern(sys, lpn, buf),
+                JobStep::Gc(kind, lun, cycle) => {
+                    let t = sys.now;
+                    sys.trace.event(t, Component::Ftl, kind, lun, cycle);
+                }
+                JobStep::HostDone { id } => {
+                    self.watchdog.note_progress(sys.now);
+                    return Some(id);
+                }
+            }
+        }
+        None
+    }
+
+    /// Whether an FTL job is queued or its flash op is in flight: the
+    /// driver must step, and prepare no host command, until it has run.
+    pub(crate) fn job_queued(&self) -> bool {
+        self.awaiting || !self.jobs.is_empty()
     }
 
     /// Prepares host I/O `id` on `lpn`, staged at DRAM address `buf`:
-    /// charges the FTL's lookup on the shared CPU, then builds the flash
-    /// request. A write the write-back cache absorbs returns `None`: it
-    /// completed at `sys.now`, after any dirty-eviction flush ran inline.
-    /// The single- and multi-channel drivers both prepare through this.
+    /// charges the FTL's lookup on the shared CPU, queues the job the I/O
+    /// needs first (GC, wear migration, cache flushes), and builds the
+    /// flash request, which the driver submits once that job has run. A
+    /// write the write-back cache absorbs returns `None`: its completion is
+    /// the job's last step. The single- and multi-channel drivers both
+    /// prepare through this.
     pub(crate) fn prepare_host(
         &mut self,
         sys: &mut System,
-        controller: &mut dyn Controller,
         id: u64,
         lpn: u64,
         write: bool,
@@ -523,13 +649,14 @@ impl Ssd {
     ) -> Option<IoRequest> {
         sys.cpu.charge(sys.now, self.cfg.ftl_lookup_cycles);
         if write && self.cache.is_enabled() {
-            self.cache_write(sys, controller, lpn);
+            self.cache_write(lpn);
+            self.jobs.push_back(JobStep::HostDone { id });
             return None;
         }
         if write {
-            return Some(self.prepare_write(sys, controller, lpn, buf, id));
+            return Some(self.prepare_write(sys, lpn, buf, id));
         }
-        self.flush_for_read(sys, controller, lpn);
+        self.flush_for_read(lpn);
         let ppn = self
             .map
             .translate(lpn)
@@ -537,7 +664,8 @@ impl Ssd {
         Some(self.page_io(id, IoKind::Read, ppn, buf))
     }
 
-    /// A whole-page read or program of `ppn` through DRAM address `buf`.
+    /// A whole-page read or program of `ppn` through DRAM address `buf`, or
+    /// an erase of its block.
     fn page_io(&self, id: u64, kind: IoKind, ppn: Ppn, buf: u64) -> IoRequest {
         IoRequest {
             id,
@@ -546,24 +674,25 @@ impl Ssd {
             block: ppn.block,
             page: ppn.page,
             col: 0,
-            len: self.cfg.geometry.page_size,
+            // An erase moves no data.
+            len: self.cfg.geometry.page_size * usize::from(kind != IoKind::Erase),
             dram_addr: buf,
         }
     }
 
-    /// Stages data and allocates the target for a host write, reclaiming
-    /// space (GC, wear migration) first if any LUN is short.
-    fn prepare_write(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        lpn: u64,
-        buf: u64,
-        id: u64,
-    ) -> IoRequest {
+    /// Queues an internal op on `ppn` through DRAM address `buf`.
+    fn queue_io(&mut self, kind: IoKind, ppn: Ppn, buf: u64) {
+        let req = self.page_io(self.next_internal, kind, ppn, buf);
+        self.next_internal += 1;
+        self.jobs.push_back(JobStep::Io(req));
+    }
+
+    /// Stages data and allocates the target for a host write, queueing
+    /// space reclamation (GC, wear migration) first if any LUN is short.
+    fn prepare_write(&mut self, sys: &mut System, lpn: u64, buf: u64, id: u64) -> IoRequest {
         self.stage_pattern(sys, lpn, buf);
-        self.reclaim_space(sys, controller);
-        let ppn = self.allocate_programmable(sys, controller, lpn, buf);
+        self.reclaim_space();
+        let ppn = self.allocate_programmable(lpn, buf);
         self.page_io(id, IoKind::Program, ppn, buf)
     }
 
@@ -579,7 +708,7 @@ impl Ssd {
         sys.dram.write(buf, scratch);
     }
 
-    /// Runs garbage collection and wear-leveling migration until every LUN
+    /// Plans garbage collection and wear-leveling migration until every LUN
     /// is back above the GC threshold — iterated to a **fixpoint**, not a
     /// single sweep. Collecting LUN i relocates its valid pages onto
     /// [`PageMap::best_relocation_lun`], which can push an already-swept
@@ -597,7 +726,7 @@ impl Ssd {
     /// needy), so the sweep tolerates up to `luns` consecutive no-gain
     /// passes — one shuffle per LUN — before concluding every LUN that
     /// *can* be raised above the threshold has been.
-    fn reclaim_space(&mut self, sys: &mut System, controller: &mut dyn Controller) {
+    fn reclaim_space(&mut self) {
         let total_free = |map: &PageMap| (0..map.luns()).map(|l| map.free_blocks(l)).sum::<u32>();
         let mut wear_done = false;
         loop {
@@ -609,7 +738,7 @@ impl Ssd {
                 let mut collected = false;
                 for lun in 0..self.cfg.luns {
                     if self.map.needs_gc(lun) {
-                        self.collect_block(sys, controller, lun);
+                        self.collect_block(lun);
                         collected = true;
                     }
                 }
@@ -651,7 +780,7 @@ impl Ssd {
             let mut migrated = false;
             for lun in 0..self.cfg.luns {
                 if let Some(block) = self.map.wear_victim(lun, self.cfg.wear_spread_limit) {
-                    self.migrate_block(sys, controller, lun, block);
+                    self.migrate_block(lun, block);
                     migrated = true;
                 }
             }
@@ -664,28 +793,21 @@ impl Ssd {
 
     /// Allocates the physical page for `lpn`, running the program-failure
     /// gauntlet: when the failure model dooms the chosen page, the program
-    /// is still run (the die only reports the failure after tPROG), the
+    /// is still queued (the die only reports the failure after tPROG), the
     /// block is retired and evacuated, and the allocation retried
     /// elsewhere.
-    fn allocate_programmable(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        lpn: u64,
-        buf: u64,
-    ) -> Ppn {
+    fn allocate_programmable(&mut self, lpn: u64, buf: u64) -> Ppn {
         for _ in 0..4 {
             let ppn = self.map.allocate_for_write(lpn);
             if !self.bad.program_fails(ppn) {
                 return ppn;
             }
-            let id = self.next_id();
-            self.run_internal(sys, controller, self.page_io(id, IoKind::Program, ppn, buf));
+            self.queue_io(IoKind::Program, ppn, buf);
             // The data never landed: unmap before retiring the block so the
             // evacuation does not relocate a garbage page.
             self.map.invalidate(lpn);
-            self.retire_after_failure(sys, controller, ppn.lun, ppn.block);
-            self.reclaim_space(sys, controller);
+            self.retire_after_failure(ppn.lun, ppn.block);
+            self.reclaim_space();
         }
         panic!("four consecutive program failures for lpn {lpn}");
     }
@@ -694,16 +816,10 @@ impl Ssd {
     /// still-valid pages. Relocation programs are not failure-checked:
     /// failure detection is modeled on host-visible programs only, and a
     /// first failure retires the whole block anyway.
-    fn retire_after_failure(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        lun: u32,
-        block: u32,
-    ) {
+    fn retire_after_failure(&mut self, lun: u32, block: u32) {
         self.retire(lun, block);
         let moves = self.map.block_moves(lun, block);
-        self.relocate(sys, controller, &moves, None);
+        self.relocate(&moves, None);
     }
 
     /// Wear-leveling migration: relocates the cold data of `(lun, block)`
@@ -711,41 +827,27 @@ impl Ssd {
     /// erases (or retires) the victim. Cold data must land on worn blocks —
     /// the normal least-worn allocation would put it straight back on young
     /// blocks and re-nominate the same victim forever.
-    fn migrate_block(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        lun: u32,
-        block: u32,
-    ) {
+    fn migrate_block(&mut self, lun: u32, block: u32) {
         let moves = self.map.block_moves(lun, block);
         let target = self.map.best_relocation_lun(lun);
         self.map.open_worn_block(target);
-        self.relocate(sys, controller, &moves, Some(target));
-        self.erase_or_retire(sys, controller, lun, block);
+        self.relocate(&moves, Some(target));
+        self.erase_or_retire(lun, block);
         self.wear_migrations += 1;
     }
 
-    /// Relocates a list of valid pages: read each out, program it at a
-    /// fresh location — on `target` when pinned (wear migration), else on
-    /// whichever LUN has the most room (cross-LUN relocation avoids GC
-    /// livelock). Runs inline, advancing simulated time.
-    fn relocate(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        moves: &[(u64, Ppn)],
-        target: Option<u32>,
-    ) {
+    /// Relocates a list of valid pages: queues a read of each and a program
+    /// at a fresh location — on `target` when pinned (wear migration), else
+    /// on whichever LUN has the most room (cross-LUN relocation avoids GC
+    /// livelock).
+    fn relocate(&mut self, moves: &[(u64, Ppn)], target: Option<u32>) {
         let page = self.cfg.geometry.page_size;
         for (i, &(lpn, old)) in moves.iter().enumerate() {
             let buf = GC_BUF + (i % 4) as u64 * page as u64;
-            let id = self.next_id();
-            self.run_internal(sys, controller, self.page_io(id, IoKind::Read, old, buf));
+            self.queue_io(IoKind::Read, old, buf);
             let lun = target.unwrap_or_else(|| self.map.best_relocation_lun(old.lun));
             let new = self.map.allocate_on_lun(lpn, lun);
-            let id = self.next_id();
-            self.run_internal(sys, controller, self.page_io(id, IoKind::Program, new, buf));
+            self.queue_io(IoKind::Program, new, buf);
         }
     }
 
@@ -753,24 +855,13 @@ impl Ssd {
     /// endurance is exhausted, in which case it is retired instead. The
     /// erase operation itself always runs: the controller only learns of
     /// the failure from the die's status after tBERS.
-    fn erase_or_retire(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        lun: u32,
-        block: u32,
-    ) {
+    fn erase_or_retire(&mut self, lun: u32, block: u32) {
         let victim = Ppn {
             lun,
             block,
             page: 0,
         };
-        let id = self.next_id();
-        let erase = IoRequest {
-            len: 0,
-            ..self.page_io(id, IoKind::Erase, victim, 0)
-        };
-        self.run_internal(sys, controller, erase);
+        self.queue_io(IoKind::Erase, victim, 0);
         if self
             .bad
             .erase_fails(lun, block, self.map.erase_count(lun, block))
@@ -789,41 +880,33 @@ impl Ssd {
 
     /// Absorbs a host write of `lpn` into the write-back cache: flushes the
     /// evicted dirty page first (its slot's DRAM is about to be reused),
-    /// then stages the new data into the slot. Flash is untouched unless
-    /// the eviction forces a program.
-    fn cache_write(&mut self, sys: &mut System, controller: &mut dyn Controller, lpn: u64) {
+    /// then stages the new data into the slot once that flush has
+    /// programmed it. Flash is untouched unless the eviction forces a
+    /// program.
+    fn cache_write(&mut self, lpn: u64) {
         let (slot, evicted) = self.cache.touch_write(lpn);
-        if let Some(ev) = evicted {
-            if ev.dirty {
-                self.flush_slot(sys, controller, ev.lpn, ev.slot);
-            }
+        if let Some(ev) = evicted.filter(|ev| ev.dirty) {
+            self.flush_slot(ev.lpn, ev.slot);
         }
-        let page = self.cfg.geometry.page_size as u64;
-        self.stage_pattern(sys, lpn, CACHE_BUF + slot as u64 * page);
+        let buf = CACHE_BUF + slot as u64 * self.cfg.geometry.page_size as u64;
+        self.jobs.push_back(JobStep::Stage { lpn, buf });
     }
 
     /// Programs flash from cache slot `slot`, which holds `lpn`'s data
-    /// (dirty eviction or read-coherence flush). Runs inline.
-    fn flush_slot(
-        &mut self,
-        sys: &mut System,
-        controller: &mut dyn Controller,
-        lpn: u64,
-        slot: u32,
-    ) {
-        self.reclaim_space(sys, controller);
+    /// (dirty eviction or read-coherence flush).
+    fn flush_slot(&mut self, lpn: u64, slot: u32) {
+        self.reclaim_space();
         let buf = CACHE_BUF + slot as u64 * self.cfg.geometry.page_size as u64;
-        let ppn = self.allocate_programmable(sys, controller, lpn, buf);
-        let id = self.next_id();
-        self.run_internal(sys, controller, self.page_io(id, IoKind::Program, ppn, buf));
+        let ppn = self.allocate_programmable(lpn, buf);
+        self.queue_io(IoKind::Program, ppn, buf);
     }
 
     /// Read coherence: if `lpn` is dirty in the write-back cache, programs
     /// flash from the cached copy first, so the flash read that follows
     /// returns current data.
-    fn flush_for_read(&mut self, sys: &mut System, controller: &mut dyn Controller, lpn: u64) {
+    fn flush_for_read(&mut self, lpn: u64) {
         if let Some(slot) = self.cache.flush_for_read(lpn) {
-            self.flush_slot(sys, controller, lpn, slot);
+            self.flush_slot(lpn, slot);
         }
     }
 
@@ -832,8 +915,9 @@ impl Ssd {
     /// after a cached write job call this first.
     pub fn flush_cache(&mut self, sys: &mut System, controller: &mut dyn Controller) {
         for (lpn, slot) in self.cache.drain_dirty() {
-            self.flush_slot(sys, controller, lpn, slot);
+            self.flush_slot(lpn, slot);
         }
+        self.drive(sys, controller, &NO_HOST_IO);
         self.export_counters(&mut sys.trace);
     }
 
@@ -842,57 +926,21 @@ impl Ssd {
         self.energy.charge(&self.cfg.energy, req);
     }
 
-    /// One full GC cycle on `lun`: relocate valid pages, erase the victim.
-    /// Runs inline, advancing simulated time (foreground GC).
-    fn collect_block(&mut self, sys: &mut System, controller: &mut dyn Controller, lun: u32) {
-        if sys.trace.is_enabled() {
-            let t = sys.now;
-            sys.trace
-                .event(t, Component::Ftl, TraceKind::GcStart, lun, self.gc_cycles);
-        }
+    /// One full GC cycle on `lun`: relocate valid pages, erase the victim,
+    /// between start and end trace marks (foreground GC: host I/O waits).
+    fn collect_block(&mut self, lun: u32) {
+        let cycle = self.gc_cycles;
+        self.jobs
+            .push_back(JobStep::Gc(TraceKind::GcStart, lun, cycle));
         let plan = self
             .map
             .plan_gc(lun)
             .expect("GC needed but no full block to collect");
-        self.relocate(sys, controller, &plan.moves, None);
-        self.erase_or_retire(sys, controller, lun, plan.victim.block);
-        if sys.trace.is_enabled() {
-            let t = sys.now;
-            sys.trace
-                .event(t, Component::Ftl, TraceKind::GcEnd, lun, self.gc_cycles);
-        }
+        self.relocate(&plan.moves, None);
+        self.erase_or_retire(lun, plan.victim.block);
+        self.jobs
+            .push_back(JobStep::Gc(TraceKind::GcEnd, lun, cycle));
         self.gc_cycles += 1;
-    }
-
-    fn next_id(&mut self) -> u64 {
-        let id = self.next_internal;
-        self.next_internal += 1;
-        id
-    }
-
-    /// Submits an internal request and blocks (in simulated time) until it
-    /// completes. Host completions arriving meanwhile are stashed for the
-    /// driver loop.
-    fn run_internal(&mut self, sys: &mut System, controller: &mut dyn Controller, req: IoRequest) {
-        while !controller.submit(sys, req) {
-            self.step(sys, controller);
-        }
-        self.account_io(&req);
-        loop {
-            let seen = self.stashed.len();
-            controller.take_completions(&mut self.stashed);
-            for &(_, at) in &self.stashed[seen..] {
-                self.watchdog.note_progress(at);
-            }
-            if let Some(i) = self.stashed[seen..]
-                .iter()
-                .position(|(r, _)| r.id == req.id)
-            {
-                self.stashed.remove(seen + i);
-                return;
-            }
-            self.step(sys, controller);
-        }
     }
 }
 
@@ -976,11 +1024,14 @@ mod tests {
 
     /// Wraps a controller and refuses every other submission (whenever a
     /// refusal is safe, i.e. the wrapped controller still has work that
-    /// will produce events), exercising the driver's staged-retry path.
+    /// will produce events), exercising the driver's staged-retry path and
+    /// the job queue's retry of a refused internal op.
     struct RefusingController<C> {
         inner: C,
         flip: bool,
         refused: u64,
+        /// Refusals of internal (GC, flush, erase) requests.
+        refused_internal: u64,
     }
 
     impl<C> RefusingController<C> {
@@ -989,6 +1040,7 @@ mod tests {
                 inner,
                 flip: false,
                 refused: 0,
+                refused_internal: 0,
             }
         }
     }
@@ -1003,6 +1055,7 @@ mod tests {
                 self.flip = !self.flip;
                 if self.flip {
                     self.refused += 1;
+                    self.refused_internal += u64::from(req.id >= INTERNAL_ID);
                     return false;
                 }
             }
@@ -1388,26 +1441,55 @@ mod tests {
     /// cycles, and leaving the first draw's L2P entry pointing at a page
     /// that was never programmed. A read of that page returns erased 0xFF
     /// garbage, which this test catches by checking every mapped LPN's data
-    /// against the host pattern.
+    /// against the host pattern. The GC-heavy and cached inputs also have
+    /// internal ops (relocations, erases, flushes) refused, which the job
+    /// queue must retry without losing or reordering a step. The cached
+    /// input reads after writing: a cached write job submits only internal
+    /// ops, one at a time, so only reads that flush a dirty page overlap
+    /// an internal op with host I/O the wrapper can refuse it behind.
     #[test]
     fn refused_submissions_do_not_corrupt_the_map() {
-        let (mut sys, ctrl, mut ssd) = tiny_stack(2, false);
-        let mut ctrl = RefusingController::new(ctrl);
-        let wl = FioWorkload {
-            pattern: IoPattern::RandomWrite,
-            total_ios: 48,
-            queue_depth: 4,
-            seed: 11,
-        };
-        let r = ssd.run(&mut sys, &mut ctrl, wl);
-        assert_eq!(r.ios, 48);
-        assert!(
-            ctrl.refused > 0,
-            "the wrapper never refused — test is inert"
-        );
-        for lpn in 0..ssd.map().logical_pages() {
-            if ssd.map().translate(lpn).is_some() {
-                assert_lpn_pattern(&sys, &ssd, lpn);
+        use IoPattern::{RandomRead, RandomWrite, SequentialWrite};
+        // (jobs, cache pages, whether internal ops must be refused)
+        let cases = [
+            (&[(RandomWrite, 48)][..], 0, false),
+            (&[(RandomWrite, 192)], 0, true),
+            (&[(SequentialWrite, 192), (RandomRead, 64)], 8, true),
+        ];
+        for (jobs, cache_pages, internal) in cases {
+            let (mut sys, ctrl, mut ssd) =
+                tiny_stack_with(2, false, |c| c.cache_pages = cache_pages);
+            let mut ctrl = RefusingController::new(ctrl);
+            let case = format!("{jobs:?}, {cache_pages} cache pages");
+            let mut last = None;
+            for &(pattern, total_ios) in jobs {
+                let wl = FioWorkload {
+                    pattern,
+                    total_ios,
+                    queue_depth: 4,
+                    seed: 11,
+                };
+                let r = ssd.run(&mut sys, &mut ctrl, wl);
+                assert_eq!(r.ios, total_ios, "{case}");
+                last = Some(r);
+            }
+            ssd.flush_cache(&mut sys, &mut ctrl);
+            assert!(
+                ctrl.refused > 0,
+                "the wrapper never refused — test is inert ({case})"
+            );
+            if internal {
+                let r = last.unwrap();
+                assert!(ctrl.refused_internal > 0, "no internal op refused ({case})");
+                assert!(
+                    r.gc_cycles + r.cache_dirty_evicts > 0,
+                    "no GC or dirty eviction ({case})"
+                );
+            }
+            for lpn in 0..ssd.map().logical_pages() {
+                if ssd.map().translate(lpn).is_some() {
+                    assert_lpn_pattern(&sys, &ssd, lpn);
+                }
             }
         }
     }
@@ -1477,7 +1559,14 @@ mod tests {
         }
         assert!(ssd.map.needs_gc(1));
         assert!(!ssd.map.needs_gc(0));
-        let _ = ssd.prepare_write(&mut sys, &mut ctrl, 90, HOST_BUF, 0);
+        // Planning the write queues the GC job without stepping the
+        // simulation; the drive loop then runs it.
+        let popped = sys.events_popped();
+        let _ = ssd.prepare_write(&mut sys, 90, HOST_BUF, 0);
+        assert_eq!(sys.events_popped(), popped, "planning stepped the queue");
+        assert!(!ssd.jobs.is_empty(), "the GC job is not queued");
+        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
+        assert!(ssd.jobs.is_empty());
         assert!(ssd.gc_cycles >= 2, "expected both LUNs collected");
         for lun in 0..2 {
             assert!(
@@ -1609,7 +1698,8 @@ mod tests {
             "churn failed to open the spread"
         );
         // Any write now reclaims space; the cold block must migrate.
-        let _ = ssd.prepare_write(&mut sys, &mut ctrl, 40, HOST_BUF, 0);
+        let _ = ssd.prepare_write(&mut sys, 40, HOST_BUF, 0);
+        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
         assert!(ssd.wear_migrations() >= 1, "no migration ran");
         assert_eq!(ssd.map.wear_victim(0, 2), None, "spread still open");
         let moved = ssd.map.translate(0).unwrap();
@@ -1676,11 +1766,13 @@ mod tests {
             ssd.map.allocate_on_lun(i, 1);
         }
         let victim = ssd.map.plan_gc(0).unwrap().victim;
-        ssd.erase_or_retire(&mut sys, &mut ctrl, 0, victim.block);
+        ssd.erase_or_retire(0, victim.block);
+        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
         assert_eq!(ssd.blocks_retired(), 0);
         assert_eq!(ssd.map.erase_count(0, victim.block), 1);
         // Second erase of the same block: endurance 1 exhausted → retired.
-        ssd.erase_or_retire(&mut sys, &mut ctrl, 0, victim.block);
+        ssd.erase_or_retire(0, victim.block);
+        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
         assert_eq!(ssd.blocks_retired(), 1);
         assert_eq!(ssd.map.block_state(0, victim.block), BlockState::Retired);
     }

@@ -27,12 +27,14 @@
 //!    `(time, shard, emission index)` gives one global deterministic order.
 //! 5. The barrier advances to the horizon.
 //!
-//! A shard may *overshoot* the horizon when it performs blocking internal
-//! work (foreground GC runs events inline until a relocation completes).
-//! That is safe: the shard's own clock is private, deliveries clamp forward
-//! (`now = max(now, barrier)`), and the merge key still orders its outputs
-//! globally. Overshoot changes nothing across thread counts because it is a
-//! property of the shard's event stream, not of scheduling.
+//! A shard may *overshoot* the horizon if its `run_until` chooses to. The
+//! multi-channel SSD's shard has exactly one such choice: while an FTL job
+//! (GC, cache flushes, wear migration) is queued it steps past the horizon
+//! until the job has run. That is safe: the shard's own clock is private,
+//! deliveries clamp forward (`now = max(now, barrier)`), and the merge key
+//! still orders its outputs globally. Overshoot changes nothing across
+//! thread counts because it is a property of the shard's event stream, not
+//! of scheduling.
 //!
 //! # Threads
 //!

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Workspace determinism, `unsafe` and FTL-counter lint.
+# Workspace determinism, `unsafe`, FTL-counter and completion-harvest lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -24,6 +24,12 @@
 # `#[cfg(test)]`) must not write them anywhere else: no `count` or
 # `set_counter` call may name one, and a write to `Component::Ftl` through
 # a counter variable may only appear in the EXPORT_ALLOW file.
+#
+# The FTL collects controller completions in one place, `Ssd::harvest`,
+# which every driver loop shares: it notes watchdog progress and takes out
+# the FTL job's awaited flash op. Production code in crates/ftl must not
+# call `.take_completions(` in any other function, or host completions and
+# job completions could be collected twice, or not at all.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -106,12 +112,33 @@ while IFS= read -r hit; do
   fail=1
 done <<< "$ftl_writes"
 
+# `.take_completions(` in FTL production code outside `fn harvest` of
+# HARVEST_FILE; each call is attributed to the last `fn` before it.
+HARVEST_FILE="crates/ftl/src/ssd.rs"
+harvests=$(find crates/ftl -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
+  s/^#\[cfg\(test\)\].*//ms;
+  while (/\.take_completions\(/g) {
+    my $before = substr($_, 0, $-[0]);
+    my ($fn) = $before =~ /.*\bfn\s+(\w+)/s;
+    $fn //= "?";
+    next if $ARGV eq "'"$HARVEST_FILE"'" && $fn eq "harvest";
+    my $line = 1 + ($before =~ tr/\n//);
+    print "$ARGV:$line: in fn $fn\n";
+  }')
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  echo "lint: FTL completions taken outside Ssd::harvest:"
+  echo "  $hit"
+  fail=1
+done <<< "$harvests"
+
 if [ "$fail" -ne 0 ]; then
   echo
   echo "Use BTreeMap/BTreeSet (or SimTime for time) and safe code, or add an"
   echo "#[allow] / SAFETY note with a written justification and extend the"
   echo "allowlist in scripts/lint.sh. FTL counters are counted once, at their"
-  echo "source, and reach the tracer through Ssd::export_counters."
+  echo "source, and reach the tracer through Ssd::export_counters. The FTL"
+  echo "takes controller completions only in Ssd::harvest."
   exit 1
 fi
-echo "determinism, unsafe and FTL-counter lint: clean"
+echo "determinism, unsafe, FTL-counter and completion-harvest lint: clean"
