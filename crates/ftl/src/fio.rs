@@ -3,11 +3,17 @@
 //! The paper drives its end-to-end experiment with fio: "We initialized the
 //! baseline and the modified OpenSSDs with data and issued two READ
 //! workloads against them: one sequential and one random" (§VI-C). The
-//! types here describe such a job; the [`crate::ssd`] driver executes it.
+//! types here describe such a job, and one closed-loop client issues it:
+//! [`crate::Ssd::run`] hands the client to the FTL's drive loop, and
+//! [`crate::MultiSsd::run`] stripes its commands over the channels.
+
+use std::collections::BTreeMap;
 
 use babol_sim::rng::SplitMix64;
-use babol_sim::SimDuration;
-use babol_trace::{FtlCounter, FtlCounters};
+use babol_sim::{SimDuration, SimTime};
+use babol_trace::{FtlCounter, FtlCounters, MetricsHub};
+
+use crate::ssd::{Host, Ssd};
 
 /// Access pattern of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +55,85 @@ impl FioWorkload {
             IoPattern::SequentialRead | IoPattern::SequentialWrite => i % logical_pages,
             IoPattern::RandomRead | IoPattern::RandomWrite => rng.next_below(logical_pages),
         }
+    }
+}
+
+/// One host command (on a multi-channel device, routed to a shard with its
+/// LPN translated to the shard-local space).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostCmd {
+    /// Global host I/O id.
+    pub id: u64,
+    /// Logical page.
+    pub lpn: u64,
+    /// DRAM staging slot index (the host's queue-depth slot).
+    pub slot: u64,
+    /// Write (`true`) or read.
+    pub write: bool,
+}
+
+/// The closed-loop fio client: draws a job's I/Os from its seeded
+/// generator, keeps its queue depth outstanding and records each I/O's
+/// latency.
+#[derive(Debug)]
+pub(crate) struct FioClient {
+    wl: FioWorkload,
+    logical_pages: u64,
+    rng: SplitMix64,
+    next_id: u64,
+    /// Issue time of every outstanding I/O.
+    pub(crate) inflight: BTreeMap<u64, SimTime>,
+    /// Latencies of the completed I/Os, in completion order.
+    pub(crate) latencies: Vec<SimDuration>,
+}
+
+impl FioClient {
+    /// A client issuing `wl` over `logical_pages` logical pages.
+    pub(crate) fn new(wl: FioWorkload, logical_pages: u64) -> Self {
+        FioClient {
+            wl,
+            logical_pages,
+            rng: SplitMix64::new(wl.seed),
+            next_id: 0,
+            inflight: BTreeMap::new(),
+            latencies: Vec::with_capacity(wl.total_ios as usize),
+        }
+    }
+}
+
+impl Host for FioClient {
+    fn next(&mut self) -> Option<HostCmd> {
+        if self.inflight.len() >= self.wl.queue_depth || self.next_id >= self.wl.total_ios {
+            return None;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        Some(HostCmd {
+            id,
+            lpn: self.wl.lpn_of(id, self.logical_pages, &mut self.rng),
+            slot: id % self.wl.queue_depth as u64,
+            write: self.wl.pattern.is_write(),
+        })
+    }
+
+    fn issued(&mut self, id: u64, at: SimTime) {
+        self.inflight.insert(id, at);
+    }
+
+    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration> {
+        let t0 = self.inflight.remove(&id).expect("unknown host id");
+        let latency = at - t0;
+        self.latencies.push(latency);
+        metrics.observe_latency(at, latency);
+        Some(latency)
+    }
+
+    fn finished(&self) -> bool {
+        self.latencies.len() as u64 >= self.wl.total_ios
+    }
+
+    fn host_step(&mut self, ssd: &mut Ssd, now: SimTime) {
+        ssd.metrics_sample(now, self.inflight.len());
     }
 }
 

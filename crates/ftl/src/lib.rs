@@ -10,7 +10,7 @@
 //! * [`ssd`] — the SSD assembly: translates host I/O into controller
 //!   requests, charges FTL CPU cycles on the shared processor, runs GC.
 //! * [`fio`] — fio-like workload definitions (sequential/random read/write)
-//!   and the host driver that keeps a queue depth outstanding.
+//!   and the closed-loop client that keeps a queue depth outstanding.
 //! * [`multi`] — the whole-device assembly: the logical space striped over
 //!   N channels, each channel a self-contained shard (system + controller +
 //!   FTL slice) advanced in parallel by the conservative-barrier kernel in
@@ -32,10 +32,7 @@ pub mod ssd;
 pub use bad::{BadBlockConfig, BadBlockModel};
 pub use cache::{CachePolicy, Eviction, WriteCache};
 pub use energy::{EnergyModel, EnergyTally};
-pub use fio::{FioReport, FioWorkload, IoPattern};
+pub use fio::{FioReport, FioWorkload, HostCmd, IoPattern};
 pub use map::{BlockState, GcPlan, PageMap, Ppn};
-pub use multi::{
-    ChannelShard, HostCmd, MultiControllerKind, MultiFioReport, MultiSsd, MultiSsdConfig,
-    ShardDigest, ShardEvent,
-};
+pub use multi::{ChannelShard, MultiFioReport, MultiSsd, MultiSsdConfig, ShardDigest, ShardEvent};
 pub use ssd::{Ssd, SsdConfig};

@@ -18,41 +18,34 @@
 //!
 //! The logical-to-channel stripe means a shard's FTL and GC never touch
 //! another shard's state: host submissions in, completions out, nothing
-//! else crosses the boundary. A shard's clock overshoots the barrier
-//! horizon for one reason only: [`ChannelShard`]'s `run_until` steps past
-//! it while an FTL job (GC, cache flushes, wear migration) is queued, so
-//! the job finishes within the round. The merge key keeps its completions
-//! correctly ordered relative to every other shard, and the overshoot is
-//! identical at every thread count (see the determinism notes on
-//! [`babol_sim::par`]).
+//! else crosses the boundary. Each round, a shard runs the one-channel
+//! FTL's drive loop, `Ssd::drive`, to the barrier horizon, so both
+//! devices share one drive loop and one admission policy, and the
+//! coordinator drives the same fio client [`Ssd::run`] does. A shard's
+//! clock overshoots the horizon for one reason only: the drive loop steps
+//! past it while an FTL job (GC, cache flushes, wear migration) is queued,
+//! so the job finishes within the round. The merge key keeps its
+//! completions correctly ordered relative to every other shard, and the
+//! overshoot is identical at every thread count (see the determinism notes
+//! on [`babol_sim::par`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use babol::factory::{coro_controller, rtos_controller};
+use babol::factory::coro_controller;
 use babol::runtime::RuntimeConfig;
-use babol::system::{Controller, IoRequest, StepLimit, System};
+use babol::system::{Controller, System};
 use babol_channel::Channel;
 use babol_flash::array::ContentMode;
 use babol_flash::lun::LunConfig;
 use babol_flash::{Lun, PackageProfile};
-use babol_sim::rng::SplitMix64;
 use babol_sim::{
     CostModel, Cpu, Freq, PoolStats, Shard, ShardCtor, ShardPool, SimDuration, SimTime, Watchdog,
 };
 use babol_trace::{FtlCounter, FtlCounters, MetricsHub, Tracer};
 use babol_ufsm::EmitConfig;
 
-use crate::fio::{FioReport, FioWorkload};
-use crate::ssd::{Ssd, SsdConfig, HOST_BUF};
-
-/// Software controller flavor driving each channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MultiControllerKind {
-    /// The FreeRTOS-style BABOL environment.
-    Rtos,
-    /// The coroutine BABOL environment.
-    Coro,
-}
+use crate::fio::{FioClient, FioReport, FioWorkload, HostCmd};
+use crate::ssd::{Host, Ssd, SsdConfig};
 
 /// Static configuration of a multi-channel SSD.
 #[derive(Debug, Clone)]
@@ -72,13 +65,6 @@ pub struct MultiSsdConfig {
     pub shard: SsdConfig,
     /// Flash package on every LUN.
     pub profile: PackageProfile,
-    /// Channel transfer rate (MT/s).
-    pub mts: u32,
-    /// Controller CPU frequency (MHz) — each channel has its own processor,
-    /// as on a multi-channel Cosmos+ where channel controllers replicate.
-    pub cpu_mhz: u64,
-    /// Controller flavor on every channel.
-    pub kind: MultiControllerKind,
     /// Pre-map the logical space and preload flash content (read jobs).
     pub preload: bool,
     /// Per-shard tracer ring capacity; `None` runs untraced.
@@ -93,7 +79,7 @@ pub struct MultiSsdConfig {
 
 impl MultiSsdConfig {
     /// A miniature multi-channel device for tests: tiny geometry, two LUNs
-    /// per channel, coroutine controllers, preloaded.
+    /// per channel, preloaded.
     pub fn tiny(channels: u32, threads: usize) -> Self {
         MultiSsdConfig {
             channels,
@@ -101,29 +87,12 @@ impl MultiSsdConfig {
             window: SimDuration::from_micros(20),
             shard: SsdConfig::tiny(2),
             profile: PackageProfile::test_tiny(),
-            mts: 200,
-            cpu_mhz: 1000,
-            kind: MultiControllerKind::Coro,
             preload: true,
             trace_capacity: None,
             watchdog: Some(Ssd::envelope_watchdog_budget(&PackageProfile::test_tiny())),
             metrics_window: None,
         }
     }
-}
-
-/// One host command routed to a shard (LPN already translated to the
-/// shard-local space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostCmd {
-    /// Global host I/O id.
-    pub id: u64,
-    /// Shard-local logical page.
-    pub lpn: u64,
-    /// DRAM staging slot index (global queue-depth slot).
-    pub slot: u64,
-    /// Write (`true`) or read.
-    pub write: bool,
 }
 
 /// One record harvested from a shard during a barrier window.
@@ -179,18 +148,16 @@ pub struct ShardDigest {
     pub pending: usize,
 }
 
-/// One channel's complete simulation stack. See the module docs.
+/// One channel's complete simulation stack. See the module docs. Every
+/// channel runs a coroutine BABOL controller on its own 1 GHz processor,
+/// as on a multi-channel Cosmos+ where channel controllers replicate, over
+/// a 200 MT/s NV-DDR2 bus.
 pub struct ChannelShard {
     id: u32,
     sys: System,
     ctrl: Box<dyn Controller>,
     ssd: Ssd,
-    inbox: VecDeque<(SimTime, HostCmd)>,
-    /// Prepared requests the controller has not yet admitted, FIFO.
-    pending: VecDeque<IoRequest>,
-    /// Harvested host completions, held while the inbox is prepared and
-    /// its jobs run.
-    done: Vec<(IoRequest, SimTime)>,
+    inbox: VecDeque<HostCmd>,
     /// Counter totals already reported through [`ShardEvent::Counters`].
     reported: FtlCounters,
 }
@@ -215,14 +182,10 @@ impl ChannelShard {
                 })
             })
             .collect();
-        let cost = match cfg.kind {
-            MultiControllerKind::Rtos => CostModel::rtos(),
-            MultiControllerKind::Coro => CostModel::coroutine(),
-        };
         let mut sys = System::new(
             Channel::new(luns),
-            EmitConfig::nv_ddr2(cfg.mts),
-            Cpu::new(Freq::from_mhz(cfg.cpu_mhz), cost),
+            EmitConfig::nv_ddr2(200),
+            Cpu::new(Freq::from_ghz(1), CostModel::coroutine()),
         );
         if let Some(cap) = cfg.trace_capacity {
             let mut tracer = Tracer::with_capacity(cap);
@@ -230,12 +193,7 @@ impl ChannelShard {
             sys.trace = tracer;
         }
         let layout = cfg.profile.layout();
-        let ctrl: Box<dyn Controller> = match cfg.kind {
-            MultiControllerKind::Rtos => Box::new(rtos_controller(layout, RuntimeConfig::rtos())),
-            MultiControllerKind::Coro => {
-                Box::new(coro_controller(layout, RuntimeConfig::coroutine()))
-            }
-        };
+        let ctrl = Box::new(coro_controller(layout, RuntimeConfig::coroutine()));
         let mut ssd = Ssd::new(cfg.shard);
         ssd.set_watchdog(cfg.watchdog);
         if cfg.preload {
@@ -253,40 +211,34 @@ impl ChannelShard {
             ctrl,
             ssd,
             inbox: VecDeque::new(),
-            pending: VecDeque::new(),
-            done: Vec::new(),
             reported: FtlCounters::default(),
         }
     }
+}
 
-    /// Prepares one delivered command, queueing the GC, flushes or
-    /// migration it needs on the SSD's job queue. Its controller request
-    /// waits in `pending` until the whole inbox is prepared.
-    fn prepare(&mut self, at: SimTime, cmd: HostCmd) {
-        self.sys.now = self.sys.now.max(at);
-        let buf = HOST_BUF + cmd.slot * self.ssd.cfg.geometry.page_size as u64;
-        let (id, lpn, write) = (cmd.id, cmd.lpn, cmd.write);
-        let req = self.ssd.prepare_host(&mut self.sys, id, lpn, write, buf);
-        self.pending.extend(req);
+/// A shard's host side for one barrier round: the commands delivered to
+/// it, and the round's records.
+struct Round<'a> {
+    inbox: &'a mut VecDeque<HostCmd>,
+    out: &'a mut Vec<ShardEvent>,
+}
+
+impl Host for Round<'_> {
+    fn next(&mut self) -> Option<HostCmd> {
+        self.inbox.pop_front()
     }
 
-    /// Reports host I/O `id` complete at `at`: one op in the shard's
-    /// telemetry (its latency is only known at the coordinator).
-    fn done(ssd: &mut Ssd, id: u64, at: SimTime, out: &mut Vec<ShardEvent>) {
-        ssd.metrics_mut().note_op(at);
-        out.push(ShardEvent::Done { id, at });
+    /// One op in the shard's telemetry; the latency is only known at the
+    /// coordinator.
+    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration> {
+        metrics.note_op(at);
+        self.out.push(ShardEvent::Done { id, at });
+        None
     }
 
-    /// Admits prepared requests in FIFO order until the controller's
-    /// admission queue refuses one.
-    fn try_admit(&mut self) {
-        while let Some(&req) = self.pending.front() {
-            if !self.ctrl.submit(&mut self.sys, req) {
-                break;
-            }
-            self.ssd.account_io(&req);
-            self.pending.pop_front();
-        }
+    /// A shard runs to its barrier horizon.
+    fn finished(&self) -> bool {
+        false
     }
 }
 
@@ -300,45 +252,16 @@ impl Shard for ChannelShard {
         // this shard to the previous horizon), so clamping forward cannot
         // reorder anything.
         self.sys.now = self.sys.now.max(at);
-        self.inbox.push_back((at, msg));
+        self.inbox.push_back(msg);
     }
 
     fn run_until(&mut self, horizon: SimTime, out: &mut Vec<ShardEvent>) {
-        loop {
-            self.ssd.harvest(self.ctrl.as_mut(), &mut self.done);
-            // Delivered commands are prepared one at a time, each once the
-            // job the one before it queued has run; a write the cache
-            // absorbed completes when its job reaches it.
-            let busy = loop {
-                match self.ssd.pump(&mut self.sys, self.ctrl.as_mut()) {
-                    Some(id) => Self::done(&mut self.ssd, id, self.sys.now, out),
-                    None if self.ssd.job_queued() => break true,
-                    None => match self.inbox.pop_front() {
-                        Some((at, cmd)) => self.prepare(at, cmd),
-                        None => break false,
-                    },
-                }
-            };
-            if !busy {
-                for (req, at) in self.done.drain(..) {
-                    Self::done(&mut self.ssd, req.id, at, out);
-                }
-                self.try_admit();
-            }
-            // The shard's one overshoot: while a job is queued the shard
-            // steps past the horizon, under the FTL's stall watchdog, until
-            // the job has run. Stopping at the horizon instead changes
-            // simulated latencies, so it waits for new benchmark baselines.
-            let headline = || self.ssd.stall_headline();
-            let limit = if busy {
-                StepLimit::Watched(&self.ssd.watchdog, &headline)
-            } else {
-                StepLimit::Horizon(horizon)
-            };
-            if !self.sys.step(self.ctrl.as_mut(), limit) {
-                break;
-            }
-        }
+        let mut round = Round {
+            inbox: &mut self.inbox,
+            out,
+        };
+        let (sys, ctrl) = (&mut self.sys, self.ctrl.as_mut());
+        self.ssd.drive(sys, ctrl, &mut round, Some(horizon));
         let counters = self.ssd.counters();
         if counters != self.reported {
             let delta = counters.since(&self.reported);
@@ -353,7 +276,7 @@ impl Shard for ChannelShard {
         // are bit-identical at every thread count. Sampling at the hub's
         // latest-seen time (completions can run ahead of the shard clock)
         // keeps the tail frame's gauges stamped after the final round.
-        let depth = self.ctrl.in_flight() + self.pending.len();
+        let depth = self.ctrl.in_flight() + usize::from(self.ssd.staged.is_some());
         let at = SimTime::from_picos(self.ssd.metrics().end_ps()).max(self.sys.now);
         self.ssd.metrics_flush(at, depth);
     }
@@ -380,7 +303,7 @@ impl Shard for ChannelShard {
             pool: self.sys.pool().stats(),
             tracer: std::mem::take(&mut self.sys.trace),
             metrics: self.ssd.take_metrics(),
-            pending: self.pending.len(),
+            pending: usize::from(self.ssd.staged.is_some()),
         }
     }
 }
@@ -482,10 +405,7 @@ impl MultiSsd {
         let start = self.barrier;
         self.watchdog.arm_at(start);
         let events_base: u64 = self.events_seen.iter().sum();
-        let mut rng = SplitMix64::new(wl.seed);
-        let mut issued = 0u64;
-        let mut inflight: BTreeMap<u64, SimTime> = BTreeMap::new();
-        let mut latencies: Vec<SimDuration> = Vec::with_capacity(wl.total_ios as usize);
+        let mut client = FioClient::new(*wl, self.logical_pages);
         let mut completion_log = Vec::with_capacity(wl.total_ios as usize);
         let mut per_shard_ios = vec![0u64; self.channels as usize];
         let mut next_events: Vec<Option<SimTime>> = vec![None; self.channels as usize];
@@ -494,19 +414,13 @@ impl MultiSsd {
         let mut rounds = 0u64;
         let mut end = start;
 
-        while (latencies.len() as u64) < wl.total_ios {
+        let channels = self.channels as u64;
+        while !client.finished() {
             // Refill the global queue depth; the stripe routes each LPN.
-            while inflight.len() < wl.queue_depth && issued < wl.total_ios {
-                let lpn = wl.lpn_of(issued, self.logical_pages, &mut rng);
-                let shard = (lpn % self.channels as u64) as usize;
-                inboxes[shard].push(HostCmd {
-                    id: issued,
-                    lpn: lpn / self.channels as u64,
-                    slot: issued % wl.queue_depth as u64,
-                    write: wl.pattern.is_write(),
-                });
-                inflight.insert(issued, self.barrier);
-                issued += 1;
+            while let Some(cmd) = client.next() {
+                let lpn = cmd.lpn / channels;
+                inboxes[(cmd.lpn % channels) as usize].push(HostCmd { lpn, ..cmd });
+                client.issued(cmd.id, self.barrier);
             }
             // Conservative horizon: nothing can happen before the earliest
             // pending event or queued delivery; the fixed window bounds how
@@ -520,7 +434,7 @@ impl MultiSsd {
                 panic!(
                     "multi-SSD deadlock: {} of {} I/Os complete, \
                      no events pending on any of {} shards",
-                    latencies.len(),
+                    client.latencies.len(),
                     wl.total_ios,
                     self.channels
                 );
@@ -548,11 +462,7 @@ impl MultiSsd {
                 self.watchdog.note_progress(at);
                 match ev {
                     ShardEvent::Done { id, .. } => {
-                        let t0 = inflight
-                            .remove(&id)
-                            .expect("completion for an unknown host id");
-                        latencies.push(at - t0);
-                        self.metrics.observe_latency(at, at - t0);
+                        client.complete(id, at, &mut self.metrics);
                         completion_log.push((at, sid, id));
                         per_shard_ios[sid as usize] += 1;
                         end = end.max(at);
@@ -566,9 +476,9 @@ impl MultiSsd {
                     "multi-SSD stall watchdog (V074 EnvelopeExceeded): no completion for {:?} \
                      ({} of {} I/Os complete, {} in flight, {rounds} rounds, {} GC cycles)",
                     self.watchdog.stalled_for(self.barrier),
-                    latencies.len(),
+                    client.latencies.len(),
                     wl.total_ios,
-                    inflight.len(),
+                    client.inflight.len(),
                     counters[FtlCounter::GcCycles],
                 );
             }
@@ -579,7 +489,7 @@ impl MultiSsd {
         // and the series combiner pads every lane to the common length.
         self.metrics.touch(end);
         MultiFioReport {
-            fio: FioReport::summarize(latencies, self.page_size, end - start, &counters),
+            fio: FioReport::summarize(client.latencies, self.page_size, end - start, &counters),
             completion_log,
             per_shard_ios,
             rounds,
@@ -691,17 +601,22 @@ mod tests {
 
     /// Shard jobs (GC, and with a cache also flushes and absorbed-write
     /// completions) leave the report and the completion log unchanged at
-    /// every thread count.
+    /// every thread count. The 4-channel input has host completions land
+    /// during GC at round boundaries: a shard holds them until a
+    /// host-level step, and a horizon stop must count as one, or they stay
+    /// held, pin the coordinator's queue slots, and the stall watchdog
+    /// fires.
     #[test]
     fn write_job_with_gc_is_thread_count_invariant() {
-        for cache_pages in [0, 8] {
+        // (channels, cache pages, queue depth, I/Os): about 3x the 96
+        // logical pages per channel, so GC runs.
+        for (channels, cache_pages, qd, ios) in [(2, 0, 4, 560), (2, 8, 4, 560), (4, 0, 16, 1152)] {
             let run = |threads: usize| {
-                let mut cfg = MultiSsdConfig::tiny(2, threads);
+                let mut cfg = MultiSsdConfig::tiny(channels, threads);
                 cfg.preload = false;
                 cfg.shard.cache_pages = cache_pages;
                 let mut ssd = MultiSsd::new(cfg);
-                // 2 channels x 96 logical pages; 3x overwrite forces GC.
-                let r = ssd.run(&job(IoPattern::RandomWrite, 560, 4, 7));
+                let r = ssd.run(&job(IoPattern::RandomWrite, ios, qd, 7));
                 assert!(r.fio.gc_cycles > 0, "workload must reach GC");
                 if cache_pages > 0 {
                     assert!(r.fio.cache_dirty_evicts > 0, "the cache must flush");
@@ -713,10 +628,57 @@ mod tests {
                 assert_eq!(
                     run(threads),
                     one,
-                    "{cache_pages} cache pages, {threads} threads"
+                    "{channels} channels, {cache_pages} cache pages, {threads} threads"
                 );
             }
         }
+    }
+
+    /// Regression: a shard admits each host request right after the job
+    /// its preparation queued, the one-channel policy. It used to prepare
+    /// its whole inbox, running every command's job, before admitting any
+    /// request. LUN 0 is shaped so that each of two writes delivered in
+    /// one round needs its own GC cycle: seven of its eight blocks are
+    /// full, the first two hold only stale pages, and the first write's
+    /// page opens the block its GC freed.
+    #[test]
+    fn shard_admits_each_write_right_after_its_job() {
+        use babol_trace::TraceKind;
+        let mut cfg = MultiSsdConfig::tiny(1, 1);
+        cfg.preload = false;
+        cfg.trace_capacity = Some(1 << 16);
+        let mut shard = ChannelShard::build(&cfg, 0);
+        let map = &mut shard.ssd.map;
+        for lpn in 0..56 {
+            map.allocate_on_lun(lpn, 0);
+        }
+        for lpn in 0..16 {
+            map.invalidate(lpn);
+        }
+        assert!(map.needs_gc(0));
+        for id in 0..2 {
+            let cmd = HostCmd {
+                id,
+                lpn: 60 + id,
+                slot: id,
+                write: true,
+            };
+            shard.deliver(SimTime::ZERO, cmd);
+        }
+        let mut out = Vec::new();
+        shard.run_until(SimTime::ZERO + cfg.window, &mut out);
+        assert_eq!(shard.ssd.gc_cycles, 2, "each write must need a GC cycle");
+        let events: Vec<_> = shard.sys.trace.events().collect();
+        let at = |kind: TraceKind, op_id: u64| {
+            events
+                .iter()
+                .position(|e| e.kind == kind && e.op_id == op_id)
+                .unwrap_or_else(|| panic!("no {kind:?} for op {op_id}"))
+        };
+        assert!(
+            at(TraceKind::OpIssue, 0) < at(TraceKind::GcStart, 1),
+            "the first write waited for the second write's GC"
+        );
     }
 
     #[test]

@@ -23,18 +23,26 @@
 //! never simulated time) and queues those steps on one reused FIFO per
 //! `Ssd`: internal flash ops, cache-slot stages that must follow their
 //! eviction flush, GC trace marks, and the completion of a write the cache
-//! absorbed. The driver loops ([`Ssd::run`], [`Ssd::flush_cache`] and the
-//! multi-channel shard's `run_until`) run the queue one flash op at a time
-//! through the same harvest that collects host completions, and prepare
-//! no host command while a job is queued, so the map changes in the order
-//! the work runs. The FTL never steps the event queue itself: only those
-//! driver loops call [`System::step`].
+//! absorbed. The drive loop runs the queue one flash op at a time through
+//! the same harvest that collects host completions, and prepares no host
+//! command while a job is queued, so the map changes in the order the work
+//! runs.
+//!
+//! # One drive loop
+//!
+//! `Ssd::drive` is the only FTL loop that calls [`System::step`]:
+//! [`Ssd::run`] and [`Ssd::flush_cache`] run it to the end of their work,
+//! and each multi-channel shard runs it to its barrier horizon. Every
+//! caller gets the one admission policy: a host command is prepared only
+//! while no job is queued, its request is submitted as soon as the job its
+//! preparation queued has run, and host completions that land during a
+//! job are handed to the host only after the next host-level step (one
+//! taken with no job queued). The caller's side of the loop is a `Host`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use babol::system::{Controller, IoKind, IoRequest, StepLimit, System};
 use babol_flash::Geometry;
-use babol_sim::rng::SplitMix64;
 use babol_sim::{PageBufMut, SimDuration, SimTime, Watchdog};
 use babol_trace::{
     Component, Counter, FtlCounter, FtlCounters, Metric, MetricsHub, MetricsSnapshot, TraceKind,
@@ -44,7 +52,7 @@ use babol_trace::{
 use crate::bad::{BadBlockConfig, BadBlockModel};
 use crate::cache::{CachePolicy, WriteCache};
 use crate::energy::{EnergyModel, EnergyTally};
-use crate::fio::{FioReport, FioWorkload, IoPattern};
+use crate::fio::{FioClient, FioReport, FioWorkload, HostCmd, IoPattern};
 use crate::map::{PageMap, Ppn};
 
 /// Static configuration of the SSD.
@@ -114,7 +122,7 @@ impl SsdConfig {
 
 /// Host-buffer base address; requests stage data here, one page per queue
 /// slot, recycled.
-pub(crate) const HOST_BUF: u64 = 0x1000_0000;
+const HOST_BUF: u64 = 0x1000_0000;
 /// Scratch area used by GC relocations.
 const GC_BUF: u64 = 0x7000_0000;
 /// Write-back cache slots live here, one page per slot.
@@ -128,7 +136,8 @@ const INTERNAL_ID: u64 = 1 << 62;
 /// rather than run to a no-victim fixpoint.
 const WEAR_CHECK_INTERVAL_GC: u64 = 8;
 
-/// The host side of a drive that only runs queued jobs.
+/// The job of a host that issues nothing: a drive that only runs queued
+/// jobs.
 const NO_HOST_IO: FioWorkload = FioWorkload {
     pattern: IoPattern::SequentialWrite,
     total_ios: 0,
@@ -153,16 +162,53 @@ enum JobStep {
     HostDone { id: u64 },
 }
 
+/// The host side of [`Ssd::drive`]: where host commands come from and
+/// where their completions go.
+pub(crate) trait Host {
+    /// The next command to prepare, or `None` while the host has none to
+    /// issue.
+    fn next(&mut self) -> Option<HostCmd>;
+
+    /// Host I/O `id` was admitted, or absorbed by the cache, at `at`.
+    fn issued(&mut self, _id: u64, _at: SimTime) {}
+
+    /// Host I/O `id` completed at `at`. Returns its latency when the host
+    /// measures one, for the trace.
+    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration>;
+
+    /// Whether the host is done; the drive then returns as soon as no job
+    /// is queued.
+    fn finished(&self) -> bool;
+
+    /// Runs after every host-level step.
+    fn host_step(&mut self, _ssd: &mut Ssd, _now: SimTime) {}
+}
+
 /// An SSD: page map plus workload driver.
 #[derive(Debug)]
 pub struct Ssd {
-    pub(crate) cfg: SsdConfig,
-    map: PageMap,
+    cfg: SsdConfig,
+    pub(crate) map: PageMap,
     next_internal: u64,
     /// The FTL job queue (see the module docs), reused across jobs.
     jobs: VecDeque<JobStep>,
     /// Whether the job's flash op is in flight: submitted, not harvested.
     awaiting: bool,
+    /// A fully prepared host request not yet admitted: refused by the
+    /// controller, or waiting on its job. Resubmitted verbatim before
+    /// anything new is prepared. Preparing is not idempotent — it draws
+    /// the RNG, charges FTL cycles, and (for writes) allocates the target
+    /// page — so a refused request must be retained, never rebuilt. It,
+    /// `done` and `host_step` live here so that a shard keeps them across
+    /// barrier rounds.
+    pub(crate) staged: Option<IoRequest>,
+    /// Harvested host completions. Those that land during a job keep their
+    /// queue slots until a host-level step has run: the admission pass a
+    /// job interrupts resumes with them still counted.
+    done: Vec<(IoRequest, SimTime)>,
+    /// Whether the last step was host-level: taken with no job queued, or
+    /// a barrier horizon reached.
+    host_step: bool,
     /// Pooled scratch for building host-write patterns, acquired once from
     /// the system's pool and reused for every write.
     scratch: Option<PageBufMut>,
@@ -200,7 +246,7 @@ pub struct Ssd {
     /// a foreground GC storm on the paper geometry can legitimately hold
     /// off host completions for a long stretch while relocations complete
     /// steadily, and those relocations are forward progress.
-    pub(crate) watchdog: Watchdog,
+    watchdog: Watchdog,
     /// True until [`Ssd::set_watchdog`] pins or disarms the budget: the
     /// watchdog is (re)armed from the static envelope of the target
     /// package at `run` start.
@@ -254,6 +300,9 @@ impl Ssd {
             next_internal: INTERNAL_ID,
             jobs: VecDeque::new(),
             awaiting: false,
+            staged: None,
+            done: Vec::new(),
+            host_step: true,
             scratch: None,
             gc_cycles: 0,
             cache: WriteCache::new(cfg.cache_pages, cfg.cache_policy),
@@ -458,7 +507,8 @@ impl Ssd {
         }
         self.watchdog.arm_at(start);
         self.metrics_prime();
-        let latencies = self.drive(sys, controller, &wl);
+        let mut client = FioClient::new(wl, self.map.logical_pages());
+        self.drive(sys, controller, &mut client, None);
         // Closing flush: completions can carry timestamps past the driver
         // clock (their frame already exists), so close at whichever is
         // later — otherwise the tail frame's gauges would stay unstamped.
@@ -466,124 +516,98 @@ impl Ssd {
         self.metrics_flush(close, 0);
         self.export_counters(&mut sys.trace);
         let (page, elapsed) = (self.cfg.geometry.page_size, sys.now - start);
-        FioReport::summarize(latencies, page, elapsed, &self.counters())
+        FioReport::summarize(client.latencies, page, elapsed, &self.counters())
     }
 
-    /// The FTL's drive loop, shared by [`Ssd::run`] and
-    /// [`Ssd::flush_cache`]: keeps `wl`'s queue depth of host I/O
-    /// outstanding and runs the job queue one flash op at a time, stepping
-    /// under the FTL's stall watchdog. A host command is prepared only while
-    /// no job is queued, and its request is submitted after the job its
-    /// preparation queued has run. Returns the host latencies.
-    fn drive(
+    /// The FTL's one drive loop (see the module docs): keeps `host` fed
+    /// with admitted requests and runs the job queue one flash op at a
+    /// time. With no `horizon` it steps under the FTL's stall watchdog
+    /// until the host is finished and no job is queued; with one it
+    /// returns at the first step the horizon stops.
+    // Inlined into its callers, so `run` and the shard's `run_until` each
+    // keep `System::step` inline: one shared out-of-line copy measured ~3%
+    // more simbench host time per I/O on a 2-vCPU x86-64 host.
+    #[inline]
+    pub(crate) fn drive(
         &mut self,
         sys: &mut System,
         controller: &mut dyn Controller,
-        wl: &FioWorkload,
-    ) -> Vec<SimDuration> {
-        let mut rng = SplitMix64::new(wl.seed);
-        let mut issued = 0u64;
-        let mut inflight: BTreeMap<u64, SimTime> = BTreeMap::new();
-        // A fully prepared request not yet admitted: refused by the
-        // controller, or waiting on its job. Resubmitted verbatim before
-        // anything new is prepared. Preparing is not idempotent — it draws
-        // the RNG, charges FTL cycles, and (for writes) allocates the target
-        // page — so a refused request must be retained, never rebuilt. (The
-        // old retry loop here re-prepared, leaving the L2P map pointing at a
-        // never-programmed page and double-charging the CPU for the same I/O
-        // index.)
-        let mut staged: Option<IoRequest> = None;
-        let mut latencies = Vec::with_capacity(wl.total_ios as usize);
-        // Harvested host completions. Those that land during a job keep
-        // their queue slots until a host-level step, one taken with no job
-        // queued, has run: the admission pass a job interrupts resumes
-        // with them still counted.
-        let mut done = Vec::new();
-        let mut host_step = true;
-        let page = self.cfg.geometry.page_size as u64;
+        host: &mut impl Host,
+        horizon: Option<SimTime>,
+    ) {
         loop {
-            self.harvest(controller, &mut done);
+            self.harvest(controller);
             while let Some(id) = self.pump(sys, controller) {
-                let t0 = inflight.remove(&id).expect("absorbed write in flight");
-                self.host_done(&mut sys.trace, &mut latencies, t0, sys.now);
+                complete(host, &mut self.metrics, &mut sys.trace, id, sys.now);
             }
             let busy = self.job_queued();
             if !busy {
-                if std::mem::take(&mut host_step) {
-                    for (req, at) in done.drain(..) {
-                        if let Some(t0) = inflight.remove(&req.id) {
-                            self.host_done(&mut sys.trace, &mut latencies, t0, at);
-                        }
+                if std::mem::take(&mut self.host_step) {
+                    for (req, at) in self.done.drain(..) {
+                        complete(host, &mut self.metrics, &mut sys.trace, req.id, at);
                     }
                 }
-                while inflight.len() < wl.queue_depth && (staged.is_some() || issued < wl.total_ios)
-                {
-                    if staged.is_none() {
-                        let id = issued;
-                        issued += 1;
-                        let lpn = wl.lpn_of(id, self.map.logical_pages(), &mut rng);
-                        let buf = HOST_BUF + (id % wl.queue_depth as u64) * page;
-                        staged = self.prepare_host(sys, id, lpn, wl.pattern.is_write(), buf);
-                        if staged.is_none() {
-                            inflight.insert(id, sys.now);
+                // A staged request needs no room check: `next` found it
+                // room, and the host has only freed slots since.
+                loop {
+                    if self.staged.is_none() {
+                        let Some(cmd) = host.next() else { break };
+                        self.staged = self.prepare_host(sys, cmd);
+                        if self.staged.is_none() {
+                            host.issued(cmd.id, sys.now);
                         }
                         // Run the job first; an absorbed write completes in it.
                         if self.job_queued() {
                             break;
                         }
                     }
-                    let req = staged.take().expect("a prepared host request");
+                    let req = self.staged.take().expect("a prepared host request");
                     if !controller.submit(sys, req) {
-                        staged = Some(req);
+                        self.staged = Some(req);
                         break;
                     }
                     self.account_io(&req);
-                    inflight.insert(req.id, sys.now);
+                    host.issued(req.id, sys.now);
                 }
                 if self.job_queued() {
                     continue;
                 }
-                if latencies.len() as u64 >= wl.total_ios {
-                    return latencies;
+                if host.finished() {
+                    return;
                 }
             }
+            // The one overshoot choice: a job runs to its end, past any
+            // horizon, under the FTL's stall watchdog. Stopping at the
+            // horizon instead changes simulated latencies, so it waits for
+            // new benchmark baselines.
             let headline = || self.stall_headline();
-            sys.step(controller, StepLimit::Watched(&self.watchdog, &headline));
-            host_step = !busy;
-            if host_step {
-                self.metrics_sample(sys.now, inflight.len());
+            let limit = match horizon {
+                Some(h) if !busy => StepLimit::Horizon(h),
+                _ => StepLimit::Watched(&self.watchdog, &headline),
+            };
+            let stepped = sys.step(controller, limit);
+            // A horizon stop is host-level too, or completions held in a
+            // job would wait out every later round.
+            self.host_step = !busy;
+            if !stepped {
+                return;
+            }
+            if self.host_step {
+                host.host_step(self, sys.now);
             }
         }
     }
 
-    /// Accounts one host I/O issued at `t0` that completed at `at`.
-    fn host_done(
-        &mut self,
-        trace: &mut Tracer,
-        latencies: &mut Vec<SimDuration>,
-        t0: SimTime,
-        at: SimTime,
-    ) {
-        latencies.push(at - t0);
-        trace.count(Component::Ftl, Counter::OpsCompleted, 1);
-        trace.observe(Metric::HostLatency, at - t0);
-        self.metrics.observe_latency(at, at - t0);
-    }
-
     /// The FTL's headline in a stall diagnostic.
-    pub(crate) fn stall_headline(&self) -> String {
+    fn stall_headline(&self) -> String {
         format!("SSD, host or internal; {} GC cycles", self.gc_cycles)
     }
 
-    /// The FTL's one harvest of controller completions, shared by every
-    /// driver loop: appends them to `done`, notes each as watchdog progress
-    /// (host or internal), and takes out the job's flash op, so only host
-    /// completions are left for the driver.
-    pub(crate) fn harvest(
-        &mut self,
-        controller: &mut dyn Controller,
-        done: &mut Vec<(IoRequest, SimTime)>,
-    ) {
+    /// The FTL's one harvest of controller completions: appends them to
+    /// `done`, notes each as watchdog progress (host or internal), and
+    /// takes out the job's flash op, so only host completions are left.
+    fn harvest(&mut self, controller: &mut dyn Controller) {
+        let done = &mut self.done;
         let seen = done.len();
         controller.take_completions(done);
         for &(_, at) in &done[seen..] {
@@ -600,7 +624,7 @@ impl Ssd {
     /// before it has completed (a refused op is retried on the next call).
     /// Stops at a write the cache absorbed, returning its id: it completes
     /// now.
-    pub(crate) fn pump(&mut self, sys: &mut System, ctrl: &mut dyn Controller) -> Option<u64> {
+    fn pump(&mut self, sys: &mut System, ctrl: &mut dyn Controller) -> Option<u64> {
         while !self.awaiting {
             let step = self.jobs.pop_front()?;
             match step {
@@ -628,40 +652,33 @@ impl Ssd {
 
     /// Whether an FTL job is queued or its flash op is in flight: the
     /// driver must step, and prepare no host command, until it has run.
-    pub(crate) fn job_queued(&self) -> bool {
+    fn job_queued(&self) -> bool {
         self.awaiting || !self.jobs.is_empty()
     }
 
-    /// Prepares host I/O `id` on `lpn`, staged at DRAM address `buf`:
+    /// Prepares host command `cmd`, staged in its queue slot's DRAM page:
     /// charges the FTL's lookup on the shared CPU, queues the job the I/O
     /// needs first (GC, wear migration, cache flushes), and builds the
-    /// flash request, which the driver submits once that job has run. A
-    /// write the write-back cache absorbs returns `None`: its completion is
-    /// the job's last step. The single- and multi-channel drivers both
-    /// prepare through this.
-    pub(crate) fn prepare_host(
-        &mut self,
-        sys: &mut System,
-        id: u64,
-        lpn: u64,
-        write: bool,
-        buf: u64,
-    ) -> Option<IoRequest> {
+    /// flash request, which the drive loop submits once that job has run.
+    /// A write the write-back cache absorbs returns `None`: its completion
+    /// is the job's last step.
+    fn prepare_host(&mut self, sys: &mut System, cmd: HostCmd) -> Option<IoRequest> {
+        let buf = HOST_BUF + cmd.slot * self.cfg.geometry.page_size as u64;
         sys.cpu.charge(sys.now, self.cfg.ftl_lookup_cycles);
-        if write && self.cache.is_enabled() {
-            self.cache_write(lpn);
-            self.jobs.push_back(JobStep::HostDone { id });
+        if cmd.write && self.cache.is_enabled() {
+            self.cache_write(cmd.lpn);
+            self.jobs.push_back(JobStep::HostDone { id: cmd.id });
             return None;
         }
-        if write {
-            return Some(self.prepare_write(sys, lpn, buf, id));
+        if cmd.write {
+            return Some(self.prepare_write(sys, cmd.lpn, buf, cmd.id));
         }
-        self.flush_for_read(lpn);
+        self.flush_for_read(cmd.lpn);
         let ppn = self
             .map
-            .translate(lpn)
+            .translate(cmd.lpn)
             .expect("read of unmapped page: preload the device first (Ssd::preload / MultiSsdConfig::preload)");
-        Some(self.page_io(id, IoKind::Read, ppn, buf))
+        Some(self.page_io(cmd.id, IoKind::Read, ppn, buf))
     }
 
     /// A whole-page read or program of `ppn` through DRAM address `buf`, or
@@ -917,12 +934,12 @@ impl Ssd {
         for (lpn, slot) in self.cache.drain_dirty() {
             self.flush_slot(lpn, slot);
         }
-        self.drive(sys, controller, &NO_HOST_IO);
+        self.drive(sys, controller, &mut FioClient::new(NO_HOST_IO, 0), None);
         self.export_counters(&mut sys.trace);
     }
 
     /// Charges one admitted operation's energy.
-    pub(crate) fn account_io(&mut self, req: &IoRequest) {
+    fn account_io(&mut self, req: &IoRequest) {
         self.energy.charge(&self.cfg.energy, req);
     }
 
@@ -941,6 +958,15 @@ impl Ssd {
         self.jobs
             .push_back(JobStep::Gc(TraceKind::GcEnd, lun, cycle));
         self.gc_cycles += 1;
+    }
+}
+
+/// Hands host I/O `id`'s completion at `at` to `host`, tracing the latency
+/// it measured.
+fn complete(host: &mut impl Host, hub: &mut MetricsHub, trace: &mut Tracer, id: u64, at: SimTime) {
+    if let Some(latency) = host.complete(id, at, hub) {
+        trace.count(Component::Ftl, Counter::OpsCompleted, 1);
+        trace.observe(Metric::HostLatency, latency);
     }
 }
 
@@ -993,6 +1019,11 @@ mod tests {
             ssd.preload();
         }
         (sys, ctrl, ssd)
+    }
+
+    /// Runs the queued FTL jobs with no host I/O.
+    fn run_jobs(ssd: &mut Ssd, sys: &mut System, ctrl: &mut dyn Controller) {
+        ssd.drive(sys, ctrl, &mut FioClient::new(NO_HOST_IO, 0), None);
     }
 
     fn tiny_stack(luns: u32, preloaded: bool) -> (System, babol::runtime::SoftController, Ssd) {
@@ -1565,7 +1596,7 @@ mod tests {
         let _ = ssd.prepare_write(&mut sys, 90, HOST_BUF, 0);
         assert_eq!(sys.events_popped(), popped, "planning stepped the queue");
         assert!(!ssd.jobs.is_empty(), "the GC job is not queued");
-        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
+        run_jobs(&mut ssd, &mut sys, &mut ctrl);
         assert!(ssd.jobs.is_empty());
         assert!(ssd.gc_cycles >= 2, "expected both LUNs collected");
         for lun in 0..2 {
@@ -1699,7 +1730,7 @@ mod tests {
         );
         // Any write now reclaims space; the cold block must migrate.
         let _ = ssd.prepare_write(&mut sys, 40, HOST_BUF, 0);
-        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
+        run_jobs(&mut ssd, &mut sys, &mut ctrl);
         assert!(ssd.wear_migrations() >= 1, "no migration ran");
         assert_eq!(ssd.map.wear_victim(0, 2), None, "spread still open");
         let moved = ssd.map.translate(0).unwrap();
@@ -1767,12 +1798,12 @@ mod tests {
         }
         let victim = ssd.map.plan_gc(0).unwrap().victim;
         ssd.erase_or_retire(0, victim.block);
-        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
+        run_jobs(&mut ssd, &mut sys, &mut ctrl);
         assert_eq!(ssd.blocks_retired(), 0);
         assert_eq!(ssd.map.erase_count(0, victim.block), 1);
         // Second erase of the same block: endurance 1 exhausted → retired.
         ssd.erase_or_retire(0, victim.block);
-        ssd.drive(&mut sys, &mut ctrl, &NO_HOST_IO);
+        run_jobs(&mut ssd, &mut sys, &mut ctrl);
         assert_eq!(ssd.blocks_retired(), 1);
         assert_eq!(ssd.map.block_state(0, victim.block), BlockState::Retired);
     }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Workspace determinism, `unsafe`, FTL-counter and completion-harvest lint.
+# Workspace determinism, `unsafe`, FTL-counter, completion-harvest and
+# drive-loop lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -30,6 +31,13 @@
 # the FTL job's awaited flash op. Production code in crates/ftl must not
 # call `.take_completions(` in any other function, or host completions and
 # job completions could be collected twice, or not at all.
+#
+# The FTL has one drive loop, `Ssd::drive`, which the one-channel run, the
+# cache flush and every multi-channel shard share, so all of them admit
+# host I/O by one policy. Production code in crates/ftl must not call
+# `.step(` in any other function; the shard pool's barrier round
+# (`pool.step(`) is the coordinator's, not a second loop over the event
+# queue.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,25 +120,38 @@ while IFS= read -r hit; do
   fail=1
 done <<< "$ftl_writes"
 
-# `.take_completions(` in FTL production code outside `fn harvest` of
-# HARVEST_FILE; each call is attributed to the last `fn` before it.
-HARVEST_FILE="crates/ftl/src/ssd.rs"
-harvests=$(find crates/ftl -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
-  s/^#\[cfg\(test\)\].*//ms;
-  while (/\.take_completions\(/g) {
-    my $before = substr($_, 0, $-[0]);
-    my ($fn) = $before =~ /.*\bfn\s+(\w+)/s;
-    $fn //= "?";
-    next if $ARGV eq "'"$HARVEST_FILE"'" && $fn eq "harvest";
-    my $line = 1 + ($before =~ tr/\n//);
-    print "$ARGV:$line: in fn $fn\n";
-  }')
-while IFS= read -r hit; do
-  [ -z "$hit" ] && continue
-  echo "lint: FTL completions taken outside Ssd::harvest:"
-  echo "  $hit"
-  fail=1
-done <<< "$harvests"
+# FTL production-code calls matching CALL outside `fn ALLOWED_FN` of
+# ssd.rs, printed as `file:line: in fn name`; each call is attributed to
+# the last `fn` before it. A call on a receiver named SKIP is ignored.
+ftl_calls_outside() {
+  local call="$1" allowed_fn="$2" skip="${3:-}"
+  find crates/ftl -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
+    s/^#\[cfg\(test\)\].*//ms;
+    while (/(\w*)\s*\.'"$call"'\(/g) {
+      next if "'"$skip"'" ne "" && $1 eq "'"$skip"'";
+      my $before = substr($_, 0, $-[0]);
+      my ($fn) = $before =~ /.*\bfn\s+(\w+)/s;
+      $fn //= "?";
+      next if $ARGV eq "crates/ftl/src/ssd.rs" && $fn eq "'"$allowed_fn"'";
+      my $line = 1 + ($before =~ tr/\n//);
+      print "$ARGV:$line: in fn $fn\n";
+    }'
+}
+
+report() {
+  local what="$1" hits="$2"
+  while IFS= read -r hit; do
+    [ -z "$hit" ] && continue
+    echo "lint: $what:"
+    echo "  $hit"
+    fail=1
+  done <<< "$hits"
+}
+
+report "FTL completions taken outside Ssd::harvest" \
+  "$(ftl_calls_outside take_completions harvest)"
+report "event queue stepped outside Ssd::drive" \
+  "$(ftl_calls_outside step drive pool)"
 
 if [ "$fail" -ne 0 ]; then
   echo
@@ -138,7 +159,8 @@ if [ "$fail" -ne 0 ]; then
   echo "#[allow] / SAFETY note with a written justification and extend the"
   echo "allowlist in scripts/lint.sh. FTL counters are counted once, at their"
   echo "source, and reach the tracer through Ssd::export_counters. The FTL"
-  echo "takes controller completions only in Ssd::harvest."
+  echo "takes controller completions only in Ssd::harvest and steps the"
+  echo "event queue only in Ssd::drive."
   exit 1
 fi
-echo "determinism, unsafe, FTL-counter and completion-harvest lint: clean"
+echo "determinism, unsafe, FTL-counter, completion-harvest and drive-loop lint: clean"
