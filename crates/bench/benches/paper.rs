@@ -23,9 +23,9 @@ use babol_flash::PackageProfile;
 use babol_sim::rng::SplitMix64;
 use babol_sim::{EventQueue, SimTime};
 
-/// Pre-generated mixed-horizon event times: most land in the near wheel
-/// slots, a slice cascades from L1, a few hit the overflow heap. Generated
-/// once so both queue benches consume the identical sequence.
+/// Pre-generated mixed-horizon event times, each drawn below a random power
+/// of two from 2^15 ps (~33 ns) to 2^50 ps (~19 min). Generated once so
+/// both queue benches consume the identical sequence.
 fn event_times(n: usize) -> Vec<u64> {
     let mut rng = SplitMix64::new(0xB0B0);
     (0..n)
@@ -33,10 +33,10 @@ fn event_times(n: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Push/pop `times.len()` events through the calendar queue in simulator
-/// style: advance to the earliest event, pop everything due, push a
-/// follow-up event a short horizon ahead for half of them.
-fn churn_wheel(times: &[u64]) -> u64 {
+/// Push/pop `times.len()` events through `EventQueue` in simulator style:
+/// advance to the earliest event, pop everything due, push a follow-up
+/// event a short horizon ahead for half of them.
+fn churn(times: &[u64]) -> u64 {
     let mut q = EventQueue::new();
     for (i, &t) in times.iter().enumerate() {
         q.push(SimTime::from_picos(t), i as u64);
@@ -53,8 +53,8 @@ fn churn_wheel(times: &[u64]) -> u64 {
     acc
 }
 
-/// Same churn against a plain `BinaryHeap` with the `(time, seq)` FIFO
-/// tie-break the old queue used — the before/after reference.
+/// Same churn against a raw `BinaryHeap` with the `(time, seq)` FIFO
+/// tie-break — the reference that prices `EventQueue`'s wrapper overhead.
 fn churn_binheap(times: &[u64]) -> u64 {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -280,10 +280,10 @@ fn main() {
         codec.decode(&mut data, &parity).unwrap()
     });
 
-    // Simulator throughput: 1M mixed-horizon events through the calendar
-    // queue vs the old binary-heap discipline (identical event sequence).
+    // Event-queue throughput: 1M mixed-horizon events through `EventQueue`
+    // vs a raw binary heap (identical event sequence, ratio ~1.0).
     let times = event_times(1_000_000);
-    b.bench("sim/1M_events", || churn_wheel(black_box(&times)));
+    b.bench("sim/1M_events", || churn(black_box(&times)));
     b.bench("sim/1M_events_binheap", || churn_binheap(black_box(&times)));
 
     // End-to-end pooled data path: GC-heavy random-write fio job. Energy

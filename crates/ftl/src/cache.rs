@@ -16,9 +16,8 @@
 //! * Reads are served from flash, so a read of a **dirty** resident page
 //!   first flushes it (program + mark clean) — flash stays authoritative
 //!   for all reads.
-//! * Eviction picks the least-recently-used entry ([`CachePolicy::Lru`]),
-//!   or prefers clean entries — which need no flash program — falling back
-//!   to LRU among dirty ones ([`CachePolicy::CleanFirstLru`]).
+//! * Eviction picks the least-recently-used entry, dirty or not; a read
+//!   of a resident page counts as a use.
 //!
 //! Determinism: recency is a monotonically increasing sequence number and
 //! the resident set is a `BTreeMap`, so eviction choice is a pure function
@@ -26,16 +25,6 @@
 //! hash collections here for exactly this reason).
 
 use std::collections::BTreeMap;
-
-/// Eviction policy for a full cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Evict the least-recently-used entry, dirty or not.
-    Lru,
-    /// Evict the least-recently-used **clean** entry (free — no flash
-    /// program needed); only when everything is dirty, fall back to LRU.
-    CleanFirstLru,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
@@ -62,7 +51,6 @@ pub struct Eviction {
 #[derive(Debug, Clone)]
 pub struct WriteCache {
     capacity: usize,
-    policy: CachePolicy,
     entries: BTreeMap<u64, CacheEntry>,
     free_slots: Vec<u32>,
     next_seq: u64,
@@ -74,10 +62,9 @@ pub struct WriteCache {
 
 impl WriteCache {
     /// Builds a cache of `capacity` page slots (0 disables caching).
-    pub fn new(capacity: usize, policy: CachePolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         WriteCache {
             capacity,
-            policy,
             entries: BTreeMap::new(),
             // Hand slots out in ascending order.
             free_slots: (0..capacity as u32).rev().collect(),
@@ -199,23 +186,15 @@ impl WriteCache {
         out
     }
 
-    /// Picks and removes the policy's victim. Caller guarantees the cache
-    /// is non-empty.
+    /// Picks and removes the least-recently-used entry. Caller guarantees
+    /// the cache is non-empty.
     fn evict(&mut self) -> Eviction {
-        let pick_min_seq = |pred: &dyn Fn(&CacheEntry) -> bool| {
-            self.entries
-                .iter()
-                .filter(|(_, e)| pred(e))
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(&lpn, _)| lpn)
-        };
-        let lpn = match self.policy {
-            CachePolicy::Lru => pick_min_seq(&|_| true),
-            CachePolicy::CleanFirstLru => {
-                pick_min_seq(&|e| !e.dirty).or_else(|| pick_min_seq(&|_| true))
-            }
-        }
-        .expect("evict called on an empty cache");
+        let lpn = self
+            .entries
+            .iter()
+            .min_by_key(|(_, e)| e.seq)
+            .map(|(&lpn, _)| lpn)
+            .expect("evict called on an empty cache");
         let e = self.entries.remove(&lpn).expect("victim vanished");
         if e.dirty {
             self.dirty_evicts += 1;
@@ -234,7 +213,7 @@ mod tests {
 
     #[test]
     fn writes_hit_and_miss() {
-        let mut c = WriteCache::new(2, CachePolicy::Lru);
+        let mut c = WriteCache::new(2);
         assert!(c.is_enabled());
         let (s0, ev) = c.touch_write(10);
         assert_eq!(ev, None);
@@ -249,7 +228,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_and_reports_dirty() {
-        let mut c = WriteCache::new(2, CachePolicy::Lru);
+        let mut c = WriteCache::new(2);
         let (s0, _) = c.touch_write(10);
         c.touch_write(20);
         c.touch_write(10); // refresh 10: 20 is now LRU
@@ -262,31 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn clean_first_spares_dirty_entries() {
-        let mut c = WriteCache::new(2, CachePolicy::CleanFirstLru);
-        c.touch_write(10);
-        c.touch_write(20);
-        // Reading 10 flushes it clean; 20 stays dirty and is MRU-newer.
-        assert!(c.flush_for_read(10).is_some());
-        let (_, ev) = c.touch_write(30);
-        let ev = ev.expect("full cache must evict");
-        // LRU alone would pick 20 (older seq than refreshed 10)? No — 10
-        // was refreshed by the read, so LRU would evict 20 (dirty). The
-        // clean-first policy spares it and evicts clean 10 instead.
-        assert_eq!(ev.lpn, 10);
-        assert!(!ev.dirty);
-        assert_eq!(c.dirty_evicts(), 0);
-        // All dirty: falls back to LRU.
-        let (_, ev) = c.touch_write(40);
-        let ev = ev.expect("full cache must evict");
-        assert_eq!(ev.lpn, 20);
-        assert!(ev.dirty);
-        assert_eq!(c.dirty_evicts(), 1);
-    }
-
-    #[test]
     fn read_flush_marks_clean_once() {
-        let mut c = WriteCache::new(4, CachePolicy::Lru);
+        let mut c = WriteCache::new(4);
         let (slot, _) = c.touch_write(5);
         assert_eq!(c.flush_for_read(5), Some(slot));
         assert_eq!(c.flush_for_read(5), None, "second read needs no flush");
@@ -297,7 +253,7 @@ mod tests {
 
     #[test]
     fn drain_dirty_lists_ascending_and_cleans() {
-        let mut c = WriteCache::new(4, CachePolicy::Lru);
+        let mut c = WriteCache::new(4);
         c.touch_write(30);
         c.touch_write(10);
         c.touch_write(20);
@@ -311,7 +267,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_reports_disabled() {
-        let c = WriteCache::new(0, CachePolicy::Lru);
+        let c = WriteCache::new(0);
         assert!(!c.is_enabled());
         assert!(c.is_empty());
     }

@@ -8,51 +8,13 @@
 //! module is the energy half of that model: a fixed table charged once per
 //! admitted operation, accumulated as integers (picojoules) so the
 //! accounting is exact, deterministic, and float-free in simulation state.
+//!
+//! The table itself is [`babol_verify::EnergyCosts`]: the envelope analyzer
+//! bounds operations with the same book the FTL charges from
+//! ([`crate::SsdConfig::energy`]), so there is no copy to drift.
 
 use babol::system::{IoKind, IoRequest};
-
-/// Energy cost table, picojoules per operation class.
-///
-/// Magnitudes follow the Olivier et al. measurements for an SLC-class part:
-/// a page read costs a few μJ, a program roughly an order of magnitude
-/// more, an erase another order above that, and bus transfer energy scales
-/// with the bytes moved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnergyModel {
-    /// Array read (tR), per operation.
-    pub read_pj: u64,
-    /// Array program (tPROG), per operation.
-    pub program_pj: u64,
-    /// Block erase (tBERS), per operation.
-    pub erase_pj: u64,
-    /// Channel transfer, per KiB moved.
-    pub transfer_pj_per_kib: u64,
-}
-
-impl EnergyModel {
-    /// The default table (Olivier et al. magnitudes): 2.1 μJ read,
-    /// 16.5 μJ program, 124 μJ erase, 0.3 μJ per KiB transferred.
-    pub const fn nand() -> Self {
-        EnergyModel {
-            read_pj: 2_100_000,
-            program_pj: 16_500_000,
-            erase_pj: 124_000_000,
-            transfer_pj_per_kib: 300_000,
-        }
-    }
-
-    /// Bus transfer energy for `len` bytes (multiply-first so sub-KiB
-    /// pages don't truncate to zero).
-    pub const fn transfer_pj(&self, len: usize) -> u64 {
-        len as u64 * self.transfer_pj_per_kib / 1024
-    }
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel::nand()
-    }
-}
+use babol_verify::EnergyCosts;
 
 /// Running energy totals, picojoules per operation class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,12 +41,12 @@ impl EnergyTally {
     }
 
     /// Charges one operation against the tally.
-    pub fn charge(&mut self, model: &EnergyModel, req: &IoRequest) {
-        let transfer = model.transfer_pj(req.len);
+    pub fn charge(&mut self, costs: &EnergyCosts, req: &IoRequest) {
+        let transfer = costs.transfer_pj(req.len as u64);
         let (read, program, erase) = match req.kind {
-            IoKind::Read => (model.read_pj, 0, 0),
-            IoKind::Program => (0, model.program_pj, 0),
-            IoKind::Erase => (0, 0, model.erase_pj),
+            IoKind::Read => (costs.read_pj, 0, 0),
+            IoKind::Program => (0, costs.program_pj, 0),
+            IoKind::Erase => (0, 0, costs.erase_pj),
         };
         self.read_pj += read;
         self.program_pj += program;
@@ -112,7 +74,7 @@ mod tests {
 
     #[test]
     fn charges_accumulate_per_class() {
-        let m = EnergyModel::nand();
+        let m = EnergyCosts::nand();
         let mut t = EnergyTally::default();
         t.charge(&m, &req(IoKind::Read, 16384));
         t.charge(&m, &req(IoKind::Program, 16384));
@@ -130,9 +92,12 @@ mod tests {
 
     #[test]
     fn sub_kib_transfers_do_not_truncate_to_zero() {
-        let m = EnergyModel::nand();
-        assert_eq!(m.transfer_pj(512), m.transfer_pj_per_kib / 2);
-        assert!(m.transfer_pj(512) > 0);
-        assert_eq!(m.transfer_pj(0), 0);
+        let m = EnergyCosts::nand();
+        let mut t = EnergyTally::default();
+        t.charge(&m, &req(IoKind::Read, 512));
+        assert_eq!(t.transfer_pj, m.transfer_pj_per_kib / 2);
+        assert!(t.transfer_pj > 0);
+        t.charge(&m, &req(IoKind::Erase, 0));
+        assert_eq!(t.transfer_pj, m.transfer_pj_per_kib / 2);
     }
 }

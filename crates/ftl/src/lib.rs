@@ -16,7 +16,7 @@
 //!   FTL slice) advanced in parallel by the conservative-barrier kernel in
 //!   `babol_sim::par` with bit-identical results at any thread count.
 //! * [`cache`] — write-back DRAM cache bookkeeping in front of the write
-//!   path (LRU / clean-first eviction, read-coherence flushes).
+//!   path (LRU eviction, read-coherence flushes).
 //! * [`bad`] — deterministic bad-block model: factory map plus grown
 //!   program/erase failures, all pure hashes of a seed.
 //! * [`energy`] — per-operation energy accounting (integer picojoules).
@@ -30,8 +30,8 @@ pub mod multi;
 pub mod ssd;
 
 pub use bad::{BadBlockConfig, BadBlockModel};
-pub use cache::{CachePolicy, Eviction, WriteCache};
-pub use energy::{EnergyModel, EnergyTally};
+pub use cache::{Eviction, WriteCache};
+pub use energy::EnergyTally;
 pub use fio::{FioReport, FioWorkload, HostCmd, IoPattern};
 pub use map::{BlockState, GcPlan, PageMap, Ppn};
 pub use multi::{ChannelShard, MultiFioReport, MultiSsd, MultiSsdConfig, ShardDigest, ShardEvent};

@@ -48,10 +48,11 @@ use babol_trace::{
     Component, Counter, FtlCounter, FtlCounters, Metric, MetricsHub, MetricsSnapshot, TraceKind,
     TraceSink, Tracer,
 };
+use babol_verify::EnergyCosts;
 
 use crate::bad::{BadBlockConfig, BadBlockModel};
-use crate::cache::{CachePolicy, WriteCache};
-use crate::energy::{EnergyModel, EnergyTally};
+use crate::cache::WriteCache;
+use crate::energy::EnergyTally;
 use crate::fio::{FioClient, FioReport, FioWorkload, HostCmd, IoPattern};
 use crate::map::{PageMap, Ppn};
 
@@ -70,8 +71,6 @@ pub struct SsdConfig {
     /// Write-back DRAM cache capacity in pages (0 disables the cache and
     /// every write programs flash inline).
     pub cache_pages: usize,
-    /// Eviction policy when the write-back cache is full.
-    pub cache_policy: CachePolicy,
     /// Bad-block model: factory map + grown program/erase failures. The
     /// default disables every failure mode.
     pub bad: BadBlockConfig,
@@ -80,7 +79,7 @@ pub struct SsdConfig {
     /// static min-wear free-block allocation is always on).
     pub wear_spread_limit: u32,
     /// Energy cost table (always accounted; pure observation).
-    pub energy: EnergyModel,
+    pub energy: EnergyCosts,
 }
 
 impl SsdConfig {
@@ -95,10 +94,9 @@ impl SsdConfig {
             logical_pages: physical * 8 / 9,
             ftl_lookup_cycles: 1_500,
             cache_pages: 0,
-            cache_policy: CachePolicy::Lru,
             bad: BadBlockConfig::default(),
             wear_spread_limit: 0,
-            energy: EnergyModel::nand(),
+            energy: EnergyCosts::nand(),
         }
     }
 
@@ -112,10 +110,9 @@ impl SsdConfig {
             logical_pages: physical * 3 / 4,
             ftl_lookup_cycles: 300,
             cache_pages: 0,
-            cache_policy: CachePolicy::Lru,
             bad: BadBlockConfig::default(),
             wear_spread_limit: 0,
-            energy: EnergyModel::nand(),
+            energy: EnergyCosts::nand(),
         }
     }
 }
@@ -305,7 +302,7 @@ impl Ssd {
             host_step: true,
             scratch: None,
             gc_cycles: 0,
-            cache: WriteCache::new(cfg.cache_pages, cfg.cache_policy),
+            cache: WriteCache::new(cfg.cache_pages),
             bad,
             energy: EnergyTally::default(),
             wear_migrations: 0,
@@ -1681,7 +1678,6 @@ mod tests {
         let run = |seed| {
             let (mut sys, mut ctrl, mut ssd) = tiny_stack_with(2, false, |c| {
                 c.cache_pages = 8;
-                c.cache_policy = CachePolicy::CleanFirstLru;
             });
             let wl = FioWorkload {
                 pattern: IoPattern::RandomWrite,
@@ -1882,7 +1878,7 @@ mod tests {
             seed: 5,
         };
         let r = ssd.run(&mut sys, &mut ctrl, wl);
-        let m = EnergyModel::nand();
+        let m = EnergyCosts::nand();
         assert_eq!(ssd.energy().read_pj, 40 * m.read_pj);
         assert_eq!(ssd.energy().program_pj, 0);
         assert_eq!(ssd.energy().erase_pj, 0);

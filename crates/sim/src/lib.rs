@@ -12,8 +12,9 @@
 //!   (1000 ps) and a 200 MT/s channel transfer (5000 ps) exactly.
 //! * [`Freq`] — clock frequencies (CPU cores, channel transfer rates) and the
 //!   conversion from cycle counts to durations.
-//! * [`EventQueue`] — a deterministic time-ordered event queue. Ties are
-//!   broken by insertion order so simulations are exactly reproducible.
+//! * [`EventQueue`] — a deterministic time-ordered event queue: one binary
+//!   min-heap keyed on `(time, push order)`, so ties pop in insertion
+//!   order and simulations are exactly reproducible.
 //! * [`cpu::Cpu`] — the processor cost model. Every software action in the
 //!   controller (context switch, scheduler pass, transaction enqueue) charges
 //!   a cycle budget that is converted to simulated time at the configured

@@ -6,56 +6,19 @@
 //! figures must regenerate identically run after run — so ties in time are
 //! broken by insertion order rather than container internals.
 //!
-//! # Implementation: adaptive calendar (timing wheel)
+//! # Implementation: one binary min-heap
 //!
-//! Pop order is defined purely by the `(time, seq)` key, so the container
-//! can pick whichever structure is cheapest for the current population
-//! without changing observable behaviour:
-//!
-//! * **Heap mode** (≤ `WHEEL_THRESHOLD` = 64 pending events): a plain binary
-//!   min-heap. Construction is free and tiny queues — a few in-flight bus
-//!   phases per microbenchmark — stay on the old O(log n) fast path, which
-//!   beats any wheel bookkeeping at that size.
-//! * **Wheel mode** (first push beyond the threshold, one-way): a two-level
-//!   calendar, so pushes and pops are O(1) amortized regardless of how many
-//!   events a GC-heavy run keeps in flight:
-//!   - **L0** — 1024 slots of 2^16 ps (≈65.5 ns) each, covering ≈67 µs
-//!     ahead of the drain cursor. Bus phases, R/B# edges, and scheduler
-//!     passes all land here.
-//!   - **L1** — 1024 slots of 2^26 ps (≈67 µs) each, covering ≈68.7 ms.
-//!     When the L0 window empties, the next occupied L1 slot cascades down.
-//!   - **Overflow** — a min-heap for events beyond the L1 horizon
-//!     (including `SimTime::FAR_FUTURE`), refilled into L1 as the windows
-//!     advance.
-//!
-//! The wheels' slot storage is allocated lazily at the moment of migration
-//! (a fresh queue is just three empty containers), and slot `Vec`s keep
-//! their capacity across drains, so steady-state wheel operation performs
-//! no allocation. Per-slot occupancy bitmaps make "find the next non-empty
-//! slot" a handful of word scans. Events drained from the current slot are
-//! sorted by `(time, seq)` into a `ready` batch, so same-timestamp events
-//! pop FIFO in insertion order — bit-identical to the previous pure
-//! `BinaryHeap` implementation, which the determinism suite and the
-//! model-checked property in `tests/properties.rs` both verify.
+//! Pop order is defined purely by the `(time, seq)` key, where `seq` is a
+//! per-queue push counter, so a plain `BinaryHeap` keyed on it is exact.
+//! Every queue the simulator builds is small — the peak pending population
+//! is 32 events on the single-channel random-read benchmark and under ten
+//! elsewhere (DESIGN.md §Event queue) — and at that size the heap's
+//! O(log n) push and pop beat any calendar or timing-wheel bookkeeping.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// log2 of the L0 slot width in picoseconds (2^16 ps ≈ 65.5 ns).
-const GRAIN_BITS: u32 = 16;
-/// log2 of the slot count per wheel level.
-const SLOT_BITS: u32 = 10;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Slot index mask.
-const SLOT_MASK: u64 = SLOTS as u64 - 1;
-/// Words in each occupancy bitmap.
-const OCC_WORDS: usize = SLOTS / 64;
-/// Pending-event population above which the queue migrates (once) from
-/// plain binary-heap mode to the timing wheels.
-const WHEEL_THRESHOLD: usize = 64;
 
 /// An event scheduled to fire at a specific simulated time.
 #[derive(Debug, Clone)]
@@ -82,42 +45,9 @@ impl<E> PartialOrd for Scheduled<E> {
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first (used by the overflow heap).
+        // first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
-}
-
-/// L0 tick (slot-width units) of a timestamp.
-#[inline]
-fn tick_of(at: SimTime) -> u64 {
-    at.as_picos() >> GRAIN_BITS
-}
-
-/// First occupied slot at or after `start`, scanning the bitmap circularly.
-///
-/// Callers maintain the invariant that every occupied slot lies inside the
-/// level's active window starting at `start`, so circular distance from
-/// `start` is monotone in event time.
-fn first_occupied(occ: &[u64; OCC_WORDS], start: usize) -> Option<usize> {
-    let start_word = start >> 6;
-    let start_bit = start & 63;
-    let w = occ[start_word] & (!0u64 << start_bit);
-    if w != 0 {
-        return Some((start_word << 6) + w.trailing_zeros() as usize);
-    }
-    for i in 1..=OCC_WORDS {
-        let wi = (start_word + i) & (OCC_WORDS - 1);
-        // The wrapped-around final word only counts bits below `start`.
-        let w = if i == OCC_WORDS {
-            occ[wi] & !(!0u64 << start_bit)
-        } else {
-            occ[wi]
-        };
-        if w != 0 {
-            return Some((wi << 6) + w.trailing_zeros() as usize);
-        }
-    }
-    None
 }
 
 /// A time-ordered queue of simulation events.
@@ -142,35 +72,7 @@ fn first_occupied(occ: &[u64; OCC_WORDS], start: usize) -> Option<usize> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Events drained from slots below `next_tick`, sorted by `(at, seq)`;
-    /// the pop front.
-    ready: VecDeque<Scheduled<E>>,
-    /// In heap mode: every pending event. In wheel mode: late pushes whose
-    /// tick is already below `next_tick` — a min-heap of its own so a late
-    /// push costs O(log k) instead of an O(|ready|) mid-queue insert; `pop`
-    /// takes whichever front is earliest.
-    late: BinaryHeap<Scheduled<E>>,
-    /// Whether the queue has migrated to the timing wheels (one-way; reset
-    /// only by `clear`).
-    wheel: bool,
-    /// L0 wheel: slot = tick & SLOT_MASK for ticks in
-    /// `[next_tick, cascaded_l1 << SLOT_BITS)` (window ≤ 1024 ticks, so the
-    /// mapping is collision-free and a slot holds exactly one tick).
-    /// Empty until migration (lazily sized to `SLOTS`).
-    l0: Vec<Vec<Scheduled<E>>>,
-    l0_occ: [u64; OCC_WORDS],
-    /// L1 wheel: slot = l1_tick & SLOT_MASK for l1 ticks in
-    /// `[cascaded_l1, cascaded_l1 + 1024)`.
-    l1: Vec<Vec<Scheduled<E>>>,
-    l1_occ: [u64; OCC_WORDS],
-    /// Min-heap of events beyond the L1 horizon.
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// First L0 tick not yet drained into `ready`.
-    next_tick: u64,
-    /// First L1 tick not yet cascaded into L0: L0 holds l1 ticks below it,
-    /// L1 holds `[cascaded_l1, cascaded_l1 + 1024)`, overflow the rest.
-    cascaded_l1: u64,
-    len: usize,
+    heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
 }
 
@@ -178,17 +80,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            ready: VecDeque::new(),
-            late: BinaryHeap::new(),
-            wheel: false,
-            l0: Vec::new(),
-            l0_occ: [0; OCC_WORDS],
-            l1: Vec::new(),
-            l1_occ: [0; OCC_WORDS],
-            overflow: BinaryHeap::new(),
-            next_tick: 0,
-            cascaded_l1: 1,
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -198,228 +90,35 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         // A wrapped seq would silently reorder ties and break determinism;
         // at one push per picosecond that is ~584 years of simulated time,
-        // so treat it as a logic error rather than handling it.
-        debug_assert!(
-            seq != u64::MAX,
-            "EventQueue sequence counter exhausted (tie-break order would wrap)"
-        );
+        // so the increment's debug-build overflow check is the only guard.
         self.next_seq += 1;
-        self.len += 1;
-        let s = Scheduled { at, seq, event };
-        if !self.wheel {
-            if self.len <= WHEEL_THRESHOLD {
-                self.late.push(s);
-                return;
-            }
-            self.migrate_to_wheel();
-        }
-        self.place(s);
-    }
-
-    /// Wheel-mode placement of one event by its tick.
-    fn place(&mut self, s: Scheduled<E>) {
-        let tick = tick_of(s.at);
-        if tick < self.next_tick {
-            // The tick was already drained: park in the late heap. `seq` is
-            // the largest yet issued, so ordering by `(at, seq)` against the
-            // ready front preserves FIFO among ties.
-            self.late.push(s);
-        } else if tick >> SLOT_BITS < self.cascaded_l1 {
-            let slot = (tick & SLOT_MASK) as usize;
-            self.l0_occ[slot >> 6] |= 1 << (slot & 63);
-            self.l0[slot].push(s);
-        } else if tick >> SLOT_BITS < self.cascaded_l1 + SLOTS as u64 {
-            let slot = ((tick >> SLOT_BITS) & SLOT_MASK) as usize;
-            self.l1_occ[slot >> 6] |= 1 << (slot & 63);
-            self.l1[slot].push(s);
-        } else {
-            self.overflow.push(s);
-        }
-    }
-
-    /// One-way switch from heap mode: allocates the slot storage and
-    /// redistributes the pending events into the wheels.
-    fn migrate_to_wheel(&mut self) {
-        self.wheel = true;
-        if self.l0.is_empty() {
-            self.l0 = std::iter::repeat_with(Vec::new).take(SLOTS).collect();
-            self.l1 = std::iter::repeat_with(Vec::new).take(SLOTS).collect();
-        }
-        // Heap mode never advanced the windows, so every event lands in the
-        // wheels or overflow (`next_tick` is still 0), never back in `late`.
-        let pending: Vec<Scheduled<E>> = self.late.drain().collect();
-        for s in pending {
-            self.place(s);
-        }
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.wheel {
-            let s = self.late.pop()?;
-            self.len -= 1;
-            return Some((s.at, s.event));
-        }
-        // Late entries always lie below `next_tick`, so they beat everything
-        // still in the wheels; only the ready front can precede them. A late
-        // entry's seq exceeds any same-time ready entry's (it was pushed
-        // after the drain), so comparing `(at, seq)` keeps FIFO among ties.
-        let take_late = match (self.late.peek(), self.ready.front()) {
-            (Some(l), Some(r)) => (l.at, l.seq) < (r.at, r.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if take_late {
-            let s = self.late.pop().expect("peeked");
-            self.len -= 1;
-            return Some((s.at, s.event));
-        }
-        if self.ready.is_empty() && !self.refill_ready() {
-            return None;
-        }
-        let s = self.ready.pop_front()?;
-        self.len -= 1;
-        Some((s.at, s.event))
-    }
-
-    /// Advances the wheel until `ready` holds the next batch of events.
-    /// Returns `false` if the queue is empty.
-    fn refill_ready(&mut self) -> bool {
-        loop {
-            // Drain the earliest occupied L0 slot inside the window.
-            let l0_limit = self.cascaded_l1 << SLOT_BITS;
-            if self.next_tick < l0_limit {
-                if let Some(slot) =
-                    first_occupied(&self.l0_occ, (self.next_tick & SLOT_MASK) as usize)
-                {
-                    let offset = (slot as u64).wrapping_sub(self.next_tick) & SLOT_MASK;
-                    let tick = self.next_tick + offset;
-                    debug_assert!(tick < l0_limit, "occupied L0 slot outside window");
-                    self.l0_occ[slot >> 6] &= !(1u64 << (slot & 63));
-                    // Timestamps within one 65.5 ns slot can differ; (at, seq)
-                    // keys are unique so unstable sort is deterministic.
-                    // Drain in place so the slot keeps its capacity — taking
-                    // the Vec would re-malloc it on every reuse.
-                    self.l0[slot].sort_unstable_by_key(|s| (s.at, s.seq));
-                    self.ready.extend(self.l0[slot].drain(..));
-                    self.next_tick = tick + 1;
-                    return true;
-                }
-            }
-            self.next_tick = l0_limit;
-            // L0 exhausted: cascade the earliest occupied L1 slot down.
-            if let Some(slot) =
-                first_occupied(&self.l1_occ, (self.cascaded_l1 & SLOT_MASK) as usize)
-            {
-                let offset = (slot as u64).wrapping_sub(self.cascaded_l1) & SLOT_MASK;
-                let l1_tick = self.cascaded_l1 + offset;
-                self.l1_occ[slot >> 6] &= !(1u64 << (slot & 63));
-                self.next_tick = l1_tick << SLOT_BITS;
-                self.cascaded_l1 = l1_tick + 1;
-                // Drain in place (disjoint field borrows) so the L1 slot
-                // keeps its capacity across reuse.
-                let (l0, l0_occ, l1) = (&mut self.l0, &mut self.l0_occ, &mut self.l1);
-                for s in l1[slot].drain(..) {
-                    let tick = tick_of(s.at);
-                    debug_assert!(tick >> SLOT_BITS == l1_tick, "event in wrong L1 slot");
-                    let sl = (tick & SLOT_MASK) as usize;
-                    l0_occ[sl >> 6] |= 1 << (sl & 63);
-                    l0[sl].push(s);
-                }
-                self.refill_l1_from_overflow();
-                continue;
-            }
-            // Both wheels empty: jump the windows to the earliest overflow
-            // event and pull its horizon into L1.
-            if let Some(s) = self.overflow.peek() {
-                let l1_tick = tick_of(s.at) >> SLOT_BITS;
-                self.cascaded_l1 = l1_tick;
-                self.next_tick = l1_tick << SLOT_BITS;
-                self.refill_l1_from_overflow();
-                continue;
-            }
-            return false;
-        }
-    }
-
-    /// Moves overflow events that now fall inside the L1 window into L1.
-    fn refill_l1_from_overflow(&mut self) {
-        let limit = self.cascaded_l1 + SLOTS as u64;
-        while let Some(s) = self.overflow.peek() {
-            let l1_tick = tick_of(s.at) >> SLOT_BITS;
-            if l1_tick >= limit {
-                break;
-            }
-            let s = self.overflow.pop().expect("peeked");
-            let slot = (l1_tick & SLOT_MASK) as usize;
-            self.l1_occ[slot >> 6] |= 1 << (slot & 63);
-            self.l1[slot].push(s);
-        }
+        self.heap.pop().map(|s| (s.at, s.event))
     }
 
     /// Returns the time of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // Window ordering: every late/ready time < every L0 time < every L1
-        // time < every overflow time, so the first non-empty source holds
-        // the min (late and ready overlap and must be compared directly).
-        match (self.late.peek(), self.ready.front()) {
-            (Some(l), Some(r)) => return Some(l.at.min(r.at)),
-            (Some(l), None) => return Some(l.at),
-            (None, Some(r)) => return Some(r.at),
-            (None, None) => {}
-        }
-        if let Some(slot) = first_occupied(&self.l0_occ, (self.next_tick & SLOT_MASK) as usize) {
-            return self.l0[slot].iter().map(|s| s.at).min();
-        }
-        if let Some(slot) = first_occupied(&self.l1_occ, (self.cascaded_l1 & SLOT_MASK) as usize) {
-            return self.l1[slot].iter().map(|s| s.at).min();
-        }
-        self.overflow.peek().map(|s| s.at)
+        self.heap.peek().map(|s| s.at)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.ready.clear();
-        self.late.clear();
-        for slot in &mut self.l0 {
-            slot.clear();
-        }
-        for slot in &mut self.l1 {
-            slot.clear();
-        }
-        self.l0_occ = [0; OCC_WORDS];
-        self.l1_occ = [0; OCC_WORDS];
-        self.overflow.clear();
-        // Drop back to heap mode; the slot storage (if it was ever
-        // allocated) is kept so a re-migration is just the redistribution.
-        self.wheel = false;
-        self.next_tick = 0;
-        self.cascaded_l1 = 1;
-        self.len = 0;
+        self.heap.is_empty()
     }
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue::new()
-    }
-}
-
-impl<E> Extend<(SimTime, E)> for EventQueue<E> {
-    fn extend<I: IntoIterator<Item = (SimTime, E)>>(&mut self, iter: I) {
-        for (at, ev) in iter {
-            self.push(at, ev);
-        }
     }
 }
 
@@ -465,15 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_clear() {
-        let mut q = EventQueue::new();
-        q.extend((0..5).map(|i| (at(i), i)));
-        assert_eq!(q.len(), 5);
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut q = EventQueue::new();
         q.push(at(10), 1);
@@ -485,9 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn spans_every_wheel_level() {
-        // One event per level: ready-adjacent (ns), L0 (~µs), L1 (~ms),
-        // overflow (~s and FAR_FUTURE).
+    fn spans_picoseconds_to_far_future() {
+        // Pushed latest-first, from FAR_FUTURE down to picoseconds.
         let mut q = EventQueue::new();
         q.push(SimTime::FAR_FUTURE, 'f');
         q.push(SimTime::from_picos(2_000_000_000_000), 'e'); // 2 s
@@ -500,14 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn late_push_into_drained_tick_stays_fifo() {
+    fn push_between_pops_stays_fifo() {
         let mut q = EventQueue::new();
-        // Two events in the same 65.5 ns slot; popping the first drains the
-        // whole slot into `ready`.
         q.push(SimTime::from_picos(100), 0);
         q.push(SimTime::from_picos(200), 2);
         assert_eq!(q.pop().unwrap().1, 0);
-        // A push below the drain cursor must merge in time order...
+        // A push before the pending front must merge in time order...
         q.push(SimTime::from_picos(150), 1);
         // ...and a same-time push must pop after the earlier-pushed event.
         q.push(SimTime::from_picos(200), 3);
@@ -516,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_then_near_push_reorders_windows() {
+    fn far_future_then_near_push_pops_near_first() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_picos(u64::MAX - 1), 'z');
         // Popping nothing yet; push a near event after the far one.
@@ -527,12 +214,12 @@ mod tests {
     }
 
     #[test]
-    fn window_jump_then_backfill_before_cursor() {
+    fn distant_pop_then_later_pushes_stay_ordered() {
         let mut q = EventQueue::new();
-        // Jump the windows far ahead by draining a distant event...
+        // Drain a distant event first...
         q.push(SimTime::from_picos(1 << 40), 'b');
         assert_eq!(q.pop().unwrap().1, 'b');
-        // ...then schedule beyond the cursor and pop in order.
+        // ...then schedule after it and pop in order.
         q.push(SimTime::from_picos((1 << 40) + (1 << 20)), 'c');
         q.push(SimTime::from_picos((1 << 40) + (1 << 30)), 'd');
         assert_eq!(q.pop().unwrap().1, 'c');
@@ -541,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_bursts_across_slot_boundaries_match_model() {
+    fn dense_bursts_match_model() {
         // Deterministic mixed workload vs. an ordered-model replay.
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, u32)> = Vec::new();
@@ -550,7 +237,7 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let t = x % 5_000_000; // spans many L0 slots and a few L1 slots
+            let t = x % 5_000_000; // 5000 events packed into 5 µs
             q.push(SimTime::from_picos(t), id);
             model.push((t, id));
         }

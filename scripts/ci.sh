@@ -52,8 +52,8 @@ cargo test --offline -q --test verify_mutations --test verify_differential
 
 # Envelope soundness: the differential run above replays >=10k random
 # transactions at three jitter levels against the static [min, max];
-# this adds the cross-crate audits (energy table parity with the FTL,
-# DESIGN.md rule-registry consistency).
+# this adds the cross-crate audits (DESIGN.md rule-registry consistency,
+# V07x sim-enforced marking).
 step "envelope soundness gate (cross-crate audits)"
 cargo test --offline -q --test envelope_audit
 

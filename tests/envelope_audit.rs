@@ -1,42 +1,13 @@
 //! Cross-crate audits for the static envelope analyzer.
 //!
-//! The analyzer lives in `babol-verify`, which cannot depend on `babol-ftl`
-//! (the FTL depends on verify for the watchdog budgets). Its energy table
-//! is therefore a mirror, not a re-export — and a mirror can drift. These
-//! tests pin the two tables together, and audit the rule registry's
-//! `sim_enforced()` marking for the timing family: every V07x rule is a
-//! static- or watchdog-only finding the flash model deliberately does NOT
-//! reject at execute time, so none may be marked sim-enforced (the
-//! differential fuzz would flag any replay of a V07x-clean stream that the
-//! model rejected as a missing marking).
+//! These tests pin DESIGN.md's rule catalogue to the registry, and audit
+//! the registry's `sim_enforced()` marking for the timing family: every
+//! V07x rule is a static- or watchdog-only finding the flash model
+//! deliberately does NOT reject at execute time, so none may be marked
+//! sim-enforced (the differential fuzz would flag any replay of a
+//! V07x-clean stream that the model rejected as a missing marking).
 
-use babol_ftl::energy::EnergyModel;
-use babol_verify::{EnergyCosts, Rule, Severity};
-
-/// The verifier's cost table must equal the FTL's charging table field by
-/// field, and the rounding of sub-KiB transfers must match — otherwise the
-/// differential gate compares envelopes against energies charged from a
-/// different book.
-#[test]
-fn energy_tables_agree_field_by_field() {
-    let ftl = EnergyModel::nand();
-    let env = EnergyCosts::nand();
-    assert_eq!(env.read_pj, ftl.read_pj, "read_pj drifted");
-    assert_eq!(env.program_pj, ftl.program_pj, "program_pj drifted");
-    assert_eq!(env.erase_pj, ftl.erase_pj, "erase_pj drifted");
-    assert_eq!(
-        env.transfer_pj_per_kib, ftl.transfer_pj_per_kib,
-        "transfer_pj_per_kib drifted"
-    );
-    // Same multiply-first rounding, including the sub-KiB and zero cases.
-    for len in [0usize, 1, 512, 1024, 4096, 4096 + 224, 1 << 20] {
-        assert_eq!(
-            env.transfer_pj(len as u64),
-            ftl.transfer_pj(len),
-            "transfer rounding diverges at {len} bytes"
-        );
-    }
-}
+use babol_verify::{Rule, Severity};
 
 /// The DESIGN.md rule catalogue is the human-facing registry; this test
 /// makes it load-bearing. Every `Rule` variant must appear exactly once as

@@ -153,16 +153,22 @@ fn event_queue_survives_mixed_10k_pushes() {
             let mut rng = babol_sim::rng::SplitMix64::new(seed);
             let mut q = EventQueue::new();
             let mut model: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
+            let mut pending = 0usize;
             for i in 0..10_000usize {
                 let t = rng.next_below(spread);
                 q.push(SimTime::from_picos(t), i);
                 model.entry(t).or_default().push_back(i);
+                pending += 1;
                 // Interleave pops (~1 in 3) so the heap churns instead of
                 // only growing. (No global monotonic check: a push behind
                 // an already-popped time is legal, only earliest-first
                 // relative to the *current* contents is guaranteed.)
                 if rng.next_below(3) == 0 {
+                    let head = q.peek_time().map(|t| t.as_picos());
+                    prop_assert_eq!(head, model.keys().next().copied(), "peek_time");
+                    prop_assert_eq!(q.len(), pending, "len");
                     let (pt, pi) = q.pop().expect("queue has pending events");
+                    pending -= 1;
                     let entry = model.first_entry().expect("model has pending events");
                     prop_assert_eq!(*entry.key(), pt.as_picos(), "wrong time popped");
                     let mut fifo = entry;
@@ -174,7 +180,12 @@ fn event_queue_survives_mixed_10k_pushes() {
                 }
             }
             // Drain the rest; the queue and the model must agree exactly.
-            while let Some((pt, pi)) = q.pop() {
+            loop {
+                let head = q.peek_time().map(|t| t.as_picos());
+                prop_assert_eq!(head, model.keys().next().copied(), "peek_time");
+                prop_assert_eq!(q.len(), pending, "len");
+                let Some((pt, pi)) = q.pop() else { break };
+                pending -= 1;
                 let mut entry = model.first_entry().expect("model matches queue length");
                 prop_assert_eq!(*entry.key(), pt.as_picos());
                 prop_assert_eq!(pi, entry.get_mut().pop_front().expect("nonempty bucket"));
@@ -187,9 +198,9 @@ fn event_queue_survives_mixed_10k_pushes() {
         });
 }
 
-/// The calendar queue agrees with a `BTreeMap` model when event times span
-/// every wheel level: L0 grains, L1 cascades, the overflow heap, and
-/// `SimTime::FAR_FUTURE` itself — 10k mixed pushes and pops per case.
+/// The queue agrees with a `BTreeMap` model when event times span every
+/// magnitude from picoseconds up to `SimTime::FAR_FUTURE` itself — 10k
+/// mixed pushes and pops per case.
 #[test]
 fn event_queue_spans_wheel_levels_matches_model() {
     Property::new("event_queue_spans_wheel_levels_matches_model")
@@ -199,6 +210,7 @@ fn event_queue_spans_wheel_levels_matches_model() {
             let mut rng = babol_sim::rng::SplitMix64::new(seed);
             let mut q = EventQueue::new();
             let mut model: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
+            let mut pending = 0usize;
             for i in 0..10_000usize {
                 // A random right-shift spreads times across all magnitudes,
                 // with an occasional FAR_FUTURE sentinel.
@@ -209,8 +221,13 @@ fn event_queue_spans_wheel_levels_matches_model() {
                 };
                 q.push(SimTime::from_picos(t), i);
                 model.entry(t).or_default().push_back(i);
+                pending += 1;
                 if rng.next_below(3) == 0 {
+                    let head = q.peek_time().map(|t| t.as_picos());
+                    prop_assert_eq!(head, model.keys().next().copied(), "peek_time");
+                    prop_assert_eq!(q.len(), pending, "len");
                     let (pt, pi) = q.pop().expect("queue has pending events");
+                    pending -= 1;
                     let mut entry = model.first_entry().expect("model has pending events");
                     prop_assert_eq!(*entry.key(), pt.as_picos(), "wrong time popped");
                     let want = entry.get_mut().pop_front().expect("nonempty bucket");
@@ -220,7 +237,12 @@ fn event_queue_spans_wheel_levels_matches_model() {
                     }
                 }
             }
-            while let Some((pt, pi)) = q.pop() {
+            loop {
+                let head = q.peek_time().map(|t| t.as_picos());
+                prop_assert_eq!(head, model.keys().next().copied(), "peek_time");
+                prop_assert_eq!(q.len(), pending, "len");
+                let Some((pt, pi)) = q.pop() else { break };
+                pending -= 1;
                 let mut entry = model.first_entry().expect("model matches queue length");
                 prop_assert_eq!(*entry.key(), pt.as_picos());
                 prop_assert_eq!(pi, entry.get_mut().pop_front().expect("nonempty bucket"));
@@ -504,25 +526,27 @@ fn ftl_wear_and_retirement_matches_model() {
 /// Differential test of the write-back cache against a trivial model: a
 /// `BTreeMap<lpn, dirty>` plus the slot each resident page occupies. The
 /// cache must agree on residency, dirtiness, slot stability, slot
-/// uniqueness, eviction reports, and the final drain — under both
-/// eviction policies.
+/// uniqueness, least-recently-used eviction, eviction reports, and the
+/// final drain.
 #[test]
 fn write_cache_matches_model() {
-    use babol_ftl::{CachePolicy, WriteCache};
+    use babol_ftl::WriteCache;
     use std::collections::{BTreeMap, BTreeSet};
     Property::new("write_cache_matches_model").run(
         (
             any::<u64>(),
             range(1usize..9),
-            select(&[CachePolicy::Lru, CachePolicy::CleanFirstLru]),
             vec_of(range(0u64..24), 4..120),
         ),
-        |(seed, cap, policy, lpns)| {
-            let mut c = WriteCache::new(*cap, *policy);
+        |(seed, cap, lpns)| {
+            let mut c = WriteCache::new(*cap);
             let mut rng = babol_sim::rng::SplitMix64::new(*seed);
             let mut model: BTreeMap<u64, bool> = BTreeMap::new();
             let mut slots: BTreeMap<u64, u32> = BTreeMap::new();
-            for &lpn in lpns {
+            // Last use of each resident page: every write and every read
+            // of a resident page counts.
+            let mut last_use: BTreeMap<u64, usize> = BTreeMap::new();
+            for (step, &lpn) in lpns.iter().enumerate() {
                 if rng.next_below(3) < 2 {
                     // Host write.
                     let resident = model.contains_key(&lpn);
@@ -538,13 +562,17 @@ fn write_cache_matches_model() {
                         prop_assert_eq!(model[&ev.lpn], ev.dirty, "eviction dirtiness wrong");
                         prop_assert_eq!(slots[&ev.lpn], ev.slot, "eviction slot wrong");
                         prop_assert_eq!(ev.slot, slot, "incoming page must reuse the slot");
+                        let lru = last_use.iter().min_by_key(|(_, &t)| t).map(|(&l, _)| l);
+                        prop_assert_eq!(Some(ev.lpn), lru, "victim is not the LRU page");
                         model.remove(&ev.lpn);
                         slots.remove(&ev.lpn);
+                        last_use.remove(&ev.lpn);
                     } else {
                         prop_assert_eq!(ev, None, "eviction while slots were free");
                     }
                     model.insert(lpn, true);
                     slots.insert(lpn, slot);
+                    last_use.insert(lpn, step);
                 } else {
                     // Host read: flush needed iff a dirty copy is resident.
                     let want = model.get(&lpn) == Some(&true);
@@ -555,6 +583,7 @@ fn write_cache_matches_model() {
                     }
                     if let Some(d) = model.get_mut(&lpn) {
                         *d = false;
+                        last_use.insert(lpn, step);
                     }
                 }
                 let unique: BTreeSet<u32> = slots.values().copied().collect();
