@@ -23,56 +23,52 @@ use babol_flash::PackageProfile;
 use babol_sim::rng::SplitMix64;
 use babol_sim::{EventQueue, SimTime};
 
-/// Pre-generated mixed-horizon event times, each drawn below a random power
-/// of two from 2^15 ps (~33 ns) to 2^50 ps (~19 min). Generated once so
-/// both queue benches consume the identical sequence.
-fn event_times(n: usize) -> Vec<u64> {
+/// Pre-generated mixed-horizon gaps between an event and its follow-up,
+/// each drawn below a random power of two from 2^15 ps (~33 ns) to 2^36 ps
+/// (~69 ms). Generated once so both queue benches consume the identical
+/// sequence.
+fn event_gaps(n: usize) -> Vec<u64> {
     let mut rng = SplitMix64::new(0xB0B0);
     (0..n)
-        .map(|_| rng.next_u64() >> (14 + rng.next_below(36)))
+        .map(|_| rng.next_u64() >> (28 + rng.next_below(22)))
         .collect()
 }
 
-/// Push/pop `times.len()` events through `EventQueue` in simulator style:
-/// advance to the earliest event, pop everything due, push a follow-up
-/// event a short horizon ahead for half of them.
-fn churn(times: &[u64]) -> u64 {
+/// Steady-state churn through `EventQueue` at `pending` events: fill the
+/// queue, then pop the earliest event and push its follow-up one gap
+/// later, so the population never changes. Simulator runs keep at most 32
+/// events pending.
+fn churn(pending: usize, gaps: &[u64]) -> u64 {
     let mut q = EventQueue::new();
-    for (i, &t) in times.iter().enumerate() {
-        q.push(SimTime::from_picos(t), i as u64);
+    for (i, &g) in gaps[..pending].iter().enumerate() {
+        q.push(SimTime::from_picos(g), i as u64);
     }
     let mut acc = 0u64;
-    let mut popped = 0usize;
-    while let Some((t, id)) = q.pop() {
+    for &g in &gaps[pending..] {
+        let (t, id) = q.pop().expect("a steady population");
         acc = acc.wrapping_add(t.as_picos()).wrapping_add(id);
-        popped += 1;
-        if popped <= times.len() / 2 {
-            q.push(SimTime::from_picos(t.as_picos() + 4096 + (id & 0xFFF)), id);
-        }
+        q.push(SimTime::from_picos(t.as_picos() + g), id);
     }
     acc
 }
 
 /// Same churn against a raw `BinaryHeap` with the `(time, seq)` FIFO
 /// tie-break — the reference that prices `EventQueue`'s wrapper overhead.
-fn churn_binheap(times: &[u64]) -> u64 {
+fn churn_binheap(pending: usize, gaps: &[u64]) -> u64 {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut q: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    for (i, &t) in times.iter().enumerate() {
-        q.push(Reverse((t, seq, i as u64)));
+    for (i, &g) in gaps[..pending].iter().enumerate() {
+        q.push(Reverse((g, seq, i as u64)));
         seq += 1;
     }
     let mut acc = 0u64;
-    let mut popped = 0usize;
-    while let Some(Reverse((t, _, id))) = q.pop() {
+    for &g in &gaps[pending..] {
+        let Reverse((t, _, id)) = q.pop().expect("a steady population");
         acc = acc.wrapping_add(t).wrapping_add(id);
-        popped += 1;
-        if popped <= times.len() / 2 {
-            q.push(Reverse((t + 4096 + (id & 0xFFF), seq, id)));
-            seq += 1;
-        }
+        q.push(Reverse((t + g, seq, id)));
+        seq += 1;
     }
     acc
 }
@@ -280,11 +276,18 @@ fn main() {
         codec.decode(&mut data, &parity).unwrap()
     });
 
-    // Event-queue throughput: 1M mixed-horizon events through `EventQueue`
-    // vs a raw binary heap (identical event sequence, ratio ~1.0).
-    let times = event_times(1_000_000);
-    b.bench("sim/1M_events", || churn(black_box(&times)));
-    b.bench("sim/1M_events_binheap", || churn_binheap(black_box(&times)));
+    // Event-queue throughput: 100k pop+push pairs through `EventQueue` at
+    // the populations simulator runs keep, each next to a raw binary heap
+    // on the identical event sequence; the ratio prices the wrapper.
+    let gaps = event_gaps(100_000);
+    for pending in [8, 32] {
+        b.bench(&format!("sim/churn_{pending}_pending"), || {
+            churn(pending, black_box(&gaps))
+        });
+        b.bench(&format!("sim/churn_{pending}_pending_binheap"), || {
+            churn_binheap(pending, black_box(&gaps))
+        });
+    }
 
     // End-to-end pooled data path: GC-heavy random-write fio job. Energy
     // is a deterministic property of the simulated work, so one probe run

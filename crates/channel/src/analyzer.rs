@@ -3,9 +3,8 @@
 //! The paper validates controller timing with a Keysight 16862A logic
 //! analyzer probing the ONFI pins (Fig. 11); screenshots of its timeline are
 //! how the ~30 µs coroutine polling period is demonstrated. This module is
-//! the simulated equivalent: every phase the channel carries is timestamped,
-//! and the controller can add annotation rows (e.g. R/B# edges, operation
-//! boundaries). The `repro_fig11` binary renders the capture as a text
+//! the simulated equivalent: every phase the channel carries is
+//! timestamped. The `repro_fig11` binary renders the capture as a text
 //! timeline.
 
 use std::fmt;
@@ -22,10 +21,8 @@ pub struct TraceEvent {
     pub end: SimTime,
     /// Which LUNs observed it.
     pub mask: ChipMask,
-    /// Phase label (e.g. `CMD READ-STATUS`, `DOUT[1]`) or annotation text.
+    /// Phase label (e.g. `CMD READ-STATUS`, `DOUT[1]`).
     pub label: String,
-    /// True for controller-added annotations rather than bus phases.
-    pub annotation: bool,
 }
 
 impl fmt::Display for TraceEvent {
@@ -33,11 +30,10 @@ impl fmt::Display for TraceEvent {
         let span_us = (self.end - self.start).as_micros_f64();
         write!(
             f,
-            "{:>12}  {:>9}  {:<7}  {}{}",
+            "{:>12}  {:>9}  {:<7}  {}",
             self.start.to_string(),
             format!("{span_us:.3}us"),
             self.mask.to_string(),
-            if self.annotation { "* " } else { "" },
             self.label
         )
     }
@@ -79,21 +75,6 @@ impl Analyzer {
             end,
             mask,
             label: kind.label(),
-            annotation: false,
-        });
-    }
-
-    /// Adds a controller-side annotation (R/B# edge, operation boundary).
-    pub fn note(&mut self, at: SimTime, mask: ChipMask, text: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        self.events.push(TraceEvent {
-            start: at,
-            end: at,
-            mask,
-            label: text.into(),
-            annotation: true,
         });
     }
 
@@ -105,11 +86,6 @@ impl Analyzer {
     /// Events whose label contains `needle`.
     pub fn find<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
         self.events.iter().filter(move |e| e.label.contains(needle))
-    }
-
-    /// Drops all captured events.
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 
     /// Renders the capture as an analyzer-style text timeline.
@@ -139,12 +115,11 @@ mod tests {
     fn disabled_records_nothing() {
         let mut a = Analyzer::new(false);
         a.record(at(0), at(1), ChipMask::single(0), &PhaseKind::Pause);
-        a.note(at(2), ChipMask::single(0), "x");
         assert!(a.events().is_empty());
     }
 
     #[test]
-    fn records_phases_and_notes_in_order() {
+    fn records_phases_in_order() {
         let mut a = Analyzer::new(true);
         a.record(
             at(0),
@@ -152,10 +127,10 @@ mod tests {
             ChipMask::single(0),
             &PhaseKind::CmdLatch(0x70),
         );
-        a.note(at(1), ChipMask::single(0), "R/B# rose");
+        a.record(at(1), at(2), ChipMask::single(0), &PhaseKind::Pause);
         assert_eq!(a.events().len(), 2);
         assert!(a.events()[0].label.contains("READ-STATUS"));
-        assert!(a.events()[1].annotation);
+        assert!(a.events()[1].label.contains("PAUSE"));
     }
 
     #[test]
@@ -186,13 +161,5 @@ mod tests {
         assert!(s.contains("event"));
         assert!(s.contains("PAUSE"));
         assert!(s.contains("CE[2]"));
-    }
-
-    #[test]
-    fn clear_empties_buffer() {
-        let mut a = Analyzer::new(true);
-        a.note(at(0), ChipMask::NONE, "x");
-        a.clear();
-        assert!(a.events().is_empty());
     }
 }

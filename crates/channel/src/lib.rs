@@ -10,9 +10,11 @@
 //!   sequence of timed [`BusPhase`]s — onto the bus, delivering each phase
 //!   to the selected LUNs at its trailing edge and collecting any data that
 //!   flows back. Transmissions must not overlap; attempting to overlap is a
-//!   controller bug and fails loudly.
-//! * [`analyzer::Analyzer`] timestamps every phase (and R/B# transition)
-//!   like the Keysight logic analyzer the paper uses for Figure 11.
+//!   controller bug and fails loudly. Bus ownership and array busy spans
+//!   are reported to the caller's [`Tracer`], the one place every view of
+//!   channel activity (utilization, gaps, phase attribution) derives from.
+//! * [`analyzer::Analyzer`] timestamps every phase like the Keysight logic
+//!   analyzer the paper uses for Figure 11.
 //!
 //! The channel does not decide *what* to send — that is the μFSM layer
 //! (`babol-ufsm`) driven by the controller software (`babol` crate).
@@ -24,7 +26,7 @@ use std::fmt;
 use babol_flash::{Lun, LunError, LunResponse};
 use babol_onfi::bus::{BusPhase, ChipMask, PhaseKind};
 use babol_sim::{BufPool, PageBuf, PageBufMut, SimDuration, SimTime};
-use babol_trace::{Component, Counter, IntervalSet, Metric, TraceKind, TraceSink};
+use babol_trace::{Component, Counter, Metric, TraceKind, Tracer};
 
 pub use analyzer::{Analyzer, TraceEvent};
 
@@ -109,13 +111,6 @@ pub struct Channel {
     analyzer: Analyzer,
     stats: ChannelStats,
     pool: BufPool,
-    /// Bus ownership intervals, kept when tracking is on or the segment
-    /// was transmitted with an enabled trace sink.
-    busy_log: IntervalSet,
-    track_busy: bool,
-    /// Utilization measurement mark (see [`Channel::mark_utilization`]).
-    mark_time: SimTime,
-    mark_busy: SimDuration,
 }
 
 impl fmt::Debug for Channel {
@@ -145,10 +140,6 @@ impl Channel {
             analyzer: Analyzer::new(false),
             stats: ChannelStats::default(),
             pool: BufPool::default(),
-            busy_log: IntervalSet::new(),
-            track_busy: false,
-            mark_time: SimTime::ZERO,
-            mark_busy: SimDuration::ZERO,
         }
     }
 
@@ -167,33 +158,9 @@ impl Channel {
         self.analyzer.set_enabled(on);
     }
 
-    /// Enables busy/idle interval accounting on this channel and every
-    /// attached LUN, independent of whether transmissions carry an enabled
-    /// trace sink. Pure bookkeeping: it never changes bus behaviour.
-    pub fn set_busy_tracking(&mut self, on: bool) {
-        self.track_busy = on;
-        for lun in &mut self.luns {
-            lun.set_busy_tracking(on);
-        }
-    }
-
-    /// Bus ownership intervals collected so far (see
-    /// [`Channel::set_busy_tracking`]; also populated by traced
-    /// transmissions). Windowed queries answer "how busy was the bus
-    /// between t₀ and t₁" — the number [`Channel::utilization`] flattens
-    /// away.
-    pub fn busy_intervals(&self) -> &IntervalSet {
-        &self.busy_log
-    }
-
     /// The captured trace.
     pub fn analyzer(&self) -> &Analyzer {
         &self.analyzer
-    }
-
-    /// Mutable access to the analyzer (for controller-side annotations).
-    pub fn analyzer_mut(&mut self) -> &mut Analyzer {
-        &mut self.analyzer
     }
 
     /// Number of LUNs wired to this channel.
@@ -216,24 +183,9 @@ impl Channel {
         self.busy_until
     }
 
-    /// True if the bus is free at `now`.
-    pub fn is_free(&self, now: SimTime) -> bool {
-        now >= self.busy_until
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> ChannelStats {
         self.stats
-    }
-
-    /// Earliest `busy_until` across LUNs that are busy at `now` — the next
-    /// R/B# rising edge, which hardware controllers watch directly.
-    pub fn next_rb_edge(&self, now: SimTime) -> Option<SimTime> {
-        self.luns
-            .iter()
-            .filter_map(|l| l.busy_until())
-            .filter(|&t| t > now)
-            .min()
     }
 
     /// Transmits one segment: asserts CE# per `mask`, plays each phase in
@@ -243,25 +195,18 @@ impl Channel {
     /// Data-out phases collect bytes from the lowest-numbered selected LUN
     /// (driving DQ from several LUNs at once would short the bus; gang
     /// scheduling via Chip Control is for commands, not data-out).
+    ///
+    /// Bus occupancy goes to `trace`: a `BusAcquire`/`BusRelease` event
+    /// pair tagged with `op_id`, an `ArrayBegin`/`ArrayEnd` pair for every
+    /// array busy period a phase starts, segment/phase/byte counters, and a
+    /// `BusHold` latency observation.
     pub fn transmit(
         &mut self,
         start: SimTime,
         mask: ChipMask,
         phases: &[BusPhase],
-    ) -> Result<Transmission, ChannelError> {
-        self.transmit_traced(start, mask, phases, 0, &mut babol_trace::NoopSink)
-    }
-
-    /// [`Channel::transmit`], reporting bus occupancy to a trace sink:
-    /// a `BusAcquire`/`BusRelease` event pair tagged with `op_id`, segment/
-    /// phase/byte counters, and a `BusHold` latency observation.
-    pub fn transmit_traced(
-        &mut self,
-        start: SimTime,
-        mask: ChipMask,
-        phases: &[BusPhase],
         op_id: u64,
-        sink: &mut dyn TraceSink,
+        trace: &mut Tracer,
     ) -> Result<Transmission, ChannelError> {
         if start < self.busy_until {
             return Err(ChannelError::BusBusy {
@@ -281,7 +226,7 @@ impl Channel {
             }
         }
         let stats_before = self.stats;
-        let traced = sink.is_enabled();
+        let traced = trace.is_enabled();
         let mut t = start;
         // Single data-out segments pass the LUN's buffer through unchanged;
         // multi-packet segments gather into one pooled buffer.
@@ -307,14 +252,14 @@ impl Channel {
                 if traced {
                     if let Some(deadline) = self.luns[lun as usize].busy_until() {
                         if Some(deadline) != deadline_before && deadline > phase_end {
-                            sink.record(babol_trace::TraceEvent {
+                            trace.record(babol_trace::TraceEvent {
                                 t: phase_end,
                                 component: Component::Channel,
                                 kind: TraceKind::ArrayBegin,
                                 lun,
                                 op_id,
                             });
-                            sink.record(babol_trace::TraceEvent {
+                            trace.record(babol_trace::TraceEvent {
                                 t: deadline,
                                 component: Component::Channel,
                                 kind: TraceKind::ArrayEnd,
@@ -356,36 +301,33 @@ impl Channel {
         self.stats.segments += 1;
         self.stats.busy += t - start;
         self.busy_until = t;
-        if self.track_busy || traced {
-            self.busy_log.add(start, t);
-        }
-        sink.count(Component::Channel, Counter::SegmentsTransmitted, 1);
-        sink.count(
+        trace.count(Component::Channel, Counter::SegmentsTransmitted, 1);
+        trace.count(
             Component::Channel,
             Counter::PhasesTransmitted,
             self.stats.phases - stats_before.phases,
         );
-        sink.count(
+        trace.count(
             Component::Channel,
             Counter::BytesFromFlash,
             self.stats.bytes_out - stats_before.bytes_out,
         );
-        sink.count(
+        trace.count(
             Component::Channel,
             Counter::BytesToFlash,
             self.stats.bytes_in - stats_before.bytes_in,
         );
-        sink.observe(Metric::BusHold, t - start);
+        trace.observe(Metric::BusHold, t - start);
         if traced {
             let lun = mask.iter().next().unwrap_or(0);
-            sink.record(babol_trace::TraceEvent {
+            trace.record(babol_trace::TraceEvent {
                 t: start,
                 component: Component::Channel,
                 kind: TraceKind::BusAcquire,
                 lun,
                 op_id,
             });
-            sink.record(babol_trace::TraceEvent {
+            trace.record(babol_trace::TraceEvent {
                 t,
                 component: Component::Channel,
                 kind: TraceKind::BusRelease,
@@ -394,38 +336,6 @@ impl Channel {
             });
         }
         Ok(Transmission { end: t, data })
-    }
-
-    /// Bus utilization over `[SimTime::ZERO, now]`.
-    ///
-    /// Cumulative from epoch — boot/calibration traffic dilutes it. For a
-    /// post-warm-up window, set a mark with [`Channel::mark_utilization`]
-    /// and read [`Channel::utilization_since`].
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.stats.busy.as_picos() as f64 / now.since_epoch().as_picos() as f64).min(1.0)
-    }
-
-    /// Starts a fresh utilization measurement window at `now`: subsequent
-    /// [`Channel::utilization_since`] calls report only bus time accrued
-    /// after this point.
-    pub fn mark_utilization(&mut self, now: SimTime) {
-        self.mark_time = now;
-        self.mark_busy = self.stats.busy;
-    }
-
-    /// Bus utilization over `[mark, now]`, where `mark` is the last
-    /// [`Channel::mark_utilization`] call (epoch if never marked).
-    /// Returns 0 for an empty window.
-    pub fn utilization_since(&self, now: SimTime) -> f64 {
-        let window = now.saturating_since(self.mark_time);
-        if window.is_zero() {
-            return 0.0;
-        }
-        let busy = self.stats.busy.saturating_sub(self.mark_busy);
-        (busy.as_picos() as f64 / window.as_picos() as f64).min(1.0)
     }
 }
 
@@ -455,33 +365,36 @@ mod tests {
         )
     }
 
+    /// Transmits with tracing off.
+    fn send(
+        ch: &mut Channel,
+        start: SimTime,
+        mask: ChipMask,
+        phases: &[BusPhase],
+    ) -> Result<Transmission, ChannelError> {
+        ch.transmit(start, mask, phases, 0, &mut Tracer::disabled())
+    }
+
     #[test]
     fn transmit_occupies_bus_for_phase_sum() {
         let mut ch = channel(2);
         let phases = vec![ca(op::READ_STATUS)];
         let total: SimDuration = phases.iter().map(|p| p.duration).sum();
-        let tx = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap();
+        let tx = send(&mut ch, SimTime::ZERO, ChipMask::single(0), &phases).unwrap();
         assert_eq!(tx.end, SimTime::ZERO + total);
         assert_eq!(ch.busy_until(), tx.end);
-        assert!(ch.is_free(tx.end));
-        assert!(!ch.is_free(SimTime::ZERO));
+        assert!(ch.busy_until() > SimTime::ZERO);
     }
 
     #[test]
     fn overlapping_transmission_is_rejected() {
         let mut ch = channel(2);
         let phases = vec![ca(op::READ_STATUS)];
-        let tx = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap();
-        let err = ch
-            .transmit(SimTime::ZERO, ChipMask::single(1), &phases)
-            .unwrap_err();
+        let tx = send(&mut ch, SimTime::ZERO, ChipMask::single(0), &phases).unwrap();
+        let err = send(&mut ch, SimTime::ZERO, ChipMask::single(1), &phases).unwrap_err();
         assert!(matches!(err, ChannelError::BusBusy { .. }));
         // But transmitting right at the end is fine.
-        ch.transmit(tx.end, ChipMask::single(1), &phases).unwrap();
+        send(&mut ch, tx.end, ChipMask::single(1), &phases).unwrap();
     }
 
     #[test]
@@ -493,9 +406,7 @@ mod tests {
             ca(op::READ_STATUS),
             BusPhase::new(PhaseKind::DataOut { bytes: 1 }, t.data_out_burst(iface, 1)),
         ];
-        let tx = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap();
+        let tx = send(&mut ch, SimTime::ZERO, ChipMask::single(0), &phases).unwrap();
         assert_eq!(tx.data.len(), 1);
         assert_eq!(tx.data[0] & 0x40, 0x40); // idle LUN is ready
     }
@@ -505,7 +416,7 @@ mod tests {
         let mut ch = channel(4);
         // Gang a RESET to LUNs 1 and 3 via the chip mask.
         let mask = ChipMask::single(1) | ChipMask::single(3);
-        ch.transmit(SimTime::ZERO, mask, &[ca(op::RESET)]).unwrap();
+        send(&mut ch, SimTime::ZERO, mask, &[ca(op::RESET)]).unwrap();
         assert!(ch.lun(1).busy_until().is_some());
         assert!(ch.lun(3).busy_until().is_some());
         assert!(ch.lun(0).busy_until().is_none());
@@ -516,11 +427,16 @@ mod tests {
     fn empty_mask_and_bad_lun_rejected() {
         let mut ch = channel(2);
         assert_eq!(
-            ch.transmit(SimTime::ZERO, ChipMask::NONE, &[ca(op::RESET)]),
+            send(&mut ch, SimTime::ZERO, ChipMask::NONE, &[ca(op::RESET)]),
             Err(ChannelError::NoLunSelected)
         );
         assert!(matches!(
-            ch.transmit(SimTime::ZERO, ChipMask::single(5), &[ca(op::RESET)]),
+            send(
+                &mut ch,
+                SimTime::ZERO,
+                ChipMask::single(5),
+                &[ca(op::RESET)]
+            ),
             Err(ChannelError::LunOutOfRange { lun: 5, wired: 2 })
         ));
     }
@@ -529,45 +445,37 @@ mod tests {
     fn lun_protocol_error_is_attributed() {
         let mut ch = channel(2);
         // A bare READ confirm with no preceding address is a protocol error.
-        let err = ch
-            .transmit(SimTime::ZERO, ChipMask::single(1), &[ca(op::READ_2)])
-            .unwrap_err();
+        let err = send(
+            &mut ch,
+            SimTime::ZERO,
+            ChipMask::single(1),
+            &[ca(op::READ_2)],
+        )
+        .unwrap_err();
         assert!(matches!(err, ChannelError::Lun { lun: 1, .. }));
-    }
-
-    #[test]
-    fn next_rb_edge_tracks_busiest_luns() {
-        let mut ch = channel(3);
-        assert_eq!(ch.next_rb_edge(SimTime::ZERO), None);
-        let tx = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &[ca(op::RESET)])
-            .unwrap();
-        let edge = ch.next_rb_edge(tx.end).expect("LUN 0 busy");
-        assert!(edge > tx.end);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut ch = channel(1);
         let phases = vec![ca(op::READ_STATUS)];
-        let tx = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap();
-        ch.transmit(tx.end, ChipMask::single(0), &phases).unwrap();
+        let tx = send(&mut ch, SimTime::ZERO, ChipMask::single(0), &phases).unwrap();
+        send(&mut ch, tx.end, ChipMask::single(0), &phases).unwrap();
         let s = ch.stats();
         assert_eq!(s.segments, 2);
         assert_eq!(s.phases, 2);
         assert!(s.busy > SimDuration::ZERO);
-        assert!(ch.utilization(ch.busy_until()) > 0.99);
+        // Back to back: the bus was busy from the epoch to the last end.
+        assert_eq!(s.busy, ch.busy_until() - SimTime::ZERO);
     }
 
     #[test]
     fn traced_transmit_reports_bus_occupancy() {
         let mut ch = channel(2);
-        let mut tracer = babol_trace::Tracer::enabled();
+        let mut tracer = Tracer::enabled();
         let phases = vec![ca(op::READ_STATUS)];
         let tx = ch
-            .transmit_traced(SimTime::ZERO, ChipMask::single(1), &phases, 42, &mut tracer)
+            .transmit(SimTime::ZERO, ChipMask::single(1), &phases, 42, &mut tracer)
             .unwrap();
         assert_eq!(
             tracer.counter(Component::Channel, Counter::SegmentsTransmitted),
@@ -592,20 +500,18 @@ mod tests {
     }
 
     #[test]
-    fn untraced_transmit_equals_traced_with_noop() {
+    fn tracing_does_not_change_the_transmission() {
         let mut a = channel(1);
         let mut b = channel(1);
         let phases = vec![ca(op::READ_STATUS)];
-        let ta = a
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap();
+        let ta = send(&mut a, SimTime::ZERO, ChipMask::single(0), &phases).unwrap();
         let tb = b
-            .transmit_traced(
+            .transmit(
                 SimTime::ZERO,
                 ChipMask::single(0),
                 &phases,
                 0,
-                &mut babol_trace::NoopSink,
+                &mut Tracer::enabled(),
             )
             .unwrap();
         assert_eq!(ta, tb);
@@ -615,10 +521,10 @@ mod tests {
     #[test]
     fn traced_transmit_emits_array_span_for_busy_start() {
         let mut ch = channel(2);
-        let mut tracer = babol_trace::Tracer::enabled();
+        let mut tracer = Tracer::enabled();
         // RESET starts an array busy period on the selected LUN.
         let tx = ch
-            .transmit_traced(
+            .transmit(
                 SimTime::ZERO,
                 ChipMask::single(1),
                 &[ca(op::RESET)],
@@ -635,7 +541,7 @@ mod tests {
         assert!(kinds.contains(&(TraceKind::ArrayEnd, deadline, 1, 9)));
         // A status poll that starts no busy period adds no array events.
         let before = tracer.events().count();
-        ch.transmit_traced(
+        ch.transmit(
             deadline,
             ChipMask::single(1),
             &[ca(op::READ_STATUS)],
@@ -645,59 +551,6 @@ mod tests {
         .unwrap();
         let new: Vec<_> = tracer.events().skip(before).map(|e| e.kind).collect();
         assert_eq!(new, vec![TraceKind::BusAcquire, TraceKind::BusRelease]);
-    }
-
-    #[test]
-    fn busy_intervals_accumulate_when_tracked_or_traced() {
-        let phases = vec![ca(op::READ_STATUS)];
-        // Untracked, untraced: nothing logged (hot path stays lean).
-        let mut ch = channel(1);
-        ch.transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap();
-        assert!(ch.busy_intervals().is_empty());
-        // Explicit tracking without a sink.
-        let mut ch = channel(1);
-        ch.set_busy_tracking(true);
-        let t1 = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap()
-            .end;
-        ch.transmit(
-            t1 + SimDuration::from_nanos(100),
-            ChipMask::single(0),
-            &phases,
-        )
-        .unwrap();
-        assert_eq!(ch.busy_intervals().len(), 2);
-        assert_eq!(ch.busy_intervals().total_busy(), ch.stats().busy);
-        assert_eq!(ch.busy_intervals().gaps().count(), 1);
-        // An enabled sink logs too, without explicit tracking.
-        let mut ch = channel(1);
-        let mut tracer = babol_trace::Tracer::enabled();
-        ch.transmit_traced(SimTime::ZERO, ChipMask::single(0), &phases, 0, &mut tracer)
-            .unwrap();
-        assert_eq!(ch.busy_intervals().len(), 1);
-    }
-
-    #[test]
-    fn utilization_since_ignores_traffic_before_the_mark() {
-        let mut ch = channel(1);
-        let phases = vec![ca(op::READ_STATUS)];
-        // "Boot" traffic saturates the bus up to t1.
-        let t1 = ch
-            .transmit(SimTime::ZERO, ChipMask::single(0), &phases)
-            .unwrap()
-            .end;
-        ch.mark_utilization(t1);
-        // Idle for as long again: windowed reads 0, cumulative stays high.
-        let now = t1 + (t1 - SimTime::ZERO);
-        assert_eq!(ch.utilization_since(now), 0.0);
-        assert!(ch.utilization(now) > 0.4);
-        // One more segment in the window: windowed ≈ busy/(window).
-        let t2 = ch.transmit(now, ChipMask::single(0), &phases).unwrap().end;
-        let u = ch.utilization_since(t2);
-        assert!(u > 0.3, "windowed utilization {u}");
-        assert_eq!(ch.utilization_since(t1), 0.0, "empty window");
     }
 
     #[test]

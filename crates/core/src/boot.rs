@@ -24,7 +24,7 @@ use std::fmt;
 use babol_onfi::opcode::op;
 use babol_onfi::param_page::ParamPage;
 use babol_onfi::status::Status;
-use babol_ufsm::{execute, DmaDest, EmitConfig, Latch, PostWait, Transaction};
+use babol_ufsm::{execute, DmaDest, EmitConfig, EmitScratch, Latch, PostWait, Transaction};
 
 use babol_onfi::bus::ChipMask;
 
@@ -93,8 +93,17 @@ impl std::error::Error for BootError {}
 /// Executes one transaction synchronously, advancing `sys.now` past its end.
 fn run_txn(sys: &mut System, emit: &EmitConfig, txn: &Transaction) -> Vec<u8> {
     let start = sys.now.max(sys.channel.busy_until());
-    let out = execute(&mut sys.channel, &mut sys.dram, emit, start, txn)
-        .unwrap_or_else(|e| panic!("boot waveform rejected: {e}"));
+    let out = execute(
+        &mut sys.channel,
+        &mut sys.dram,
+        emit,
+        start,
+        txn,
+        0,
+        &mut sys.trace,
+        &mut EmitScratch::default(),
+    )
+    .unwrap_or_else(|e| panic!("boot waveform rejected: {e}"));
     sys.now = out.end;
     out.inline
 }

@@ -152,7 +152,7 @@ impl CosmosController {
         };
         let tx = sys
             .channel
-            .transmit(start, ChipMask::single(lun), &phases)
+            .transmit(start, ChipMask::single(lun), &phases, req.id, &mut sys.trace)
             .unwrap_or_else(|e| panic!("hardware waveform rejected: {e}"));
         // The DMA engine lands read data in DRAM as it streams.
         if next == EngineState::DataOnBus {

@@ -425,7 +425,7 @@ impl SyncController {
                         || next == OpState::ErCheckStatus;
                     let tx = sys
                         .channel
-                        .transmit(cursor, ChipMask::single(lun), &[phase])
+                        .transmit(cursor, ChipMask::single(lun), &[phase], req.id, &mut sys.trace)
                         .unwrap_or_else(|e| panic!("hardware waveform rejected: {e}"));
                     cursor = tx.end;
                     if is_status {

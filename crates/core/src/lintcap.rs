@@ -16,7 +16,8 @@ use babol_flash::lun::LunConfig;
 use babol_flash::{Lun, PackageProfile};
 use babol_onfi::addr::RowAddr;
 use babol_sim::{Dram, SimDuration, SimTime};
-use babol_ufsm::{execute, EmitConfig, Transaction};
+use babol_trace::Tracer;
+use babol_ufsm::{execute, EmitConfig, EmitScratch, Transaction};
 
 use crate::ops::{self, Target};
 use crate::runtime::coro::{CoroTask, OpCtx};
@@ -274,6 +275,7 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
     let mut captured = Vec::new();
     let mut now = SimTime::ZERO;
     let mut idle_advances = 0u32;
+    let (mut trace, mut scratch) = (Tracer::disabled(), EmitScratch::default());
     loop {
         let status = task.advance(now);
         let mut staged = Vec::new();
@@ -303,8 +305,17 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
         idle_advances = 0;
         for (ticket, txn) in outbox {
             let start = now.max(channel.busy_until());
-            let out = execute(&mut channel, &mut dram, &emit, start, &txn)
-                .unwrap_or_else(|e| panic!("operation {}: execute failed: {e:?}", kind.name()));
+            let out = execute(
+                &mut channel,
+                &mut dram,
+                &emit,
+                start,
+                &txn,
+                0,
+                &mut trace,
+                &mut scratch,
+            )
+            .unwrap_or_else(|e| panic!("operation {}: execute failed: {e:?}", kind.name()));
             now = out.end;
             captured.push(txn);
             task.deliver(

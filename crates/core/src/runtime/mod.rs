@@ -29,8 +29,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
-use babol_trace::{Component, Counter, Metric, TraceKind, TraceSink};
-use babol_ufsm::{execute_traced, EmitScratch, Transaction};
+use babol_trace::{Component, Counter, Metric, TraceKind};
+use babol_ufsm::{execute, EmitScratch, Transaction};
 
 use crate::sched::{TaskMeta, TaskPolicy, TxnMeta, TxnPolicy};
 use crate::system::{Controller, Event, IoRequest, System};
@@ -689,7 +689,7 @@ impl SoftRuntime {
             tag.lun,
             tag.op_id,
         );
-        let outcome = execute_traced(
+        let outcome = execute(
             &mut sys.channel,
             &mut sys.dram,
             &sys.emit,

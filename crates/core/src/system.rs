@@ -10,7 +10,7 @@ use std::fmt::{self, Write as _};
 
 use babol_channel::Channel;
 use babol_sim::{BufPool, Cpu, Dram, EventQueue, SimDuration, SimTime, Watchdog};
-use babol_trace::{Component, Counter, TraceSink, Tracer};
+use babol_trace::{Component, Counter, Tracer};
 use babol_ufsm::EmitConfig;
 
 /// What an FTL-level request asks of the storage controller.

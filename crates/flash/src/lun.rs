@@ -27,7 +27,6 @@ use babol_onfi::status::Status;
 use babol_onfi::timing::DataInterface;
 use babol_sim::rng::SplitMix64;
 use babol_sim::{BufPool, PageBuf, PageBufMut, SimDuration, SimTime};
-use babol_trace::IntervalSet;
 
 use crate::array::{ArrayStore, ContentMode};
 use crate::ber::{raw_ber, BerContext};
@@ -247,9 +246,6 @@ pub struct Lun {
     rng: SplitMix64,
     stats: LunStats,
     pool: BufPool,
-    /// Array busy/idle interval accounting (opt-in, pure bookkeeping).
-    track_busy: bool,
-    busy_log: IntervalSet,
 }
 
 impl std::fmt::Debug for Lun {
@@ -295,8 +291,6 @@ impl Lun {
             rng,
             stats: LunStats::default(),
             pool: BufPool::new(raw),
-            track_busy: false,
-            busy_log: IntervalSet::new(),
             cfg,
         }
     }
@@ -305,20 +299,6 @@ impl Lun {
     /// responses recycle its buffers.
     pub fn set_pool(&mut self, pool: &BufPool) {
         self.pool = pool.clone();
-    }
-
-    /// Enables array busy/idle interval accounting: every busy period
-    /// (tR, tPROG, tBERS, resets, suspend windows) is logged into an
-    /// [`IntervalSet`] for windowed utilization queries. Off by default;
-    /// pure bookkeeping, never changes timing or behaviour.
-    pub fn set_busy_tracking(&mut self, on: bool) {
-        self.track_busy = on;
-    }
-
-    /// The array busy intervals collected so far (empty unless
-    /// [`Lun::set_busy_tracking`] was enabled).
-    pub fn busy_intervals(&self) -> &IntervalSet {
-        &self.busy_log
     }
 
     /// The package profile this LUN instantiates.
@@ -522,12 +502,6 @@ impl Lun {
     }
 
     fn begin_busy(&mut self, now: SimTime, dur: SimDuration, kind: BusyKind, effect: Effect) {
-        // Every array busy period — tR, tPROG, tBERS, reset, plane queues,
-        // suspend windows — starts here, so this is the one place interval
-        // accounting has to hook.
-        if self.track_busy {
-            self.busy_log.add(now, now + dur);
-        }
         self.busy = Some(Busy {
             until: now + dur,
             kind,
@@ -1290,22 +1264,6 @@ mod tests {
         let bytes = d.dout(16);
         assert_eq!(bytes, vec![0xFF; 16]); // pristine page
         assert_eq!(d.lun.stats().reads, 1);
-    }
-
-    #[test]
-    fn busy_tracking_logs_every_array_busy_window() {
-        let mut d = Driver::new(LunConfig::test_default());
-        d.lun.set_busy_tracking(true);
-        d.read(row(0, 0), 4);
-        d.program(row(0, 1), b"xyzw");
-        assert_eq!(d.lun.busy_intervals().len(), 2, "one span per tR/tPROG");
-        let profile = PackageProfile::test_tiny();
-        let expect = profile.t_r + profile.t_prog;
-        assert_eq!(d.lun.busy_intervals().total_busy(), expect);
-        // Tracking is opt-in: a fresh LUN records nothing.
-        let mut quiet = Driver::new(LunConfig::test_default());
-        quiet.read(row(0, 0), 4);
-        assert!(quiet.lun.busy_intervals().is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`crate::Ssd::run`] hands the client to the FTL's drive loop, and
 //! [`crate::MultiSsd::run`] stripes its commands over the channels.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use babol_sim::rng::SplitMix64;
 use babol_sim::{SimDuration, SimTime};
@@ -66,7 +66,8 @@ pub struct HostCmd {
     pub id: u64,
     /// Logical page.
     pub lpn: u64,
-    /// DRAM staging slot index (the host's queue-depth slot).
+    /// DRAM staging slot index: a queue-depth slot no other outstanding
+    /// I/O holds.
     pub slot: u64,
     /// Write (`true`) or read.
     pub write: bool,
@@ -81,8 +82,13 @@ pub(crate) struct FioClient {
     logical_pages: u64,
     rng: SplitMix64,
     next_id: u64,
-    /// Issue time of every outstanding I/O.
-    pub(crate) inflight: BTreeMap<u64, SimTime>,
+    /// Queue-depth slots no outstanding I/O holds, in the order they were
+    /// freed, so in-order completion hands out `id % queue_depth`.
+    free_slots: VecDeque<u64>,
+    /// The slot of the command last handed out, until it is issued.
+    handed: Option<u64>,
+    /// Issue time and staging slot of every outstanding I/O.
+    pub(crate) inflight: BTreeMap<u64, (SimTime, u64)>,
     /// Latencies of the completed I/Os, in completion order.
     pub(crate) latencies: Vec<SimDuration>,
 }
@@ -95,6 +101,8 @@ impl FioClient {
             logical_pages,
             rng: SplitMix64::new(wl.seed),
             next_id: 0,
+            free_slots: (0..wl.queue_depth as u64).collect(),
+            handed: None,
             inflight: BTreeMap::new(),
             latencies: Vec::with_capacity(wl.total_ios as usize),
         }
@@ -108,20 +116,30 @@ impl Host for FioClient {
         }
         let id = self.next_id;
         self.next_id += 1;
+        let slot = self
+            .free_slots
+            .pop_front()
+            .expect("a free slot below queue depth");
+        self.handed = Some(slot);
         Some(HostCmd {
             id,
             lpn: self.wl.lpn_of(id, self.logical_pages, &mut self.rng),
-            slot: id % self.wl.queue_depth as u64,
+            slot,
             write: self.wl.pattern.is_write(),
         })
     }
 
     fn issued(&mut self, id: u64, at: SimTime) {
-        self.inflight.insert(id, at);
+        let slot = self
+            .handed
+            .take()
+            .expect("issued a command never handed out");
+        self.inflight.insert(id, (at, slot));
     }
 
     fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration> {
-        let t0 = self.inflight.remove(&id).expect("unknown host id");
+        let (t0, slot) = self.inflight.remove(&id).expect("unknown host id");
+        self.free_slots.push_back(slot);
         let latency = at - t0;
         self.latencies.push(latency);
         metrics.observe_latency(at, latency);

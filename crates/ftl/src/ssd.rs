@@ -46,7 +46,7 @@ use babol_flash::Geometry;
 use babol_sim::{PageBufMut, SimDuration, SimTime, Watchdog};
 use babol_trace::{
     Component, Counter, FtlCounter, FtlCounters, Metric, MetricsHub, MetricsSnapshot, TraceKind,
-    TraceSink, Tracer,
+    Tracer,
 };
 use babol_verify::EnergyCosts;
 
@@ -1518,6 +1518,28 @@ mod tests {
                 if ssd.map().translate(lpn).is_some() {
                     assert_lpn_pattern(&sys, &ssd, lpn);
                 }
+            }
+        }
+    }
+
+    /// Bugfix regression: two in-flight writes must never share a DRAM
+    /// staging page. Eight LUNs complete writes out of issue order, and
+    /// slots numbered `id % queue_depth` then handed a new write the page
+    /// of an older one whose program had not read it yet, so some mapped
+    /// pages held another LPN's data.
+    #[test]
+    fn out_of_order_completions_never_share_a_staging_page() {
+        let (mut sys, mut ctrl, mut ssd) = tiny_stack(8, false);
+        let wl = FioWorkload {
+            pattern: IoPattern::RandomWrite,
+            total_ios: 2 * ssd.map().logical_pages(),
+            queue_depth: 32,
+            seed: 3,
+        };
+        ssd.run(&mut sys, &mut ctrl, wl);
+        for lpn in 0..ssd.map().logical_pages() {
+            if ssd.map().translate(lpn).is_some() {
+                assert_lpn_pattern(&sys, &ssd, lpn);
             }
         }
     }

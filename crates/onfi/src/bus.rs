@@ -5,8 +5,7 @@
 //! command byte, address bytes, a data burst). Simulating every pin edge of
 //! a 16 KiB data burst would generate tens of thousands of events per page,
 //! so the channel model transmits *phases*: one timed unit per BTC-like
-//! fragment. Pin-level expansion of small fragments (for the Fig. 11 logic
-//! analyzer) lives in [`crate::waveform`].
+//! fragment.
 
 use std::fmt;
 

@@ -21,8 +21,6 @@
 //! * [`bus`] — the phase-level waveform vocabulary exchanged on a channel:
 //!   command latches, address latches, data-in/out bursts. This is the
 //!   "Basic Timing Cycle" (BTC) notion of the standard, §II of the paper.
-//! * [`waveform`] — pin-level edge expansion of small waveform fragments,
-//!   used by the logic-analyzer reproduction of the paper's Figure 11.
 //! * [`param_page`] — the ONFI parameter page a package reports at
 //!   initialization time.
 //! * [`feature`] — SET FEATURES / GET FEATURES addresses, including the
@@ -35,7 +33,6 @@ pub mod opcode;
 pub mod param_page;
 pub mod status;
 pub mod timing;
-pub mod waveform;
 
 pub use addr::{AddressCycles, ColumnAddr, RowAddr};
 pub use bus::{BusPhase, PhaseKind};

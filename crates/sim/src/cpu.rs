@@ -156,8 +156,6 @@ pub struct Cpu {
     cost: CostModel,
     busy_until: SimTime,
     busy_cycles: u64,
-    mark_time: SimTime,
-    mark_cycles: u64,
 }
 
 impl Cpu {
@@ -168,8 +166,6 @@ impl Cpu {
             cost,
             busy_until: SimTime::ZERO,
             busy_cycles: 0,
-            mark_time: SimTime::ZERO,
-            mark_cycles: 0,
         }
     }
 
@@ -195,35 +191,13 @@ impl Cpu {
 
     /// Fraction of wall time `[SimTime::ZERO, now]` the processor spent busy.
     ///
-    /// Cumulative from epoch — boot and calibration dilute it. For a
-    /// post-warm-up window, set a mark with [`Cpu::mark_utilization`] and
-    /// read [`Cpu::utilization_since`] instead.
+    /// Cumulative from epoch — boot and calibration dilute it.
     pub fn utilization(&self, now: SimTime) -> f64 {
         if now == SimTime::ZERO {
             return 0.0;
         }
         let busy = self.freq.cycles(self.busy_cycles);
         (busy.as_picos() as f64 / now.since_epoch().as_picos() as f64).min(1.0)
-    }
-
-    /// Starts a fresh utilization measurement window at `now`: subsequent
-    /// [`Cpu::utilization_since`] calls report only work charged after
-    /// this point.
-    pub fn mark_utilization(&mut self, now: SimTime) {
-        self.mark_time = now;
-        self.mark_cycles = self.busy_cycles;
-    }
-
-    /// Fraction of `[mark, now]` the processor spent busy, where `mark` is
-    /// the last [`Cpu::mark_utilization`] call (epoch if never marked).
-    /// Returns 0 for an empty window.
-    pub fn utilization_since(&self, now: SimTime) -> f64 {
-        let window = now.saturating_since(self.mark_time);
-        if window.is_zero() {
-            return 0.0;
-        }
-        let busy = self.freq.cycles(self.busy_cycles - self.mark_cycles);
-        (busy.as_picos() as f64 / window.as_picos() as f64).min(1.0)
     }
 
     /// Charges `cycles` of work requested at `now`; returns the completion
@@ -240,8 +214,6 @@ impl Cpu {
     pub fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;
         self.busy_cycles = 0;
-        self.mark_time = SimTime::ZERO;
-        self.mark_cycles = 0;
     }
 }
 
@@ -322,25 +294,17 @@ mod tests {
     }
 
     #[test]
-    fn utilization_since_measures_only_the_marked_window() {
+    fn utilization_is_cumulative_from_the_epoch() {
         let mut cpu = Cpu::new(Freq::from_mhz(100), CostModel::free());
         // "Boot": 4 us of work in the first 4 us — 100% busy.
         cpu.charge(SimTime::ZERO, 400);
         let warm = SimTime::ZERO + SimDuration::from_micros(4);
-        cpu.mark_utilization(warm);
         // Steady state: 1 us of work over the next 4 us — 25% busy.
         cpu.charge(warm, 100);
         let now = warm + SimDuration::from_micros(4);
-        let since = cpu.utilization_since(now);
-        assert!((since - 0.25).abs() < 1e-9, "windowed {since}");
-        // The cumulative number is diluted the other way: (4+1)/8.
+        // The cumulative number blends both windows: (4+1)/8.
         let total = cpu.utilization(now);
         assert!((total - 0.625).abs() < 1e-9, "cumulative {total}");
-        // Empty window reads 0, and an unmarked CPU matches cumulative.
-        assert_eq!(cpu.utilization_since(warm), 0.0);
-        let mut fresh = Cpu::new(Freq::from_mhz(100), CostModel::free());
-        fresh.charge(SimTime::ZERO, 100);
-        assert_eq!(fresh.utilization(now), fresh.utilization_since(now));
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Tracer {
 mod tests {
     use babol_sim::SimTime;
 
-    use crate::{Component, TraceEvent, TraceKind, TraceSink, Tracer};
+    use crate::{Component, TraceEvent, TraceKind, Tracer};
 
     fn ev(ps: u64, kind: TraceKind, lun: u32, op: u64) -> TraceEvent {
         TraceEvent {

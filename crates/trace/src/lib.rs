@@ -16,8 +16,7 @@
 //!   as line-JSON or Chrome `trace_event` JSON, so `chrome://tracing` (or
 //!   Perfetto) renders a controller timeline with one LUN per track.
 //!
-//! Everything funnels through the [`TraceSink`] trait. The default sink,
-//! [`NoopSink`], does nothing; the real [`Tracer`] starts disabled and every
+//! Everything funnels into one [`Tracer`]. It starts disabled and every
 //! record method begins with an `#[inline]` branch on a `bool`, so the cost
 //! of tracing in a disabled run is one predictable branch per site. Tracing
 //! is a pure observer: it never mutates simulation state, consumes
@@ -48,7 +47,7 @@ pub use slo::{
 };
 pub use tracer::Tracer;
 
-use babol_sim::{SimDuration, SimTime};
+use babol_sim::SimTime;
 
 /// The subsystem a trace event or counter belongs to.
 ///
@@ -565,38 +564,6 @@ impl Metric {
     }
 }
 
-/// Destination for trace records. Every method has a no-op default, so a
-/// sink only overrides what it cares about, and the disabled path costs a
-/// single branch per call site.
-pub trait TraceSink {
-    /// Whether the sink wants records at all. Call sites that need to do
-    /// extra work to *build* a record (e.g. compute per-instruction
-    /// timestamps) should guard on this first; plain `record`/`count`/
-    /// `observe` calls are cheap enough to make unconditionally.
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Appends an event to the trace ring.
-    #[inline]
-    fn record(&mut self, _event: TraceEvent) {}
-
-    /// Adds `n` to a per-component counter.
-    #[inline]
-    fn count(&mut self, _component: Component, _counter: Counter, _n: u64) {}
-
-    /// Records one latency observation.
-    #[inline]
-    fn observe(&mut self, _metric: Metric, _latency: SimDuration) {}
-}
-
-/// The default sink: discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,20 +642,5 @@ mod tests {
         let fine = QueueDepths::from_lens(255, 256, 257, 0);
         assert_eq!(fine, QueueDepths::exact(255, 256, 257, 0));
         assert!(!fine.is_saturated());
-    }
-
-    #[test]
-    fn noop_sink_is_disabled() {
-        let mut s = NoopSink;
-        assert!(!s.is_enabled());
-        s.count(Component::Sim, Counter::EventsScheduled, 3);
-        s.observe(Metric::BusHold, SimDuration::from_nanos(5));
-        s.record(TraceEvent {
-            t: SimTime::ZERO,
-            component: Component::Sim,
-            kind: TraceKind::SchedPick,
-            lun: 0,
-            op_id: 0,
-        });
     }
 }

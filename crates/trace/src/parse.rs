@@ -215,7 +215,7 @@ pub fn parse_json_lines(text: &str) -> Result<ParsedTrace, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TraceSink, Tracer};
+    use crate::Tracer;
 
     #[test]
     fn roundtrips_exporter_output() {

@@ -501,7 +501,6 @@ fn pct(fraction: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceSink;
 
     fn ev(ps: u64, component: Component, kind: TraceKind, lun: u32, op: u64) -> TraceEvent {
         TraceEvent {

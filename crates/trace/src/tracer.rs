@@ -1,11 +1,11 @@
-//! The concrete trace sink: counters + histograms + bounded event ring.
+//! The trace sink: counters + histograms + bounded event ring.
 
 use std::collections::VecDeque;
 
 use babol_sim::{SimDuration, SimTime};
 
 use crate::hist::Histogram;
-use crate::{Component, Counter, Metric, TraceEvent, TraceKind, TraceSink};
+use crate::{Component, Counter, Metric, TraceEvent, TraceKind};
 
 /// Default ring capacity: enough for every event of a Fig. 10 microbench
 /// point or a tiny fio job, small enough (~2 MiB) to leave resident in
@@ -168,16 +168,19 @@ impl Tracer {
             op_id,
         });
     }
-}
 
-impl TraceSink for Tracer {
+    /// Whether records are kept at all. Call sites that do extra work to
+    /// *build* a record (e.g. compute per-instruction timestamps) guard on
+    /// this first; plain `record`/`count`/`observe` calls are cheap enough
+    /// to make unconditionally.
     #[inline]
-    fn is_enabled(&self) -> bool {
+    pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
+    /// Appends an event to the ring, evicting the oldest when full.
     #[inline]
-    fn record(&mut self, event: TraceEvent) {
+    pub fn record(&mut self, event: TraceEvent) {
         if !self.enabled {
             return;
         }
@@ -192,16 +195,18 @@ impl TraceSink for Tracer {
         self.ring.push_back(event);
     }
 
+    /// Adds `n` to a per-component counter.
     #[inline]
-    fn count(&mut self, component: Component, counter: Counter, n: u64) {
+    pub fn count(&mut self, component: Component, counter: Counter, n: u64) {
         if !self.enabled {
             return;
         }
         self.counters[component.index()][counter.index()] += n;
     }
 
+    /// Records one latency observation.
     #[inline]
-    fn observe(&mut self, metric: Metric, latency: SimDuration) {
+    pub fn observe(&mut self, metric: Metric, latency: SimDuration) {
         if !self.enabled {
             return;
         }

@@ -10,7 +10,7 @@ use babol_channel::{Channel, ChannelError};
 use babol_onfi::bus::{BusPhase, PhaseKind};
 use babol_onfi::timing::{DataInterface, TimingParams};
 use babol_sim::{Dram, SimDuration, SimTime};
-use babol_trace::{Component, Counter, TraceKind, TraceSink};
+use babol_trace::{Component, Counter, TraceKind, Tracer};
 
 use crate::instr::{DmaDest, Instr, Latch, PostWait, Transaction};
 use crate::packetizer::PacketizerConfig;
@@ -166,7 +166,7 @@ pub struct Outcome {
     pub inline: Vec<u8>,
 }
 
-/// Working buffers of [`execute_traced`], owned by its caller so a
+/// Working buffers of [`execute`], owned by its caller so a
 /// steady-state transaction stream reuses them instead of allocating.
 /// Nothing carries over from one transaction to the next.
 #[derive(Debug, Default)]
@@ -185,46 +185,28 @@ pub struct EmitScratch {
 /// Expands `txn` into bus phases, transmits them at `start`, and moves DMA
 /// data. Fails if the bus is owned, the mask is invalid, or a LUN rejects a
 /// phase (protocol bug in the operation logic).
+///
+/// Reports to `trace`: one `InstrDispatch` event per μFSM instruction
+/// (timestamped at the instruction's first bus phase), an instruction
+/// counter, and — via [`Channel::transmit`] — the bus acquire/release pair
+/// for the whole segment, all tagged with `op_id`. `scratch` supplies the
+/// working buffers.
+#[allow(clippy::too_many_arguments)]
 pub fn execute(
     channel: &mut Channel,
     dram: &mut Dram,
     cfg: &EmitConfig,
     start: SimTime,
     txn: &Transaction,
-) -> Result<Outcome, ChannelError> {
-    execute_traced(
-        channel,
-        dram,
-        cfg,
-        start,
-        txn,
-        0,
-        &mut babol_trace::NoopSink,
-        &mut EmitScratch::default(),
-    )
-}
-
-/// [`execute`], reporting to a trace sink: one `InstrDispatch` event per
-/// μFSM instruction (timestamped at the instruction's first bus phase), an
-/// instruction counter, and — via [`Channel::transmit_traced`] — the bus
-/// acquire/release pair for the whole segment. `scratch` supplies the
-/// working buffers.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_traced(
-    channel: &mut Channel,
-    dram: &mut Dram,
-    cfg: &EmitConfig,
-    start: SimTime,
-    txn: &Transaction,
     op_id: u64,
-    sink: &mut dyn TraceSink,
+    trace: &mut Tracer,
     scratch: &mut EmitScratch,
 ) -> Result<Outcome, ChannelError> {
     // Debug builds verify the transaction before playing it (see
     // `hook`); release builds compile this line out entirely.
     #[cfg(debug_assertions)]
     crate::hook::run(channel, txn);
-    let trace_on = sink.is_enabled();
+    let trace_on = trace.is_enabled();
     // A failed call may have left buffers behind.
     scratch.phases.clear();
     scratch.reads.clear();
@@ -296,8 +278,8 @@ pub fn execute_traced(
             }
         }
     }
-    let tx = channel.transmit_traced(start, txn.chip_mask(), phases, op_id, sink)?;
-    sink.count(
+    let tx = channel.transmit(start, txn.chip_mask(), phases, op_id, trace)?;
+    trace.count(
         Component::Ufsm,
         Counter::InstrsDispatched,
         txn.instrs().len() as u64,
@@ -311,7 +293,7 @@ pub fn execute_traced(
                 t += phases[next_phase].duration;
                 next_phase += 1;
             }
-            sink.record(babol_trace::TraceEvent {
+            trace.record(babol_trace::TraceEvent {
                 t,
                 component: Component::Ufsm,
                 kind: TraceKind::InstrDispatch,
@@ -361,6 +343,27 @@ mod tests {
         (Channel::new(luns), Dram::new(), EmitConfig::nv_ddr2(200))
     }
 
+    /// Executes with tracing off and fresh scratch buffers.
+    fn run(
+        ch: &mut Channel,
+        dram: &mut Dram,
+        cfg: &EmitConfig,
+        start: SimTime,
+        txn: &Transaction,
+    ) -> Result<Outcome, ChannelError> {
+        let mut off = Tracer::disabled();
+        execute(
+            ch,
+            dram,
+            cfg,
+            start,
+            txn,
+            0,
+            &mut off,
+            &mut EmitScratch::default(),
+        )
+    }
+
     fn addr_for(ch: &Channel, block: u32, page: u32, col: u32) -> Vec<u8> {
         let layout = ch.lun(0).profile().geometry.addr_layout(16);
         layout.pack_full(
@@ -389,7 +392,7 @@ mod tests {
             )
             .write(512, 0x10_000)
             .ca(vec![Latch::Cmd(op::PROGRAM_2)], PostWait::Wb);
-        let out = execute(&mut ch, &mut dram, &cfg, SimTime::ZERO, &prog).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg, SimTime::ZERO, &prog).unwrap();
         // Wait for tPROG by starting the next transaction after R/B# rises.
         let ready = ch.lun(0).busy_until().unwrap();
         assert!(ready > out.end);
@@ -403,10 +406,10 @@ mod tests {
             ],
             PostWait::Wb,
         );
-        let out = execute(&mut ch, &mut dram, &cfg, ready, &read_cmd).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg, ready, &read_cmd).unwrap();
         let ready = ch.lun(0).busy_until().unwrap().max(out.end);
         let fetch = Transaction::new(ChipMask::single(0)).read(512, DmaDest::Dram(0x20_000));
-        execute(&mut ch, &mut dram, &cfg, ready, &fetch).unwrap();
+        run(&mut ch, &mut dram, &cfg, ready, &fetch).unwrap();
         assert_eq!(dram.read_vec(0x20_000, 512), payload);
     }
 
@@ -416,7 +419,7 @@ mod tests {
         let txn = Transaction::new(ChipMask::single(0))
             .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
             .read(1, DmaDest::Inline);
-        let out = execute(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
         assert_eq!(out.inline.len(), 1);
         assert_eq!(out.inline[0] & 0x40, 0x40);
     }
@@ -428,7 +431,7 @@ mod tests {
             .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
             .read(1, DmaDest::Inline);
         let planned = cfg.duration_of(&txn);
-        let out = execute(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
         assert_eq!(out.end - SimTime::ZERO, planned);
     }
 
@@ -479,7 +482,7 @@ mod tests {
             ],
             PostWait::Wb,
         );
-        let out = execute(&mut ch, &mut dram, &cfg200, SimTime::ZERO, &read_cmd).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg200, SimTime::ZERO, &read_cmd).unwrap();
         let ready = ch.lun(0).busy_until().unwrap().max(out.end);
 
         // A full 16 KiB data-out would take ~100 us at 200 MT/s per Table I.
@@ -492,7 +495,7 @@ mod tests {
             "100 MT/s transfer {d100} us"
         );
         // And the engine agrees with the planner.
-        let out = execute(&mut ch, &mut dram, &cfg200, ready, &fetch).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg200, ready, &fetch).unwrap();
         assert_eq!((out.end - ready).as_micros_f64(), d200,);
     }
 
@@ -500,7 +503,7 @@ mod tests {
     fn timer_holds_the_bus() {
         let (mut ch, mut dram, cfg) = setup(1);
         let txn = Transaction::new(ChipMask::single(0)).timer(SimDuration::from_micros(5));
-        let out = execute(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
+        let out = run(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
         assert_eq!(out.end - SimTime::ZERO, SimDuration::from_micros(5));
         assert_eq!(ch.busy_until(), out.end);
     }
@@ -510,7 +513,7 @@ mod tests {
         let (mut ch, mut dram, cfg) = setup(4);
         let gang = ChipMask::first_n(4);
         let txn = Transaction::new(gang).ca(vec![Latch::Cmd(op::RESET)], PostWait::Wb);
-        execute(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
+        run(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
         for i in 0..4 {
             assert!(ch.lun(i).busy_until().is_some(), "LUN {i}");
         }
@@ -522,8 +525,8 @@ mod tests {
         let txn = Transaction::new(ChipMask::single(0))
             .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
             .read(1, DmaDest::Inline);
-        let mut tracer = babol_trace::Tracer::enabled();
-        let traced = execute_traced(
+        let mut tracer = Tracer::enabled();
+        let traced = execute(
             &mut ch,
             &mut dram,
             &cfg,
@@ -535,7 +538,7 @@ mod tests {
         )
         .unwrap();
         let (mut ch2, mut dram2, _) = setup(1);
-        let plain = execute(&mut ch2, &mut dram2, &cfg, SimTime::ZERO, &txn).unwrap();
+        let plain = run(&mut ch2, &mut dram2, &cfg, SimTime::ZERO, &txn).unwrap();
         assert_eq!(traced, plain, "tracing changed the outcome");
         assert_eq!(
             tracer.counter(Component::Ufsm, Counter::InstrsDispatched),
@@ -567,7 +570,7 @@ mod tests {
                 PostWait::Adl,
             )
             .write(4, 0x100);
-        execute(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
+        run(&mut ch, &mut dram, &cfg, SimTime::ZERO, &txn).unwrap();
         assert_eq!(
             ch.lun(0).interface(),
             babol_onfi::timing::DataInterface::NvDdr2 { mts: 200 }

@@ -29,6 +29,6 @@ pub mod hook;
 pub mod instr;
 pub mod packetizer;
 
-pub use emit::{execute, execute_traced, EmitConfig, EmitScratch, Outcome};
+pub use emit::{execute, EmitConfig, EmitScratch, Outcome};
 pub use instr::{DmaDest, Instr, Latch, PostWait, Transaction};
 pub use packetizer::PacketizerConfig;

@@ -387,10 +387,10 @@ pub fn verify_stream<'a>(
 }
 
 /// Installs the debug-build execute-time gate: every transaction handed to
-/// [`babol_ufsm::execute`]/[`babol_ufsm::execute_traced`] is verified in
-/// standalone mode first, and an error-severity finding panics with the
-/// full report. Release builds compile this to nothing — the hook, the
-/// check, and the engine's call site all vanish.
+/// [`babol_ufsm::execute`] is verified in standalone mode first, and an
+/// error-severity finding panics with the full report. Release builds
+/// compile this to nothing — the hook, the check, and the engine's call
+/// site all vanish.
 ///
 /// Installing twice (or from several controllers) is fine; the first
 /// installation wins and the rest are no-ops.

@@ -22,6 +22,11 @@ step "determinism lint (scripts/lint.sh)"
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Intra-doc links must resolve: a link left pointing at a deleted item
+# fails here instead of rendering as dead text.
+step "cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 step "protocol + envelope lint (ufsm_lint --envelopes --deny-warnings)"
 cargo run --release --offline --example ufsm_lint -- --envelopes --deny-warnings
 

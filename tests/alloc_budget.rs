@@ -53,7 +53,7 @@ fn steady_state_gc_writes_stay_within_the_allocation_budget() {
     );
     let mut ctrl = coro_controller(profile.layout(), RuntimeConfig::coroutine());
     let mut ssd = Ssd::new(SsdConfig::tiny(luns));
-    assert!(!babol_trace::TraceSink::is_enabled(&sys.trace));
+    assert!(!sys.trace.is_enabled());
     let job = |seed| FioWorkload {
         pattern: IoPattern::RandomWrite,
         total_ios: 200,

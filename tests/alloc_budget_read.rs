@@ -60,7 +60,7 @@ fn preloaded_random_reads_stay_within_the_allocation_budget() {
     let mut ctrl = coro_controller(profile.layout(), RuntimeConfig::coroutine());
     let mut ssd = Ssd::new(SsdConfig::tiny(luns));
     ssd.preload();
-    assert!(!babol_trace::TraceSink::is_enabled(&sys.trace));
+    assert!(!sys.trace.is_enabled());
     counting_alloc::count_large_from(profile.geometry.raw_page_size());
     let job = |seed| FioWorkload {
         pattern: IoPattern::RandomRead,

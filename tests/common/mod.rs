@@ -11,7 +11,8 @@ use babol_flash::{Lun, PackageProfile};
 use babol_onfi::addr::RowAddr;
 use babol_onfi::bus::PhaseKind;
 use babol_sim::{Dram, SimTime};
-use babol_ufsm::{execute, EmitConfig, Transaction};
+use babol_trace::Tracer;
+use babol_ufsm::{execute, EmitConfig, EmitScratch, Transaction};
 
 /// Replays a stream through a fresh simulated channel, wired exactly like
 /// `babol::lintcap::capture` (same LUN count, same pre-programmed seed
@@ -71,11 +72,21 @@ pub fn sim_replay(profile: &PackageProfile, stream: &[Transaction]) -> Result<()
             .expect("seed program");
     }
 
+    let (mut trace, mut scratch) = (Tracer::disabled(), EmitScratch::default());
     let mut now = SimTime::ZERO;
     for (i, txn) in stream.iter().enumerate() {
         let start = now.max(channel.busy_until());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(&mut channel, &mut dram, &emit, start, txn)
+            execute(
+                &mut channel,
+                &mut dram,
+                &emit,
+                start,
+                txn,
+                0,
+                &mut trace,
+                &mut scratch,
+            )
         }));
         match outcome {
             Err(_) => return Err(format!("txn {i}: flash model panicked")),
@@ -188,10 +199,20 @@ pub fn sim_replay_measured(
     let mut measures = Vec::with_capacity(stream.len());
     let mut now = SimTime::ZERO;
     let mut prev = stats_sum(&channel);
+    let (mut trace, mut scratch) = (Tracer::disabled(), EmitScratch::default());
     for (i, txn) in stream.iter().enumerate() {
         let start = now.max(channel.busy_until());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(&mut channel, &mut dram, &emit, start, txn)
+            execute(
+                &mut channel,
+                &mut dram,
+                &emit,
+                start,
+                txn,
+                0,
+                &mut trace,
+                &mut scratch,
+            )
         }));
         match outcome {
             Err(_) => return Err(format!("txn {i}: flash model panicked")),

@@ -63,16 +63,25 @@ fn tracing_does_not_perturb_the_simulation() {
             format!("{traced:?}"),
             "{kind:?}: tracing changed the run report"
         );
-        // The engine always schedules and pops simulation events, so even
-        // the hardware controllers leave a counter trail; the software
-        // runtimes additionally fill the event ring.
+        // Every controller drives the bus through the one traced
+        // `Channel::transmit`, so each run schedules sim events, accounts
+        // for every picosecond of bus time and leaves its bus ownership in
+        // the event ring.
         assert!(
             tracer.counter_total(babol_trace::Counter::EventsScheduled) > 0,
             "{kind:?}: no sim events counted"
         );
-        if matches!(kind, ControllerKind::Rtos | ControllerKind::Coro) {
-            assert!(tracer.events().count() > 0, "{kind:?}: no events recorded");
-        }
+        assert_eq!(
+            tracer.metric(babol_trace::Metric::BusHold).sum_ps(),
+            u128::from(traced.bus_busy.as_picos()),
+            "{kind:?}: traced bus hold differs from the channel's busy time"
+        );
+        assert!(
+            tracer
+                .events()
+                .any(|e| e.kind == babol_trace::TraceKind::BusAcquire),
+            "{kind:?}: no bus acquisitions recorded"
+        );
 
         // And the recorded timeline itself is reproducible.
         let (_, tracer2) = read_microbench_traced(&profile, 2, 200, 1000, kind, 32, true);

@@ -19,7 +19,8 @@ use babol_flash::{Lun, PackageProfile};
 use babol_onfi::bus::ChipMask;
 use babol_onfi::opcode::op;
 use babol_sim::{Dram, SimTime};
-use babol_ufsm::{execute, EmitConfig, Latch, PostWait, Transaction};
+use babol_trace::Tracer;
+use babol_ufsm::{execute, EmitConfig, EmitScratch, Latch, PostWait, Transaction};
 
 fn channel(profile: &PackageProfile) -> Channel {
     let luns: Vec<Lun> = (0..profile.luns_per_channel)
@@ -43,12 +44,23 @@ fn debug_hook_rejects_bad_transactions_and_passes_clean_ones() {
     let mut ch = channel(&profile);
     let mut dram = Dram::new();
     let emit = EmitConfig::nv_ddr2(profile.max_mts.min(200));
+    let (mut trace, mut scratch) = (Tracer::disabled(), EmitScratch::default());
 
     // A clean READ STATUS still executes with the gate armed.
     let clean = Transaction::new(ChipMask::single(0))
         .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
         .read(1, babol_ufsm::DmaDest::Inline);
-    execute(&mut ch, &mut dram, &emit, SimTime::ZERO, &clean).expect("clean txn must execute");
+    execute(
+        &mut ch,
+        &mut dram,
+        &emit,
+        SimTime::ZERO,
+        &clean,
+        0,
+        &mut trace,
+        &mut scratch,
+    )
+    .expect("clean txn must execute");
 
     // An empty chip mask (V040) is a violation in any LUN state — the hook
     // verifies each transaction standalone, so the fault must be
@@ -57,7 +69,16 @@ fn debug_hook_rejects_bad_transactions_and_passes_clean_ones() {
         .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
         .read(1, babol_ufsm::DmaDest::Inline);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        execute(&mut ch, &mut dram, &emit, SimTime::ZERO, &no_chips)
+        execute(
+            &mut ch,
+            &mut dram,
+            &emit,
+            SimTime::ZERO,
+            &no_chips,
+            0,
+            &mut trace,
+            &mut scratch,
+        )
     }));
     let panic_msg = match outcome {
         Err(payload) => payload
