@@ -32,11 +32,11 @@
 use std::collections::VecDeque;
 
 use babol::factory::coro_controller;
-use babol::runtime::RuntimeConfig;
+use babol::runtime::{RuntimeConfig, SoftController};
 use babol::system::{Controller, System};
-use babol_channel::Channel;
+use babol_channel::{Channel, ChannelStats};
 use babol_flash::array::ContentMode;
-use babol_flash::lun::LunConfig;
+use babol_flash::lun::{LunConfig, LunStats};
 use babol_flash::{Lun, PackageProfile};
 use babol_sim::{
     CostModel, Cpu, Freq, PoolStats, Shard, ShardCtor, ShardPool, SimDuration, SimTime, Watchdog,
@@ -146,6 +146,14 @@ pub struct ShardDigest {
     pub metrics: MetricsHub,
     /// Prepared host requests never admitted (0 after a completed run).
     pub pending: usize,
+    /// The channel's bus statistics since construction.
+    pub channel: ChannelStats,
+    /// Each LUN's statistics since construction, in LUN order.
+    pub luns: Vec<LunStats>,
+    /// Cycles the shard's processor was charged since construction.
+    pub cpu_cycles: u64,
+    /// Transactions the shard's controller issued since construction.
+    pub txns_issued: u64,
 }
 
 /// One channel's complete simulation stack. See the module docs. Every
@@ -155,7 +163,7 @@ pub struct ShardDigest {
 pub struct ChannelShard {
     id: u32,
     sys: System,
-    ctrl: Box<dyn Controller>,
+    ctrl: SoftController,
     ssd: Ssd,
     inbox: VecDeque<HostCmd>,
     /// Counter totals already reported through [`ShardEvent::Counters`].
@@ -193,7 +201,7 @@ impl ChannelShard {
             sys.trace = tracer;
         }
         let layout = cfg.profile.layout();
-        let ctrl = Box::new(coro_controller(layout, RuntimeConfig::coroutine()));
+        let ctrl = coro_controller(layout, RuntimeConfig::coroutine());
         let mut ssd = Ssd::new(cfg.shard);
         ssd.set_watchdog(cfg.watchdog);
         if cfg.preload {
@@ -260,7 +268,7 @@ impl Shard for ChannelShard {
             inbox: &mut self.inbox,
             out,
         };
-        let (sys, ctrl) = (&mut self.sys, self.ctrl.as_mut());
+        let (sys, ctrl) = (&mut self.sys, &mut self.ctrl);
         self.ssd.drive(sys, ctrl, &mut round, Some(horizon));
         let counters = self.ssd.counters();
         if counters != self.reported {
@@ -304,6 +312,12 @@ impl Shard for ChannelShard {
             tracer: std::mem::take(&mut self.sys.trace),
             metrics: self.ssd.take_metrics(),
             pending: usize::from(self.ssd.staged.is_some()),
+            channel: self.sys.channel.stats(),
+            luns: (0..self.sys.channel.lun_count())
+                .map(|l| self.sys.channel.lun(l).stats())
+                .collect(),
+            cpu_cycles: self.sys.cpu.busy_cycles(),
+            txns_issued: self.ctrl.runtime().txns_issued,
         }
     }
 }
