@@ -104,6 +104,30 @@ pub struct ChannelStats {
     pub bytes_in: u64,
 }
 
+impl ChannelStats {
+    /// The traffic since `earlier`, a snapshot of the same channel.
+    pub fn since(&self, earlier: &ChannelStats) -> ChannelStats {
+        ChannelStats {
+            busy: self.busy - earlier.busy,
+            segments: self.segments - earlier.segments,
+            phases: self.phases - earlier.phases,
+            bytes_out: self.bytes_out - earlier.bytes_out,
+            bytes_in: self.bytes_in - earlier.bytes_in,
+        }
+    }
+
+    /// This traffic repeated `n` times.
+    pub fn times(&self, n: u64) -> ChannelStats {
+        ChannelStats {
+            busy: self.busy * n,
+            segments: self.segments * n,
+            phases: self.phases * n,
+            bytes_out: self.bytes_out * n,
+            bytes_in: self.bytes_in * n,
+        }
+    }
+}
+
 /// A shared bus with its attached LUNs.
 pub struct Channel {
     luns: Vec<Lun>,
@@ -186,6 +210,19 @@ impl Channel {
     /// Statistics snapshot.
     pub fn stats(&self) -> ChannelStats {
         self.stats
+    }
+
+    /// Accounts `traffic` that ended by `until` without being played phase
+    /// by phase: the status polls of a summarized status wait
+    /// (`babol::runtime`), each of which left the LUN as it found it. The
+    /// bus is free from `until` on.
+    pub fn credit(&mut self, traffic: ChannelStats, until: SimTime) {
+        self.stats.busy += traffic.busy;
+        self.stats.segments += traffic.segments;
+        self.stats.phases += traffic.phases;
+        self.stats.bytes_out += traffic.bytes_out;
+        self.stats.bytes_in += traffic.bytes_in;
+        self.busy_until = self.busy_until.max(until);
     }
 
     /// Transmits one segment: asserts CE# per `mask`, plays each phase in

@@ -52,19 +52,12 @@ pub async fn read_status(ctx: &OpCtx, t: &Target) -> u8 {
 // @loc:read_status:end
 
 /// Polls READ STATUS until the RDY bit (0x40) is set; returns the final
-/// status byte (Algorithm 2, lines 7..9).
+/// status byte (Algorithm 2, lines 7..9). Busy polls are paced by the
+/// runtime's backoff instead of hot-spinning the channel (the interval
+/// seen in Fig. 11): the loop is the runtime's status-wait primitive,
+/// [`StatusWait`](crate::runtime::StatusWait).
 pub async fn wait_ready(ctx: &OpCtx, t: &Target) -> u8 {
-    loop {
-        let status = read_status(ctx, t).await;
-        if status & Status::RDY != 0 {
-            return status;
-        }
-        // Busy: reschedule after the runtime's pacing quantum instead of
-        // hot-spinning the channel (the interval seen in Fig. 11).
-        if !ctx.poll_backoff().is_zero() {
-            ctx.sleep(ctx.poll_backoff()).await;
-        }
-    }
+    ctx.wait_ready(t.chip).await
 }
 
 // ------------------------------------------------------------------- reads

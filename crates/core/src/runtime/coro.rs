@@ -21,7 +21,7 @@ use std::task::{Context, Poll, Waker};
 use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
 use babol_ufsm::Transaction;
 
-use crate::runtime::{Mailbox, OpError, SoftTask, TaskStatus, TxnResult};
+use crate::runtime::{Mailbox, OpError, SoftTask, StatusWait, TaskStatus, TxnResult};
 use crate::sched::TaskMeta;
 
 /// Handle the operation body uses to talk to its runtime: submit
@@ -74,6 +74,16 @@ impl OpCtx {
             mb: Rc::clone(&self.mb),
             dur,
             armed: false,
+        }
+    }
+
+    /// Polls READ STATUS on `chip` until RDY, pacing busy polls by the
+    /// runtime's backoff; resolves to the final status byte. This is the
+    /// runtime's [`StatusWait`].
+    pub fn wait_ready(&self, chip: u32) -> ReadyWait {
+        ReadyWait {
+            mb: Rc::clone(&self.mb),
+            wait: StatusWait::new(chip),
         }
     }
 
@@ -141,6 +151,23 @@ impl Future for SleepWait {
     }
 }
 
+/// Future resolving when a [`StatusWait`] reads RDY.
+pub struct ReadyWait {
+    mb: Rc<RefCell<Mailbox>>,
+    wait: StatusWait,
+}
+
+impl Future for ReadyWait {
+    type Output = u8;
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<u8> {
+        let this = self.get_mut();
+        match this.wait.poll(&mut this.mb.borrow_mut()) {
+            Some(status) => Poll::Ready(status),
+            None => Poll::Pending,
+        }
+    }
+}
+
 /// A coroutine operation packaged as a schedulable task.
 pub struct CoroTask {
     mb: Rc<RefCell<Mailbox>>,
@@ -188,6 +215,10 @@ impl SoftTask for CoroTask {
 
     fn take_sleep(&mut self) -> Option<SimDuration> {
         self.mb.borrow_mut().sleep.take()
+    }
+
+    fn status_wait(&self) -> Option<u32> {
+        self.mb.borrow().status_wait
     }
 
     fn drain_staged(&mut self, out: &mut Vec<(u64, PageBuf)>) {

@@ -20,7 +20,7 @@ use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
 use babol_ufsm::{DmaDest, Latch, PostWait, Transaction};
 
 use crate::ops::Target;
-use crate::runtime::{Mailbox, OpError, SoftTask, TaskStatus, TxnResult};
+use crate::runtime::{Mailbox, OpError, SoftTask, StatusWait, TaskStatus, TxnResult};
 use crate::sched::TaskMeta;
 
 /// Progress of one machine step.
@@ -108,6 +108,10 @@ impl<M: RtosMachine> SoftTask for RtosTask<M> {
         self.mb.sleep.take()
     }
 
+    fn status_wait(&self) -> Option<u32> {
+        self.mb.status_wait
+    }
+
     fn drain_staged(&mut self, out: &mut Vec<(u64, PageBuf)>) {
         out.append(&mut self.mb.staged);
     }
@@ -155,8 +159,7 @@ pub struct ReadOp {
 enum ReadState {
     IssueLatch,
     AwaitLatch,
-    IssuePoll,
-    AwaitPoll,
+    AwaitReady(StatusWait),
     IssueFetch,
     AwaitFetch,
 }
@@ -214,31 +217,13 @@ impl RtosMachine for ReadOp {
                 if self.result(mb).is_none() {
                     return MachineStatus::Blocked;
                 }
-                self.state = ReadState::IssuePoll;
+                self.state = ReadState::AwaitReady(StatusWait::new(self.t.chip));
                 MachineStatus::Continue
             }
-            ReadState::IssuePoll => {
-                let txn = Transaction::new(babol_onfi::bus::ChipMask::single(self.t.chip))
-                    .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
-                    .read(1, DmaDest::Inline);
-                self.submit(mb, txn);
-                self.state = ReadState::AwaitPoll;
-                MachineStatus::Blocked
-            }
-            ReadState::AwaitPoll => {
-                let Some(r) = self.result(mb) else {
+            ReadState::AwaitReady(ref mut wait) => {
+                let Some(status) = wait.poll(mb) else {
                     return MachineStatus::Blocked;
                 };
-                mb.steps += 1;
-                let status = r.inline[0];
-                if status & Status::RDY == 0 {
-                    self.state = ReadState::IssuePoll;
-                    if mb.poll_backoff.as_picos() > 0 {
-                        mb.sleep = Some(mb.poll_backoff);
-                        return MachineStatus::Blocked;
-                    }
-                    return MachineStatus::Continue;
-                }
                 if status & Status::FAIL != 0 {
                     mb.outcome = Some(Err(OpError::Failed { status }));
                     return MachineStatus::Finished;
@@ -289,8 +274,7 @@ pub struct ProgramOp {
 enum ProgState {
     IssueWrite,
     AwaitWrite,
-    IssuePoll,
-    AwaitPoll,
+    AwaitReady(StatusWait),
 }
 
 impl ProgramOp {
@@ -333,33 +317,13 @@ impl RtosMachine for ProgramOp {
                     self.pending = Some(t);
                     return MachineStatus::Blocked;
                 }
-                self.state = ProgState::IssuePoll;
+                self.state = ProgState::AwaitReady(StatusWait::new(self.t.chip));
                 MachineStatus::Continue
             }
-            ProgState::IssuePoll => {
-                let txn = Transaction::new(babol_onfi::bus::ChipMask::single(self.t.chip))
-                    .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
-                    .read(1, DmaDest::Inline);
-                self.pending = Some(mb.submit(txn));
-                self.state = ProgState::AwaitPoll;
-                MachineStatus::Blocked
-            }
-            ProgState::AwaitPoll => {
-                let t = self.pending.take().expect("await without submit");
-                let Some(r) = mb.take_result(t) else {
-                    self.pending = Some(t);
+            ProgState::AwaitReady(ref mut wait) => {
+                let Some(status) = wait.poll(mb) else {
                     return MachineStatus::Blocked;
                 };
-                mb.steps += 1;
-                let status = r.inline[0];
-                if status & Status::RDY == 0 {
-                    self.state = ProgState::IssuePoll;
-                    if mb.poll_backoff.as_picos() > 0 {
-                        mb.sleep = Some(mb.poll_backoff);
-                        return MachineStatus::Blocked;
-                    }
-                    return MachineStatus::Continue;
-                }
                 mb.outcome = Some(if status & Status::FAIL != 0 {
                     Err(OpError::Failed { status })
                 } else {
@@ -383,8 +347,7 @@ pub struct EraseOp {
 enum EraseState {
     IssueErase,
     AwaitErase,
-    IssuePoll,
-    AwaitPoll,
+    AwaitReady(StatusWait),
 }
 
 impl EraseOp {
@@ -422,33 +385,13 @@ impl RtosMachine for EraseOp {
                     self.pending = Some(t);
                     return MachineStatus::Blocked;
                 }
-                self.state = EraseState::IssuePoll;
+                self.state = EraseState::AwaitReady(StatusWait::new(self.t.chip));
                 MachineStatus::Continue
             }
-            EraseState::IssuePoll => {
-                let txn = Transaction::new(babol_onfi::bus::ChipMask::single(self.t.chip))
-                    .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
-                    .read(1, DmaDest::Inline);
-                self.pending = Some(mb.submit(txn));
-                self.state = EraseState::AwaitPoll;
-                MachineStatus::Blocked
-            }
-            EraseState::AwaitPoll => {
-                let t = self.pending.take().expect("await without submit");
-                let Some(r) = mb.take_result(t) else {
-                    self.pending = Some(t);
+            EraseState::AwaitReady(ref mut wait) => {
+                let Some(status) = wait.poll(mb) else {
                     return MachineStatus::Blocked;
                 };
-                mb.steps += 1;
-                let status = r.inline[0];
-                if status & Status::RDY == 0 {
-                    self.state = EraseState::IssuePoll;
-                    if mb.poll_backoff.as_picos() > 0 {
-                        mb.sleep = Some(mb.poll_backoff);
-                        return MachineStatus::Blocked;
-                    }
-                    return MachineStatus::Continue;
-                }
                 mb.outcome = Some(if status & Status::FAIL != 0 {
                     Err(OpError::Failed { status })
                 } else {

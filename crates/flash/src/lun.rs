@@ -218,6 +218,22 @@ pub struct LunStats {
     pub bytes_in: u64,
 }
 
+impl LunStats {
+    /// What was served since `earlier`, a snapshot of the same LUN.
+    pub fn since(&self, earlier: &LunStats) -> LunStats {
+        LunStats {
+            reads: self.reads - earlier.reads,
+            programs: self.programs - earlier.programs,
+            program_attempts: self.program_attempts - earlier.program_attempts,
+            erases: self.erases - earlier.erases,
+            erase_attempts: self.erase_attempts - earlier.erase_attempts,
+            status_polls: self.status_polls - earlier.status_polls,
+            bytes_out: self.bytes_out - earlier.bytes_out,
+            bytes_in: self.bytes_in - earlier.bytes_in,
+        }
+    }
+}
+
 /// One logical unit of a flash package.
 pub struct Lun {
     cfg: LunConfig,
@@ -319,6 +335,16 @@ impl Lun {
     /// Statistics snapshot.
     pub fn stats(&self) -> LunStats {
         self.stats
+    }
+
+    /// Accounts `polls` status reads of `bytes` bytes each that were served
+    /// while the array stayed busy, without their phases: the skipped
+    /// polls of a summarized status wait (`babol::runtime`). A busy status
+    /// read changes nothing but these counters, so the LUN is left exactly
+    /// as the played polls would have left it.
+    pub fn credit_status_reads(&mut self, polls: u64, bytes: u64) {
+        self.stats.status_polls += polls;
+        self.stats.bytes_out += polls * bytes;
     }
 
     /// The interface the LUN currently operates at (starts as SDR mode 0,

@@ -210,6 +210,15 @@ impl Cpu {
         done
     }
 
+    /// Accounts `cycles` of work that ran by `until` without being charged
+    /// one action at a time: the polls of a summarized status wait
+    /// (`babol::runtime`). The busy cursor moves to `until` if that is
+    /// later.
+    pub fn credit(&mut self, cycles: u64, until: SimTime) {
+        self.busy_cycles += cycles;
+        self.busy_until = self.busy_until.max(until);
+    }
+
     /// Resets the busy cursor (used between experiment repetitions).
     pub fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;

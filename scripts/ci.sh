@@ -69,6 +69,14 @@ cargo test --offline -q --test envelope_audit
 step "FTL property suite (wear/bad-block/cache differential models)"
 cargo test --offline -q --test properties -- ftl_ cache
 
+# Status-wait summarization: untraced runs, where the runtime skips a lone
+# poller's busy status polls, against traced runs, where every poll plays;
+# the boundary property (RDY on a sample edge, a submission mid-summary);
+# and the work ledger's exact per-workload counts. Part of the workspace
+# run too; named so a divergence is attributed to the summary directly.
+step "status-wait summarization differential + work ledger"
+cargo test --offline -q --test poll_summary --test work_ledger
+
 # Mirror of the hosted determinism matrix: both digest tests (plain
 # read path + production FTL with cache, wear leveling, and GC) run once
 # per thread count, and the printed `determinism-digest` lines

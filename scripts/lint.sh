@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Workspace determinism, `unsafe`, FTL-counter, completion-harvest and
-# drive-loop lint.
+# Workspace determinism, `unsafe`, FTL-counter, completion-harvest,
+# drive-loop and status-wait lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -38,6 +38,12 @@
 # `.step(` in any other function; the shard pool's barrier round
 # (`pool.step(`) is the coordinator's, not a second loop over the event
 # queue.
+#
+# Status waits go through one runtime primitive, `StatusWait::poll`
+# (crates/core/src/runtime/mod.rs), which is how the runtime recognizes a
+# paced status poll and can summarize a lone poller's busy polls. No other
+# production function may pair a READ STATUS with the poll backoff, except
+# the ones in STATUS_WAIT_ALLOW, whose waits the runtime must not summarize.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,6 +70,18 @@ FTL_COUNTERS='CacheHits|CacheMisses|CacheDirtyEvicts|GcCycles|WearMigrations|Blo
 EXPORT_ALLOW=(
   # `Ssd::export_counters`, the one export point.
   "crates/ftl/src/ssd.rs"
+)
+
+# file:fn → justification.
+STATUS_WAIT_ALLOW=(
+  # The primitive itself.
+  "crates/core/src/runtime/mod.rs:poll"
+  # Polls several replicas per round and takes whichever is ready first:
+  # a round's outcome depends on more than one LUN's deadline.
+  "crates/core/src/ops.rs:gang_read"
+  # Waits for ARDY (the array), not RDY: in a cache read the LUN stays
+  # ready while the array works, and the status it polls changes mid-busy.
+  "crates/core/src/ops.rs:wait_ready_cached"
 )
 
 fail=0
@@ -148,6 +166,31 @@ report() {
   done <<< "$hits"
 }
 
+# Production functions that name both a READ STATUS and the poll backoff,
+# printed as `file:fn`; each name is attributed to the last `fn` before it.
+status_waits=$(find crates src examples -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
+  s/^#\[cfg\(test\)\].*//ms;
+  my %uses;
+  while (/\b(READ_STATUS|read_status\(|poll_backoff)/g) {
+    my $what = $1 eq "poll_backoff" ? "backoff" : "status";
+    my ($fn) = substr($_, 0, $-[0]) =~ /.*\bfn\s+(\w+)/s;
+    $uses{$fn // "?"}{$what} = 1;
+  }
+  for my $fn (sort keys %uses) {
+    print "$ARGV:$fn\n" if $uses{$fn}{status} && $uses{$fn}{backoff};
+  }')
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  ok=0
+  for a in "${STATUS_WAIT_ALLOW[@]}"; do
+    [ "$hit" = "$a" ] && ok=1 && break
+  done
+  [ "$ok" -eq 1 ] && continue
+  echo "lint: READ STATUS paced by the poll backoff outside the status-wait primitive:"
+  echo "  $hit"
+  fail=1
+done <<< "$status_waits"
+
 report "FTL completions taken outside Ssd::harvest" \
   "$(ftl_calls_outside take_completions harvest)"
 report "event queue stepped outside Ssd::drive" \
@@ -160,7 +203,7 @@ if [ "$fail" -ne 0 ]; then
   echo "allowlist in scripts/lint.sh. FTL counters are counted once, at their"
   echo "source, and reach the tracer through Ssd::export_counters. The FTL"
   echo "takes controller completions only in Ssd::harvest and steps the"
-  echo "event queue only in Ssd::drive."
+  echo "event queue only in Ssd::drive. Status waits go through StatusWait."
   exit 1
 fi
-echo "determinism, unsafe, FTL-counter, completion-harvest and drive-loop lint: clean"
+echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop and status-wait lint: clean"
