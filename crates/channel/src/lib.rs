@@ -25,7 +25,7 @@ use std::fmt;
 
 use babol_flash::{Lun, LunError, LunResponse};
 use babol_onfi::bus::{BusPhase, ChipMask, PhaseKind};
-use babol_sim::{BufPool, PageBuf, PageBufMut, SimDuration, SimTime};
+use babol_sim::{BufPool, PageData, SimDuration, SimTime};
 use babol_trace::{Component, Counter, Metric, TraceKind, Tracer};
 
 pub use analyzer::{Analyzer, TraceEvent};
@@ -82,11 +82,10 @@ pub struct Transmission {
     /// When the segment finished on the bus (bus free again).
     pub end: SimTime,
     /// Bytes that flowed controller-ward during the segment (data-out
-    /// phases), concatenated in phase order. A segment with a single
-    /// data-out phase hands the LUN's pooled buffer through unchanged
-    /// (zero-copy); multi-packet segments concatenate into one pooled
-    /// buffer (the packetizer's gather DMA).
-    pub data: PageBuf,
+    /// phases), concatenated in phase order: the packets of one page are
+    /// contiguous slices of its register, so they join back into the
+    /// register's description without a gather copy.
+    pub data: PageData,
 }
 
 /// Cumulative channel statistics.
@@ -134,7 +133,6 @@ pub struct Channel {
     busy_until: SimTime,
     analyzer: Analyzer,
     stats: ChannelStats,
-    pool: BufPool,
 }
 
 impl fmt::Debug for Channel {
@@ -163,15 +161,12 @@ impl Channel {
             busy_until: SimTime::ZERO,
             analyzer: Analyzer::new(false),
             stats: ChannelStats::default(),
-            pool: BufPool::default(),
         }
     }
 
-    /// Shares a buffer pool across the whole data path: the channel's
-    /// gather buffers and every attached LUN's data-out responses recycle
-    /// from the same free list.
+    /// Shares a buffer pool across the whole data path: every attached
+    /// LUN's raw readouts recycle from the same free list.
     pub fn set_pool(&mut self, pool: &BufPool) {
-        self.pool = pool.clone();
         for lun in &mut self.luns {
             lun.set_pool(pool);
         }
@@ -265,10 +260,7 @@ impl Channel {
         let stats_before = self.stats;
         let traced = trace.is_enabled();
         let mut t = start;
-        // Single data-out segments pass the LUN's buffer through unchanged;
-        // multi-packet segments gather into one pooled buffer.
-        let mut single: Option<PageBuf> = None;
-        let mut gather: Option<PageBufMut> = None;
+        let mut data = PageData::empty();
         for phase in phases {
             let phase_end = t + phase.duration;
             let mut reader = None;
@@ -312,16 +304,7 @@ impl Channel {
             }
             if let Some(bytes) = reader {
                 self.stats.bytes_out += bytes.len() as u64;
-                match (&mut gather, &mut single) {
-                    (Some(g), _) => g.extend_from_slice(&bytes),
-                    (None, None) => single = Some(bytes),
-                    (None, Some(_)) => {
-                        let mut g = self.pool.acquire();
-                        g.extend_from_slice(&single.take().expect("just matched"));
-                        g.extend_from_slice(&bytes);
-                        gather = Some(g);
-                    }
-                }
+                data.append(bytes);
             }
             if let PhaseKind::DataIn(ref d) = phase.kind {
                 self.stats.bytes_in += d.len() as u64;
@@ -330,11 +313,6 @@ impl Channel {
             self.stats.phases += 1;
             t = phase_end;
         }
-        let data = match (gather, single) {
-            (Some(g), _) => g.freeze(),
-            (None, Some(s)) => s,
-            (None, None) => PageBuf::empty(),
-        };
         self.stats.segments += 1;
         self.stats.busy += t - start;
         self.busy_until = t;
@@ -445,7 +423,7 @@ mod tests {
         ];
         let tx = send(&mut ch, SimTime::ZERO, ChipMask::single(0), &phases).unwrap();
         assert_eq!(tx.data.len(), 1);
-        assert_eq!(tx.data[0] & 0x40, 0x40); // idle LUN is ready
+        assert_eq!(tx.data.first_byte().unwrap() & 0x40, 0x40); // idle LUN is ready
     }
 
     #[test]

@@ -156,11 +156,11 @@ impl CosmosController {
             .unwrap_or_else(|e| panic!("hardware waveform rejected: {e}"));
         // The DMA engine lands read data in DRAM as it streams.
         if next == EngineState::DataOnBus {
-            sys.dram.write(req.dram_addr, &tx.data);
+            sys.dram.write_data(req.dram_addr, tx.data.clone());
         }
         if next == EngineState::StatusOnBus {
             // Remember the sampled status byte for the completion handler.
-            self.engines[lun as usize].last_status = tx.data.first().copied().unwrap_or(0);
+            self.engines[lun as usize].last_status = tx.data.first_byte().unwrap_or(0);
         }
         self.engines[lun as usize].state = next;
         self.in_flight = Some(lun);

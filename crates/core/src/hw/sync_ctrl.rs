@@ -430,9 +430,9 @@ impl SyncController {
                     cursor = tx.end;
                     if is_status {
                         self.fsms[lun as usize].status =
-                            tx.data.first().copied().unwrap_or(0);
+                            tx.data.first_byte().unwrap_or(0);
                     } else if is_data_out {
-                        sys.dram.write(req.dram_addr + dram_off, &tx.data);
+                        sys.dram.write_data(req.dram_addr + dram_off, tx.data.clone());
                         dram_off += tx.data.len() as u64;
                     }
                     self.fsms[lun as usize].state = next;

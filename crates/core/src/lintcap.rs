@@ -281,7 +281,7 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
         let mut staged = Vec::new();
         task.drain_staged(&mut staged);
         for (addr, bytes) in staged {
-            dram.write(addr, &bytes);
+            dram.write_data(addr, bytes);
         }
         let mut outbox = Vec::new();
         task.drain_outbox(&mut outbox);

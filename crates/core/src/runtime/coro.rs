@@ -18,7 +18,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
+use babol_sim::{BufPool, PageData, SimDuration, SimTime};
 use babol_ufsm::Transaction;
 
 use crate::runtime::{Mailbox, OpError, SoftTask, StatusWait, TaskStatus, TxnResult};
@@ -221,7 +221,7 @@ impl SoftTask for CoroTask {
         self.mb.borrow().status_wait
     }
 
-    fn drain_staged(&mut self, out: &mut Vec<(u64, PageBuf)>) {
+    fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>) {
         out.append(&mut self.mb.borrow_mut().staged);
     }
 

@@ -51,7 +51,7 @@ use babol_flash::lun::LunStats;
 use babol_onfi::bus::ChipMask;
 use babol_onfi::opcode::op;
 use babol_onfi::status::Status;
-use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
+use babol_sim::{BufPool, PageData, SimDuration, SimTime};
 use babol_trace::{Component, Counter, Metric, TraceKind};
 use babol_ufsm::{execute, DmaDest, EmitScratch, Latch, PostWait, Transaction};
 
@@ -120,7 +120,7 @@ pub struct Mailbox {
     /// DRAM staging writes requested during the current advance (the CPU
     /// preparing buffers the Packetizer will read). Payloads come from the
     /// system's buffer pool; see [`Mailbox::stage`].
-    pub staged: Vec<(u64, PageBuf)>,
+    pub staged: Vec<(u64, PageData)>,
     /// Page-buffer pool shared with the rest of the system, attached by the
     /// runtime at spawn time.
     pub pool: BufPool,
@@ -167,7 +167,7 @@ impl Mailbox {
     pub fn stage(&mut self, addr: u64, bytes: &[u8]) {
         let mut buf = self.pool.acquire();
         buf.extend_from_slice(bytes);
-        self.staged.push((addr, buf.freeze()));
+        self.staged.push((addr, PageData::from(buf.freeze())));
     }
 }
 
@@ -254,7 +254,7 @@ pub trait SoftTask {
     }
     /// Drains DRAM staging writes requested during the last advance into
     /// `out` (an out-parameter so the runtime reuses one scratch vector).
-    fn drain_staged(&mut self, out: &mut Vec<(u64, PageBuf)>);
+    fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>);
     /// Connects the task's mailbox to the system's buffer pool. Called by
     /// the runtime at spawn time; tasks without staging may ignore it.
     fn attach_pool(&mut self, _pool: &BufPool) {}
@@ -508,7 +508,7 @@ pub struct SoftRuntime {
     /// Reused receptacles: staged DRAM writes and built transactions
     /// drained each pump pass, the policies' candidate lists, and the
     /// μFSM engine's phase buffers.
-    staged_scratch: Vec<(u64, PageBuf)>,
+    staged_scratch: Vec<(u64, PageData)>,
     outbox_scratch: Vec<(u64, Transaction)>,
     task_metas: Vec<TaskMeta>,
     txn_metas: Vec<TxnMeta>,
@@ -736,7 +736,7 @@ impl SoftRuntime {
             task.drain_staged(&mut self.staged_scratch);
             for (addr, bytes) in self.staged_scratch.drain(..) {
                 sys.cpu.charge(sys.now, cost.op_body_step);
-                sys.dram.write(addr, &bytes);
+                sys.dram.write_data(addr, bytes);
             }
             task.drain_outbox(&mut self.outbox_scratch);
             let task_meta = task.meta();

@@ -16,7 +16,7 @@
 use babol_onfi::addr::{ColumnAddr, RowAddr};
 use babol_onfi::opcode::op;
 use babol_onfi::status::Status;
-use babol_sim::{BufPool, PageBuf, SimDuration, SimTime};
+use babol_sim::{BufPool, PageData, SimDuration, SimTime};
 use babol_ufsm::{DmaDest, Latch, PostWait, Transaction};
 
 use crate::ops::Target;
@@ -112,7 +112,7 @@ impl<M: RtosMachine> SoftTask for RtosTask<M> {
         self.mb.status_wait
     }
 
-    fn drain_staged(&mut self, out: &mut Vec<(u64, PageBuf)>) {
+    fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>) {
         out.append(&mut self.mb.staged);
     }
 

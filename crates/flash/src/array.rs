@@ -14,35 +14,27 @@
 //! `Preloaded` (deterministic pseudo-random content, standing in for the
 //! paper's "initialized the SSDs with data" step of §VI-C).
 //!
-//! # The read data path
+//! # Page contents
 //!
-//! A preloaded page is synthesized on every read, so the generator is on
-//! the hottest path of read workloads. [`ArrayStore::read_page_into`]
-//! writes straight into the caller's buffer (the LUN's page register), and
-//! [`fill_deterministic_page`] produces the content one 64-bit word per
-//! step. Word `i` is the `i+1`-th output of a [`SplitMix64`] seeded for
-//! the page, [`SplitMix64::mix`] of the state `seed + (i+1)·γ`, so no word
-//! waits on the previous one's mixing and the loop vectorizes. On x86-64
-//! the one kernel body is compiled three times: for AVX-512 (`avx512f` +
-//! `avx512dq`, whose 64-bit multiply LLVM uses), for AVX2, and portable.
-//! The fastest copy the CPU supports is picked at run time. Every copy
-//! writes the same bytes; the unit tests pin each copy the CPU can run to
-//! a reference loop over [`SplitMix64::next_u64`]. The AVX-512 copy needs
-//! a compiler that accepts AVX-512 target features (Rust 1.89+);
-//! `build.rs` sets `cfg(babol_avx512)` when it does.
+//! Pages are [`PageData`]: an unwritten preloaded page is the described
+//! SplitMix64 stream of its index ([`PageData::preloaded`]), an erased page
+//! is an `0xFF` fill, and a programmed page keeps the payload its program
+//! delivered, usually the register's description of the host pattern, so
+//! neither a read nor a program copies page bytes. [`ArrayStore::page_data`]
+//! and [`ArrayStore::program_data`] are the described interface the LUN
+//! uses; [`ArrayStore::read_page`], [`ArrayStore::read_page_into`] and
+//! [`ArrayStore::program_page`] are the byte interface for workload setup
+//! and assertions.
 
 // Determinism allowlist: the page store is the hottest map in the
 // simulator and is only ever used for keyed lookups — iteration order
 // never reaches behavior or output (`scripts/lint.sh` documents the gate).
 #![allow(clippy::disallowed_types)]
-// Every unsafe block here (the kernel's target-feature calls) carries a
-// `SAFETY:` note; `scripts/lint.sh` keeps `unsafe` out of other files.
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::collections::HashMap;
 
 use babol_onfi::addr::RowAddr;
-use babol_sim::rng::SplitMix64;
+use babol_sim::PageData;
 
 use crate::error::FlashError;
 use crate::geometry::Geometry;
@@ -88,8 +80,9 @@ pub struct ArrayStore {
     geometry: Geometry,
     mode: ContentMode,
     blocks: Vec<Block>,
-    /// Explicitly written raw pages, keyed by linear page index.
-    data: HashMap<u64, Box<[u8]>>,
+    /// Explicitly written raw pages (data + spare), keyed by linear page
+    /// index.
+    data: HashMap<u64, PageData>,
 }
 
 impl ArrayStore {
@@ -119,11 +112,30 @@ impl ArrayStore {
         &self.geometry
     }
 
+    /// The raw page (data + spare) at `row`, described.
+    pub fn page_data(&self, row: RowAddr) -> Result<PageData, FlashError> {
+        self.check(row)?;
+        let idx = self.geometry.page_index(row);
+        if let Some(page) = self.data.get(&idx) {
+            return Ok(page.clone());
+        }
+        let raw = self.geometry.raw_page_size();
+        let state = self.blocks[row.block as usize].pages[row.page as usize];
+        Ok(match (state, self.mode) {
+            (PageState::Programmed { .. }, ContentMode::Preloaded { seed }) => {
+                PageData::preloaded(seed, idx, raw)
+            }
+            // Programmed but never written in pristine mode cannot happen,
+            // but answer erased content defensively.
+            (PageState::Erased, _) | (PageState::Programmed { .. }, ContentMode::Pristine) => {
+                PageData::fill(0xFF, raw)
+            }
+        })
+    }
+
     /// Reads the raw page (data + spare) at `row`.
     pub fn read_page(&self, row: RowAddr) -> Result<Vec<u8>, FlashError> {
-        let mut page = vec![0; self.geometry.raw_page_size()];
-        self.read_page_into(row, &mut page)?;
-        Ok(page)
+        Ok(self.page_data(row)?.materialize())
     }
 
     /// Reads the raw page (data + spare) at `row` into `out`, which must be
@@ -138,23 +150,7 @@ impl ArrayStore {
             self.geometry.raw_page_size(),
             "read_page_into needs a raw-page buffer"
         );
-        self.check(row)?;
-        let idx = self.geometry.page_index(row);
-        if let Some(bytes) = self.data.get(&idx) {
-            out.copy_from_slice(bytes);
-            return Ok(());
-        }
-        let state = self.blocks[row.block as usize].pages[row.page as usize];
-        match (state, self.mode) {
-            (PageState::Programmed { .. }, ContentMode::Preloaded { seed }) => {
-                fill_deterministic_page(seed, idx, out)
-            }
-            // Programmed but never written in pristine mode cannot happen,
-            // but answer erased content defensively.
-            (PageState::Erased, _) | (PageState::Programmed { .. }, ContentMode::Pristine) => {
-                out.fill(0xFF)
-            }
-        }
+        self.page_data(row)?.materialize_into(out);
         Ok(())
     }
 
@@ -173,6 +169,17 @@ impl ArrayStore {
         &mut self,
         row: RowAddr,
         data: &[u8],
+        pslc: bool,
+    ) -> Result<(), FlashError> {
+        self.program_data(row, PageData::from(data), pslc)
+    }
+
+    /// [`ArrayStore::program_page`] for a described payload, stored as it
+    /// is (padded with an `0xFF` fill when short).
+    pub fn program_data(
+        &mut self,
+        row: RowAddr,
+        mut data: PageData,
         pslc: bool,
     ) -> Result<(), FlashError> {
         self.check(row)?;
@@ -194,11 +201,9 @@ impl ArrayStore {
                 expected: block.next_page,
             });
         }
-        let mut page = Vec::with_capacity(raw_size);
-        page.extend_from_slice(data);
-        page.resize(raw_size, 0xFF);
-        self.data
-            .insert(self.geometry.page_index(row), page.into_boxed_slice());
+        let pad = raw_size - data.len();
+        data.append(PageData::fill(0xFF, pad));
+        self.data.insert(self.geometry.page_index(row), data);
         block.pages[row.page as usize] = PageState::Programmed { pslc };
         block.next_page = row.page + 1;
         Ok(())
@@ -242,78 +247,8 @@ impl ArrayStore {
     }
 }
 
-/// Deterministic pseudo-random page content for preloaded arrays.
-pub fn deterministic_page(seed: u64, page_index: u64, len: usize) -> Vec<u8> {
-    let mut out = vec![0; len];
-    fill_deterministic_page(seed, page_index, &mut out);
-    out
-}
-
-/// Fills `out` with the content of preloaded page `page_index`: the
-/// little-endian output words of a [`SplitMix64`] seeded with
-/// `seed ^ page_index·γ`, the last word truncated to its low bytes.
-pub fn fill_deterministic_page(seed: u64, page_index: u64, out: &mut [u8]) {
-    let state = seed ^ page_index.wrapping_mul(SplitMix64::GAMMA);
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[cfg(babol_avx512)]
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
-            // SAFETY: the CPU supports every feature `fill_avx512` enables.
-            return unsafe { fill_avx512(state, out) };
-        }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports every feature `fill_avx2` enables.
-            return unsafe { fill_avx2(state, out) };
-        }
-    }
-    fill_portable(state, out)
-}
-
-/// [`fill_portable`] compiled for AVX-512.
-///
-/// # Safety
-///
-/// The CPU must support `avx512f` and `avx512dq`.
-#[cfg(all(target_arch = "x86_64", babol_avx512))]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn fill_avx512(state: u64, out: &mut [u8]) {
-    fill_portable(state, out)
-}
-
-/// [`fill_portable`] compiled for AVX2.
-///
-/// # Safety
-///
-/// The CPU must support `avx2`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fill_avx2(state: u64, out: &mut [u8]) {
-    fill_portable(state, out)
-}
-
-/// The kernel body, inlined into each feature-specific copy. The state
-/// advances by γ per word, so lane `k` of a vector is `state + k·γ` and the
-/// only loop-carried value is that induction variable.
-#[inline(always)]
-fn fill_portable(mut state: u64, out: &mut [u8]) {
-    let mut chunks = out.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        state = state.wrapping_add(SplitMix64::GAMMA);
-        chunk.copy_from_slice(&SplitMix64::mix(state).to_le_bytes());
-    }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let n = tail.len();
-        let last = SplitMix64::mix(state.wrapping_add(SplitMix64::GAMMA));
-        tail.copy_from_slice(&last.to_le_bytes()[..n]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use babol_testkit::prop::{any, select, Property};
-    use babol_testkit::prop_assert_eq;
-
     use super::*;
 
     fn row(block: u32, page: u32) -> RowAddr {
@@ -439,78 +374,6 @@ mod tests {
         );
     }
 
-    /// The generator as first written: whole SplitMix64 words, truncated.
-    /// Every kernel copy must reproduce it byte for byte.
-    fn reference_page(seed: u64, page_index: u64, len: usize) -> Vec<u8> {
-        let mut rng = SplitMix64::new(seed ^ page_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut out = Vec::with_capacity(len);
-        while out.len() < len {
-            out.extend_from_slice(&rng.next_u64().to_le_bytes());
-        }
-        out.truncate(len);
-        out
-    }
-
-    /// Every kernel copy this CPU can run — the dispatched one, the
-    /// portable body and, where supported, the AVX2 copy (which dispatch
-    /// skips on AVX-512 hosts) — each into a buffer pre-filled with a
-    /// marker, so a skipped byte shows up as well as a wrong one.
-    fn kernels(seed: u64, page_index: u64, len: usize) -> Vec<Vec<u8>> {
-        let state = seed ^ page_index.wrapping_mul(SplitMix64::GAMMA);
-        let run = |fill: &dyn Fn(&mut [u8])| {
-            let mut buf = vec![0xA5; len];
-            fill(&mut buf);
-            buf
-        };
-        #[allow(unused_mut)]
-        let mut out = vec![
-            run(&|b| fill_deterministic_page(seed, page_index, b)),
-            run(&|b| fill_portable(state, b)),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the CPU supports AVX2.
-            out.push(run(&|b| unsafe { fill_avx2(state, b) }));
-        }
-        out
-    }
-
-    const LENGTHS: [usize; 10] = [0, 1, 7, 8, 9, 31, 32, 33, 576, 18256];
-
-    #[test]
-    fn kernels_match_the_reference_on_a_fixed_table() {
-        let seeds = [0, 1, 0xBAB01, 0x9E37_79B9_7F4A_7C15, u64::MAX];
-        let pages = [0, 1, 2, 4095, 1 << 40, u64::MAX];
-        for seed in seeds {
-            for page in pages {
-                for len in LENGTHS {
-                    let want = reference_page(seed, page, len);
-                    for got in kernels(seed, page, len) {
-                        assert_eq!(got, want, "seed {seed:#x} page {page} len {len}");
-                    }
-                }
-            }
-        }
-        // Pin the bytes themselves, not just agreement with the reference:
-        // SplitMix64 from state 0 yields 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4.
-        assert_eq!(
-            reference_page(0, 0, 9),
-            [0xAF, 0xCD, 0x1D, 0x7B, 0x39, 0xA8, 0x20, 0xE2, 0xF4]
-        );
-    }
-
-    #[test]
-    fn kernels_match_the_reference_on_random_inputs() {
-        let gen = (any::<u64>(), any::<u64>(), select(&LENGTHS));
-        Property::new("preloaded page kernels").run(gen, |&(seed, page, len)| {
-            let want = reference_page(seed, page, len);
-            for got in kernels(seed, page, len) {
-                prop_assert_eq!(got, want);
-            }
-            Ok(())
-        });
-    }
-
     #[test]
     fn read_page_into_matches_read_page() {
         let mut a = ArrayStore::new(Geometry::tiny(), ContentMode::Preloaded { seed: 5 });
@@ -526,10 +389,27 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_page_depends_on_inputs() {
-        assert_eq!(deterministic_page(1, 2, 64), deterministic_page(1, 2, 64));
-        assert_ne!(deterministic_page(1, 2, 64), deterministic_page(1, 3, 64));
-        assert_ne!(deterministic_page(1, 2, 64), deterministic_page(2, 2, 64));
-        assert_eq!(deterministic_page(1, 2, 10).len(), 10);
+    fn preloaded_pages_are_the_described_stream() {
+        let a = ArrayStore::new(Geometry::tiny(), ContentMode::Preloaded { seed: 9 });
+        let raw = Geometry::tiny().raw_page_size();
+        let idx = Geometry::tiny().page_index(row(2, 3));
+        assert_eq!(
+            a.read_page(row(2, 3)).unwrap(),
+            PageData::preloaded(9, idx, raw).materialize()
+        );
+        assert_eq!(a.page_data(row(2, 3)).unwrap().segments(), 1);
+    }
+
+    #[test]
+    fn described_programs_are_stored_padded() {
+        let mut a = pristine();
+        a.program_data(row(0, 0), PageData::pattern(3, 4), false)
+            .unwrap();
+        let page = a.page_data(row(0, 0)).unwrap();
+        assert_eq!(page.len(), Geometry::tiny().raw_page_size());
+        assert_eq!(page.segments(), 2);
+        let bytes = a.read_page(row(0, 0)).unwrap();
+        assert_eq!(&bytes[..4], &[3, 4, 5, 6]);
+        assert!(bytes[4..].iter().all(|&b| b == 0xFF));
     }
 }

@@ -26,7 +26,7 @@ use babol_onfi::opcode::{mnemonic, op};
 use babol_onfi::status::Status;
 use babol_onfi::timing::DataInterface;
 use babol_sim::rng::SplitMix64;
-use babol_sim::{BufPool, PageBuf, PageBufMut, SimDuration, SimTime};
+use babol_sim::{BufPool, PageData, SimDuration, SimTime};
 
 use crate::array::{ArrayStore, ContentMode};
 use crate::ber::{raw_ber, BerContext};
@@ -189,9 +189,10 @@ enum OutSource {
 pub enum LunResponse {
     /// Phase consumed; nothing flows back.
     Accepted,
-    /// Bytes flowing back to the controller (data-out phases). The payload
-    /// is a pooled [`PageBuf`]: filled once here, read in place downstream.
-    Data(PageBuf),
+    /// Bytes flowing back to the controller (data-out phases). Page data
+    /// stays described: a slice of the register's [`PageData`], never a
+    /// copy of its bytes.
+    Data(PageData),
 }
 
 /// Running statistics, used by experiments and assertions.
@@ -246,9 +247,9 @@ pub struct Lun {
     out_before_status: OutSource,
     col: u32,
     active_plane: u32,
-    page_regs: Vec<Vec<u8>>,
-    cache_reg: Vec<u8>,
-    param_buf: Vec<u8>,
+    page_regs: Vec<PageData>,
+    cache_reg: PageData,
+    param_buf: PageData,
     busy: Option<Busy>,
     suspended: Option<Suspended>,
     pslc_armed: bool,
@@ -291,9 +292,9 @@ impl Lun {
             out_before_status: OutSource::None,
             col: 0,
             active_plane: 0,
-            page_regs: vec![vec![0xFF; raw]; geometry.planes as usize],
-            cache_reg: vec![0xFF; raw],
-            param_buf: Vec::new(),
+            page_regs: vec![PageData::fill(0xFF, raw); geometry.planes as usize],
+            cache_reg: PageData::fill(0xFF, raw),
+            param_buf: PageData::empty(),
             busy: None,
             suspended: None,
             pslc_armed: false,
@@ -311,8 +312,9 @@ impl Lun {
         }
     }
 
-    /// Shares a buffer pool with the rest of the data path; data-out
-    /// responses recycle its buffers.
+    /// Shares a buffer pool with the rest of the data path: the raw bytes
+    /// the LUN produces (feature and ID readouts, bit-flipped and
+    /// scrambled pages) recycle its buffers.
     pub fn set_pool(&mut self, pool: &BufPool) {
         self.pool = pool.clone();
     }
@@ -442,7 +444,10 @@ impl Lun {
             Effect::CommitProgram { row, pslc } => {
                 self.stats.program_attempts += 1;
                 let plane = self.array.geometry().plane_of(row.block) as usize;
-                match self.array.program_page(row, &self.page_regs[plane], pslc) {
+                match self
+                    .array
+                    .program_data(row, self.page_regs[plane].clone(), pslc)
+                {
                     Ok(()) => {
                         self.last_fail = false;
                         self.stats.programs += 1;
@@ -470,7 +475,7 @@ impl Lun {
                 for _ in 0..3 {
                     buf.extend_from_slice(&one);
                 }
-                self.param_buf = buf;
+                self.param_buf = PageData::from(buf);
                 self.col = 0;
                 self.set_bulk_out(OutSource::ParamPage);
             }
@@ -490,31 +495,42 @@ impl Lun {
     }
 
     /// Array fetch into `page_regs[plane]`, plus the raw-bit-error process.
+    /// The register keeps the array's description; only a page that takes
+    /// bit flips is materialized, and the RNG draws depend on its length
+    /// alone, so they are the same whatever the page holds.
     fn fetch_with_errors(&mut self, row: RowAddr, pslc_read: bool, plane: usize) {
-        let data = &mut self.page_regs[plane];
-        if self.array.read_page_into(row, data).is_err() {
-            data.fill(0xFF);
+        let raw = self.array.geometry().raw_page_size();
+        let mut data = self
+            .array
+            .page_data(row)
+            .unwrap_or_else(|_| PageData::fill(0xFF, raw));
+        if self.cfg.inject_errors {
+            let page_pslc = matches!(
+                self.array.page_state(row),
+                Ok(crate::array::PageState::Programmed { pslc: true })
+            );
+            let ctx = BerContext {
+                cell: self.cfg.profile.cell,
+                pe_cycles: self.array.erase_count(row.block),
+                retry_level: self.features.read_retry_level(),
+                pslc: page_pslc || pslc_read,
+            };
+            let bits = data.len() as f64 * 8.0;
+            let lambda = raw_ber(ctx) * bits;
+            let flips = poisson(&mut self.rng, lambda);
+            if flips > 0 {
+                let mut buf = self.pool.acquire();
+                buf.resize(data.len(), 0);
+                data.materialize_into(buf.as_mut_slice());
+                let bytes = buf.as_mut_slice();
+                for _ in 0..flips {
+                    let bit = self.rng.next_below(bytes.len() as u64 * 8);
+                    bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+                }
+                data = PageData::from(buf.freeze());
+            }
         }
-        if !self.cfg.inject_errors {
-            return;
-        }
-        let page_pslc = matches!(
-            self.array.page_state(row),
-            Ok(crate::array::PageState::Programmed { pslc: true })
-        );
-        let ctx = BerContext {
-            cell: self.cfg.profile.cell,
-            pe_cycles: self.array.erase_count(row.block),
-            retry_level: self.features.read_retry_level(),
-            pslc: page_pslc || pslc_read,
-        };
-        let bits = data.len() as f64 * 8.0;
-        let lambda = raw_ber(ctx) * bits;
-        let flips = poisson(&mut self.rng, lambda);
-        for _ in 0..flips {
-            let bit = self.rng.next_below(data.len() as u64 * 8);
-            data[(bit / 8) as usize] ^= 1 << (bit % 8);
-        }
+        self.page_regs[plane] = data;
     }
 
     fn jittered(&mut self, nominal: SimDuration) -> SimDuration {
@@ -841,7 +857,8 @@ impl Lun {
                 let col = self.layout.unpack_col(&bytes[..self.layout.col_cycles]).0;
                 let row = self.layout.unpack_row(&bytes[self.layout.col_cycles..]);
                 self.active_plane = self.array.geometry().plane_of(row.block);
-                self.page_regs[self.active_plane as usize].fill(0xFF);
+                let raw = self.array.geometry().raw_page_size();
+                self.page_regs[self.active_plane as usize] = PageData::fill(0xFF, raw);
                 self.col = col;
                 self.decode = Decode::ProgData { row };
                 Ok(LunResponse::Accepted)
@@ -916,7 +933,7 @@ impl Lun {
         }
     }
 
-    fn on_data_in(&mut self, _now: SimTime, data: &[u8]) -> Result<LunResponse, LunError> {
+    fn on_data_in(&mut self, _now: SimTime, data: &PageData) -> Result<LunResponse, LunError> {
         self.check_bulk_data_allowed()?;
         match std::mem::replace(&mut self.decode, Decode::Idle) {
             Decode::ProgData { row } => {
@@ -924,7 +941,7 @@ impl Lun {
                 let start = self.col as usize;
                 let end = (start + data.len()).min(reg.len());
                 if end > start {
-                    reg[start..end].copy_from_slice(&data[..end - start]);
+                    reg.overlay(start, &data.slice(0, end - start));
                 }
                 self.col = end as u32;
                 self.stats.bytes_in += data.len() as u64;
@@ -938,7 +955,8 @@ impl Lun {
                         want: 4,
                     });
                 }
-                let value = [data[0], data[1], data[2], data[3]];
+                let mut value = [0; 4];
+                data.materialize_into(&mut value);
                 self.features.set(feature, value);
                 if feature == feat::TIMING_MODE {
                     self.apply_timing_mode(value);
@@ -957,20 +975,14 @@ impl Lun {
                 });
             }
         }
-        // Every response streams into one pooled buffer: the single write
-        // of the payload on its way to the controller.
-        let mut out = self.pool.acquire();
-        match self.out {
+        let out = match self.out {
             OutSource::Status => {
                 self.stats.status_polls += 1;
-                let st = self.current_status();
-                out.resize(bytes.max(1), st.bits());
+                PageData::fill(self.current_status().bits(), bytes.max(1))
             }
             OutSource::Features(f) => {
                 let v = self.features.get(f);
-                for i in 0..bytes.max(1) {
-                    out.push(v[i % v.len()]);
-                }
+                self.small_readout(bytes, &v)
             }
             OutSource::Id => {
                 let id = [
@@ -980,25 +992,23 @@ impl Lun {
                     self.cfg.profile.geometry.luns as u8,
                     0x51, // ONFI 5.1 marker byte
                 ];
-                for i in 0..bytes.max(1) {
-                    out.push(id[i % id.len()]);
-                }
+                self.small_readout(bytes, &id)
             }
             OutSource::ParamPage => {
                 self.check_bulk_data_allowed()?;
-                self.col = slice_register(&self.param_buf, self.col, bytes, &mut out);
-                self.maybe_scramble(now, out.as_mut_slice());
+                let out = register_window(&self.param_buf, &mut self.col, bytes);
+                self.maybe_scramble(now, out)
             }
             OutSource::PageRegister => {
                 self.check_bulk_data_allowed()?;
                 let reg = &self.page_regs[self.active_plane as usize];
-                self.col = slice_register(reg, self.col, bytes, &mut out);
-                self.maybe_scramble(now, out.as_mut_slice());
+                let out = register_window(reg, &mut self.col, bytes);
+                self.maybe_scramble(now, out)
             }
             OutSource::CacheRegister => {
                 self.check_bulk_data_allowed()?;
-                self.col = slice_register(&self.cache_reg, self.col, bytes, &mut out);
-                self.maybe_scramble(now, out.as_mut_slice());
+                let out = register_window(&self.cache_reg, &mut self.col, bytes);
+                self.maybe_scramble(now, out)
             }
             OutSource::None => {
                 return Err(LunError::UnexpectedPhase {
@@ -1008,7 +1018,17 @@ impl Lun {
             }
         };
         self.stats.bytes_out += out.len() as u64;
-        Ok(LunResponse::Data(out.freeze()))
+        Ok(LunResponse::Data(out))
+    }
+
+    /// `bytes.max(1)` bytes cycling through `value` (feature and ID
+    /// readouts), in a pooled buffer.
+    fn small_readout(&self, bytes: usize, value: &[u8]) -> PageData {
+        let mut out = self.pool.acquire();
+        for i in 0..bytes.max(1) {
+            out.push(value[i % value.len()]);
+        }
+        PageData::from(out.freeze())
     }
 
     /// Bulk data phases require the boot contract to have been honoured.
@@ -1022,21 +1042,26 @@ impl Lun {
         Ok(())
     }
 
-    /// Corrupts bulk data (in place) deterministically when the controller's
-    /// DQS phase does not match the board trace (until calibration fixes it).
-    fn maybe_scramble(&self, _now: SimTime, data: &mut [u8]) {
+    /// Corrupts bulk data deterministically when the controller's DQS
+    /// phase does not match the board trace (until calibration fixes it):
+    /// the bytes are materialized, then scrambled.
+    fn maybe_scramble(&self, _now: SimTime, data: PageData) -> PageData {
         if !self.cfg.require_init {
-            return;
+            return data;
         }
         if matches!(self.iface, DataInterface::Sdr { .. }) {
-            return; // SDR is slow enough to be phase-insensitive.
+            return data; // SDR is slow enough to be phase-insensitive.
         }
         if self.configured_phase == Some(self.required_phase) {
-            return;
+            return data;
         }
-        for (i, b) in data.iter_mut().enumerate() {
+        let mut buf = self.pool.acquire();
+        buf.resize(data.len(), 0);
+        data.materialize_into(buf.as_mut_slice());
+        for (i, b) in buf.as_mut_slice().iter_mut().enumerate() {
             *b ^= 0xA5 ^ (i as u8).rotate_left(3);
         }
+        PageData::from(buf.freeze())
     }
 
     fn apply_timing_mode(&mut self, value: [u8; 4]) {
@@ -1119,14 +1144,17 @@ impl Lun {
     }
 }
 
-/// Streams `bytes` from `reg[col..]` into `out`, padding past-the-end with
-/// `0xFF`; returns the advanced column pointer.
-fn slice_register(reg: &[u8], col: u32, bytes: usize, out: &mut PageBufMut) -> u32 {
-    let start = (col as usize).min(reg.len());
+/// Bytes `col..col + bytes` of `reg`, padded past its end with `0xFF`,
+/// advancing the column pointer `col`.
+fn register_window(reg: &PageData, col: &mut u32, bytes: usize) -> PageData {
+    let start = (*col as usize).min(reg.len());
     let end = (start + bytes).min(reg.len());
-    out.extend_from_slice(&reg[start..end]);
-    out.resize(bytes, 0xFF);
-    (start + bytes) as u32
+    let mut out = reg.slice(start, end - start);
+    if end - start < bytes {
+        out.append(PageData::fill(0xFF, bytes - (end - start)));
+    }
+    *col = (start + bytes) as u32;
+    out
 }
 
 fn unexpected(state: &Decode, phase: &str) -> LunError {
@@ -1216,7 +1244,7 @@ mod tests {
                 .phase(self.now, &PhaseKind::DataOut { bytes })
                 .unwrap()
             {
-                LunResponse::Data(d) => d.to_vec(),
+                LunResponse::Data(d) => d.materialize(),
                 other => panic!("expected data, got {other:?}"),
             }
         }

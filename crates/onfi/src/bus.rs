@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use babol_sim::{PageBuf, SimDuration};
+use babol_sim::{PageData, SimDuration};
 
 use crate::opcode;
 
@@ -21,9 +21,10 @@ pub enum PhaseKind {
     /// Address latches carrying the given bytes (ALE high, WE# strobed).
     AddrLatch(Vec<u8>),
     /// A data-in burst: `data` flows from controller to the selected LUN's
-    /// page register at the current column offset. The payload is a shared
-    /// [`PageBuf`], so building a phase never copies page contents.
-    DataIn(PageBuf),
+    /// page register at the current column offset. The payload is a
+    /// described [`PageData`], so building a phase never copies page
+    /// contents.
+    DataIn(PageData),
     /// A data-out burst: the selected LUN streams `bytes` bytes from its
     /// page register at the current column offset.
     DataOut {

@@ -22,9 +22,13 @@
 //!   the same controller software is run on CPUs from 150 MHz to 1 GHz.
 //! * [`dram::Dram`] — the SSD's DRAM staging buffer that the Packetizer DMA
 //!   unit moves page data in and out of.
-//! * [`pool::BufPool`] — the slab buffer pool behind the zero-copy data
-//!   path: page payloads are written once into a [`pool::PageBufMut`] and
-//!   shared read-only as [`pool::PageBuf`] handles across every layer.
+//! * [`data::PageData`] — the one page payload of the data path: a few
+//!   described segments (the preloaded-page stream, the host pattern, a
+//!   fill byte, shared raw bytes) that every layer slices and concatenates
+//!   without copying; bytes are produced only where something reads them.
+//! * [`pool::BufPool`] — the slab buffer pool for the raw bytes no formula
+//!   describes: written once into a [`pool::PageBufMut`] and shared
+//!   read-only as [`pool::PageBuf`] handles.
 //! * [`par::ShardPool`] — conservative parallel DES: per-channel [`Shard`]s
 //!   with private event queues advance concurrently up to a shared time
 //!   barrier, with a deterministic shard-id merge so any thread count
@@ -36,6 +40,7 @@
 //!   a loud diagnostic.
 
 pub mod cpu;
+pub mod data;
 pub mod dram;
 pub mod par;
 pub mod pool;
@@ -45,6 +50,7 @@ pub mod time;
 pub mod watchdog;
 
 pub use cpu::{CostModel, Cpu};
+pub use data::PageData;
 pub use dram::Dram;
 pub use par::{Shard, ShardCtor, ShardPool, StepOutcome};
 pub use pool::{BufPool, PageBuf, PageBufMut, PoolStats};

@@ -1,14 +1,15 @@
-//! A slab buffer pool for page payloads.
+//! A slab buffer pool for raw page bytes.
 //!
-//! Every layer of the data path used to clone page contents into a fresh
-//! `Vec<u8>` at each boundary (DRAM reads, channel transfers, LUN register
-//! slices, staged mailbox writes). [`BufPool`] replaces that with a
-//! free-list of page-sized buffers: a producer acquires a [`PageBufMut`],
-//! fills it once, and freezes it into a cheaply-cloneable, reference-counted
-//! [`PageBuf`] that every consumer reads in place. Dropping the last handle
-//! returns the storage to the pool, so a steady-state run performs **zero
-//! page-buffer heap allocations after warm-up** — observable through
-//! [`PoolStats`] and asserted by the fio allocation test in `babol-ftl`.
+//! Page payloads travel the data path as [`crate::PageData`] descriptions;
+//! the bytes no formula describes (bit-flipped or scrambled readouts,
+//! feature and ID values, staged parameter bytes) live in pooled buffers.
+//! [`BufPool`] is a free-list of page-sized buffers: a producer acquires a
+//! [`PageBufMut`], fills it once, and freezes it into a cheaply-cloneable,
+//! reference-counted [`PageBuf`] that every consumer reads in place.
+//! Dropping the last handle returns the storage to the pool, so a
+//! steady-state run performs **zero page-buffer heap allocations after
+//! warm-up** — observable through [`PoolStats`] and asserted by the fio
+//! allocation test in `babol-ftl`.
 //!
 //! The free list recycles the whole `Rc` allocation, not just the byte
 //! storage: `acquire` → `freeze` → drop is pointer shuffling end to end.
@@ -324,7 +325,7 @@ impl PageBuf {
     /// An empty, unpooled payload: both fields `None`, so constructing,
     /// cloning, and dropping one touches no reference count at all.
     #[inline]
-    pub fn empty() -> PageBuf {
+    pub const fn empty() -> PageBuf {
         PageBuf {
             pool: None,
             shared: None,
@@ -358,6 +359,19 @@ impl PageBuf {
     /// genuinely need ownership, e.g. long-lived result buffers).
     pub fn to_vec(&self) -> Vec<u8> {
         self.buf_ref().clone()
+    }
+
+    /// Whether the handle holds storage (the empty payload holds none).
+    pub(crate) fn has_storage(&self) -> bool {
+        self.shared.is_some()
+    }
+
+    /// Whether both handles share one storage buffer.
+    pub(crate) fn shares_storage(&self, other: &PageBuf) -> bool {
+        match (&self.shared, &other.shared) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 

@@ -173,9 +173,9 @@ pub struct Outcome {
 pub struct EmitScratch {
     /// The transaction's bus phases.
     phases: Vec<BusPhase>,
-    /// One entry per data-out packet: its length and where it lands. A
-    /// DRAM packet carries its own address (the reader's base plus the
-    /// reader's running offset).
+    /// One entry per Data Reader: how many bytes it drains and where they
+    /// land. Its packets are contiguous in the returned stream, so a DRAM
+    /// reader lands as one extent.
     reads: Vec<(usize, DmaDest)>,
     /// Phase index where each instruction's waveform starts (traced runs
     /// only).
@@ -240,38 +240,32 @@ pub fn execute(
                 }
             }
             Instr::DataWriter { bytes, src } => {
-                let mut offset = 0u64;
+                // The source range is read once, described; each packet is
+                // a slice of it.
+                let data = dram.read_data(*src, *bytes);
+                let mut offset = 0;
                 for pkt in cfg.packetizer.packets(*bytes) {
                     phases.push(BusPhase::new(PhaseKind::Pause, cfg.packetizer.packet_gap));
-                    // Zero-copy: the packet is read once into a pooled
-                    // buffer; the phase and the LUN share it read-only.
-                    let data = dram.read_buf(*src + offset, pkt);
                     phases.push(BusPhase::new(
-                        PhaseKind::DataIn(data),
+                        PhaseKind::DataIn(data.slice(offset, pkt)),
                         cfg.timing.data_in_burst(cfg.iface, pkt),
                     ));
-                    offset += pkt as u64;
+                    offset += pkt;
                 }
             }
             Instr::DataReader { bytes, dest } => {
-                let mut offset = 0u64;
                 for pkt in cfg.packetizer.packets(*bytes) {
                     // Inline reads (status bytes, IDs) land in a controller
                     // register, not DRAM: no DMA descriptor gap.
-                    let dest = match *dest {
-                        DmaDest::Inline => DmaDest::Inline,
-                        DmaDest::Dram(base) => {
-                            phases.push(BusPhase::new(PhaseKind::Pause, cfg.packetizer.packet_gap));
-                            DmaDest::Dram(base + offset)
-                        }
-                    };
+                    if let DmaDest::Dram(_) = dest {
+                        phases.push(BusPhase::new(PhaseKind::Pause, cfg.packetizer.packet_gap));
+                    }
                     phases.push(BusPhase::new(
                         PhaseKind::DataOut { bytes: pkt },
                         cfg.timing.data_out_burst(cfg.iface, pkt),
                     ));
-                    reads.push((pkt, dest));
-                    offset += pkt as u64;
                 }
+                reads.push((*bytes, *dest));
             }
             Instr::Timer { duration } => {
                 phases.push(BusPhase::new(PhaseKind::Pause, *duration));
@@ -302,21 +296,27 @@ pub fn execute(
             });
         }
     }
-    // Split the returned stream across the data readers.
+    // Split the returned stream across the data readers: DRAM readers
+    // land described, inline bytes (status, IDs) are materialized for the
+    // software.
     let mut inline = Vec::new();
     let mut cursor = 0usize;
     for (len, dest) in reads.drain(..) {
-        let chunk = &tx.data[cursor..cursor + len];
+        let chunk = tx.data.slice(cursor, len);
         cursor += len;
         match dest {
-            DmaDest::Inline => inline.extend_from_slice(chunk),
-            DmaDest::Dram(addr) => dram.write(addr, chunk),
+            DmaDest::Inline => {
+                let at = inline.len();
+                inline.resize(at + len, 0);
+                chunk.materialize_into(&mut inline[at..]);
+            }
+            DmaDest::Dram(addr) => dram.write_data(addr, chunk),
         }
     }
     let end = tx.end;
-    // Hand the segment's pooled buffers back before returning (the
-    // returned data, then the data-in packets) so the next transaction
-    // finds them in the pool.
+    // Release the segment's raw buffers (the returned data, then the
+    // data-in packets) before returning, so the next transaction finds
+    // them in the pool.
     drop(tx);
     phases.clear();
     instr_marks.clear();

@@ -41,7 +41,7 @@ use babol_flash::PackageProfile;
 use babol_onfi::bus::{BusPhase, ChipMask, PhaseKind};
 use babol_onfi::feature::addr as feat;
 use babol_onfi::opcode::op;
-use babol_sim::SimDuration;
+use babol_sim::{PageData, SimDuration};
 use babol_ufsm::{DmaDest, EmitConfig, Instr, Latch, PostWait, Transaction};
 
 use crate::diag::{Diagnostic, Report};
@@ -596,13 +596,13 @@ impl EnvLun {
     /// Data-in: counted as transfer bytes only on the page-register path
     /// (the model's `bytes_in` stat ignores feature writes). `value` is
     /// the payload when statically visible (raw phase programs).
-    fn on_data_in(&mut self, bytes: u64, value: Option<&[u8]>, bytes_acc: &mut Interval) {
+    fn on_data_in(&mut self, bytes: u64, value: Option<&PageData>, bytes_acc: &mut Interval) {
         match self.dec {
             Dec::ProgData => *bytes_acc += Interval::point(bytes),
             Dec::FeatData(addr) => {
                 if addr == feat::PSLC_ENABLE {
                     self.pslc_feature = match value {
-                        Some(v) if !v.is_empty() && v[0] != 0 => FeatState::On,
+                        Some(v) if v.first_byte().is_some_and(|b| b != 0) => FeatState::On,
                         Some(_) => FeatState::Off,
                         None => FeatState::Unknown,
                     };
@@ -622,8 +622,13 @@ impl EnvLun {
 enum Event<'a> {
     Cmd(u8),
     Addr(&'a [u8]),
-    DataIn { bytes: u64, value: Option<&'a [u8]> },
-    DataOut { bytes: u64 },
+    DataIn {
+        bytes: u64,
+        value: Option<&'a PageData>,
+    },
+    DataOut {
+        bytes: u64,
+    },
 }
 
 /// The envelope analyzer: feed it the same transaction (or phase) stream
@@ -703,7 +708,7 @@ impl EnvelopeAnalyzer {
                     at,
                     Event::DataIn {
                         bytes: data.len() as u64,
-                        value: Some(data.as_slice()),
+                        value: Some(data),
                     },
                 )),
                 PhaseKind::DataOut { bytes } => events.push((

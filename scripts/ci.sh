@@ -77,6 +77,13 @@ cargo test --offline -q --test properties -- ftl_ cache
 step "status-wait summarization differential + work ledger"
 cargo test --offline -q --test poll_summary --test work_ledger
 
+# Described page payloads: `PageData` against a flat byte model, and the
+# DRAM bytes of every read and the array bytes of every program of whole
+# runs (both runtimes under GC, the write-back cache, preloaded reads, the
+# Cosmos+-style baseline) against the array and the LPN pattern.
+step "page-data byte exactness"
+cargo test --offline -q --test page_data
+
 # Mirror of the hosted determinism matrix: both digest tests (plain
 # read path + production FTL with cache, wear leveling, and GC) run once
 # per thread count, and the printed `determinism-digest` lines

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Workspace determinism, `unsafe`, FTL-counter, completion-harvest,
-# drive-loop and status-wait lint.
+# drive-loop, status-wait and page-bytes lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -44,6 +44,13 @@
 # paced status poll and can summarize a lone poller's busy polls. No other
 # production function may pair a READ STATUS with the poll backoff, except
 # the ones in STATUS_WAIT_ALLOW, whose waits the runtime must not summarize.
+#
+# Page payloads are described (`babol_sim::PageData`) from the flash array
+# to DRAM; bytes are produced only where something reads them. Production
+# code may turn a `PageData` into bytes (`materialize`, `materialize_into`,
+# `first_byte`) only in the functions listed in PAGE_BYTES_ALLOW, the edges
+# of the data path. A copy anywhere else (a register slice, a gather
+# buffer, a DRAM packet) is the waste the type exists to remove.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,9 +66,6 @@ CLOCK_ALLOW=(
   "crates/testkit/src/bench.rs"
 )
 UNSAFE_ALLOW=(
-  # Preloaded-page kernel: calls its AVX-512 / AVX2 `#[target_feature]`
-  # copies only after `is_x86_feature_detected!` confirmed the features.
-  "crates/flash/src/array.rs"
   # The allocation-budget tests' counting global allocator (`GlobalAlloc`
   # is an unsafe trait); it forwards every call to the system allocator.
   "tests/common/counting_alloc.rs"
@@ -82,6 +86,27 @@ STATUS_WAIT_ALLOW=(
   # Waits for ARDY (the array), not RDY: in a cache read the LUN stays
   # ready while the array works, and the status it polls changes mid-busy.
   "crates/core/src/ops.rs:wait_ready_cached"
+)
+PAGE_BYTES_ALLOW=(
+  # DRAM byte reads.
+  "crates/sim/src/dram.rs:read"
+  "crates/sim/src/dram.rs:read_vec"
+  # Array byte reads (workload setup and assertions).
+  "crates/flash/src/array.rs:read_page"
+  "crates/flash/src/array.rs:read_page_into"
+  # Raw bit errors: a page that takes flips is materialized, then flipped.
+  "crates/flash/src/lun.rs:fetch_with_errors"
+  # DQS scrambling of an uncalibrated high-speed readout.
+  "crates/flash/src/lun.rs:maybe_scramble"
+  # A SET FEATURES value the LUN decodes.
+  "crates/flash/src/lun.rs:on_data_in"
+  # Inline results (status bytes, IDs, feature values) for the software.
+  "crates/ufsm/src/emit.rs:execute"
+  # The hardware baselines' sampled status bytes.
+  "crates/core/src/hw/cosmos.rs:arbitrate"
+  "crates/core/src/hw/sync_ctrl.rs:arbitrate"
+  # The static verifier reading a raw phase program's pSLC feature value.
+  "crates/verify/src/envelope.rs:on_data_in"
 )
 
 fail=0
@@ -191,6 +216,28 @@ while IFS= read -r hit; do
   fail=1
 done <<< "$status_waits"
 
+# Production functions that turn a PageData into bytes, printed as
+# `file:fn`; the type's own module is where the bytes are made.
+page_bytes=$(find crates src examples -name '*.rs' ! -path crates/sim/src/data.rs -print0 | sort -z | xargs -0 perl -0777 -ne '
+  s/^#\[cfg\(test\)\].*//ms;
+  my %seen;
+  while (/\.(?:materialize|materialize_into|first_byte)\(/g) {
+    my ($fn) = substr($_, 0, $-[0]) =~ /.*\bfn\s+(\w+)/s;
+    $fn //= "?";
+    print "$ARGV:$fn\n" unless $seen{$fn}++;
+  }')
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  ok=0
+  for a in "${PAGE_BYTES_ALLOW[@]}"; do
+    [ "$hit" = "$a" ] && ok=1 && break
+  done
+  [ "$ok" -eq 1 ] && continue
+  echo "lint: page bytes materialized outside the data path's edges:"
+  echo "  $hit"
+  fail=1
+done <<< "$page_bytes"
+
 report "FTL completions taken outside Ssd::harvest" \
   "$(ftl_calls_outside take_completions harvest)"
 report "event queue stepped outside Ssd::drive" \
@@ -204,6 +251,7 @@ if [ "$fail" -ne 0 ]; then
   echo "source, and reach the tracer through Ssd::export_counters. The FTL"
   echo "takes controller completions only in Ssd::harvest and steps the"
   echo "event queue only in Ssd::drive. Status waits go through StatusWait."
+  echo "Page data stays a PageData between the edges in PAGE_BYTES_ALLOW."
   exit 1
 fi
-echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop and status-wait lint: clean"
+echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait and page-bytes lint: clean"

@@ -1,10 +1,10 @@
 //! Heap-allocation budget of the preloaded read data path.
 //!
 //! A counting global allocator measures a steady-state random-read job on
-//! preloaded flash through `Ssd::run` with tracing off. The LUN synthesizes
-//! each preloaded page straight into its reused page register and streams
-//! it out through pooled buffers, so a read allocates no page-sized buffer;
-//! what remains is the per-transaction control state. Two budgets: no
+//! preloaded flash through `Ssd::run` with tracing off. A preloaded page
+//! stays a `PageData` description from the array through the page
+//! register and the data-out bursts into DRAM, so a read allocates no
+//! page-sized buffer; what remains is the per-transaction control state. Two budgets: no
 //! allocation of a raw page or more (one per read used to be the array's
 //! fresh page copy), and a total per read that catches smaller per-read
 //! allocations creeping back in.
@@ -30,7 +30,9 @@ mod counting_alloc;
 static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Allowed heap allocations per host read at steady state, about 10%
-/// above the measured 21.34 (release) and 32.50 (debug). Debug builds also
+/// above the measured 21.34 (release) and 32.50 (debug), unchanged since
+/// the page data became described: the pooled copies it removed were
+/// recycled buffers, not allocations. Debug builds also
 /// run the static verifier on every transaction (`babol_ufsm::hook`).
 const BUDGET_PER_READ: f64 = if cfg!(debug_assertions) { 36.0 } else { 23.5 };
 
