@@ -164,8 +164,8 @@ impl Channel {
         }
     }
 
-    /// Shares a buffer pool across the whole data path: every attached
-    /// LUN's raw readouts recycle from the same free list.
+    /// Shares the system's raw-buffer count with every attached LUN, so
+    /// their raw readouts are counted in one place.
     pub fn set_pool(&mut self, pool: &BufPool) {
         for lun in &mut self.luns {
             lun.set_pool(pool);

@@ -118,11 +118,11 @@ pub struct Mailbox {
     /// Sleep request set during the current advance.
     pub sleep: Option<SimDuration>,
     /// DRAM staging writes requested during the current advance (the CPU
-    /// preparing buffers the Packetizer will read). Payloads come from the
-    /// system's buffer pool; see [`Mailbox::stage`].
+    /// preparing buffers the Packetizer will read), each a raw buffer
+    /// counted in the system's [`BufPool`]; see [`Mailbox::stage`].
     pub staged: Vec<(u64, PageData)>,
-    /// Page-buffer pool shared with the rest of the system, attached by the
-    /// runtime at spawn time.
+    /// The system's raw-buffer count, attached by the runtime at spawn
+    /// time.
     pub pool: BufPool,
     /// Straight-line work steps performed during the current advance.
     pub steps: u32,
@@ -162,12 +162,9 @@ impl Mailbox {
         self.results.push((ticket, result));
     }
 
-    /// Queues a DRAM staging write of `bytes` at `addr`, copying once into
-    /// a pooled buffer.
+    /// Queues a DRAM staging write of a copy of `bytes` at `addr`.
     pub fn stage(&mut self, addr: u64, bytes: &[u8]) {
-        let mut buf = self.pool.acquire();
-        buf.extend_from_slice(bytes);
-        self.staged.push((addr, PageData::from(buf.freeze())));
+        self.staged.push((addr, self.pool.raw(bytes.to_vec())));
     }
 }
 
@@ -255,8 +252,9 @@ pub trait SoftTask {
     /// Drains DRAM staging writes requested during the last advance into
     /// `out` (an out-parameter so the runtime reuses one scratch vector).
     fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>);
-    /// Connects the task's mailbox to the system's buffer pool. Called by
-    /// the runtime at spawn time; tasks without staging may ignore it.
+    /// Connects the task's mailbox to the system's raw-buffer count.
+    /// Called by the runtime at spawn time; tasks without staging may
+    /// ignore it.
     fn attach_pool(&mut self, _pool: &BufPool) {}
     /// Takes the count of body steps executed during the last advance.
     fn take_steps(&mut self) -> u32;

@@ -10,13 +10,11 @@
 //! * [`gf`] — arithmetic over GF(2^13) with log/antilog tables.
 //! * [`bch`] — a binary BCH encoder/decoder (syndromes, Berlekamp–Massey,
 //!   Chien search), the workhorse code of mid-generation SSD controllers.
-//! * [`hamming`] — a (72,64) SEC-DED Hamming code, used for small metadata.
 //! * [`PageCodec`] — sector-based page protection: splits a flash page into
 //!   sectors, stores BCH parity in the spare area, corrects on read.
 
 pub mod bch;
 pub mod gf;
-pub mod hamming;
 
 use std::fmt;
 

@@ -22,9 +22,8 @@
 //! delivered, usually the register's description of the host pattern, so
 //! neither a read nor a program copies page bytes. [`ArrayStore::page_data`]
 //! and [`ArrayStore::program_data`] are the described interface the LUN
-//! uses; [`ArrayStore::read_page`], [`ArrayStore::read_page_into`] and
-//! [`ArrayStore::program_page`] are the byte interface for workload setup
-//! and assertions.
+//! uses; [`ArrayStore::read_page`] and [`ArrayStore::program_page`] are
+//! the byte interface for workload setup and assertions.
 
 // Determinism allowlist: the page store is the hottest map in the
 // simulator and is only ever used for keyed lookups — iteration order
@@ -136,22 +135,6 @@ impl ArrayStore {
     /// Reads the raw page (data + spare) at `row`.
     pub fn read_page(&self, row: RowAddr) -> Result<Vec<u8>, FlashError> {
         Ok(self.page_data(row)?.materialize())
-    }
-
-    /// Reads the raw page (data + spare) at `row` into `out`, which must be
-    /// exactly one raw page long. On error `out` is left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not the raw page size.
-    pub fn read_page_into(&self, row: RowAddr, out: &mut [u8]) -> Result<(), FlashError> {
-        assert_eq!(
-            out.len(),
-            self.geometry.raw_page_size(),
-            "read_page_into needs a raw-page buffer"
-        );
-        self.page_data(row)?.materialize_into(out);
-        Ok(())
     }
 
     /// State of the page at `row`.
@@ -372,20 +355,6 @@ mod tests {
             a.page_state(row(0, 0)).unwrap(),
             PageState::Programmed { pslc: true }
         );
-    }
-
-    #[test]
-    fn read_page_into_matches_read_page() {
-        let mut a = ArrayStore::new(Geometry::tiny(), ContentMode::Preloaded { seed: 5 });
-        a.erase_block(row(1, 0)).unwrap();
-        a.program_page(row(1, 0), b"resident", false).unwrap();
-        let mut buf = vec![0; Geometry::tiny().raw_page_size()];
-        // Resident, erased and synthesized pages, each over stale bytes.
-        for r in [row(1, 0), row(1, 1), row(2, 3), row(1, 0)] {
-            a.read_page_into(r, &mut buf).unwrap();
-            assert_eq!(buf, a.read_page(r).unwrap());
-        }
-        assert!(a.read_page_into(row(99, 0), &mut buf).is_err());
     }
 
     #[test]

@@ -307,14 +307,14 @@ impl Lun {
             last_row: None,
             rng,
             stats: LunStats::default(),
-            pool: BufPool::new(raw),
+            pool: BufPool::default(),
             cfg,
         }
     }
 
-    /// Shares a buffer pool with the rest of the data path: the raw bytes
-    /// the LUN produces (feature and ID readouts, bit-flipped and
-    /// scrambled pages) recycle its buffers.
+    /// Shares the system's raw-buffer count: the raw bytes the LUN makes
+    /// (feature and ID readouts, bit-flipped and scrambled pages) are
+    /// counted there.
     pub fn set_pool(&mut self, pool: &BufPool) {
         self.pool = pool.clone();
     }
@@ -519,15 +519,12 @@ impl Lun {
             let lambda = raw_ber(ctx) * bits;
             let flips = poisson(&mut self.rng, lambda);
             if flips > 0 {
-                let mut buf = self.pool.acquire();
-                buf.resize(data.len(), 0);
-                data.materialize_into(buf.as_mut_slice());
-                let bytes = buf.as_mut_slice();
+                let mut bytes = data.materialize();
                 for _ in 0..flips {
                     let bit = self.rng.next_below(bytes.len() as u64 * 8);
                     bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
                 }
-                data = PageData::from(buf.freeze());
+                data = self.pool.raw(bytes);
             }
         }
         self.page_regs[plane] = data;
@@ -1022,13 +1019,10 @@ impl Lun {
     }
 
     /// `bytes.max(1)` bytes cycling through `value` (feature and ID
-    /// readouts), in a pooled buffer.
+    /// readouts), in a raw buffer.
     fn small_readout(&self, bytes: usize, value: &[u8]) -> PageData {
-        let mut out = self.pool.acquire();
-        for i in 0..bytes.max(1) {
-            out.push(value[i % value.len()]);
-        }
-        PageData::from(out.freeze())
+        self.pool
+            .raw(value.iter().copied().cycle().take(bytes.max(1)).collect())
     }
 
     /// Bulk data phases require the boot contract to have been honoured.
@@ -1055,13 +1049,11 @@ impl Lun {
         if self.configured_phase == Some(self.required_phase) {
             return data;
         }
-        let mut buf = self.pool.acquire();
-        buf.resize(data.len(), 0);
-        data.materialize_into(buf.as_mut_slice());
-        for (i, b) in buf.as_mut_slice().iter_mut().enumerate() {
+        let mut bytes = data.materialize();
+        for (i, b) in bytes.iter_mut().enumerate() {
             *b ^= 0xA5 ^ (i as u8).rotate_left(3);
         }
-        PageData::from(buf.freeze())
+        self.pool.raw(bytes)
     }
 
     fn apply_timing_mode(&mut self, value: [u8; 4]) {

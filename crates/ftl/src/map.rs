@@ -78,7 +78,11 @@ pub struct PageMap {
     geometry: Geometry,
     luns: u32,
     l2p: Vec<Option<Ppn>>,
-    p2l: std::collections::BTreeMap<Ppn, u64>,
+    /// The logical page plus one that each physical page holds, indexed
+    /// by [`PageMap::slot`]; 0 where it holds no valid data. Zero means
+    /// unmapped so the vector starts as zeroed memory, which takes no
+    /// resident memory until a page is written.
+    p2l: Vec<u64>,
     alloc: Vec<LunAlloc>,
     next_lun: u32,
     /// GC kicks in when a LUN's free-block count drops below this.
@@ -113,7 +117,7 @@ impl PageMap {
             geometry,
             luns,
             l2p: vec![None; logical_pages as usize],
-            p2l: std::collections::BTreeMap::new(),
+            p2l: vec![0; physical as usize],
             alloc,
             next_lun: 0,
             gc_threshold: 2,
@@ -123,6 +127,13 @@ impl PageMap {
     /// Number of exported logical pages.
     pub fn logical_pages(&self) -> u64 {
         self.l2p.len() as u64
+    }
+
+    /// The linear index of a physical page: LUN, then block, then page.
+    fn slot(&self, ppn: Ppn) -> usize {
+        let per_block = self.geometry.pages_per_block as u64;
+        let block = ppn.lun as u64 * self.geometry.blocks_per_lun() as u64 + ppn.block as u64;
+        (block * per_block + ppn.page as u64) as usize
     }
 
     /// Looks up the physical location of a logical page.
@@ -198,7 +209,8 @@ impl PageMap {
         }
         let ppn = Ppn { lun, block, page };
         self.l2p[lpn as usize] = Some(ppn);
-        self.p2l.insert(ppn, lpn);
+        let slot = self.slot(ppn);
+        self.p2l[slot] = lpn + 1;
         ppn
     }
 
@@ -224,7 +236,8 @@ impl PageMap {
     /// Removes the mapping of `lpn`, marking its physical page invalid.
     pub fn invalidate(&mut self, lpn: u64) {
         if let Some(old) = self.l2p[lpn as usize].take() {
-            self.p2l.remove(&old);
+            let slot = self.slot(old);
+            self.p2l[slot] = 0;
             self.alloc[old.lun as usize].blocks[old.block as usize].valid -= 1;
         }
     }
@@ -236,23 +249,13 @@ impl PageMap {
         let victim = (0..self.geometry.blocks_per_lun())
             .filter(|&b| a.blocks[b as usize].state == BlockState::Full)
             .min_by_key(|&b| a.blocks[b as usize].valid)?;
-        let moves = (0..self.geometry.pages_per_block)
-            .filter_map(|page| {
-                let ppn = Ppn {
-                    lun,
-                    block: victim,
-                    page,
-                };
-                self.p2l.get(&ppn).map(|&lpn| (lpn, ppn))
-            })
-            .collect();
         Some(GcPlan {
             victim: Ppn {
                 lun,
                 block: victim,
                 page: 0,
             },
-            moves,
+            moves: self.block_moves(lun, victim),
         })
     }
 
@@ -392,11 +395,16 @@ impl PageMap {
     /// `(logical page, current physical page)` — [`GcPlan::moves`] for an
     /// arbitrary block (wear migration, post-failure evacuation).
     pub fn block_moves(&self, lun: u32, block: u32) -> Vec<(u64, Ppn)> {
-        (0..self.geometry.pages_per_block)
-            .filter_map(|page| {
-                let ppn = Ppn { lun, block, page };
-                self.p2l.get(&ppn).map(|&lpn| (lpn, ppn))
-            })
+        let first = self.slot(Ppn {
+            lun,
+            block,
+            page: 0,
+        });
+        let pages = &self.p2l[first..first + self.geometry.pages_per_block as usize];
+        (0..)
+            .zip(pages)
+            .filter(|&(_, &held)| held != 0)
+            .map(|(page, &held)| (held - 1, Ppn { lun, block, page }))
             .collect()
     }
 

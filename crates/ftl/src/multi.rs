@@ -135,9 +135,9 @@ pub struct ShardDigest {
     pub now: SimTime,
     /// Events the shard processed, FTL job steps included.
     pub events: u64,
-    /// Page-buffer pool counters (zero-copy accounting).
+    /// The count of raw page buffers the shard made.
     pub pool: PoolStats,
-    /// The shard's tracer (empty when tracing was off), with pool and FTL
+    /// The shard's tracer (empty when tracing was off), with the FTL
     /// counters exported. Tagged with the shard id for per-channel
     /// timelines.
     pub tracer: Tracer,
@@ -302,7 +302,6 @@ impl Shard for ChannelShard {
     }
 
     fn finish(mut self) -> ShardDigest {
-        self.sys.export_pool_stats();
         self.ssd.export_counters(&mut self.sys.trace);
         ShardDigest {
             shard: self.id,

@@ -449,8 +449,7 @@ impl Ssd {
 
     /// Snapshots the production counters into `trace`'s FTL counters, with
     /// the energy split by operation class: the one place the FTL writes
-    /// them, called wherever a job ends. Like
-    /// [`System::export_pool_stats`], a no-op while tracing is off.
+    /// them, called wherever a job ends. A no-op while tracing is off.
     pub(crate) fn export_counters(&self, trace: &mut Tracer) {
         let c = self.counters();
         let e = &self.energy;
@@ -1289,16 +1288,14 @@ mod tests {
         assert_eq!(gc_ends, r.gc_cycles);
     }
 
-    /// The described data path's core claim: once warmed up, a steady-state
-    /// fio job performs **zero** page-buffer heap allocations. Every page
-    /// it moves (FTL pattern, register, data-out, DRAM extent, stored
-    /// page) is a `PageData` description, so the GC-heavy write job does
-    /// not even take a raw buffer from the pool. Verified through the pool
-    /// counters exported into the tracer.
+    /// The described data path's core claim: a steady-state fio job makes
+    /// **no** raw page buffer. Every page it moves (FTL pattern, register,
+    /// data-out, DRAM extent, stored page) is a `PageData` description,
+    /// so the GC-heavy write job leaves the system's raw-buffer count
+    /// flat.
     #[test]
     fn steady_state_fio_does_no_page_buffer_allocations() {
         let (mut sys, mut ctrl, mut ssd) = tiny_stack(2, false);
-        sys.trace = babol_trace::Tracer::enabled();
         // Warm-up: overwrite the logical space until GC has run.
         let warm = FioWorkload {
             pattern: IoPattern::RandomWrite,
@@ -1318,29 +1315,10 @@ mod tests {
         };
         let r = ssd.run(&mut sys, &mut ctrl, steady);
         assert!(r.gc_cycles > 0, "steady state must include GC");
-        let stats = sys.pool().stats();
         assert_eq!(
-            stats.acquires, warmed.acquires,
-            "a described write path needs no raw buffer"
-        );
-        assert_eq!(
-            stats.heap_allocs(),
-            warmed.heap_allocs(),
-            "steady-state fio must not allocate page buffers"
-        );
-        // The same numbers are visible through the trace counter export.
-        sys.export_pool_stats();
-        assert_eq!(
-            sys.trace.counter(Component::Sim, Counter::PoolHeapAllocs),
-            stats.heap_allocs()
-        );
-        assert_eq!(
-            sys.trace.counter(Component::Sim, Counter::PoolAcquires),
-            stats.acquires
-        );
-        assert_eq!(
-            sys.trace.counter(Component::Sim, Counter::PoolHighWater),
-            stats.high_water
+            sys.pool().stats(),
+            warmed,
+            "a described write path makes no raw buffer"
         );
     }
 

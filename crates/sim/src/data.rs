@@ -21,8 +21,7 @@
 //! * the host pattern ([`PageData::pattern`]): byte `k` is `base + k`
 //!   (mod 256);
 //! * a fill byte ([`PageData::fill`]);
-//! * shared raw bytes, a [`PageBuf`] (pooled or not), for content no
-//!   formula describes.
+//! * shared raw bytes, a [`PageBuf`], for content no formula describes.
 //!
 //! Contiguous pieces of one source coalesce into one segment. A payload
 //! holds at most [`MAX_SEGMENTS`]; one that would need more is
@@ -49,9 +48,13 @@
 //! ```
 
 use std::fmt;
+use std::rc::Rc;
 
-use crate::pool::PageBuf;
 use crate::rng::SplitMix64;
+
+/// The raw bytes of a payload: one shared, immutable byte slice. Clones
+/// are reference-count bumps.
+pub type PageBuf = Rc<[u8]>;
 
 /// Most segments one [`PageData`] holds before it is materialized into a
 /// single raw segment. Three covers every shape the data path builds: a
@@ -142,7 +145,7 @@ impl Segment {
 
     /// Bytes `off..off + out.len()` of this segment into `out`; `raw` is
     /// the payload's raw buffer.
-    fn write(self, raw: &PageBuf, off: usize, out: &mut [u8]) {
+    fn write(self, raw: &[u8], off: usize, out: &mut [u8]) {
         let at = self.start as usize + off;
         match self.kind() {
             Kind::Synth => fill_preloaded(self.key, at, out),
@@ -164,9 +167,9 @@ impl Segment {
 pub struct PageData {
     /// The segments in order; unused ones (at the end) are empty.
     segs: [Segment; MAX_SEGMENTS],
-    /// The one buffer every `Raw` segment reads; the empty handle when
-    /// there are none.
-    raw: PageBuf,
+    /// The one buffer every `Raw` segment reads; `None` when there are
+    /// none.
+    raw: Option<PageBuf>,
 }
 
 impl PageData {
@@ -174,8 +177,13 @@ impl PageData {
     pub const fn empty() -> PageData {
         PageData {
             segs: [Segment::EMPTY; MAX_SEGMENTS],
-            raw: PageBuf::empty(),
+            raw: None,
         }
+    }
+
+    /// The raw buffer's bytes (empty when there is none).
+    fn raw(&self) -> &[u8] {
+        self.raw.as_deref().unwrap_or_default()
     }
 
     fn single(kind: Kind, key: u64, len: usize) -> PageData {
@@ -290,7 +298,10 @@ impl PageData {
         };
         let joined = self.segs().last().is_some_and(|&l| l.continued_by(first));
         let fits = self.segments() + other.segments() - usize::from(joined) <= MAX_SEGMENTS;
-        let one_buffer = !self.has_raw() || !other.has_raw() || self.raw.shares_storage(&other.raw);
+        let one_buffer = match (&self.raw, &other.raw) {
+            (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+            _ => true,
+        };
         if !fits || !one_buffer {
             let mut bytes = vec![0; self.len() + other.len()];
             let (head, tail) = bytes.split_at_mut(self.len());
@@ -302,7 +313,7 @@ impl PageData {
         for &seg in other.segs() {
             self.push(seg);
         }
-        if !self.raw.has_storage() {
+        if self.raw.is_none() {
             self.raw = other.raw;
         }
     }
@@ -354,7 +365,7 @@ impl PageData {
     pub fn first_byte(&self) -> Option<u8> {
         let seg = *self.segs().first()?;
         let mut b = [0];
-        seg.write(&self.raw, 0, &mut b);
+        seg.write(self.raw(), 0, &mut b);
         Some(b[0])
     }
 
@@ -376,7 +387,7 @@ impl PageData {
             let want = start + done;
             if want < end && done < out.len() {
                 let take = (end - want).min(out.len() - done);
-                seg.write(&self.raw, want - pos, &mut out[done..done + take]);
+                seg.write(self.raw(), want - pos, &mut out[done..done + take]);
                 done += take;
             }
             pos = end;
@@ -389,14 +400,14 @@ impl From<PageBuf> for PageData {
     fn from(buf: PageBuf) -> PageData {
         let mut d = PageData::single(Kind::Raw, 0, buf.len());
         if !d.is_empty() {
-            d.raw = buf;
+            d.raw = Some(buf);
         }
         d
     }
 }
 
 impl From<Vec<u8>> for PageData {
-    /// One raw segment owning the vector.
+    /// One raw segment holding the vector's bytes.
     fn from(bytes: Vec<u8>) -> PageData {
         PageData::from(PageBuf::from(bytes))
     }
@@ -549,7 +560,7 @@ mod tests {
         d.append(PageData::pattern(9, 2));
         want.extend_from_slice(&[9, 10]);
         assert_eq!(d.segments(), 1);
-        assert!(d.raw.has_storage());
+        assert!(d.raw.is_some());
         assert_eq!(d.materialize(), want);
         // A continuation of the last segment still fits.
         let mut e = PageData::empty();
@@ -579,7 +590,7 @@ mod tests {
         // A slice holding no raw segment holds no buffer.
         let mut f = PageData::fill(9, 2);
         f.append(whole.clone());
-        assert!(!f.slice(0, 2).raw.has_storage());
+        assert!(f.slice(0, 2).raw.is_none());
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! pattern) instead of being copied, and unwritten bytes read back as zero.
 //! The experiments move hundreds of megabytes of simulated data, so both
 //! sparseness and not copying matter. Bytes are produced only by the byte
-//! reads ([`Dram::read`], [`Dram::read_vec`], [`Dram::read_buf`]).
+//! reads ([`Dram::read`], [`Dram::read_vec`]).
 
 use std::collections::BTreeMap;
 
 use crate::data::PageData;
-use crate::pool::{BufPool, PageBuf};
 
 /// A sparse, byte-addressable simulated DRAM.
 ///
@@ -41,7 +40,6 @@ use crate::pool::{BufPool, PageBuf};
 pub struct Dram {
     /// Written extents keyed by start address; they never overlap.
     extents: BTreeMap<u64, PageData>,
-    pool: BufPool,
     bytes_read: u64,
     bytes_written: u64,
 }
@@ -50,17 +48,6 @@ impl Dram {
     /// Creates an empty DRAM.
     pub fn new() -> Self {
         Dram::default()
-    }
-
-    /// Shares a buffer pool with the rest of the data path; reads through
-    /// [`Dram::read_buf`] recycle its buffers.
-    pub fn set_pool(&mut self, pool: &BufPool) {
-        self.pool = pool.clone();
-    }
-
-    /// The pool backing [`Dram::read_buf`].
-    pub fn pool(&self) -> &BufPool {
-        &self.pool
     }
 
     /// Writes `data` starting at byte address `addr` (a copy of the bytes).
@@ -147,15 +134,6 @@ impl Dram {
         self.read_data(addr, len).materialize()
     }
 
-    /// Reads `len` bytes starting at `addr` into a pooled, shareable page
-    /// buffer.
-    pub fn read_buf(&mut self, addr: u64, len: usize) -> PageBuf {
-        let mut buf = self.pool.acquire();
-        buf.resize(len, 0);
-        self.read(addr, buf.as_mut_slice());
-        buf.freeze()
-    }
-
     /// Total bytes written through this DRAM (DMA accounting).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -239,19 +217,6 @@ mod tests {
         d.write(0, &[1; 8]);
         d.write(4, &[2; 8]);
         assert_eq!(d.read_vec(0, 12), vec![1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn read_buf_matches_read_vec_and_recycles() {
-        let mut d = Dram::new();
-        let data: Vec<u8> = (0..=255).collect();
-        d.write(CHUNK - 100, &data);
-        for _ in 0..10 {
-            let b = d.read_buf(CHUNK - 100, 256);
-            assert_eq!(b.as_slice(), d.read_vec(CHUNK - 100, 256).as_slice());
-        }
-        // Sequential acquire/drop cycles reuse one pooled buffer.
-        assert_eq!(d.pool().stats().allocs, 1);
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!   described segments (the preloaded-page stream, the host pattern, a
 //!   fill byte, shared raw bytes) that every layer slices and concatenates
 //!   without copying; bytes are produced only where something reads them.
-//! * [`pool::BufPool`] — the slab buffer pool for the raw bytes no formula
-//!   describes: written once into a [`pool::PageBufMut`] and shared
-//!   read-only as [`pool::PageBuf`] handles.
+//! * [`pool::BufPool`] — the count of raw page buffers made: the bytes no
+//!   formula describes, shared read-only as one [`data::PageBuf`] slice.
 //! * [`par::ShardPool`] — conservative parallel DES: per-channel [`Shard`]s
 //!   with private event queues advance concurrently up to a shared time
 //!   barrier, with a deterministic shard-id merge so any thread count
@@ -50,10 +49,10 @@ pub mod time;
 pub mod watchdog;
 
 pub use cpu::{CostModel, Cpu};
-pub use data::PageData;
+pub use data::{PageBuf, PageData};
 pub use dram::Dram;
 pub use par::{Shard, ShardCtor, ShardPool, StepOutcome};
-pub use pool::{BufPool, PageBuf, PageBufMut, PoolStats};
+pub use pool::{BufPool, PoolStats};
 pub use queue::EventQueue;
 pub use time::{Freq, SimDuration, SimTime};
 pub use watchdog::Watchdog;

@@ -385,13 +385,6 @@ pub enum Counter {
     OpsCompleted,
     /// Foreground GC cycles run.
     GcCycles,
-    /// Page buffers handed out by the shared pool.
-    PoolAcquires,
-    /// Heap allocations performed by the pool (fresh buffers + capacity
-    /// growths). Flat in steady state — the zero-copy data path's claim.
-    PoolHeapAllocs,
-    /// Maximum simultaneously checked-out page buffers.
-    PoolHighWater,
     /// Host writes absorbed by the write-back cache (and reads whose dirty
     /// copy was flushed from it).
     CacheHits,
@@ -422,7 +415,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension for storage).
-    pub const COUNT: usize = 30;
+    pub const COUNT: usize = 27;
 
     /// All counters, in display order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -442,9 +435,6 @@ impl Counter {
         Counter::OpsSubmitted,
         Counter::OpsCompleted,
         Counter::GcCycles,
-        Counter::PoolAcquires,
-        Counter::PoolHeapAllocs,
-        Counter::PoolHighWater,
         Counter::CacheHits,
         Counter::CacheMisses,
         Counter::CacheDirtyEvicts,
@@ -483,9 +473,6 @@ impl Counter {
             Counter::OpsSubmitted => "ops_submitted",
             Counter::OpsCompleted => "ops_completed",
             Counter::GcCycles => "gc_cycles",
-            Counter::PoolAcquires => "pool_acquires",
-            Counter::PoolHeapAllocs => "pool_heap_allocs",
-            Counter::PoolHighWater => "pool_high_water",
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
             Counter::CacheDirtyEvicts => "cache_dirty_evicts",

@@ -313,14 +313,12 @@ pub fn execute(
             DmaDest::Dram(addr) => dram.write_data(addr, chunk),
         }
     }
-    let end = tx.end;
-    // Release the segment's raw buffers (the returned data, then the
-    // data-in packets) before returning, so the next transaction finds
-    // them in the pool.
-    drop(tx);
     phases.clear();
     instr_marks.clear();
-    Ok(Outcome { end, inline })
+    Ok(Outcome {
+        end: tx.end,
+        inline,
+    })
 }
 
 #[cfg(test)]

@@ -46,8 +46,9 @@ else
   echo "python3 not found; skipped lint JSON validation"
 fi
 
-step "cargo build --release --offline"
-cargo build --release --offline
+# --locked: a dependency edit that would rewrite Cargo.lock fails here.
+step "cargo build --release --offline --locked"
+cargo build --release --offline --locked
 
 step "cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
@@ -217,8 +218,10 @@ echo "metrics sidecars byte-identical across repeat runs and thread counts"
 # The benchmark (simbench/) is a package of its own that compiles against
 # the crates' public API, so an API break must fail here rather than in a
 # later benchmark run.
-step "benchmark self-tests (cargo test --manifest-path simbench/Cargo.toml)"
-cargo test --offline --manifest-path simbench/Cargo.toml
+# --locked: simbench/Cargo.lock is frozen with the benchmark, so a crate
+# dependency edit that would rewrite it fails here.
+step "benchmark self-tests (cargo test --locked --manifest-path simbench/Cargo.toml)"
+cargo test --offline --locked --manifest-path simbench/Cargo.toml
 
 step "benchmark smoke (simbench/smoke.sh: every workload, untraced and traced)"
 simbench/smoke.sh

@@ -93,7 +93,6 @@ PAGE_BYTES_ALLOW=(
   "crates/sim/src/dram.rs:read_vec"
   # Array byte reads (workload setup and assertions).
   "crates/flash/src/array.rs:read_page"
-  "crates/flash/src/array.rs:read_page_into"
   # Raw bit errors: a page that takes flips is materialized, then flipped.
   "crates/flash/src/lun.rs:fetch_with_errors"
   # DQS scrambling of an uncalibrated high-speed readout.

@@ -13,9 +13,11 @@ use babol::runtime::{OpError, RuntimeConfig, SoftController};
 use babol::system::{Engine, IoKind, IoRequest, System};
 use babol_channel::Channel;
 use babol_flash::array::ContentMode;
+use babol_flash::ber::CellType;
 use babol_flash::lun::LunConfig;
 use babol_flash::{Lun, PackageProfile};
 use babol_onfi::addr::RowAddr;
+use babol_onfi::feature::addr::{DRIVE_STRENGTH, TIMING_MODE};
 use babol_sim::{CostModel, Cpu, Freq};
 use babol_ufsm::EmitConfig;
 
@@ -32,8 +34,12 @@ fn make_system(luns: u32) -> System {
             })
         })
         .collect();
+    system_of(l)
+}
+
+fn system_of(luns: Vec<Lun>) -> System {
     System::new(
-        Channel::new(l),
+        Channel::new(luns),
         EmitConfig::nv_ddr2(200),
         Cpu::new(Freq::from_ghz(1), CostModel::coroutine()),
     )
@@ -273,6 +279,84 @@ fn features_and_identity_ops() {
         assert!(st & 0x40 != 0);
         Ok(())
     });
+}
+
+/// Every edge that makes raw page bytes adds exactly one to the system's
+/// raw-buffer count, the number simbench reports as
+/// `sim.pool.heap_allocs`: SET FEATURES staging, a GET FEATURES and a
+/// READ ID readout, a page fetch that takes bit flips, and a high-speed
+/// readout before DQS calibration. Described reads add nothing.
+#[test]
+fn each_raw_byte_edge_makes_one_buffer() {
+    fn made(sys: &System) -> u64 {
+        sys.pool().stats().heap_allocs()
+    }
+    let page = PackageProfile::test_tiny().geometry.raw_page_size();
+
+    let mut sys = make_system(1);
+    run_op(&mut sys, |ctx, t| async move {
+        ops::read_page(&ctx, &t, row(0, 0), 0, 16, 0x100).await
+    });
+    assert_eq!(made(&sys), 0, "a described read");
+    run_op(&mut sys, |ctx, t| async move {
+        ops::set_features(&ctx, &t, DRIVE_STRENGTH, [2, 0, 0, 0], 0xB00).await
+    });
+    assert_eq!(made(&sys), 1, "SET FEATURES staging");
+    run_op(&mut sys, |ctx, t| async move {
+        assert_eq!(
+            ops::get_features(&ctx, &t, DRIVE_STRENGTH).await,
+            [2, 0, 0, 0]
+        );
+        Ok(())
+    });
+    assert_eq!(made(&sys), 2, "GET FEATURES readout");
+    run_op(&mut sys, |ctx, t| async move {
+        assert_eq!(ops::read_id(&ctx, &t, 2).await[0], 0x01);
+        Ok(())
+    });
+    assert_eq!(made(&sys), 3, "READ ID readout");
+
+    // Bit flips: a worn QLC page read whole, so the flips land in DRAM.
+    let mut profile = PackageProfile::test_tiny();
+    profile.cell = CellType::Qlc;
+    let mut lun = Lun::new(LunConfig {
+        profile,
+        content: ContentMode::Pristine,
+        seed: 7,
+        inject_errors: true,
+        require_init: false,
+    });
+    for _ in 0..3000 {
+        lun.array_mut().erase_block(row(0, 0)).unwrap();
+    }
+    let mut sys = system_of(vec![lun]);
+    run_op(&mut sys, move |ctx, t| async move {
+        ops::read_page(&ctx, &t, row(0, 0), 0, page, 0x100).await
+    });
+    let flipped = sys
+        .dram
+        .read_vec(0x100, page)
+        .iter()
+        .filter(|&&b| b != 0xFF)
+        .count();
+    assert!(flipped > 0, "no flips");
+    assert_eq!(made(&sys), 1, "a page fetch with bit flips");
+
+    // DQS scrambling: NV-DDR2 is set, the drive phase never calibrated.
+    let mut sys = system_of(vec![Lun::new(LunConfig {
+        require_init: true,
+        ..LunConfig::test_default()
+    })]);
+    run_op(&mut sys, |ctx, t| async move {
+        ops::reset(&ctx, &t).await?;
+        ops::set_features(&ctx, &t, TIMING_MODE, [8, 2, 0, 0], 0xB00).await
+    });
+    assert_eq!(made(&sys), 1, "SET FEATURES staging");
+    run_op(&mut sys, |ctx, t| async move {
+        ops::read_page(&ctx, &t, row(0, 0), 0, 16, 0x100).await
+    });
+    assert_ne!(sys.dram.read_vec(0x100, 16), [0xFF; 16], "not scrambled");
+    assert_eq!(made(&sys), 2, "an uncalibrated high-speed readout");
 }
 
 #[test]

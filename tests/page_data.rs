@@ -82,9 +82,7 @@ fn piece(rng: &mut SplitMix64, pool: &BufPool) -> (PageData, Vec<u8>) {
         }
         _ => {
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let mut buf = pool.acquire();
-            buf.extend_from_slice(&bytes);
-            (PageData::from(buf.freeze()), bytes)
+            (pool.raw(bytes.clone()), bytes)
         }
     }
 }
@@ -97,7 +95,7 @@ fn page_data_matches_a_byte_model() {
         .cases(256)
         .run((any::<u64>(), range(1usize..24)), |&(seed, nops)| {
             let mut rng = SplitMix64::new(seed);
-            let pool = BufPool::new(512);
+            let pool = BufPool::default();
             let (mut data, mut model) = piece(&mut rng, &pool);
             for _ in 0..nops {
                 match rng.next_below(4) {

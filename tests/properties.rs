@@ -13,7 +13,7 @@ use babol_flash::Geometry;
 use babol_ftl::PageMap;
 use babol_onfi::addr::{AddrLayout, ColumnAddr, RowAddr};
 use babol_onfi::param_page::ParamPage;
-use babol_sim::{Dram, EventQueue, Freq, PageBuf, SimDuration, SimTime};
+use babol_sim::{Dram, EventQueue, Freq, PageData, SimDuration, SimTime};
 
 /// Row/column addresses survive packing into ONFI cycles for any
 /// geometry in the supported range.
@@ -255,11 +255,11 @@ fn event_queue_spans_wheel_levels_matches_model() {
         });
 }
 
-/// The pooled data path is byte-identical to a flat `Vec<u8>` reference
-/// model under randomized interleavings of DRAM writes, pooled reads whose
-/// handles stay live, clone aliasing, and releases (the buffer "GC" that
-/// returns storage to the free list). A live handle must keep its snapshot
-/// even as the pool recycles storage underneath.
+/// DRAM reads are described handles. Under randomized interleavings of
+/// byte writes and described (pattern) writes, every `Dram::read_data`
+/// matches a flat `Vec<u8>` reference model, and a held read, aliased or
+/// not, keeps the bytes it read while later writes overlap and cut back
+/// the extents it shares.
 #[test]
 fn pooled_data_path_matches_vec_model() {
     const SPACE: usize = 4096;
@@ -269,48 +269,46 @@ fn pooled_data_path_matches_vec_model() {
             let mut rng = babol_sim::rng::SplitMix64::new(seed);
             let mut dram = Dram::new();
             let mut model = vec![0u8; SPACE];
-            // Held pooled buffers with the contents they must still show.
-            let mut held: Vec<(Vec<u8>, PageBuf)> = Vec::new();
+            // Held reads with the contents they must still show.
+            let mut held: Vec<(Vec<u8>, PageData)> = Vec::new();
             for _ in 0..nops {
                 let addr = rng.next_below(SPACE as u64 - 128);
                 let len = 1 + rng.next_below(127) as usize;
-                match rng.next_below(4) {
+                let span = addr as usize..addr as usize + len;
+                match rng.next_below(5) {
                     0 | 1 => {
                         let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
                         dram.write(addr, &data);
-                        model[addr as usize..addr as usize + len].copy_from_slice(&data);
+                        model[span].copy_from_slice(&data);
                     }
                     2 => {
-                        let buf = dram.read_buf(addr, len);
-                        let want = model[addr as usize..addr as usize + len].to_vec();
-                        prop_assert_eq!(buf.as_slice(), &want[..], "pooled read diverged");
-                        if rng.next_below(2) == 0 {
-                            held.push((want.clone(), buf.clone())); // alias
+                        let base = rng.next_u64() as u8;
+                        dram.write_data(addr, PageData::pattern(base, len));
+                        for (i, b) in model[span].iter_mut().enumerate() {
+                            *b = base.wrapping_add(i as u8);
                         }
-                        held.push((want, buf));
+                    }
+                    3 => {
+                        let data = dram.read_data(addr, len);
+                        let want = model[span].to_vec();
+                        prop_assert!(data == want[..], "read at {} diverged", addr);
+                        if rng.next_below(2) == 0 {
+                            held.push((want.clone(), data.clone())); // alias
+                        }
+                        held.push((want, data));
                     }
                     _ => {
                         if !held.is_empty() {
                             let idx = rng.next_below(held.len() as u64) as usize;
-                            let (want, buf) = held.swap_remove(idx);
-                            prop_assert_eq!(
-                                buf.as_slice(),
-                                &want[..],
-                                "live handle corrupted by recycling"
-                            );
+                            let (want, data) = held.swap_remove(idx);
+                            prop_assert!(data == want[..], "held read changed by a later write");
                         }
                     }
                 }
             }
-            for (want, buf) in held.drain(..) {
-                prop_assert_eq!(buf.as_slice(), &want[..]);
+            for (want, data) in held.drain(..) {
+                prop_assert!(data == want[..], "held read changed by a later write");
             }
-            let stats = dram.pool().stats();
-            prop_assert_eq!(stats.in_use, 0, "all buffers returned");
-            prop_assert!(
-                stats.allocs <= stats.high_water,
-                "pool allocated beyond its high-water mark"
-            );
             Ok(())
         },
     );
@@ -409,7 +407,9 @@ fn freq_cycles_are_nearly_additive() {
 }
 
 /// The FTL map never double-maps a physical page and keeps the L2P and
-/// P2L views consistent under arbitrary write/overwrite streams.
+/// P2L views consistent under arbitrary write/overwrite streams: every GC
+/// move names the page its logical page maps to, and `block_moves` lists
+/// exactly the mapped pages of each block.
 #[test]
 fn ftl_map_consistency() {
     Property::new("ftl_map_consistency").run(vec_of(range(0u64..96), 1..120), |writes| {
@@ -419,6 +419,14 @@ fn ftl_map_consistency() {
             for lun in 0..2 {
                 while map.needs_gc(lun) {
                     let Some(plan) = map.plan_gc(lun) else { break };
+                    for &(mlpn, old) in &plan.moves {
+                        prop_assert_eq!(
+                            map.translate(mlpn),
+                            Some(old),
+                            "GC move of LPN {} names a page it left",
+                            mlpn
+                        );
+                    }
                     for (mlpn, old) in &plan.moves {
                         let target = map.best_relocation_lun(old.lun);
                         map.allocate_on_lun(*mlpn, target);
@@ -427,6 +435,24 @@ fn ftl_map_consistency() {
                 }
             }
             map.allocate_for_write(lpn);
+            // The reverse map lists exactly the forward map's pages, block
+            // by block, in page order.
+            for lun in 0..2u32 {
+                for block in 0..8u32 {
+                    let mut want: Vec<(u64, babol_ftl::Ppn)> = (0..96)
+                        .filter_map(|l| map.translate(l).map(|p| (l, p)))
+                        .filter(|(_, p)| p.lun == lun && p.block == block)
+                        .collect();
+                    want.sort_by_key(|(_, p)| p.page);
+                    prop_assert_eq!(
+                        map.block_moves(lun, block),
+                        want,
+                        "block_moves({}, {}) diverged from translate",
+                        lun,
+                        block
+                    );
+                }
+            }
         }
         // Every distinct written LPN resolves, and all PPNs are unique.
         for &lpn in writes {
