@@ -53,6 +53,13 @@ cargo build --release --offline --locked
 step "cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
+# The paper's figures and tables: all ten repro binaries rerun with the
+# arguments their committed results/repro_*.txt were made with
+# (`repro_fig10 160`, `repro_fig12 200`, the rest without arguments), and
+# each output compared byte for byte.
+step "paper repro outputs (scripts/repro_check.sh)"
+scripts/repro_check.sh
+
 step "verifier mutation gate"
 cargo test --offline -q --test verify_mutations --test verify_differential
 
