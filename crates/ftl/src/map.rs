@@ -19,6 +19,7 @@
 //!   map at build, program/erase failures at runtime).
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 use babol_flash::Geometry;
 
@@ -73,16 +74,25 @@ struct LunAlloc {
 }
 
 /// The logical-to-physical map plus allocation state.
+///
+/// Both directions take four bytes an entry. A mapped logical page holds
+/// its physical page packed into bit fields (page, then block, then LUN,
+/// each as wide as the geometry needs), plus one; a physical page holds
+/// its logical page plus one. Zero means unmapped in both, so the vectors
+/// start as zeroed memory, which takes no resident memory until a page is
+/// written.
 #[derive(Debug, Clone)]
 pub struct PageMap {
     geometry: Geometry,
     luns: u32,
-    l2p: Vec<Option<Ppn>>,
+    l2p: Vec<Option<NonZeroU32>>,
+    /// Bits of the packed page field.
+    page_bits: u32,
+    /// Bits of the packed page and block fields together.
+    lun_shift: u32,
     /// The logical page plus one that each physical page holds, indexed
-    /// by [`PageMap::slot`]; 0 where it holds no valid data. Zero means
-    /// unmapped so the vector starts as zeroed memory, which takes no
-    /// resident memory until a page is written.
-    p2l: Vec<u64>,
+    /// by [`PageMap::slot`]; 0 where it holds no valid data.
+    p2l: Vec<u32>,
     alloc: Vec<LunAlloc>,
     next_lun: u32,
     /// GC kicks in when a LUN's free-block count drops below this.
@@ -92,11 +102,25 @@ pub struct PageMap {
 impl PageMap {
     /// Creates a map over `luns` LUNs of `geometry`, exporting
     /// `logical_pages` logical pages (must leave over-provisioning room).
+    ///
+    /// # Panics
+    ///
+    /// Panics if over-provisioning is under ~10%, or if a physical page
+    /// address does not pack into 31 bits.
     pub fn new(geometry: Geometry, luns: u32, logical_pages: u64) -> Self {
         let physical = geometry.pages_per_lun() * luns as u64;
         assert!(
             logical_pages <= physical * 9 / 10,
             "need at least ~10% over-provisioning ({logical_pages} of {physical})"
+        );
+        let bits = |n: u32| u32::BITS - n.saturating_sub(1).leading_zeros();
+        let page_bits = bits(geometry.pages_per_block);
+        let lun_shift = page_bits + bits(geometry.blocks_per_lun());
+        assert!(
+            lun_shift + bits(luns) < u32::BITS,
+            "{luns} LUNs of {} blocks of {} pages do not pack into 31 bits",
+            geometry.blocks_per_lun(),
+            geometry.pages_per_block
         );
         let alloc = (0..luns)
             .map(|_| LunAlloc {
@@ -117,6 +141,8 @@ impl PageMap {
             geometry,
             luns,
             l2p: vec![None; logical_pages as usize],
+            page_bits,
+            lun_shift,
             p2l: vec![0; physical as usize],
             alloc,
             next_lun: 0,
@@ -136,9 +162,26 @@ impl PageMap {
         (block * per_block + ppn.page as u64) as usize
     }
 
+    /// `ppn` in its packed form.
+    fn pack(&self, ppn: Ppn) -> NonZeroU32 {
+        let bits = ppn.lun << self.lun_shift | ppn.block << self.page_bits | ppn.page;
+        NonZeroU32::new(bits + 1).expect("a packed address fits 31 bits")
+    }
+
+    /// The physical page a packed entry names.
+    fn unpack(&self, packed: NonZeroU32) -> Ppn {
+        let bits = packed.get() - 1;
+        Ppn {
+            lun: bits >> self.lun_shift,
+            block: (bits & ((1 << self.lun_shift) - 1)) >> self.page_bits,
+            page: bits & ((1 << self.page_bits) - 1),
+        }
+    }
+
     /// Looks up the physical location of a logical page.
     pub fn translate(&self, lpn: u64) -> Option<Ppn> {
-        self.l2p.get(lpn as usize).copied().flatten()
+        let packed = (*self.l2p.get(lpn as usize)?)?;
+        Some(self.unpack(packed))
     }
 
     /// Erased blocks ready to open on `lun`. The active block is **not**
@@ -208,9 +251,9 @@ impl PageMap {
             a.active = None;
         }
         let ppn = Ppn { lun, block, page };
-        self.l2p[lpn as usize] = Some(ppn);
+        self.l2p[lpn as usize] = Some(self.pack(ppn));
         let slot = self.slot(ppn);
-        self.p2l[slot] = lpn + 1;
+        self.p2l[slot] = lpn as u32 + 1;
         ppn
     }
 
@@ -235,7 +278,8 @@ impl PageMap {
 
     /// Removes the mapping of `lpn`, marking its physical page invalid.
     pub fn invalidate(&mut self, lpn: u64) {
-        if let Some(old) = self.l2p[lpn as usize].take() {
+        if let Some(packed) = self.l2p[lpn as usize].take() {
+            let old = self.unpack(packed);
             let slot = self.slot(old);
             self.p2l[slot] = 0;
             self.alloc[old.lun as usize].blocks[old.block as usize].valid -= 1;
@@ -404,7 +448,7 @@ impl PageMap {
         (0..)
             .zip(pages)
             .filter(|&(_, &held)| held != 0)
-            .map(|(page, &held)| (held - 1, Ppn { lun, block, page }))
+            .map(|(page, &held)| (u64::from(held - 1), Ppn { lun, block, page }))
             .collect()
     }
 

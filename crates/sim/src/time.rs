@@ -10,6 +10,9 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// Picoseconds per second.
+const PS_PER_S: u64 = 1_000_000_000_000;
+
 /// A span of simulated time with picosecond resolution.
 ///
 /// # Examples
@@ -333,7 +336,16 @@ impl fmt::Display for SimTime {
 /// assert!(softcore.cycles(30_000) > arm.cycles(30_000));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Freq(u64);
+pub struct Freq {
+    /// Hertz, at most `u32::MAX`.
+    hz: u64,
+    /// Whole picoseconds per cycle, `1e12 / hz`.
+    ps_per_cycle: u64,
+    /// The remainder `1e12 % hz`; zero when a cycle is a whole number of
+    /// picoseconds (1 GHz, 200 MHz, 100 MHz), where [`Freq::cycles`] is
+    /// one multiplication.
+    ps_rem: u64,
+}
 
 impl Freq {
     /// Creates a frequency from hertz.
@@ -348,7 +360,11 @@ impl Freq {
             hz <= u32::MAX as u64,
             "frequency must be at most u32::MAX Hz"
         );
-        Freq(hz)
+        Freq {
+            hz,
+            ps_per_cycle: PS_PER_S / hz,
+            ps_rem: PS_PER_S % hz,
+        }
     }
 
     /// Creates a frequency from megahertz.
@@ -371,17 +387,17 @@ impl Freq {
 
     /// Returns the frequency in hertz.
     pub const fn as_hz(self) -> u64 {
-        self.0
+        self.hz
     }
 
     /// Returns the frequency in megahertz (truncating).
     pub const fn as_mhz(self) -> u64 {
-        self.0 / 1_000_000
+        self.hz / 1_000_000
     }
 
     /// Duration of a single cycle, rounded to the nearest picosecond.
     pub const fn period(self) -> SimDuration {
-        SimDuration((1_000_000_000_000 + self.0 / 2) / self.0)
+        SimDuration((PS_PER_S + self.hz / 2) / self.hz)
     }
 
     /// Duration of `n` cycles, computed without accumulating per-cycle
@@ -391,17 +407,24 @@ impl Freq {
     ///
     /// If the duration exceeds the picosecond range of [`SimDuration`].
     pub const fn cycles(self, n: u64) -> SimDuration {
-        // n * 1e12 / hz, rounded to the nearest picosecond. Whole seconds
-        // are split off, and the remainder's scaling is split by
-        // 1e12 = q*hz + r: rem*1e12/hz = rem*q + rem*r/hz, so only rem*r is
-        // divided. With hz <= u32::MAX (see `from_hz`), rem*r + hz/2 < 2^64
-        // and rem*q < 1e12, so every step is exact in u64.
-        const PS: u64 = 1_000_000_000_000;
-        let hz = self.0;
+        // n * 1e12 / hz, rounded to the nearest picosecond. With
+        // 1e12 = q*hz + r (both precomputed), n*1e12/hz = n*q + n*r/hz.
+        // When r is zero the product is the answer, with no division.
+        if self.ps_rem == 0 {
+            return match n.checked_mul(self.ps_per_cycle) {
+                Some(ps) => SimDuration(ps),
+                None => panic!("cycle count overflows SimDuration"),
+            };
+        }
+        // Otherwise whole seconds are split off, so only rem*r is divided:
+        // rem*1e12/hz = rem*q + rem*r/hz. With hz <= u32::MAX (see
+        // `from_hz`), rem*r + hz/2 < 2^64 and rem*q < 1e12, so every step
+        // is exact in u64.
+        let hz = self.hz;
         let whole = n / hz;
         let rem = n % hz;
-        let frac = rem * (PS / hz) + (rem * (PS % hz) + hz / 2) / hz;
-        match whole.checked_mul(PS) {
+        let frac = rem * self.ps_per_cycle + (rem * self.ps_rem + hz / 2) / hz;
+        match whole.checked_mul(PS_PER_S) {
             Some(ps) if ps <= u64::MAX - frac => SimDuration(ps + frac),
             _ => panic!("cycle count overflows SimDuration"),
         }
@@ -410,12 +433,12 @@ impl Freq {
 
 impl fmt::Display for Freq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 % 1_000_000_000 == 0 {
-            write!(f, "{}GHz", self.0 / 1_000_000_000)
-        } else if self.0 % 1_000_000 == 0 {
-            write!(f, "{}MHz", self.0 / 1_000_000)
+        if self.hz % 1_000_000_000 == 0 {
+            write!(f, "{}GHz", self.hz / 1_000_000_000)
+        } else if self.hz % 1_000_000 == 0 {
+            write!(f, "{}MHz", self.hz / 1_000_000)
         } else {
-            write!(f, "{}Hz", self.0)
+            write!(f, "{}Hz", self.hz)
         }
     }
 }

@@ -36,18 +36,10 @@ impl PacketizerConfig {
     }
 
     /// Splits a burst of `bytes` into packet sizes: full packets, then the
-    /// remainder.
+    /// remainder. A descriptor gap precedes every packet, the first too.
     pub fn packets(&self, bytes: usize) -> impl Iterator<Item = usize> {
         let size = self.packet_bytes;
         (0..bytes.div_ceil(size)).map(move |i| (bytes - i * size).min(size))
-    }
-
-    /// Number of inter-packet gaps in a burst of `bytes`.
-    pub fn gap_count(&self, bytes: usize) -> usize {
-        let n = bytes.div_ceil(self.packet_bytes);
-        // A gap precedes every packet: descriptor fetch happens before the
-        // first packet too.
-        n
     }
 }
 
@@ -69,14 +61,6 @@ mod tests {
         assert_eq!(packets(5000), vec![2048, 2048, 904]);
         assert_eq!(packets(1), vec![1]);
         assert!(packets(0).is_empty());
-    }
-
-    #[test]
-    fn gap_count_matches_packets() {
-        let p = PacketizerConfig::paper();
-        assert_eq!(p.gap_count(16384), 8);
-        assert_eq!(p.gap_count(5000), 3);
-        assert_eq!(p.gap_count(1), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use babol_flash::array::ContentMode;
 use babol_flash::lun::{LunConfig, LunStats};
 use babol_flash::{Lun, PackageProfile};
 use babol_onfi::addr::RowAddr;
-use babol_onfi::bus::PhaseKind;
 use babol_sim::{Dram, SimTime};
 use babol_trace::Tracer;
 use babol_ufsm::{execute, EmitConfig, EmitScratch, Transaction};
@@ -226,10 +225,7 @@ pub fn sim_replay_measured(
                 }
                 // Flush deferred completion effects into this window.
                 for lun in 0..channel.lun_count() {
-                    channel
-                        .lun_mut(lun)
-                        .phase(now, &PhaseKind::Pause)
-                        .map_err(|e| format!("txn {i}: flush pause rejected: {e:?}"))?;
+                    channel.lun_mut(lun).settle(now);
                 }
                 let cur = stats_sum(&channel);
                 measures.push(TxnMeasure {

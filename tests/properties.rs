@@ -406,6 +406,45 @@ fn freq_cycles_are_nearly_additive() {
     );
 }
 
+/// `Freq::cycles` is the exact rounded quotient `(n * 1e12 + hz/2) / hz`,
+/// computed in u128, for any clock up to `u32::MAX` Hz and any cycle
+/// count, and panics exactly when that quotient leaves u64. Half the clocks
+/// divide 1e12 (a cycle is whole picoseconds, the multiply-only path), and
+/// the cycle count's magnitude is drawn first so small, second-scale and
+/// overflowing counts all occur.
+#[test]
+fn freq_cycles_match_a_u128_reference() {
+    const PS: u128 = 1_000_000_000_000;
+    // Divisors of 1e12 that fit u32: 2^a * 5^b.
+    let exact: Vec<u64> = (0..=12)
+        .flat_map(|a| (0..=12).map(move |b| 2u64.pow(a) * 5u64.pow(b)))
+        .filter(|&hz| hz <= u32::MAX as u64)
+        .collect();
+    Property::new("freq_cycles_match_a_u128_reference").run(
+        (
+            range_incl(1u64..=u32::MAX as u64),
+            select(&exact),
+            range(0u8..2),
+            range(0u32..64),
+            any::<u64>(),
+        ),
+        |&(any_hz, exact_hz, divides, bits, raw)| {
+            let hz = if divides == 1 { exact_hz } else { any_hz };
+            let n = if bits == 63 { raw } else { raw >> (63 - bits) };
+            let f = Freq::from_hz(hz);
+            let want = (n as u128 * PS + hz as u128 / 2) / hz as u128;
+            match u64::try_from(want) {
+                Ok(ps) => prop_assert_eq!(f.cycles(n).as_picos(), ps, "hz={hz} n={n}"),
+                Err(_) => prop_assert!(
+                    std::panic::catch_unwind(|| f.cycles(n)).is_err(),
+                    "hz={hz} n={n} should overflow"
+                ),
+            }
+            Ok(())
+        },
+    );
+}
+
 /// The FTL map never double-maps a physical page and keeps the L2P and
 /// P2L views consistent under arbitrary write/overwrite streams: every GC
 /// move names the page its logical page maps to, and `block_moves` lists
