@@ -98,7 +98,7 @@ PAGE_BYTES_ALLOW=(
   # DQS scrambling of an uncalibrated high-speed readout.
   "crates/flash/src/lun.rs:maybe_scramble"
   # A SET FEATURES value the LUN decodes.
-  "crates/flash/src/lun.rs:on_data_in"
+  "crates/flash/src/lun.rs:data_in_run"
   # Inline results (status bytes, IDs, feature values) for the software.
   "crates/ufsm/src/emit.rs:execute"
   # The hardware baselines' sampled status bytes.
