@@ -4,7 +4,10 @@
 //! waveform phases (command latches, address latches, data bursts), decodes
 //! them according to the ONFI operation grammar, runs array operations that
 //! take real time (tR, tPROG, tBERS — Table I of the paper), and reports
-//! progress through its status register and the R/B# line.
+//! progress through its status register and the R/B# line. The grammar
+//! itself is [`babol_onfi::decode`], shared with the static verifier: the
+//! LUN keeps the latched row, column and feature address beside the
+//! shared decode state and applies each action the grammar returns.
 //!
 //! The model is *lazy*: a busy period is represented as a deadline, and the
 //! next interaction resolves it if the deadline has passed. Callers that
@@ -23,8 +26,9 @@ use babol_onfi::addr::{AddrLayout, RowAddr};
 use std::ops::Range;
 
 use babol_onfi::bus::{BusPhase, PhaseKind};
+use babol_onfi::decode::{self, Action, Cycle, Decode, Reject};
 use babol_onfi::feature::{addr as feat, FeatureSet};
-use babol_onfi::opcode::{mnemonic, op};
+use babol_onfi::opcode::mnemonic;
 use babol_onfi::status::Status;
 use babol_onfi::timing::DataInterface;
 use babol_sim::rng::SplitMix64;
@@ -34,6 +38,8 @@ use crate::array::{ArrayStore, ContentMode};
 use crate::ber::{raw_ber, BerContext};
 use crate::error::LunError;
 use crate::profile::PackageProfile;
+
+pub use babol_onfi::decode::BusyKind;
 
 /// Configuration of one LUN instance.
 #[derive(Debug, Clone)]
@@ -66,37 +72,6 @@ impl LunConfig {
     }
 }
 
-/// Why a LUN is busy; exposed for traces and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BusyKind {
-    /// Array fetch into the page register (tR).
-    Read,
-    /// Array fetch of the *next* page while the cache register streams
-    /// (cache read; LUN stays command-ready).
-    CacheRead,
-    /// Page program (tPROG).
-    Program,
-    /// Page program with cache handoff (status ready early).
-    CacheProgram,
-    /// Block erase (tBERS).
-    Erase,
-    /// RESET recovery.
-    Reset,
-    /// Parameter-page fetch.
-    ParamPage,
-    /// Short interleave window of a multi-plane queue cycle.
-    PlaneQueue,
-    /// Suspend latency window.
-    Suspending,
-}
-
-impl BusyKind {
-    /// Whether the LUN still accepts data-out phases during this busy kind.
-    fn allows_data_out(&self) -> bool {
-        matches!(self, BusyKind::CacheRead | BusyKind::CacheProgram)
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Busy {
     until: SimTime,
@@ -107,15 +82,20 @@ struct Busy {
 
 #[derive(Debug, Clone)]
 enum Effect {
+    /// Fetches `rows` into their page registers. A page read then streams
+    /// its register from `col`; a cache read's background fetch (`None`)
+    /// leaves the cache register streaming where it is.
     LoadPage {
         rows: Vec<RowAddr>,
-        col: u32,
+        col: Option<u32>,
         pslc: bool,
-        into_cache_next: Option<RowAddr>,
     },
+    /// Programs `data`, the page register as the confirm found it: a cache
+    /// program frees the register for the next page before tPROG ends.
     CommitProgram {
         row: RowAddr,
         pslc: bool,
+        data: PageData,
     },
     CommitErase {
         row: RowAddr,
@@ -130,48 +110,6 @@ struct Suspended {
     remaining: SimDuration,
     kind: BusyKind,
     effect: Effect,
-}
-
-/// Decode state of the ONFI grammar.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Decode {
-    Idle,
-    ReadAddr,
-    ReadConfirm { row: RowAddr, col: u32 },
-    ChgRdColAddr { full: bool },
-    ChgRdColConfirm { row: Option<RowAddr>, col: u32 },
-    ProgAddr,
-    ProgData { row: RowAddr },
-    ChgWrColAddr { row: RowAddr },
-    EraseAddr,
-    EraseConfirm { row: RowAddr },
-    FeatAddrSet,
-    FeatData { feature: u8 },
-    FeatAddrGet,
-    IdAddr,
-    ParamAddr,
-}
-
-impl Decode {
-    fn name(&self) -> &'static str {
-        match self {
-            Decode::Idle => "Idle",
-            Decode::ReadAddr => "ReadAddr",
-            Decode::ReadConfirm { .. } => "ReadConfirm",
-            Decode::ChgRdColAddr { .. } => "ChgRdColAddr",
-            Decode::ChgRdColConfirm { .. } => "ChgRdColConfirm",
-            Decode::ProgAddr => "ProgAddr",
-            Decode::ProgData { .. } => "ProgData",
-            Decode::ChgWrColAddr { .. } => "ChgWrColAddr",
-            Decode::EraseAddr => "EraseAddr",
-            Decode::EraseConfirm { .. } => "EraseConfirm",
-            Decode::FeatAddrSet => "FeatAddrSet",
-            Decode::FeatData { .. } => "FeatData",
-            Decode::FeatAddrGet => "FeatAddrGet",
-            Decode::IdAddr => "IdAddr",
-            Decode::ParamAddr => "ParamAddr",
-        }
-    }
 }
 
 /// Where data-out phases currently stream from.
@@ -245,6 +183,10 @@ pub struct Lun {
     features: FeatureSet,
     iface: DataInterface,
     decode: Decode,
+    /// The row, column and feature address the grammar latched last.
+    latch_row: Option<RowAddr>,
+    latch_col: u32,
+    latch_feature: u8,
     out: OutSource,
     out_before_status: OutSource,
     col: u32,
@@ -272,7 +214,7 @@ impl std::fmt::Debug for Lun {
         f.debug_struct("Lun")
             .field("profile", &self.cfg.profile.name)
             .field("decode", &self.decode.name())
-            .field("busy", &self.busy.as_ref().map(|b| b.kind.clone()))
+            .field("busy", &self.busy_kind())
             .finish()
     }
 }
@@ -290,6 +232,9 @@ impl Lun {
             features: FeatureSet::new(),
             iface: DataInterface::Sdr { mode: 0 },
             decode: Decode::Idle,
+            latch_row: None,
+            latch_col: 0,
+            latch_feature: 0,
             out: OutSource::None,
             out_before_status: OutSource::None,
             col: 0,
@@ -366,7 +311,12 @@ impl Lun {
 
     /// Kind of the current busy period.
     pub fn busy_kind(&self) -> Option<BusyKind> {
-        self.busy.as_ref().map(|b| b.kind.clone())
+        self.busy.as_ref().map(|b| b.kind)
+    }
+
+    /// The command grammar's decode state.
+    pub fn decode_state(&self) -> Decode {
+        self.decode
     }
 
     /// Sets the controller-side DQS drive phase for this LUN (the result of
@@ -480,8 +430,8 @@ impl Lun {
         let at = phase.packet_offset(run.start, bytes);
         let first = phase.packet_len(run.start, bytes);
         self.check_bulk_data_allowed()?;
-        match std::mem::replace(&mut self.decode, Decode::Idle) {
-            Decode::ProgData { row } => {
+        match self.step(Cycle::DataIn, || format!("DIN[{first}]"))? {
+            Action::Write => {
                 let len = phase.packet_offset(run.end, bytes) - at;
                 let run_data;
                 let data = if len == bytes {
@@ -500,12 +450,12 @@ impl Lun {
                 }
                 self.col = end as u32;
                 self.stats.bytes_in += len as u64;
-                self.decode = Decode::ProgData { row };
                 Ok(())
             }
-            Decode::FeatData { feature } => {
-                // A feature write is one 4-byte packet; it leaves the
-                // decoder idle, so a second packet is unexpected.
+            _ => {
+                // The grammar's other data-in action, a SET FEATURES write:
+                // one 4-byte packet that leaves the decoder idle, so a
+                // second packet is unexpected.
                 if first != 4 {
                     return Err(LunError::BadAddressLength {
                         got: first,
@@ -514,17 +464,19 @@ impl Lun {
                 }
                 let mut value = [0; 4];
                 data.slice(at, 4).materialize_into(&mut value);
-                self.features.set(feature, value);
-                if feature == feat::TIMING_MODE {
+                self.features.set(self.latch_feature, value);
+                if self.latch_feature == feat::TIMING_MODE {
                     self.apply_timing_mode(value);
                 }
                 if run.len() > 1 {
                     let next = phase.packet_len(run.start + 1, bytes);
-                    return Err(unexpected(&Decode::Idle, &format!("DIN[{next}]")));
+                    return Err(LunError::UnexpectedPhase {
+                        state: Decode::Idle.name(),
+                        phase: format!("DIN[{next}]"),
+                    });
                 }
                 Ok(())
             }
-            other => Err(unexpected(&other, &format!("DIN[{first}]"))),
         }
     }
 
@@ -629,12 +581,7 @@ impl Lun {
     fn resolve_busy(&mut self) {
         let busy = self.busy.take().expect("a busy period to resolve");
         match busy.effect {
-            Effect::LoadPage {
-                rows,
-                col,
-                pslc,
-                into_cache_next,
-            } => {
+            Effect::LoadPage { rows, col, pslc } => {
                 for row in &rows {
                     let plane = self.array.geometry().plane_of(row.block) as usize;
                     self.fetch_with_errors(*row, pslc, plane);
@@ -644,21 +591,17 @@ impl Lun {
                     self.active_plane = self.array.geometry().plane_of(last.block);
                     self.last_row = Some(*last);
                 }
-                self.col = col;
                 // In a cache read the freshly fetched page lands in the page
                 // register while the previously moved page keeps streaming
-                // from the cache register.
-                if into_cache_next.is_none() {
+                // from the cache register, at its current column.
+                if let Some(col) = col {
+                    self.col = col;
                     self.set_bulk_out(OutSource::PageRegister);
                 }
             }
-            Effect::CommitProgram { row, pslc } => {
+            Effect::CommitProgram { row, pslc, data } => {
                 self.stats.program_attempts += 1;
-                let plane = self.array.geometry().plane_of(row.block) as usize;
-                match self
-                    .array
-                    .program_data(row, self.page_regs[plane].clone(), pslc)
-                {
+                match self.array.program_data(row, data, pslc) {
                     Ok(()) => {
                         self.last_fail = false;
                         self.stats.programs += 1;
@@ -759,41 +702,90 @@ impl Lun {
         });
     }
 
+    /// Takes `cycle` through the shared grammar and returns the action to
+    /// apply. A refused cycle leaves the decoder idle; `phase` labels the
+    /// error and is only called then.
+    #[inline]
+    fn step(&mut self, cycle: Cycle, phase: impl FnOnce() -> String) -> Result<Action, LunError> {
+        let state = self.decode;
+        match decode::step(state, cycle, &self.layout) {
+            Ok((next, action)) => {
+                self.decode = next;
+                Ok(action)
+            }
+            Err(reject) => {
+                self.decode = Decode::Idle;
+                Err(match (reject, cycle) {
+                    (Reject::AddrLength(want), Cycle::Addr(got)) => {
+                        LunError::BadAddressLength { got, want }
+                    }
+                    _ => LunError::UnexpectedPhase {
+                        state: state.name(),
+                        phase: phase(),
+                    },
+                })
+            }
+        }
+    }
+
     fn on_command(&mut self, now: SimTime, opcode: u8) -> Result<LunResponse, LunError> {
-        // Commands legal while busy.
         if let Some(busy) = &self.busy {
-            let legal = matches!(
-                opcode,
-                op::READ_STATUS
-                    | op::READ_STATUS_ENHANCED
-                    | op::RESET
-                    | op::SYNC_RESET
-                    | op::PROGRAM_SUSPEND
-                    | op::ERASE_SUSPEND
-            ) || busy.kind.allows_data_out();
-            if !legal {
+            if !busy.kind.admits(opcode) {
                 return Err(LunError::BusyViolation {
                     mnemonic: mnemonic(opcode),
                 });
             }
         }
-        match opcode {
-            op::READ_STATUS | op::READ_STATUS_ENHANCED => {
+        let action = self.step(Cycle::Cmd(opcode), || format!("CMD {}", mnemonic(opcode)))?;
+        self.apply(now, action, opcode, &[])
+    }
+
+    fn on_address(&mut self, now: SimTime, bytes: &[u8]) -> Result<LunResponse, LunError> {
+        let action = self.step(Cycle::Addr(bytes.len()), || {
+            format!("ADDR[{}]", bytes.len())
+        })?;
+        self.apply(now, action, 0, bytes)
+    }
+
+    /// The row the grammar latched for the confirm being applied.
+    fn latched_row(&self) -> RowAddr {
+        self.latch_row
+            .expect("the grammar latches a row before every confirm that uses one")
+    }
+
+    /// Applies an accepted command (`opcode`) or address (`bytes`).
+    fn apply(
+        &mut self,
+        now: SimTime,
+        action: Action,
+        opcode: u8,
+        bytes: &[u8],
+    ) -> Result<LunResponse, LunError> {
+        let (col_bytes, row_bytes) = bytes.split_at(self.layout.col_cycles.min(bytes.len()));
+        match action {
+            Action::None => {}
+            Action::Status => {
                 if self.out != OutSource::Status {
                     self.out_before_status = self.out;
                 }
                 self.out = OutSource::Status;
-                self.decode = if opcode == op::READ_STATUS_ENHANCED {
-                    // Enhanced form expects a row address before data-out;
-                    // single-LUN model treats it as plain status.
-                    Decode::Idle
-                } else {
-                    Decode::Idle
-                };
-                Ok(LunResponse::Accepted)
             }
-            op::RESET | op::SYNC_RESET => {
-                self.decode = Decode::Idle;
+            Action::Restore => {
+                // 00h after a READ STATUS returns to data output.
+                if self.out == OutSource::Status {
+                    self.out = match self.out_before_status {
+                        OutSource::None | OutSource::Status => {
+                            if self.busy_kind().is_some_and(BusyKind::allows_data_out) {
+                                OutSource::CacheRegister
+                            } else {
+                                OutSource::PageRegister
+                            }
+                        }
+                        other => other,
+                    };
+                }
+            }
+            Action::Busy(BusyKind::Reset) => {
                 self.out = OutSource::None;
                 self.suspended = None;
                 self.queued_rows.clear();
@@ -803,87 +795,45 @@ impl Lun {
                 self.iface = DataInterface::Sdr { mode: 0 };
                 let dur = self.jittered(self.cfg.profile.t_rst);
                 self.begin_busy(now, dur, BusyKind::Reset, Effect::FinishReset);
-                Ok(LunResponse::Accepted)
             }
-            op::PROGRAM_SUSPEND | op::ERASE_SUSPEND => self.on_suspend(now, opcode),
-            op::SUSPEND_RESUME => self.on_resume(now),
-            op::PSLC_PREFIX => {
-                self.pslc_armed = true;
-                Ok(LunResponse::Accepted)
+            Action::Suspend => self.on_suspend(now, opcode)?,
+            Action::Resume => self.on_resume(now),
+            Action::ArmPslc => self.pslc_armed = true,
+            Action::ArmRetry => self.retry_armed = true,
+            Action::Busy(BusyKind::Read) => {
+                let pslc = self.take_pslc();
+                let profile = &self.cfg.profile;
+                let nominal = if pslc { profile.t_r_slc } else { profile.t_r };
+                let dur = self.jittered(nominal);
+                let mut rows = std::mem::take(&mut self.queued_rows);
+                rows.push(self.latched_row());
+                self.out = OutSource::None;
+                let col = Some(self.latch_col);
+                self.begin_busy(
+                    now,
+                    dur,
+                    BusyKind::Read,
+                    Effect::LoadPage { rows, col, pslc },
+                );
             }
-            op::READ_RETRY_PREFIX => {
-                self.retry_armed = true;
-                Ok(LunResponse::Accepted)
-            }
-            op::READ_1 => {
-                // Either a new read sequence or a return-to-data-output after
-                // a READ STATUS (ONFI 0x00 restore).
-                if self.out == OutSource::Status {
-                    self.out = match self.out_before_status {
-                        OutSource::None | OutSource::Status => {
-                            if matches!(self.busy_kind(), Some(k) if k.allows_data_out()) {
-                                OutSource::CacheRegister
-                            } else {
-                                OutSource::PageRegister
-                            }
-                        }
-                        other => other,
-                    };
-                }
-                self.decode = Decode::ReadAddr;
-                Ok(LunResponse::Accepted)
-            }
-            op::READ_2 => match std::mem::replace(&mut self.decode, Decode::Idle) {
-                Decode::ReadConfirm { row, col } => {
-                    let pslc = self.take_pslc(row);
-                    let dur = self.jittered(if pslc {
-                        self.cfg.profile.t_r_slc
-                    } else {
-                        self.cfg.profile.t_r
-                    });
-                    let mut rows = std::mem::take(&mut self.queued_rows);
-                    rows.push(row);
-                    self.out = OutSource::None;
-                    self.begin_busy(
-                        now,
-                        dur,
-                        BusyKind::Read,
-                        Effect::LoadPage {
-                            rows,
-                            col,
-                            pslc,
-                            into_cache_next: None,
-                        },
-                    );
-                    Ok(LunResponse::Accepted)
-                }
-                other => Err(unexpected(&other, "CMD READ(2)")),
-            },
-            op::MULTI_PLANE_NEXT => match std::mem::replace(&mut self.decode, Decode::Idle) {
+            Action::Busy(BusyKind::PlaneQueue) => {
                 // 0x00 <addr> 0x32: queue this plane's fetch, stay ready for
                 // the next 0x00.
-                Decode::ReadConfirm { row, .. } => {
-                    self.queued_rows.push(row);
-                    self.begin_busy(
-                        now,
-                        PackageProfile::PLANE_QUEUE_WINDOW,
-                        BusyKind::PlaneQueue,
-                        Effect::None,
-                    );
-                    Ok(LunResponse::Accepted)
-                }
-                other => Err(unexpected(&other, "CMD MP-NEXT")),
-            },
-            op::READ_CACHE_SEQ => {
+                self.queued_rows.push(self.latched_row());
+                self.begin_busy(
+                    now,
+                    PackageProfile::PLANE_QUEUE_WINDOW,
+                    BusyKind::PlaneQueue,
+                    Effect::None,
+                );
+            }
+            Action::Busy(BusyKind::CacheRead) => {
                 // Move the just-read page to the cache register and fetch the
                 // next sequential page in the background.
-                if self.decode != Decode::Idle {
-                    return Err(unexpected(&self.decode.clone(), "CMD READ-CACHE-SEQ"));
-                }
-                let Some(last) = self.last_loaded_row() else {
+                let Some(last) = self.last_row else {
                     return Err(LunError::UnexpectedPhase {
-                        state: "Idle(no page loaded)",
-                        phase: "CMD READ-CACHE-SEQ".into(),
+                        state: "idle (no page loaded)",
+                        phase: format!("CMD {}", mnemonic(opcode)),
                     });
                 };
                 self.cache_reg
@@ -895,23 +845,15 @@ impl Lun {
                     ..last
                 };
                 let dur = self.jittered(self.cfg.profile.t_r);
-                self.begin_busy(
-                    now,
-                    dur,
-                    BusyKind::CacheRead,
-                    Effect::LoadPage {
-                        rows: vec![next],
-                        col: 0,
-                        pslc: false,
-                        into_cache_next: Some(next),
-                    },
-                );
-                Ok(LunResponse::Accepted)
+                let rows = vec![next];
+                let effect = Effect::LoadPage {
+                    rows,
+                    col: None,
+                    pslc: false,
+                };
+                self.begin_busy(now, dur, BusyKind::CacheRead, effect);
             }
-            op::READ_CACHE_END => {
-                if self.decode != Decode::Idle {
-                    return Err(unexpected(&self.decode.clone(), "CMD READ-CACHE-END"));
-                }
+            Action::CacheEnd => {
                 self.cache_reg
                     .clone_from(&self.page_regs[self.active_plane as usize]);
                 self.out = OutSource::CacheRegister;
@@ -922,223 +864,68 @@ impl Lun {
                     BusyKind::CacheRead,
                     Effect::None,
                 );
-                Ok(LunResponse::Accepted)
             }
-            op::CHANGE_READ_COL_1 => {
-                self.decode = Decode::ChgRdColAddr { full: false };
-                Ok(LunResponse::Accepted)
-            }
-            op::RANDOM_DATA_OUT_1 => {
-                self.decode = Decode::ChgRdColAddr { full: true };
-                Ok(LunResponse::Accepted)
-            }
-            op::CHANGE_READ_COL_2 => match std::mem::replace(&mut self.decode, Decode::Idle) {
-                Decode::ChgRdColConfirm { row, col } => {
-                    if let Some(row) = row {
-                        self.active_plane = self.array.geometry().plane_of(row.block);
-                    }
-                    self.col = col;
-                    if self.out != OutSource::CacheRegister && self.out != OutSource::ParamPage {
-                        self.out = OutSource::PageRegister;
-                    }
-                    Ok(LunResponse::Accepted)
+            Action::SelectColumn => {
+                if let Some(row) = self.latch_row {
+                    self.active_plane = self.array.geometry().plane_of(row.block);
                 }
-                other => Err(unexpected(&other, "CMD CHG-RD-COL(2)")),
-            },
-            op::PROGRAM_1 => {
-                self.decode = Decode::ProgAddr;
-                Ok(LunResponse::Accepted)
-            }
-            op::CHANGE_WRITE_COL => match std::mem::replace(&mut self.decode, Decode::Idle) {
-                Decode::ProgData { row } => {
-                    self.decode = Decode::ChgWrColAddr { row };
-                    Ok(LunResponse::Accepted)
-                }
-                other => Err(unexpected(&other, "CMD CHG-WR-COL")),
-            },
-            op::PROGRAM_2 | op::PROGRAM_CACHE => {
-                match std::mem::replace(&mut self.decode, Decode::Idle) {
-                    Decode::ProgData { row } => {
-                        let pslc = self.take_pslc(row);
-                        let dur = self.jittered(if pslc {
-                            self.cfg.profile.t_prog_slc
-                        } else {
-                            self.cfg.profile.t_prog
-                        });
-                        let kind = if opcode == op::PROGRAM_CACHE {
-                            BusyKind::CacheProgram
-                        } else {
-                            BusyKind::Program
-                        };
-                        self.begin_busy(now, dur, kind, Effect::CommitProgram { row, pslc });
-                        Ok(LunResponse::Accepted)
-                    }
-                    other => Err(unexpected(&other, "CMD PROGRAM(2)")),
+                self.col = self.latch_col;
+                if self.out != OutSource::CacheRegister && self.out != OutSource::ParamPage {
+                    self.out = OutSource::PageRegister;
                 }
             }
-            op::ERASE_1 => {
-                self.decode = Decode::EraseAddr;
-                Ok(LunResponse::Accepted)
-            }
-            op::ERASE_2 => match std::mem::replace(&mut self.decode, Decode::Idle) {
-                Decode::EraseConfirm { row } => {
-                    let dur = self.jittered(self.cfg.profile.t_bers);
-                    self.begin_busy(now, dur, BusyKind::Erase, Effect::CommitErase { row });
-                    Ok(LunResponse::Accepted)
-                }
-                other => Err(unexpected(&other, "CMD ERASE(2)")),
-            },
-            op::SET_FEATURES => {
-                self.decode = Decode::FeatAddrSet;
-                Ok(LunResponse::Accepted)
-            }
-            op::GET_FEATURES => {
-                self.decode = Decode::FeatAddrGet;
-                Ok(LunResponse::Accepted)
-            }
-            op::READ_ID => {
-                self.decode = Decode::IdAddr;
-                Ok(LunResponse::Accepted)
-            }
-            op::READ_PARAM_PAGE => {
-                self.decode = Decode::ParamAddr;
-                Ok(LunResponse::Accepted)
-            }
-            other => Err(LunError::UnexpectedPhase {
-                state: self.decode.name(),
-                phase: format!("CMD {}", mnemonic(other)),
-            }),
-        }
-    }
-
-    fn on_address(&mut self, now: SimTime, bytes: &[u8]) -> Result<LunResponse, LunError> {
-        match std::mem::replace(&mut self.decode, Decode::Idle) {
-            Decode::ReadAddr => {
-                let want = self.layout.full_cycles();
-                if bytes.len() != want {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want,
-                    });
-                }
-                let col = self.layout.unpack_col(&bytes[..self.layout.col_cycles]).0;
-                let row = self.layout.unpack_row(&bytes[self.layout.col_cycles..]);
-                self.decode = Decode::ReadConfirm { row, col };
-                Ok(LunResponse::Accepted)
-            }
-            Decode::ChgRdColAddr { full } => {
-                if full {
-                    let want = self.layout.full_cycles();
-                    if bytes.len() != want {
-                        return Err(LunError::BadAddressLength {
-                            got: bytes.len(),
-                            want,
-                        });
-                    }
-                    let col = self.layout.unpack_col(&bytes[..self.layout.col_cycles]).0;
-                    let row = self.layout.unpack_row(&bytes[self.layout.col_cycles..]);
-                    self.decode = Decode::ChgRdColConfirm {
-                        row: Some(row),
-                        col,
-                    };
+            Action::Busy(kind @ (BusyKind::Program | BusyKind::CacheProgram)) => {
+                let row = self.latched_row();
+                let pslc = self.take_pslc();
+                let profile = &self.cfg.profile;
+                let nominal = if pslc {
+                    profile.t_prog_slc
                 } else {
-                    let want = self.layout.col_cycles;
-                    if bytes.len() != want {
-                        return Err(LunError::BadAddressLength {
-                            got: bytes.len(),
-                            want,
-                        });
-                    }
-                    let col = self.layout.unpack_col(bytes).0;
-                    self.decode = Decode::ChgRdColConfirm { row: None, col };
-                }
-                Ok(LunResponse::Accepted)
+                    profile.t_prog
+                };
+                let dur = self.jittered(nominal);
+                let plane = self.array.geometry().plane_of(row.block) as usize;
+                let data = self.page_regs[plane].clone();
+                self.begin_busy(now, dur, kind, Effect::CommitProgram { row, pslc, data });
             }
-            Decode::ProgAddr => {
-                let want = self.layout.full_cycles();
-                if bytes.len() != want {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want,
-                    });
-                }
-                let col = self.layout.unpack_col(&bytes[..self.layout.col_cycles]).0;
-                let row = self.layout.unpack_row(&bytes[self.layout.col_cycles..]);
-                self.active_plane = self.array.geometry().plane_of(row.block);
-                let raw = self.array.geometry().raw_page_size();
-                self.page_regs[self.active_plane as usize] = PageData::fill(0xFF, raw);
-                self.col = col;
-                self.decode = Decode::ProgData { row };
-                Ok(LunResponse::Accepted)
+            Action::Busy(BusyKind::Erase) => {
+                let row = self.latched_row();
+                let dur = self.jittered(self.cfg.profile.t_bers);
+                self.begin_busy(now, dur, BusyKind::Erase, Effect::CommitErase { row });
             }
-            Decode::ChgWrColAddr { row } => {
-                let want = self.layout.col_cycles;
-                if bytes.len() != want {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want,
-                    });
-                }
-                self.col = self.layout.unpack_col(bytes).0;
-                self.decode = Decode::ProgData { row };
-                Ok(LunResponse::Accepted)
-            }
-            Decode::EraseAddr => {
-                let want = self.layout.row_cycles;
-                if bytes.len() != want {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want,
-                    });
-                }
-                let row = self.layout.unpack_row(bytes);
-                self.decode = Decode::EraseConfirm { row };
-                Ok(LunResponse::Accepted)
-            }
-            Decode::FeatAddrSet => {
-                if bytes.len() != 1 {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want: 1,
-                    });
-                }
-                self.decode = Decode::FeatData { feature: bytes[0] };
-                Ok(LunResponse::Accepted)
-            }
-            Decode::FeatAddrGet => {
-                if bytes.len() != 1 {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want: 1,
-                    });
-                }
-                self.out = OutSource::Features(bytes[0]);
-                Ok(LunResponse::Accepted)
-            }
-            Decode::IdAddr => {
-                if bytes.len() != 1 {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want: 1,
-                    });
-                }
-                self.out = OutSource::Id;
-                self.col = 0;
-                Ok(LunResponse::Accepted)
-            }
-            Decode::ParamAddr => {
-                if bytes.len() != 1 {
-                    return Err(LunError::BadAddressLength {
-                        got: bytes.len(),
-                        want: 1,
-                    });
-                }
+            Action::Busy(BusyKind::ParamPage) => {
                 let dur = self.jittered(self.cfg.profile.t_param);
                 self.begin_busy(now, dur, BusyKind::ParamPage, Effect::LoadParamPage);
-                Ok(LunResponse::Accepted)
             }
-            other => Err(unexpected(&other, &format!("ADDR[{}]", bytes.len()))),
+            Action::LatchPage | Action::LatchProgram => {
+                let row = self.layout.unpack_row(row_bytes);
+                let col = self.layout.unpack_col(col_bytes).0;
+                self.latch_row = Some(row);
+                self.latch_col = col;
+                if action == Action::LatchProgram {
+                    self.active_plane = self.array.geometry().plane_of(row.block);
+                    let raw = self.array.geometry().raw_page_size();
+                    self.page_regs[self.active_plane as usize] = PageData::fill(0xFF, raw);
+                    self.col = col;
+                }
+            }
+            Action::LatchColumn => {
+                self.latch_row = None;
+                self.latch_col = self.layout.unpack_col(bytes).0;
+            }
+            Action::LatchWriteColumn => self.col = self.layout.unpack_col(bytes).0,
+            Action::LatchBlock => self.latch_row = Some(self.layout.unpack_row(bytes)),
+            Action::LatchFeature => self.latch_feature = bytes[0],
+            Action::ReadFeature => self.out = OutSource::Features(bytes[0]),
+            Action::ReadId => {
+                self.out = OutSource::Id;
+                self.col = 0;
+            }
+            Action::Busy(BusyKind::Suspending) | Action::Write | Action::SetFeature => {
+                unreachable!("{action:?} is not the action of a latch")
+            }
         }
+        Ok(LunResponse::Accepted)
     }
 
     /// Each packet of `run`'s `len.max(1)` bytes cycling through `value`
@@ -1223,19 +1010,12 @@ impl Lun {
         }
     }
 
-    fn on_suspend(&mut self, now: SimTime, opcode: u8) -> Result<LunResponse, LunError> {
+    fn on_suspend(&mut self, now: SimTime, opcode: u8) -> Result<(), LunError> {
         let Some(busy) = &self.busy else {
             // Suspending an idle LUN is a no-op on real parts.
-            return Ok(LunResponse::Accepted);
+            return Ok(());
         };
-        let matches_kind = matches!(
-            (&busy.kind, opcode),
-            (
-                BusyKind::Program | BusyKind::CacheProgram,
-                op::PROGRAM_SUSPEND
-            ) | (BusyKind::Erase, op::ERASE_SUSPEND)
-        );
-        if !matches_kind {
+        if !busy.kind.suspended_by(opcode) {
             return Err(LunError::BusyViolation {
                 mnemonic: mnemonic(opcode),
             });
@@ -1255,12 +1035,12 @@ impl Lun {
             BusyKind::Suspending,
             Effect::None,
         );
-        Ok(LunResponse::Accepted)
+        Ok(())
     }
 
-    fn on_resume(&mut self, now: SimTime) -> Result<LunResponse, LunError> {
+    fn on_resume(&mut self, now: SimTime) {
         let Some(s) = self.suspended.take() else {
-            return Ok(LunResponse::Accepted);
+            return;
         };
         // Resume penalty: re-ramping the program/erase voltages costs a
         // little extra on top of the remaining time.
@@ -1270,18 +1050,13 @@ impl Lun {
             s.kind,
             s.effect,
         );
-        Ok(LunResponse::Accepted)
     }
 
-    fn take_pslc(&mut self, _row: RowAddr) -> bool {
+    fn take_pslc(&mut self) -> bool {
         let armed = self.pslc_armed || self.features.pslc_enabled();
         self.pslc_armed = false;
         self.retry_armed = false;
         armed
-    }
-
-    fn last_loaded_row(&self) -> Option<RowAddr> {
-        self.last_row
     }
 }
 
@@ -1298,13 +1073,6 @@ fn register_window(reg: &PageData, col: &mut u32, bytes: usize, last: usize) -> 
     }
     *col = ((start + bytes - last).min(reg.len()) + last) as u32;
     out
-}
-
-fn unexpected(state: &Decode, phase: &str) -> LunError {
-    LunError::UnexpectedPhase {
-        state: state.name(),
-        phase: phase.to_string(),
-    }
 }
 
 /// Knuth's Poisson sampler, adequate for the small λ of page reads.
@@ -1335,6 +1103,7 @@ fn poisson(rng: &mut SplitMix64, lambda: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::geometry::Geometry;
+    use babol_onfi::opcode::op;
 
     /// A phase that starts and ends at the instant it is delivered.
     fn instant(kind: PhaseKind) -> BusPhase {
@@ -1673,6 +1442,82 @@ mod tests {
         d.wait_ready();
         d.lun.status(d.now);
         assert_eq!(d.dout(raw), next);
+    }
+
+    #[test]
+    fn cache_read_fetch_inside_a_burst_keeps_streaming_the_cache_register() {
+        let mut cfg = LunConfig::test_default();
+        cfg.content = ContentMode::Preloaded { seed: 5 };
+        let mut d = Driver::new(cfg);
+        let page_k = d.lun.array().read_page(row(2, 3)).unwrap();
+        d.read(row(2, 3), 1);
+        d.cmd(op::READ_CACHE_SEQ);
+        // Four 64-byte packets of the cache register, 100 ns each: the
+        // background fetch of page k + 1 completes between the ends of the
+        // first and the second.
+        let fetched = d.lun.busy_until().unwrap();
+        let packets = babol_onfi::bus::Packets {
+            count: 4,
+            size: 64,
+            gap: None,
+            full: SimDuration::from_nanos(100),
+        };
+        let burst = BusPhase::burst(
+            PhaseKind::DataOut { bytes: 256 },
+            packets,
+            SimDuration::from_nanos(400),
+        );
+        let start = fetched - SimDuration::from_nanos(150);
+        let LunResponse::Data(out) = d.lun.phase(start, &burst).unwrap() else {
+            panic!("a data-out burst returns data");
+        };
+        assert_eq!(d.lun.stats().reads, 2, "the fetch completed mid-burst");
+        assert_eq!(out.materialize(), page_k[..256].to_vec());
+    }
+
+    #[test]
+    fn cache_program_commits_the_first_page_data() {
+        let mut d = Driver::new(LunConfig::test_default());
+        d.cmd(op::PROGRAM_1);
+        let a = d.full_addr(row(0, 0), 0);
+        d.addr(a);
+        d.din(b"page-A".to_vec());
+        d.cmd(op::PROGRAM_CACHE);
+        let a_programmed = d.lun.busy_until().unwrap();
+        // Page B is latched and filled on the same plane while A programs.
+        d.cmd(op::PROGRAM_1);
+        let b = d.full_addr(row(0, 1), 0);
+        d.addr(b);
+        d.din(b"page-B".to_vec());
+        // A's tPROG ends before B's confirm.
+        d.now = a_programmed + SimDuration::from_nanos(1);
+        assert!(d.lun.status(d.now).array_ready());
+        d.cmd(op::PROGRAM_2);
+        d.wait_ready();
+        assert_eq!(d.read(row(0, 0), 6), b"page-A".to_vec());
+        assert_eq!(d.read(row(0, 1), 6), b"page-B".to_vec());
+    }
+
+    #[test]
+    fn read_during_program_suspend_keeps_the_program_data() {
+        let mut d = Driver::new(LunConfig::test_default());
+        // Blocks 0 and 2 are both on plane 0: the read refills the page
+        // register the suspended program was confirmed from.
+        d.program(row(0, 0), b"other");
+        d.cmd(op::PROGRAM_1);
+        let a = d.full_addr(row(2, 0), 0);
+        d.addr(a);
+        d.din(b"page-A".to_vec());
+        d.cmd(op::PROGRAM_2);
+        d.tick(SimDuration::from_micros(30));
+        d.cmd(op::PROGRAM_SUSPEND);
+        d.wait_ready();
+        assert!(d.lun.status(d.now).is_ready());
+        assert_eq!(d.read(row(0, 0), 5), b"other".to_vec());
+        d.cmd(op::SUSPEND_RESUME);
+        assert_eq!(d.lun.busy_kind(), Some(BusyKind::Program));
+        d.wait_ready();
+        assert_eq!(d.read(row(2, 0), 6), b"page-A".to_vec());
     }
 
     #[test]

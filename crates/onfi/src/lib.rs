@@ -18,6 +18,10 @@
 //!   tRR, tWHR, ...) for the SDR and NV-DDR2 data interfaces at several
 //!   timing modes.
 //! * [`addr`] — composing row/column addresses into ONFI address cycles.
+//! * [`decode`] — the command grammar: one pure transition function from
+//!   (decode state, latched cycle) to the next state and an action, shared
+//!   by the flash package model, the static verifier and the envelope
+//!   analyzer.
 //! * [`bus`] — the phase-level waveform vocabulary exchanged on a channel:
 //!   command latches, address latches, data-in/out bursts. This is the
 //!   "Basic Timing Cycle" (BTC) notion of the standard, §II of the paper.
@@ -28,6 +32,7 @@
 
 pub mod addr;
 pub mod bus;
+pub mod decode;
 pub mod feature;
 pub mod opcode;
 pub mod param_page;

@@ -25,6 +25,13 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
+/// The fewest timed iterations of a [`Bench::bench_paired`] pair. A gate
+/// reads the median of the pair's per-iteration ratios; on a 2-vCPU host
+/// single ratios of a 10 ms job spread over ±10% and more, and the median
+/// of five of them missed a +10% slowdown in 2 of 10 runs and flagged the
+/// unchanged code in 3 of 10 (thirty: 10 of 10 both ways).
+pub const MIN_PAIRS: u32 = 30;
+
 /// Iteration counts for a [`Bench`] run.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
@@ -81,6 +88,12 @@ pub struct BenchResult {
     /// after the timed run — energy is a deterministic property of the
     /// simulated work, not a wall-clock measurement.
     pub joules: f64,
+    /// On the second row of a [`Bench::bench_paired`] pair: the median
+    /// over timed iterations of this row's time divided by the first
+    /// row's time in the same iteration. Both halves of a ratio see the
+    /// same host state, so it holds still where the two medians drift
+    /// apart. `None` on every other row.
+    pub pair_ratio: Option<f64>,
 }
 
 impl BenchResult {
@@ -91,18 +104,13 @@ impl BenchResult {
     /// Panics if `samples` is empty.
     pub fn from_samples(name: impl Into<String>, mut samples: Vec<f64>) -> BenchResult {
         assert!(!samples.is_empty(), "no samples");
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
+        let median = median(&mut samples);
         let n = samples.len();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let stddev = if n > 1 {
             (samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
         } else {
             0.0
-        };
-        let median = if n % 2 == 1 {
-            samples[n / 2]
-        } else {
-            (samples[n / 2 - 1] + samples[n / 2]) / 2.0
         };
         let p95 = samples[((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1];
         BenchResult {
@@ -115,14 +123,18 @@ impl BenchResult {
             mean_ns: mean,
             stddev_ns: stddev,
             joules: 0.0,
+            pair_ratio: None,
         }
     }
 
     fn to_json(&self) -> String {
+        let pair_ratio = self
+            .pair_ratio
+            .map_or(String::new(), |r| format!(", \"pair_ratio\": {r:.6}"));
         format!(
             "{{\"name\": {}, \"iters\": {}, \"min_ns\": {:.1}, \"median_ns\": {:.1}, \
              \"p95_ns\": {:.1}, \"max_ns\": {:.1}, \"mean_ns\": {:.1}, \"stddev_ns\": {:.1}, \
-             \"joules\": {:.9}}}",
+             \"joules\": {:.9}{pair_ratio}}}",
             json_string(&self.name),
             self.iters,
             self.min_ns,
@@ -133,6 +145,17 @@ impl BenchResult {
             self.stddev_ns,
             self.joules,
         )
+    }
+}
+
+/// The median of `samples`, which it leaves sorted.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
+    let n = samples.len();
+    if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
     }
 }
 
@@ -200,8 +223,11 @@ impl Bench {
     /// on/off pairs whose *ratio* is gated (e.g. the telemetry overhead
     /// pair): measured as two separate blocks, minutes of drift between
     /// the blocks can dwarf a few-percent effect; interleaved, the ratio
-    /// of the two medians stays meaningful even on a noisy host. Pushes
-    /// `name_a` then `name_b`, in that order, onto [`Bench::results`].
+    /// of the two medians stays meaningful even on a noisy host, and the
+    /// median of the per-iteration ratios (`name_b`'s
+    /// [`BenchResult::pair_ratio`]) more so. A pair is timed at least
+    /// [`MIN_PAIRS`] times whatever the configured count. Pushes `name_a`
+    /// then `name_b`, in that order, onto [`Bench::results`].
     // Determinism allowlist: measuring wall-clock time is this function's
     // whole purpose (see `Bench::bench`).
     #[allow(clippy::disallowed_methods)]
@@ -216,7 +242,7 @@ impl Bench {
             black_box(f_a());
             black_box(f_b());
         }
-        let n = self.cfg.timed_iters as usize;
+        let n = self.cfg.timed_iters.max(MIN_PAIRS) as usize;
         let mut samples_a = Vec::with_capacity(n);
         let mut samples_b = Vec::with_capacity(n);
         for _ in 0..n {
@@ -227,8 +253,14 @@ impl Bench {
             black_box(f_b());
             samples_b.push(t1.elapsed().as_nanos() as f64);
         }
-        for (name, samples) in [(name_a, samples_a), (name_b, samples_b)] {
-            let result = BenchResult::from_samples(name, samples);
+        let mut ratios: Vec<f64> = samples_a
+            .iter()
+            .zip(&samples_b)
+            .map(|(a, b)| b / a.max(1.0))
+            .collect();
+        let mut second = BenchResult::from_samples(name_b, samples_b);
+        second.pair_ratio = Some(median(&mut ratios));
+        for result in [BenchResult::from_samples(name_a, samples_a), second] {
             if !self.quiet {
                 println!(
                     "{:<40} median {:>12} p95 {:>12} stddev {:>12}",
@@ -418,10 +450,14 @@ mod tests {
         assert_eq!(b.results().len(), 2);
         assert_eq!(b.results()[0].name, "pair/off");
         assert_eq!(b.results()[1].name, "pair/on");
-        assert_eq!(b.results()[0].iters, 4);
-        assert_eq!(b.results()[1].iters, 4);
+        assert_eq!(b.results()[0].iters, MIN_PAIRS);
+        assert_eq!(b.results()[1].iters, MIN_PAIRS);
         assert_eq!(b.results()[0].joules, 1.5);
         assert_eq!(b.results()[1].joules, 1.5);
+        assert_eq!(b.results()[0].pair_ratio, None);
+        assert!(b.results()[1].pair_ratio.is_some_and(|r| r > 0.0));
+        let json = b.to_json();
+        assert_eq!(json.matches("\"pair_ratio\"").count(), 1);
     }
 
     #[test]

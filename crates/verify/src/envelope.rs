@@ -13,8 +13,10 @@
 //!
 //! # Soundness argument
 //!
-//! The analyzer mirrors the LUN model's command decoder
-//! (`babol_flash::lun`) with three conservative rules:
+//! The analyzer runs the LUN model's command grammar itself
+//! ([`babol_onfi::decode`], the transition function `babol_flash::lun`
+//! applies) and maps the busy kinds it starts to array-time intervals,
+//! with three conservative rules:
 //!
 //! 1. **Busy windows are intervals.** Every `begin_busy` in the model draws
 //!    `jittered(nominal)`, which is uniform over the *inclusive* range
@@ -38,7 +40,9 @@
 //! in both time and charged energy.
 
 use babol_flash::PackageProfile;
+use babol_onfi::addr::AddrLayout;
 use babol_onfi::bus::{BusPhase, ChipMask, PhaseKind};
+use babol_onfi::decode::{self, Action, BusyKind, Cycle, Decode};
 use babol_onfi::feature::addr as feat;
 use babol_onfi::opcode::op;
 use babol_sim::{PageData, SimDuration};
@@ -212,9 +216,11 @@ impl EnvelopeConfig {
     }
 }
 
-/// Worst-case array timing bounds of a package, in picoseconds.
+/// Worst-case array timing bounds of a package, in picoseconds, and the
+/// address layout its LUNs decode with.
 #[derive(Debug, Clone, Copy)]
-struct ArrayBounds {
+pub(crate) struct ArrayBounds {
+    layout: AddrLayout,
     t_r: Interval,
     t_r_slc: Interval,
     t_prog: Interval,
@@ -229,12 +235,13 @@ struct ArrayBounds {
 }
 
 impl ArrayBounds {
-    fn from_profile(p: &PackageProfile) -> Self {
+    pub(crate) fn from_profile(p: &PackageProfile) -> Self {
         let iv = |nominal: SimDuration| {
             let (lo, hi) = p.jitter_bounds(nominal);
             Interval::new(lo.as_picos(), hi.as_picos())
         };
         ArrayBounds {
+            layout: p.layout(),
             t_r: iv(p.t_r),
             t_r_slc: iv(p.t_r_slc),
             t_prog: iv(p.t_prog),
@@ -259,46 +266,15 @@ enum FeatState {
     Unknown,
 }
 
-/// Decode-lite: just enough of the LUN's ONFI grammar to know which
-/// confirms open which busy windows. Grammar *errors* are the base
-/// verifier's job; the envelope assumes a program that replays cleanly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dec {
-    Idle,
-    ReadAddr,
-    ReadConfirm,
-    ChgRdColAddr,
-    ChgRdColConfirm,
-    ProgAddr,
-    ProgData,
-    ChgWrColAddr,
-    EraseAddr,
-    EraseConfirm,
-    FeatAddrSet,
-    FeatData(u8),
-    FeatAddrGet,
-    IdAddr,
-    ParamAddr,
-    Unknown,
-}
-
-/// What kind of array operation a pending busy window belongs to (suspend
-/// commands only match their own kind).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PendKind {
-    Program,
-    Erase,
-    Other,
-}
-
-/// A busy window opened inside the current transaction: deadline offsets
-/// (picoseconds from the transaction's first phase) and the energy its
-/// effect commits when it resolves.
+/// A busy window opened inside the current transaction: its kind (a
+/// suspend command only matches its own), deadline offsets (picoseconds
+/// from the transaction's first phase) and the energy its effect commits
+/// when it resolves.
 #[derive(Debug, Clone, Copy)]
-struct PendingBusy {
+pub(crate) struct PendingBusy {
     deadline: Interval,
     energy: Interval,
-    kind: PendKind,
+    pub(crate) kind: BusyKind,
 }
 
 /// A suspended array operation (persists across transactions — the
@@ -307,7 +283,7 @@ struct PendingBusy {
 struct SuspendedOp {
     remaining: Interval,
     energy: Interval,
-    kind: PendKind,
+    kind: BusyKind,
     /// False when the suspend straddled the busy deadline interval: the
     /// operation may have already finished, so the resume may be a no-op.
     certain: bool,
@@ -315,9 +291,14 @@ struct SuspendedOp {
 
 /// Abstract LUN state carried across transactions.
 #[derive(Debug, Clone, Copy)]
-struct EnvLun {
-    dec: Dec,
-    busy: Option<PendingBusy>,
+pub(crate) struct EnvLun {
+    /// The shared grammar's decode state; `None` when unknown. Grammar
+    /// *errors* are the base verifier's job: the envelope assumes a
+    /// program that replays cleanly and folds a refused cycle to unknown.
+    pub(crate) dec: Option<Decode>,
+    /// The feature address a SET FEATURES latched.
+    feature: u8,
+    pub(crate) busy: Option<PendingBusy>,
     suspended: Option<SuspendedOp>,
     pslc_armed: bool,
     pslc_feature: FeatState,
@@ -325,9 +306,10 @@ struct EnvLun {
 }
 
 impl EnvLun {
-    fn power_on() -> Self {
+    pub(crate) fn power_on() -> Self {
         EnvLun {
-            dec: Dec::Idle,
+            dec: Some(Decode::Idle),
+            feature: 0,
             busy: None,
             suspended: None,
             pslc_armed: false,
@@ -379,7 +361,7 @@ impl EnvLun {
         p: u64,
         dur: Interval,
         energy: Interval,
-        kind: PendKind,
+        kind: BusyKind,
         energy_acc: &mut Interval,
     ) {
         self.resolve(p, energy_acc);
@@ -390,108 +372,99 @@ impl EnvLun {
         });
     }
 
-    fn on_cmd(&mut self, p: u64, opcode: u8, b: &ArrayBounds, c: &EnergyCosts, acc: &mut Interval) {
-        match opcode {
-            op::READ_STATUS | op::READ_STATUS_ENHANCED => self.dec = Dec::Idle,
-            op::RESET | op::SYNC_RESET => {
+    /// Takes one delivered event at offset `p` through the grammar and
+    /// applies its action: array windows and their energy into `energy`,
+    /// page-register data-in bytes into `moved`.
+    pub(crate) fn on_event(
+        &mut self,
+        p: u64,
+        event: &Event,
+        b: &ArrayBounds,
+        c: &EnergyCosts,
+        energy: &mut Interval,
+        moved: &mut Interval,
+    ) {
+        let cycle = match *event {
+            Event::Cmd(opcode) => Cycle::Cmd(opcode),
+            Event::Addr(addr) => Cycle::Addr(addr.len()),
+            Event::DataIn { .. } => Cycle::DataIn,
+            // Data-out is counted for the driving LUN alone, by the caller.
+            Event::DataOut { .. } => return,
+        };
+        let Ok((next, action)) = decode::step_abstract(self.dec, cycle, &b.layout) else {
+            // Refused, or not knowable from an unknown state: the state is
+            // unknown, and a burst's bytes may or may not have moved.
+            self.dec = None;
+            if let Event::DataIn { bytes, .. } = *event {
+                *moved += Interval::new(0, bytes);
+            }
+            return;
+        };
+        self.dec = next;
+        match (action, *event) {
+            (Action::Busy(BusyKind::Reset), _) => {
                 // The model clears everything, including a suspended op
                 // (whose deferred effect then never commits — its energy
                 // was never charged, so dropping the record is exact for a
                 // certain suspend and an upper bound for a straddle).
-                self.dec = Dec::Idle;
                 self.suspended = None;
                 self.queued_rows = 0;
                 self.pslc_armed = false;
                 self.pslc_feature = FeatState::Off;
-                self.begin(p, b.t_rst, Interval::ZERO, PendKind::Other, acc);
+                self.begin(p, b.t_rst, Interval::ZERO, BusyKind::Reset, energy);
             }
-            op::PROGRAM_SUSPEND | op::ERASE_SUSPEND => self.on_suspend(p, opcode, b, acc),
-            op::SUSPEND_RESUME => self.on_resume(p, b, acc),
-            op::PSLC_PREFIX => self.pslc_armed = true,
-            op::READ_RETRY_PREFIX => {}
-            op::READ_1 => self.dec = Dec::ReadAddr,
-            op::READ_2 => {
-                if self.dec == Dec::ReadConfirm {
-                    let dur = self.array_time(b.t_r, b.t_r_slc);
-                    let rows = self.queued_rows + 1;
-                    self.queued_rows = 0;
-                    self.begin(
-                        p,
-                        dur,
-                        Interval::point(c.read_pj * rows),
-                        PendKind::Other,
-                        acc,
-                    );
-                }
-                self.dec = Dec::Idle;
+            (Action::Suspend, Event::Cmd(opcode)) => self.on_suspend(p, opcode, b, energy),
+            (Action::Resume, _) => self.on_resume(p, b, energy),
+            (Action::ArmPslc, _) => self.pslc_armed = true,
+            (Action::Busy(BusyKind::Read), _) => {
+                let dur = self.array_time(b.t_r, b.t_r_slc);
+                let rows = self.queued_rows + 1;
+                self.queued_rows = 0;
+                let cost = Interval::point(c.read_pj * rows);
+                self.begin(p, dur, cost, BusyKind::Read, energy);
             }
-            op::MULTI_PLANE_NEXT => {
-                if self.dec == Dec::ReadConfirm {
-                    self.queued_rows += 1;
-                    self.begin(
-                        p,
-                        Interval::point(b.plane_queue),
-                        Interval::ZERO,
-                        PendKind::Other,
-                        acc,
-                    );
-                }
-                self.dec = Dec::Idle;
+            (Action::Busy(BusyKind::PlaneQueue), _) => {
+                self.queued_rows += 1;
+                let window = Interval::point(b.plane_queue);
+                self.begin(p, window, Interval::ZERO, BusyKind::PlaneQueue, energy);
             }
-            op::READ_CACHE_SEQ => {
+            (Action::Busy(BusyKind::CacheRead), _) => {
                 // Always the nominal tR: the model passes `pslc: false`.
-                self.begin(p, b.t_r, Interval::point(c.read_pj), PendKind::Other, acc);
+                let cost = Interval::point(c.read_pj);
+                self.begin(p, b.t_r, cost, BusyKind::CacheRead, energy);
             }
-            op::READ_CACHE_END => {
-                self.begin(
-                    p,
-                    Interval::point(b.cache_end),
-                    Interval::ZERO,
-                    PendKind::Other,
-                    acc,
-                );
+            (Action::CacheEnd, _) => {
+                let window = Interval::point(b.cache_end);
+                self.begin(p, window, Interval::ZERO, BusyKind::CacheRead, energy);
             }
-            op::CHANGE_READ_COL_1 | op::RANDOM_DATA_OUT_1 => self.dec = Dec::ChgRdColAddr,
-            op::CHANGE_READ_COL_2 => self.dec = Dec::Idle,
-            op::PROGRAM_1 => self.dec = Dec::ProgAddr,
-            op::CHANGE_WRITE_COL => {
-                self.dec = if self.dec == Dec::ProgData {
-                    Dec::ChgWrColAddr
-                } else {
-                    Dec::Unknown
+            (Action::Busy(kind @ (BusyKind::Program | BusyKind::CacheProgram)), _) => {
+                let dur = self.array_time(b.t_prog, b.t_prog_slc);
+                self.begin(p, dur, Interval::point(c.program_pj), kind, energy);
+            }
+            (Action::Busy(BusyKind::Erase), _) => {
+                let cost = Interval::point(c.erase_pj);
+                self.begin(p, b.t_bers, cost, BusyKind::Erase, energy);
+            }
+            (Action::Busy(BusyKind::ParamPage), _) => {
+                // The param-page fetch starts at the *address* latch.
+                self.begin(p, b.t_param, Interval::ZERO, BusyKind::ParamPage, energy);
+            }
+            (Action::LatchFeature, Event::Addr(addr)) => self.feature = addr[0],
+            // Data-in counts as transfer bytes only on the page-register
+            // path (the model's `bytes_in` stat ignores feature writes).
+            (Action::Write, Event::DataIn { bytes, .. }) => *moved += Interval::point(bytes),
+            // `value` is the payload when statically visible (raw phase
+            // programs).
+            (Action::SetFeature, Event::DataIn { value, .. })
+                if self.feature == feat::PSLC_ENABLE =>
+            {
+                self.pslc_feature = match value {
+                    Some(v) if v.first_byte().is_some_and(|b| b != 0) => FeatState::On,
+                    Some(_) => FeatState::Off,
+                    None => FeatState::Unknown,
                 };
             }
-            op::PROGRAM_2 | op::PROGRAM_CACHE => {
-                if self.dec == Dec::ProgData {
-                    let dur = self.array_time(b.t_prog, b.t_prog_slc);
-                    self.begin(
-                        p,
-                        dur,
-                        Interval::point(c.program_pj),
-                        PendKind::Program,
-                        acc,
-                    );
-                }
-                self.dec = Dec::Idle;
-            }
-            op::ERASE_1 => self.dec = Dec::EraseAddr,
-            op::ERASE_2 => {
-                if self.dec == Dec::EraseConfirm {
-                    self.begin(
-                        p,
-                        b.t_bers,
-                        Interval::point(c.erase_pj),
-                        PendKind::Erase,
-                        acc,
-                    );
-                }
-                self.dec = Dec::Idle;
-            }
-            op::SET_FEATURES => self.dec = Dec::FeatAddrSet,
-            op::GET_FEATURES => self.dec = Dec::FeatAddrGet,
-            op::READ_ID => self.dec = Dec::IdAddr,
-            op::READ_PARAM_PAGE => self.dec = Dec::ParamAddr,
-            _ => self.dec = Dec::Unknown,
+            _ => {}
         }
     }
 
@@ -505,11 +478,7 @@ impl EnvLun {
             *acc += pend.energy;
             return;
         }
-        let matches = matches!(
-            (pend.kind, opcode),
-            (PendKind::Program, op::PROGRAM_SUSPEND) | (PendKind::Erase, op::ERASE_SUSPEND)
-        );
-        if !matches {
+        if !pend.kind.suspended_by(opcode) {
             // Kind mismatch while possibly busy: the model rejects the
             // phase; a clean program never gets here. Fold both outcomes.
             self.busy = None;
@@ -528,7 +497,7 @@ impl EnvLun {
             self.busy = Some(PendingBusy {
                 deadline: Interval::point(p + b.suspend_window),
                 energy: Interval::ZERO,
-                kind: PendKind::Other,
+                kind: BusyKind::Suspending,
             });
         } else {
             // Straddle: either already done (energy committed, no window)
@@ -543,7 +512,7 @@ impl EnvLun {
             self.busy = Some(PendingBusy {
                 deadline: Interval::new(p, p + b.suspend_window),
                 energy: Interval::ZERO,
-                kind: PendKind::Other,
+                kind: BusyKind::Suspending,
             });
         }
     }
@@ -573,53 +542,12 @@ impl EnvLun {
             kind: s.kind,
         });
     }
-
-    fn on_addr(&mut self, p: u64, bytes: &[u8], b: &ArrayBounds, acc: &mut Interval) {
-        self.dec = match self.dec {
-            Dec::ReadAddr => Dec::ReadConfirm,
-            Dec::ChgRdColAddr => Dec::ChgRdColConfirm,
-            Dec::ProgAddr | Dec::ChgWrColAddr => Dec::ProgData,
-            Dec::FeatAddrSet if bytes.len() == 1 => Dec::FeatData(bytes[0]),
-            Dec::FeatAddrSet => Dec::Unknown,
-            Dec::FeatAddrGet | Dec::IdAddr => Dec::Idle,
-            Dec::EraseAddr => Dec::EraseConfirm,
-            Dec::ParamAddr => {
-                // The param-page fetch starts at the *address* latch.
-                self.begin(p, b.t_param, Interval::ZERO, PendKind::Other, acc);
-                Dec::Idle
-            }
-            Dec::ChgRdColConfirm | Dec::ReadConfirm | Dec::EraseConfirm => Dec::Unknown,
-            Dec::Idle | Dec::ProgData | Dec::FeatData(_) | Dec::Unknown => Dec::Unknown,
-        };
-    }
-
-    /// Data-in: counted as transfer bytes only on the page-register path
-    /// (the model's `bytes_in` stat ignores feature writes). `value` is
-    /// the payload when statically visible (raw phase programs).
-    fn on_data_in(&mut self, bytes: u64, value: Option<&PageData>, bytes_acc: &mut Interval) {
-        match self.dec {
-            Dec::ProgData => *bytes_acc += Interval::point(bytes),
-            Dec::FeatData(addr) => {
-                if addr == feat::PSLC_ENABLE {
-                    self.pslc_feature = match value {
-                        Some(v) if v.first_byte().is_some_and(|b| b != 0) => FeatState::On,
-                        Some(_) => FeatState::Off,
-                        None => FeatState::Unknown,
-                    };
-                }
-                self.dec = Dec::Idle;
-            }
-            _ => {
-                *bytes_acc += Interval::new(0, bytes);
-                self.dec = Dec::Unknown;
-            }
-        }
-    }
 }
 
 /// One delivered bus event, as the channel would deliver it: at the *end*
 /// offset of its phase.
-enum Event<'a> {
+#[derive(Clone, Copy)]
+pub(crate) enum Event<'a> {
     Cmd(u8),
     Addr(&'a [u8]),
     DataIn {
@@ -736,17 +664,20 @@ impl EnvelopeAnalyzer {
         for chip in chips.iter().filter(|&c| (c as usize) < lun_count) {
             let mut st = self.luns[chip as usize];
             for (p, event) in events {
-                match event {
-                    Event::Cmd(opcode) => {
-                        st.on_cmd(*p, *opcode, &self.bounds, &self.cfg.energy, &mut energy)
-                    }
-                    Event::Addr(addr) => st.on_addr(*p, addr, &self.bounds, &mut energy),
-                    Event::DataIn { bytes: n, value } => st.on_data_in(*n, *value, &mut bytes),
+                match *event {
                     Event::DataOut { bytes: n } => {
-                        if Some(chip) == driver && *n > 0 {
-                            bytes += Interval::point(*n);
+                        if Some(chip) == driver && n > 0 {
+                            bytes += Interval::point(n);
                         }
                     }
+                    _ => st.on_event(
+                        *p,
+                        event,
+                        &self.bounds,
+                        &self.cfg.energy,
+                        &mut energy,
+                        &mut bytes,
+                    ),
                 }
             }
             // Transaction end: the replay harness waits out every pending

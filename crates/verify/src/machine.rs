@@ -1,16 +1,21 @@
 //! The abstract interpreter.
 //!
-//! One [`LunState`] per wired LUN mirrors the ONFI command decoder of the
-//! flash package model (`babol_flash::Lun`), but over *abstract* values:
-//! where the simulator knows whether a LUN is busy, the verifier tracks
-//! known-idle / known-busy / maybe-busy / unknown, and resolves the
-//! uncertainty optimistically — a diagnostic fires only when every
-//! consistent concrete execution is wrong (errors) or suspicious
-//! (warnings). Transactions are first lowered to [`Seg`]ments — the same
+//! One [`LunState`] per wired LUN runs the ONFI command grammar the flash
+//! package model (`babol_flash::Lun`) runs, [`babol_onfi::decode`], but
+//! applies its actions over *abstract* values: where the simulator knows
+//! the decode state and whether a LUN is busy, the verifier also tracks
+//! an unknown state (the join of every state, [`decode::step_abstract`])
+//! and known-idle / known-busy / maybe-busy / unknown busy knowledge, and
+//! resolves the uncertainty optimistically — a diagnostic fires only when
+//! every consistent concrete execution is wrong (errors) or suspicious
+//! (warnings). Rejections the grammar returns become the diagnostics of
+//! their rule ids. Transactions are first lowered to [`Seg`]ments — the same
 //! shape whether they come from μFSM instructions or raw bus phases — so
 //! the one engine lints ops *and* the hard-coded baseline FSMs.
 
+use babol_onfi::addr::AddrLayout;
 use babol_onfi::bus::{BusPhase, PhaseKind};
+use babol_onfi::decode::{self, Action, BusyKind, Cycle, Decode, Reject};
 use babol_onfi::opcode::{classify, mnemonic, op, OpClass};
 use babol_onfi::timing::TimingParams;
 use babol_sim::SimDuration;
@@ -164,66 +169,6 @@ pub(crate) fn lower_phases(phases: &[BusPhase]) -> Vec<Seg> {
 // Abstract LUN state
 // ---------------------------------------------------------------------------
 
-/// Mirror of the package model's command-decode state, plus two abstract
-/// values: `Unknown` (single-transaction mode starts here) and
-/// `RestoredOut` (after an ONFI `00h` output-restore: the simulator parks
-/// in `ReadAddr`, but a restore is a legal place to stream data or end the
-/// transaction, so it gets its own non-warning state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Decode {
-    Unknown,
-    Idle,
-    ReadAddr,
-    ReadConfirm,
-    RestoredOut,
-    ChgRdColAddr { full: bool },
-    ChgRdColConfirm,
-    ProgAddr,
-    ProgData,
-    ChgWrColAddr,
-    EraseAddr,
-    EraseConfirm,
-    FeatAddrSet,
-    FeatData,
-    FeatAddrGet,
-    IdAddr,
-    ParamAddr,
-}
-
-impl Decode {
-    fn name(self) -> &'static str {
-        match self {
-            Decode::Unknown => "unknown",
-            Decode::Idle => "idle",
-            Decode::ReadAddr => "awaiting read address",
-            Decode::ReadConfirm => "awaiting read confirm",
-            Decode::RestoredOut => "output restored",
-            Decode::ChgRdColAddr { .. } => "awaiting column address",
-            Decode::ChgRdColConfirm => "awaiting column confirm",
-            Decode::ProgAddr => "awaiting program address",
-            Decode::ProgData => "accepting program data",
-            Decode::ChgWrColAddr => "awaiting write-column address",
-            Decode::EraseAddr => "awaiting erase address",
-            Decode::EraseConfirm => "awaiting erase confirm",
-            Decode::FeatAddrSet => "awaiting feature address (set)",
-            Decode::FeatData => "accepting feature data",
-            Decode::FeatAddrGet => "awaiting feature address (get)",
-            Decode::IdAddr => "awaiting id address",
-            Decode::ParamAddr => "awaiting parameter-page address",
-        }
-    }
-
-    /// States that are legal transaction-end points.
-    fn is_rest(self) -> bool {
-        matches!(self, Decode::Unknown | Decode::Idle | Decode::RestoredOut)
-    }
-
-    /// Mid-sequence states a fresh command silently abandons.
-    fn is_abandonable(self) -> bool {
-        !self.is_rest()
-    }
-}
-
 /// What the LUN streams on data-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OutSrc {
@@ -235,42 +180,6 @@ pub(crate) enum OutSrc {
     Param,
     Features,
     Id,
-}
-
-/// Array-operation kinds, matching the package model's busy kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BusyKind {
-    Read,
-    PlaneQueue,
-    CacheRead,
-    Program,
-    CacheProgram,
-    Erase,
-    Reset,
-    Suspending,
-    ParamPage,
-}
-
-impl BusyKind {
-    fn name(self) -> &'static str {
-        match self {
-            BusyKind::Read => "read (tR)",
-            BusyKind::PlaneQueue => "plane queue",
-            BusyKind::CacheRead => "cache read",
-            BusyKind::Program => "program (tPROG)",
-            BusyKind::CacheProgram => "cache program",
-            BusyKind::Erase => "erase (tBERS)",
-            BusyKind::Reset => "reset (tRST)",
-            BusyKind::Suspending => "suspending",
-            BusyKind::ParamPage => "parameter-page fetch",
-        }
-    }
-
-    /// Cache operations keep the bus usable while the array works; every
-    /// command and data-out stays legal during them.
-    fn allows_data_out(self) -> bool {
-        matches!(self, BusyKind::CacheRead | BusyKind::CacheProgram)
-    }
 }
 
 /// Tri-state busy knowledge.
@@ -306,7 +215,13 @@ pub(crate) enum Tri {
 /// Abstract state of one LUN.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LunState {
-    pub decode: Decode,
+    /// The grammar's decode state; `None` when not known (single-
+    /// transaction mode starts there).
+    pub decode: Option<Decode>,
+    /// `decode` is `ReadAddr` entered by an ONFI `00h` output restore: a
+    /// legal place to stream data or end the transaction, not a pending
+    /// read.
+    pub restored: bool,
     pub out: OutSrc,
     /// Output source parked behind a READ STATUS (restored by `00h`).
     pub parked: OutSrc,
@@ -319,7 +234,8 @@ impl LunState {
     /// A freshly built channel: known-idle everywhere.
     pub fn reset() -> Self {
         LunState {
-            decode: Decode::Idle,
+            decode: Some(Decode::Idle),
+            restored: false,
             out: OutSrc::None,
             parked: OutSrc::None,
             busy: Busy::Idle,
@@ -331,12 +247,47 @@ impl LunState {
     /// Single-transaction mode: nothing is known about prior history.
     pub fn unknown() -> Self {
         LunState {
-            decode: Decode::Unknown,
+            decode: None,
+            restored: false,
             out: OutSrc::Unknown,
             parked: OutSrc::Unknown,
             busy: Busy::Unknown,
             suspended: Suspended::Unknown,
             row_loaded: Tri::Unknown,
+        }
+    }
+
+    /// States that are legal transaction-end points.
+    fn is_rest(&self) -> bool {
+        matches!(self.decode, None | Some(Decode::Idle)) || self.restored
+    }
+
+    /// The decode state, for diagnostics.
+    fn state_name(&self) -> &'static str {
+        if self.restored {
+            "output restored"
+        } else {
+            self.decode.map_or("unknown", Decode::name)
+        }
+    }
+
+    /// Takes `cycle` through the grammar: the action of an accepted cycle;
+    /// `Err(Some(_))` for a refused one, which leaves the decoder idle as
+    /// it leaves the LUN; `Err(None)` when the state is unknown and only
+    /// some states take the cycle.
+    fn step(&mut self, cycle: Cycle, layout: &AddrLayout) -> Result<Action, Option<Reject>> {
+        match decode::step_abstract(self.decode, cycle, layout) {
+            Ok((next, action)) => {
+                self.restored &= next == self.decode;
+                self.decode = next;
+                Ok(action)
+            }
+            Err(Some(reject)) => {
+                self.decode = Some(Decode::Idle);
+                self.restored = false;
+                Err(Some(reject))
+            }
+            Err(None) => Err(None),
         }
     }
 
@@ -586,48 +537,34 @@ impl<'a> Machine<'a> {
     // -- command latches ----------------------------------------------------
 
     fn on_cmd(&mut self, lun_id: u32, s: &mut LunState, opcode: u8, at: usize) -> CmdOutcome {
-        let mut out = CmdOutcome::default();
-        if classify(opcode) == OpClass::Unknown {
-            self.diag(
-                Rule::UnknownOpcode,
-                at,
-                lun_id,
-                format!("opcode {opcode:#04x} is not a recognized ONFI command"),
-            );
-            return out;
-        }
-        if opcode == op::READ_UNIQUE_ID {
-            self.diag(
-                Rule::UnsupportedOpcode,
-                at,
-                lun_id,
-                format!(
+        let found = s.state_name();
+        let pending = !s.is_rest();
+        let stepped = s.step(Cycle::Cmd(opcode), &self.model.layout);
+        if stepped == Err(Some(Reject::Unsupported)) {
+            let (rule, detail) = if classify(opcode) == OpClass::Unknown {
+                let detail = format!("opcode {opcode:#04x} is not a recognized ONFI command");
+                (Rule::UnknownOpcode, detail)
+            } else {
+                let detail = format!(
                     "{} is not implemented by the package model",
                     mnemonic(opcode)
-                ),
-            );
-            return out;
+                );
+                (Rule::UnsupportedOpcode, detail)
+            };
+            self.diag(rule, at, lun_id, detail);
+            return CmdOutcome::default();
         }
 
         // Busy discipline: only status/reset/suspend commands may interrupt
         // a known array operation (cache operations exempt everything).
-        let busy_legal = matches!(
-            opcode,
-            op::READ_STATUS
-                | op::READ_STATUS_ENHANCED
-                | op::RESET
-                | op::SYNC_RESET
-                | op::PROGRAM_SUSPEND
-                | op::ERASE_SUSPEND
-        );
         match s.busy {
-            Busy::Certain(kind) if !busy_legal && !kind.allows_data_out() => self.diag(
+            Busy::Certain(kind) if !kind.admits(opcode) => self.diag(
                 Rule::BusyViolation,
                 at,
                 lun_id,
                 format!("{} issued during {}", mnemonic(opcode), kind.name()),
             ),
-            Busy::Maybe(kind) if !busy_legal && !kind.allows_data_out() => self.diag(
+            Busy::Maybe(kind) if !kind.admits(opcode) => self.diag(
                 Rule::MaybeBusyViolation,
                 at,
                 lun_id,
@@ -642,57 +579,113 @@ impl<'a> Machine<'a> {
 
         // A fresh command while a latch sequence is half-done silently
         // drops the pending state on real parts — almost always a bug.
-        let consumes_pending = matches!(
-            opcode,
-            op::READ_2
-                | op::MULTI_PLANE_NEXT
-                | op::CHANGE_READ_COL_2
-                | op::PROGRAM_2
-                | op::PROGRAM_CACHE
-                | op::CHANGE_WRITE_COL
-                | op::ERASE_2
-                | op::READ_STATUS
-                | op::READ_STATUS_ENHANCED
-                | op::PSLC_PREFIX
-                | op::READ_RETRY_PREFIX
-                | op::PROGRAM_SUSPEND
-                | op::ERASE_SUSPEND
-                | op::SUSPEND_RESUME
-        );
-        if s.decode.is_abandonable() && !consumes_pending {
-            // Data-accepting states are consumed by data phases, not
-            // commands; a command there is a real abandonment too.
+        // Data-accepting states are consumed by data phases, not commands;
+        // a command there is a real abandonment too.
+        if pending && !decode::consumes_pending(opcode) {
             self.diag(
                 Rule::AbandonedSequence,
                 at,
                 lun_id,
-                format!(
-                    "{} abandons a pending sequence ({})",
-                    mnemonic(opcode),
-                    s.decode.name()
-                ),
+                format!("{} abandons a pending sequence ({found})", mnemonic(opcode)),
             );
         }
 
-        match opcode {
-            op::READ_STATUS | op::READ_STATUS_ENHANCED => {
+        match stepped {
+            Ok(action) => self.apply(lun_id, s, action, opcode, &[], at),
+            // Unsupported opcodes returned above: a command is refused only
+            // for the state it needs.
+            Err(Some(Reject::Expected(want))) => {
+                self.diag(
+                    Rule::ConfirmWithoutStart,
+                    at,
+                    lun_id,
+                    format!(
+                        "{} expects the LUN {}, found it {found}",
+                        mnemonic(opcode),
+                        want.name()
+                    ),
+                );
+                CmdOutcome::default()
+            }
+            Err(Some(reject)) => unreachable!("a command refused with {reject:?}"),
+            Err(None) => CmdOutcome {
+                busy_started: false,
+                maybe_started: true,
+            },
+        }
+    }
+
+    fn on_addr(&mut self, lun_id: u32, s: &mut LunState, bytes: &[u8], at: usize) -> CmdOutcome {
+        let found = s.state_name();
+        let n = bytes.len();
+        match s.step(Cycle::Addr(n), &self.model.layout) {
+            Ok(action) => return self.apply(lun_id, s, action, 0, bytes, at),
+            Err(Some(Reject::AddrLength(want))) => self.diag(
+                Rule::BadAddressLength,
+                at,
+                lun_id,
+                format!("a LUN {found} expects {want} address cycle(s), found {n}"),
+            ),
+            Err(Some(_)) => self.diag(
+                Rule::UnexpectedAddress,
+                at,
+                lun_id,
+                format!("address latch ({n} cycles) while the LUN is {found}"),
+            ),
+            Err(None) => {
+                return CmdOutcome {
+                    busy_started: false,
+                    maybe_started: true,
+                }
+            }
+        }
+        CmdOutcome::default()
+    }
+
+    /// Applies an accepted command (`opcode`) or address (`bytes`) over
+    /// the abstract state.
+    fn apply(
+        &mut self,
+        lun_id: u32,
+        s: &mut LunState,
+        action: Action,
+        opcode: u8,
+        bytes: &[u8],
+        at: usize,
+    ) -> CmdOutcome {
+        let mut out = CmdOutcome::default();
+        match action {
+            Action::Status => {
                 if s.out != OutSrc::Status {
                     s.parked = s.out;
                 }
                 s.out = OutSrc::Status;
-                s.decode = Decode::Idle;
             }
-            op::RESET | op::SYNC_RESET => {
-                s.decode = Decode::Idle;
+            Action::Restore => {
+                // ONFI 00h output restore.
+                s.restored = s.out == OutSrc::Status;
+                if s.restored {
+                    s.out = match s.parked {
+                        OutSrc::None | OutSrc::Status => match s.busy {
+                            Busy::Certain(k) | Busy::Maybe(k) if k.allows_data_out() => {
+                                OutSrc::Cache
+                            }
+                            _ => OutSrc::Page,
+                        },
+                        other => other,
+                    };
+                }
+            }
+            Action::Busy(BusyKind::Reset) => {
                 s.out = OutSrc::None;
                 s.parked = OutSrc::None;
                 s.suspended = Suspended::No;
                 s.busy = Busy::Certain(BusyKind::Reset);
                 out.busy_started = true;
             }
-            op::PROGRAM_SUSPEND | op::ERASE_SUSPEND => match s.busy {
+            Action::Suspend => match s.busy {
                 Busy::Certain(kind) => {
-                    if suspend_matches(kind, opcode) {
+                    if kind.suspended_by(opcode) {
                         s.suspended = Suspended::Yes(kind);
                         s.busy = Busy::Certain(BusyKind::Suspending);
                         out.busy_started = true;
@@ -710,7 +703,7 @@ impl<'a> Machine<'a> {
                     }
                 }
                 Busy::Maybe(kind) => {
-                    if suspend_matches(kind, opcode) {
+                    if kind.suspended_by(opcode) {
                         s.suspended = Suspended::Maybe(kind);
                         s.busy = Busy::Maybe(BusyKind::Suspending);
                         out.maybe_started = true;
@@ -730,7 +723,7 @@ impl<'a> Machine<'a> {
                 Busy::Idle => {} // suspending an idle LUN is a no-op
                 Busy::Unknown => out.maybe_started = true,
             },
-            op::SUSPEND_RESUME => match s.suspended {
+            Action::Resume => match s.suspended {
                 Suspended::Yes(kind) => {
                     s.suspended = Suspended::No;
                     s.busy = Busy::Certain(kind);
@@ -744,276 +737,57 @@ impl<'a> Machine<'a> {
                 Suspended::No => {} // resuming with nothing suspended is a no-op
                 Suspended::Unknown => out.maybe_started = true,
             },
-            op::PSLC_PREFIX | op::READ_RETRY_PREFIX => {
-                // Arms a mode flag; decode state untouched.
-            }
-            op::READ_1 => {
-                if s.out == OutSrc::Status {
-                    // ONFI 00h output restore.
-                    s.out = match s.parked {
-                        OutSrc::None | OutSrc::Status => match s.busy {
-                            Busy::Certain(k) | Busy::Maybe(k) if k.allows_data_out() => {
-                                OutSrc::Cache
-                            }
-                            _ => OutSrc::Page,
-                        },
-                        other => other,
-                    };
-                    s.decode = Decode::RestoredOut;
-                } else {
-                    s.decode = Decode::ReadAddr;
-                }
-            }
-            op::READ_2 => match s.decode {
-                Decode::ReadConfirm => {
-                    s.decode = Decode::Idle;
-                    s.out = OutSrc::None;
-                    s.busy = Busy::Certain(BusyKind::Read);
-                    out.busy_started = true;
-                }
-                Decode::Unknown => out.maybe_started = true,
-                found => {
-                    self.confirm_diag(lun_id, at, opcode, Decode::ReadConfirm, found);
-                    s.decode = Decode::Idle;
-                }
-            },
-            op::MULTI_PLANE_NEXT => match s.decode {
-                Decode::ReadConfirm => {
-                    s.decode = Decode::Idle;
-                    s.busy = Busy::Certain(BusyKind::PlaneQueue);
-                    out.busy_started = true;
-                }
-                Decode::Unknown => out.maybe_started = true,
-                found => {
-                    self.confirm_diag(lun_id, at, opcode, Decode::ReadConfirm, found);
-                    s.decode = Decode::Idle;
-                }
-            },
-            op::READ_CACHE_SEQ => match s.decode {
-                Decode::Idle => match s.row_loaded {
-                    Tri::Yes => {
-                        s.out = OutSrc::Cache;
-                        s.busy = Busy::Certain(BusyKind::CacheRead);
-                        out.busy_started = true;
-                    }
-                    Tri::No => {
-                        self.diag(
-                            Rule::ConfirmWithoutStart,
-                            at,
-                            lun_id,
-                            format!("{} with no page loaded to continue from", mnemonic(opcode)),
-                        );
-                    }
-                    Tri::Unknown => {
-                        s.out = OutSrc::Cache;
-                        s.busy = Busy::Maybe(BusyKind::CacheRead);
-                        out.maybe_started = true;
-                    }
-                },
-                Decode::Unknown => out.maybe_started = true,
-                found => self.confirm_diag(lun_id, at, opcode, Decode::Idle, found),
-            },
-            op::READ_CACHE_END => match s.decode {
-                Decode::Idle => {
+            Action::Busy(BusyKind::CacheRead) => match s.row_loaded {
+                Tri::Yes => {
                     s.out = OutSrc::Cache;
                     s.busy = Busy::Certain(BusyKind::CacheRead);
                     out.busy_started = true;
                 }
-                Decode::Unknown => out.maybe_started = true,
-                found => self.confirm_diag(lun_id, at, opcode, Decode::Idle, found),
-            },
-            op::CHANGE_READ_COL_1 => s.decode = Decode::ChgRdColAddr { full: false },
-            op::RANDOM_DATA_OUT_1 => s.decode = Decode::ChgRdColAddr { full: true },
-            op::CHANGE_READ_COL_2 => match s.decode {
-                Decode::ChgRdColConfirm => {
-                    s.decode = Decode::Idle;
-                    if !matches!(s.out, OutSrc::Cache | OutSrc::Param | OutSrc::Unknown) {
-                        s.out = OutSrc::Page;
-                    }
+                Tri::No => {
+                    self.diag(
+                        Rule::ConfirmWithoutStart,
+                        at,
+                        lun_id,
+                        format!("{} with no page loaded to continue from", mnemonic(opcode)),
+                    );
                 }
-                Decode::Unknown => out.maybe_started = true,
-                found => {
-                    self.confirm_diag(lun_id, at, opcode, Decode::ChgRdColConfirm, found);
-                    s.decode = Decode::Idle;
+                Tri::Unknown => {
+                    s.out = OutSrc::Cache;
+                    s.busy = Busy::Maybe(BusyKind::CacheRead);
+                    out.maybe_started = true;
                 }
             },
-            op::PROGRAM_1 => s.decode = Decode::ProgAddr,
-            op::CHANGE_WRITE_COL => match s.decode {
-                Decode::ProgData => s.decode = Decode::ChgWrColAddr,
-                Decode::Unknown => out.maybe_started = true,
-                found => {
-                    self.confirm_diag(lun_id, at, opcode, Decode::ProgData, found);
-                    s.decode = Decode::Idle;
-                }
-            },
-            op::PROGRAM_2 | op::PROGRAM_CACHE => match s.decode {
-                Decode::ProgData => {
-                    s.decode = Decode::Idle;
-                    s.busy = Busy::Certain(if opcode == op::PROGRAM_CACHE {
-                        BusyKind::CacheProgram
-                    } else {
-                        BusyKind::Program
-                    });
-                    out.busy_started = true;
-                }
-                Decode::Unknown => out.maybe_started = true,
-                found => {
-                    self.confirm_diag(lun_id, at, opcode, Decode::ProgData, found);
-                    s.decode = Decode::Idle;
-                }
-            },
-            op::ERASE_1 => s.decode = Decode::EraseAddr,
-            op::ERASE_2 => match s.decode {
-                Decode::EraseConfirm => {
-                    s.decode = Decode::Idle;
-                    s.busy = Busy::Certain(BusyKind::Erase);
-                    out.busy_started = true;
-                }
-                Decode::Unknown => out.maybe_started = true,
-                found => {
-                    self.confirm_diag(lun_id, at, opcode, Decode::EraseConfirm, found);
-                    s.decode = Decode::Idle;
-                }
-            },
-            op::SET_FEATURES => s.decode = Decode::FeatAddrSet,
-            op::GET_FEATURES => s.decode = Decode::FeatAddrGet,
-            op::READ_ID => s.decode = Decode::IdAddr,
-            op::READ_PARAM_PAGE => s.decode = Decode::ParamAddr,
-            other => {
-                // Defined, classified, but with no decoder arm in the
-                // package model (e.g. MULTI_PLANE_QUEUE).
-                self.diag(
-                    Rule::UnsupportedOpcode,
-                    at,
-                    lun_id,
-                    format!(
-                        "{} is not implemented by the package model",
-                        mnemonic(other)
-                    ),
-                );
+            Action::CacheEnd => {
+                s.out = OutSrc::Cache;
+                s.busy = Busy::Certain(BusyKind::CacheRead);
+                out.busy_started = true;
             }
-        }
-        out
-    }
-
-    fn confirm_diag(&mut self, lun_id: u32, at: usize, opcode: u8, want: Decode, found: Decode) {
-        self.diag(
-            Rule::ConfirmWithoutStart,
-            at,
-            lun_id,
-            format!(
-                "{} expects the LUN {}, found it {}",
-                mnemonic(opcode),
-                want.name(),
-                found.name()
-            ),
-        );
-    }
-
-    // -- address latches ----------------------------------------------------
-
-    fn on_addr(&mut self, lun_id: u32, s: &mut LunState, bytes: &[u8], at: usize) -> CmdOutcome {
-        let mut out = CmdOutcome::default();
-        let layout = &self.model.layout;
-        let decode = std::mem::replace(&mut s.decode, Decode::Idle);
-        // Checks the cycle count; on mismatch the decoder resets to idle
-        // (mirroring the model) and the sequence is dead.
-        let expect = |this: &mut Self, want: usize| -> bool {
-            if bytes.len() == want {
-                true
-            } else {
-                this.diag(
-                    Rule::BadAddressLength,
-                    at,
-                    lun_id,
-                    format!(
-                        "a LUN {} expects {want} address cycle(s), found {}",
-                        decode.name(),
-                        bytes.len()
-                    ),
-                );
-                false
+            Action::Busy(kind) => {
+                if kind == BusyKind::Read {
+                    s.out = OutSrc::None;
+                }
+                s.busy = Busy::Certain(kind);
+                out.busy_started = true;
             }
-        };
-        match decode {
-            Decode::ReadAddr | Decode::RestoredOut => {
-                if expect(self, layout.full_cycles()) {
-                    self.check_row(lun_id, at, &bytes[layout.col_cycles..]);
-                    s.decode = Decode::ReadConfirm;
+            Action::SelectColumn => {
+                if !matches!(s.out, OutSrc::Cache | OutSrc::Param | OutSrc::Unknown) {
+                    s.out = OutSrc::Page;
                 }
             }
-            Decode::ChgRdColAddr { full } => {
-                let want = if full {
-                    layout.full_cycles()
-                } else {
-                    layout.col_cycles
-                };
-                if expect(self, want) {
-                    if full {
-                        self.check_row(lun_id, at, &bytes[layout.col_cycles..]);
-                    }
-                    s.decode = Decode::ChgRdColConfirm;
-                }
+            Action::LatchPage | Action::LatchProgram => {
+                self.check_row(lun_id, at, &bytes[self.model.layout.col_cycles..])
             }
-            Decode::ProgAddr => {
-                if expect(self, layout.full_cycles()) {
-                    self.check_row(lun_id, at, &bytes[layout.col_cycles..]);
-                    s.decode = Decode::ProgData;
-                }
-            }
-            Decode::ChgWrColAddr => {
-                if expect(self, layout.col_cycles) {
-                    s.decode = Decode::ProgData;
-                }
-            }
-            Decode::EraseAddr => {
-                if expect(self, layout.row_cycles) {
-                    self.check_row(lun_id, at, bytes);
-                    s.decode = Decode::EraseConfirm;
-                }
-            }
-            Decode::FeatAddrSet => {
-                if expect(self, 1) {
-                    s.decode = Decode::FeatData;
-                }
-            }
-            Decode::FeatAddrGet => {
-                if expect(self, 1) {
-                    s.out = OutSrc::Features;
-                }
-            }
-            Decode::IdAddr => {
-                if expect(self, 1) {
-                    s.out = OutSrc::Id;
-                }
-            }
-            Decode::ParamAddr => {
-                if expect(self, 1) {
-                    s.busy = Busy::Certain(BusyKind::ParamPage);
-                    out.busy_started = true;
-                }
-            }
-            Decode::Unknown => {
-                s.decode = Decode::Unknown;
-                out.maybe_started = true;
-            }
-            Decode::Idle
-            | Decode::ReadConfirm
-            | Decode::ChgRdColConfirm
-            | Decode::ProgData
-            | Decode::FeatData
-            | Decode::EraseConfirm => {
-                self.diag(
-                    Rule::UnexpectedAddress,
-                    at,
-                    lun_id,
-                    format!(
-                        "address latch ({} cycles) while the LUN is {}",
-                        bytes.len(),
-                        decode.name()
-                    ),
-                );
-            }
+            Action::LatchBlock => self.check_row(lun_id, at, bytes),
+            Action::ReadFeature => s.out = OutSrc::Features,
+            Action::ReadId => s.out = OutSrc::Id,
+            Action::None
+            | Action::ArmPslc
+            | Action::ArmRetry
+            | Action::LatchColumn
+            | Action::LatchWriteColumn
+            | Action::LatchFeature
+            | Action::Write
+            | Action::SetFeature => {}
         }
         out
     }
@@ -1037,8 +811,9 @@ impl<'a> Machine<'a> {
     // -- data phases ---------------------------------------------------------
 
     fn on_data_in(&mut self, lun_id: u32, s: &mut LunState, bytes: usize, at: usize) {
-        match s.decode {
-            Decode::ProgData => {
+        let found = s.state_name();
+        match s.step(Cycle::DataIn, &self.model.layout) {
+            Ok(Action::Write) => {
                 if bytes > self.model.raw_page_size {
                     self.diag(
                         Rule::OversizeDataIn,
@@ -1051,7 +826,7 @@ impl<'a> Machine<'a> {
                     );
                 }
             }
-            Decode::FeatData => {
+            Ok(_) => {
                 if bytes != 4 {
                     self.diag(
                         Rule::FeatureDataLength,
@@ -1060,18 +835,14 @@ impl<'a> Machine<'a> {
                         format!("SET FEATURES expects exactly 4 parameter bytes, found {bytes}"),
                     );
                 }
-                s.decode = Decode::Idle;
             }
-            Decode::Unknown => {}
-            found => {
-                self.diag(
-                    Rule::DataInIllegal,
-                    at,
-                    lun_id,
-                    format!("data-in ({bytes} bytes) while the LUN is {}", found.name()),
-                );
-                s.decode = Decode::Idle;
-            }
+            Err(Some(_)) => self.diag(
+                Rule::DataInIllegal,
+                at,
+                lun_id,
+                format!("data-in ({bytes} bytes) while the LUN is {found}"),
+            ),
+            Err(None) => {}
         }
     }
 
@@ -1170,14 +941,14 @@ impl<'a> Machine<'a> {
 
     /// Transaction-boundary hygiene for one LUN.
     pub fn end_of_transaction(&mut self, lun_id: u32, state: &mut LunState, last_at: usize) {
-        if !state.decode.is_rest() {
+        if !state.is_rest() {
             self.diag(
                 Rule::DanglingSequence,
                 last_at,
                 lun_id,
                 format!(
                     "transaction ends with the LUN {} — not a legal deschedule point",
-                    state.decode.name()
+                    state.state_name()
                 ),
             );
         }
@@ -1187,16 +958,6 @@ impl<'a> Machine<'a> {
     }
 }
 
-fn suspend_matches(kind: BusyKind, opcode: u8) -> bool {
-    matches!(
-        (kind, opcode),
-        (
-            BusyKind::Program | BusyKind::CacheProgram,
-            op::PROGRAM_SUSPEND
-        ) | (BusyKind::Erase, op::ERASE_SUSPEND)
-    )
-}
-
 fn wait_name(post: PostWait) -> &'static str {
     match post {
         PostWait::None => "no wait",
@@ -1204,5 +965,162 @@ fn wait_name(post: PostWait) -> &'static str {
         PostWait::Whr => "tWHR",
         PostWait::Adl => "tADL",
         PostWait::Ccs => "tCCS",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The three consumers of the shared grammar — the flash model's LUN,
+    //! this verifier and the envelope analyzer — agree on every reachable
+    //! (decode state, opcode), (decode state, address length) and
+    //! (decode state, data-in) pair: on accept or reject, on the state
+    //! each ends in, and on the busy period each starts.
+
+    use super::*;
+    use crate::envelope::{ArrayBounds, EnergyCosts, EnvLun, Event, Interval};
+    use babol_flash::lun::{Lun, LunConfig, LunResponse};
+    use babol_flash::PackageProfile;
+    use babol_onfi::decode::step;
+    use babol_sim::{PageData, SimTime};
+
+    /// The busy period each accepted cycle starts, as the datasheet has it,
+    /// written apart from the grammar's table so a kind swapped there is
+    /// caught.
+    fn datasheet_busy(state: Decode, cycle: Cycle) -> Option<BusyKind> {
+        Some(match (state, cycle) {
+            (_, Cycle::Cmd(op::READ_2)) => BusyKind::Read,
+            (_, Cycle::Cmd(op::MULTI_PLANE_NEXT)) => BusyKind::PlaneQueue,
+            (_, Cycle::Cmd(op::READ_CACHE_SEQ | op::READ_CACHE_END)) => BusyKind::CacheRead,
+            (_, Cycle::Cmd(op::PROGRAM_2)) => BusyKind::Program,
+            (_, Cycle::Cmd(op::PROGRAM_CACHE)) => BusyKind::CacheProgram,
+            (_, Cycle::Cmd(op::ERASE_2)) => BusyKind::Erase,
+            (_, Cycle::Cmd(op::RESET | op::SYNC_RESET)) => BusyKind::Reset,
+            (Decode::ParamAddr, Cycle::Addr(_)) => BusyKind::ParamPage,
+            _ => return None,
+        })
+    }
+
+    /// Every cycle the pairs cover: each defined opcode and one undefined
+    /// one, address lengths from zero to one past a full address, and a
+    /// four-byte data-in.
+    fn cycles(layout: &AddrLayout) -> Vec<Cycle> {
+        let mut all: Vec<Cycle> = op::ALL.iter().map(|&o| Cycle::Cmd(o)).collect();
+        all.push(Cycle::Cmd(0xA7));
+        all.extend((0..=layout.full_cycles() + 1).map(Cycle::Addr));
+        all.push(Cycle::DataIn);
+        all
+    }
+
+    /// A shortest path of cycles from idle to every state, over cycles
+    /// that start no busy period.
+    fn paths(layout: &AddrLayout) -> Vec<(Decode, Vec<Cycle>)> {
+        let mut found = vec![(Decode::Idle, Vec::new())];
+        let mut i = 0;
+        while i < found.len() {
+            let (state, path) = found[i].clone();
+            for cycle in cycles(layout) {
+                if let Ok((next, action)) = step(state, cycle, layout) {
+                    let starts_busy = matches!(action, Action::Busy(_) | Action::CacheEnd);
+                    if !starts_busy && found.iter().all(|(s, _)| *s != next) {
+                        let mut longer = path.clone();
+                        longer.push(cycle);
+                        found.push((next, longer));
+                    }
+                }
+            }
+            i += 1;
+        }
+        found
+    }
+
+    /// Plays `cycle` on the LUN at `now`: whether it is taken.
+    fn play(lun: &mut Lun, now: SimTime, cycle: Cycle) -> bool {
+        let kind = match cycle {
+            Cycle::Cmd(opcode) => PhaseKind::CmdLatch(opcode),
+            Cycle::Addr(n) => PhaseKind::AddrLatch(vec![0; n]),
+            Cycle::DataIn => PhaseKind::DataIn(PageData::fill(0, 4)),
+        };
+        let phase = BusPhase::new(kind, SimDuration::ZERO);
+        matches!(lun.phase(now, &phase), Ok(LunResponse::Accepted))
+    }
+
+    #[test]
+    fn lun_verifier_and_envelope_agree_on_every_pair() {
+        let profile = PackageProfile::test_tiny();
+        let model = TargetModel::from_profile(&profile);
+        let layout = model.layout;
+        let bounds = ArrayBounds::from_profile(&profile);
+        let paths = paths(&layout);
+        assert_eq!(paths.len(), Decode::ALL.len(), "every state is reachable");
+        let mut pairs = 0;
+        for (state, path) in &paths {
+            for cycle in cycles(&layout) {
+                let at = format!("{cycle:?} from {state:?}");
+
+                // The LUN: a page loaded (so a cache read has one to
+                // continue from), then the path, then the cycle.
+                let mut lun = Lun::new(LunConfig::test_default());
+                let mut now = SimTime::ZERO;
+                let load = [Cycle::Cmd(op::READ_1), Cycle::Addr(layout.full_cycles())];
+                for c in load.into_iter().chain([Cycle::Cmd(op::READ_2)]) {
+                    assert!(play(&mut lun, now, c));
+                }
+                now = lun.busy_until().unwrap() + SimDuration::from_nanos(1);
+                for &c in path {
+                    assert!(play(&mut lun, now, c), "path {path:?}");
+                }
+                assert_eq!(lun.decode_state(), *state, "path {path:?}");
+                let lun_ok = play(&mut lun, now, cycle);
+
+                // The verifier, from the same known state.
+                let mut report = Report::new();
+                let mut v = LunState::reset();
+                v.decode = Some(*state);
+                v.out = OutSrc::Page;
+                v.row_loaded = Tri::Yes;
+                let mut m = Machine::new(&model, 0, &mut report);
+                match cycle {
+                    Cycle::Cmd(opcode) => drop(m.on_cmd(0, &mut v, opcode, 0)),
+                    Cycle::Addr(n) => drop(m.on_addr(0, &mut v, &vec![0; n], 0)),
+                    Cycle::DataIn => m.on_data_in(0, &mut v, 4, 0),
+                }
+                let verifier_ok = !report.has_errors();
+
+                // The envelope, from the same known state.
+                let mut e = EnvLun::power_on();
+                e.dec = Some(*state);
+                let addr = vec![0; layout.full_cycles() + 1];
+                let data = PageData::fill(0, 4);
+                let event = match cycle {
+                    Cycle::Cmd(opcode) => Event::Cmd(opcode),
+                    Cycle::Addr(n) => Event::Addr(&addr[..n]),
+                    Cycle::DataIn => Event::DataIn {
+                        bytes: 4,
+                        value: Some(&data),
+                    },
+                };
+                let (mut energy, mut moved) = (Interval::ZERO, Interval::ZERO);
+                let costs = EnergyCosts::nand();
+                e.on_event(0, &event, &bounds, &costs, &mut energy, &mut moved);
+                let envelope_ok = e.dec.is_some();
+
+                assert_eq!(lun_ok, verifier_ok, "{at}: LUN vs verifier accept");
+                assert_eq!(lun_ok, envelope_ok, "{at}: LUN vs envelope accept");
+                assert_eq!(Some(lun.decode_state()), v.decode, "{at}: next state");
+                if lun_ok {
+                    assert_eq!(e.dec, v.decode, "{at}: envelope next state");
+                }
+                let verifier_busy = match v.busy {
+                    Busy::Certain(kind) => Some(kind),
+                    _ => None,
+                };
+                let want = datasheet_busy(*state, cycle).filter(|_| lun_ok);
+                assert_eq!(lun.busy_kind(), want, "{at}: LUN busy");
+                assert_eq!(verifier_busy, want, "{at}: verifier busy");
+                assert_eq!(e.busy.map(|b| b.kind), want, "{at}: envelope busy");
+                pairs += 1;
+            }
+        }
+        assert_eq!(pairs, Decode::ALL.len() * cycles(&layout).len());
     }
 }

@@ -51,14 +51,13 @@ write job with the streaming-telemetry hub on and off), the metrics-on
 time may exceed the metrics-off time by at most
 BABOL_BENCH_METRICS_OVERHEAD_PCT percent (default 5). Same-host,
 same-work comparison, so no normalization. The bench runner times the
-pair with interleaved iterations so host drift lands on both sample
-sets; the gate then takes the SMALLER of the median-based and min-based
-overhead estimates. That is sound because the simulated work is
-deterministic: host noise can only add time to individual samples and
-inflates the two statistics independently, while a real sampling-cost
-regression shifts the whole on-distribution and inflates both. The
-hub's delta-snapshot sampling is designed to be nearly free and this
-gate keeps it that way.
+pair with interleaved iterations and records, on the metrics-on row, the
+median of the per-iteration on/off ratios ("pair_ratio"): both halves of
+each ratio ran back to back and saw the same host state, so a host that
+jumps between speed levels during the run moves both and the ratio holds
+still, where the two medians (each taken over its own samples) can land
+on different levels. The gate reads that field. The hub's delta-snapshot
+sampling is designed to be nearly free and this gate keeps it that way.
 
 Energy gate: every fresh result row must carry a "joules" field
 (babol-bench-v1 rows report simulated flash energy; 0.0 means the bench
@@ -170,30 +169,21 @@ def check_metrics_pair(fresh_doc, fresh, failures):
     if METRICS_ON not in fresh or METRICS_OFF not in fresh:
         return
     allowed = float(os.environ.get("BABOL_BENCH_METRICS_OVERHEAD_PCT", "5"))
-    if fresh[METRICS_OFF] <= 0:
-        failures.append(f"{METRICS_OFF}: zero median, cannot compute overhead")
+    row = next(r for r in fresh_doc["results"] if r["name"] == METRICS_ON)
+    if "pair_ratio" not in row:
+        failures.append(f"{METRICS_ON}: no pair_ratio, cannot compute overhead")
         return
-    by_median = (fresh[METRICS_ON] - fresh[METRICS_OFF]) / fresh[METRICS_OFF] * 100.0
-    mins = {r["name"]: float(r.get("min_ns", 0.0)) for r in fresh_doc["results"]}
-    if mins.get(METRICS_OFF, 0.0) > 0:
-        by_min = (mins[METRICS_ON] - mins[METRICS_OFF]) / mins[METRICS_OFF] * 100.0
-    else:
-        by_min = by_median
-    # Deterministic work: noise only inflates samples, so the smaller of
-    # the two estimates is the better one (see module docstring).
-    overhead = min(by_median, by_min)
+    overhead = (float(row["pair_ratio"]) - 1.0) * 100.0
     verdict = "OK" if overhead <= allowed else "FAILED"
     print(
         f"telemetry overhead gate {verdict}: {METRICS_ON} vs {METRICS_OFF} = "
-        f"{overhead:+.2f}% (median {by_median:+.2f}%, min {by_min:+.2f}%, "
-        f"allowed +{allowed:.1f}%)"
+        f"{overhead:+.2f}% (median per-pair ratio, allowed +{allowed:.1f}%)"
     )
     if overhead > allowed:
         failures.append(
             f"telemetry overhead {overhead:+.2f}% above the +{allowed:.1f}% "
-            f"ceiling ({METRICS_ON} median {fresh[METRICS_ON]:.0f} ns / "
-            f"min {mins.get(METRICS_ON, 0.0):.0f} ns, {METRICS_OFF} median "
-            f"{fresh[METRICS_OFF]:.0f} ns / min {mins.get(METRICS_OFF, 0.0):.0f} ns)"
+            f"ceiling (median per-pair ratio {row['pair_ratio']}; medians "
+            f"{fresh[METRICS_ON]:.0f} ns on, {fresh[METRICS_OFF]:.0f} ns off)"
         )
 
 

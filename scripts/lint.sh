@@ -51,6 +51,12 @@
 # `first_byte`) only in the functions listed in PAGE_BYTES_ALLOW, the edges
 # of the data path. A copy anywhere else (a register slice, a gather
 # buffer, a DRAM packet) is the waste the type exists to remove.
+#
+# The ONFI command grammar is written once, in crates/onfi/src/decode.rs:
+# the LUN model, the static verifier and the envelope analyzer each apply
+# the actions of its one transition function. The decode-state enum
+# (`Decode`) and `BusyKind` may be defined nowhere else, so no consumer
+# grows a second grammar beside it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,7 +111,7 @@ PAGE_BYTES_ALLOW=(
   "crates/core/src/hw/cosmos.rs:arbitrate"
   "crates/core/src/hw/sync_ctrl.rs:arbitrate"
   # The static verifier reading a raw phase program's pSLC feature value.
-  "crates/verify/src/envelope.rs:on_data_in"
+  "crates/verify/src/envelope.rs:on_event"
 )
 
 fail=0
@@ -237,6 +243,16 @@ while IFS= read -r hit; do
   fail=1
 done <<< "$page_bytes"
 
+for name in Decode BusyKind; do
+  defs=$(grep -rlE --include='*.rs' "\benum $name\b" crates src tests examples 2>/dev/null || true)
+  if [ "$defs" != "crates/onfi/src/decode.rs" ]; then
+    echo "lint: enum $name must be defined in crates/onfi/src/decode.rs alone; found in:"
+    echo "  ${defs:-no file}" | tr '\n' ' '
+    echo
+    fail=1
+  fi
+done
+
 report "FTL completions taken outside Ssd::harvest" \
   "$(ftl_calls_outside take_completions harvest)"
 report "event queue stepped outside Ssd::drive" \
@@ -251,6 +267,7 @@ if [ "$fail" -ne 0 ]; then
   echo "takes controller completions only in Ssd::harvest and steps the"
   echo "event queue only in Ssd::drive. Status waits go through StatusWait."
   echo "Page data stays a PageData between the edges in PAGE_BYTES_ALLOW."
+  echo "The ONFI grammar's states and busy kinds live in babol_onfi::decode."
   exit 1
 fi
-echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait and page-bytes lint: clean"
+echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait, page-bytes and one-decoder lint: clean"
