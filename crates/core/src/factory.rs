@@ -23,6 +23,17 @@ fn row_of(req: &IoRequest) -> RowAddr {
     }
 }
 
+/// Copies the runtime's poll backoff and the request id into a task's
+/// mailbox.
+fn tagged(task: Box<dyn SoftTask>, cfg: &RuntimeConfig, req: &IoRequest) -> Box<dyn SoftTask> {
+    {
+        let mut mb = task.mailbox().borrow_mut();
+        mb.poll_backoff = cfg.poll_backoff;
+        mb.op_id = req.id;
+    }
+    task
+}
+
 /// Builds the coroutine-environment BABOL controller ("Coro" in Fig. 10).
 pub fn coro_controller(layout: AddrLayout, cfg: RuntimeConfig) -> SoftController {
     SoftController::new("BABOL-Coro", cfg, move |req| {
@@ -31,8 +42,6 @@ pub fn coro_controller(layout: AddrLayout, cfg: RuntimeConfig) -> SoftController
             layout,
         };
         let ctx = OpCtx::new(req.lun, 0);
-        ctx.set_poll_backoff(cfg.poll_backoff);
-        ctx.set_op_id(req.id);
         let req = *req;
         let body_ctx = ctx.clone();
         let future: std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> = match req.kind {
@@ -58,7 +67,7 @@ pub fn coro_controller(layout: AddrLayout, cfg: RuntimeConfig) -> SoftController
                 }
             }),
         };
-        Box::new(CoroTask::new(&ctx, future)) as Box<dyn SoftTask>
+        tagged(Box::new(CoroTask::new(&ctx, future)), &cfg, &req)
     })
 }
 
@@ -69,31 +78,21 @@ pub fn rtos_controller(layout: AddrLayout, cfg: RuntimeConfig) -> SoftController
             chip: req.lun,
             layout,
         };
-        match req.kind {
-            IoKind::Read => Box::new(
-                RtosTask::new(
-                    req.lun,
-                    0,
-                    ReadOp::new(t, row_of(req), req.col, req.len, req.dram_addr, false),
-                )
-                .with_poll_backoff(cfg.poll_backoff)
-                .with_op_id(req.id),
-            ) as Box<dyn SoftTask>,
-            IoKind::Program => Box::new(
-                RtosTask::new(
-                    req.lun,
-                    0,
-                    ProgramOp::new(t, row_of(req), req.dram_addr, req.len, false),
-                )
-                .with_poll_backoff(cfg.poll_backoff)
-                .with_op_id(req.id),
-            ),
-            IoKind::Erase => Box::new(
-                RtosTask::new(req.lun, 0, EraseOp::new(t, row_of(req)))
-                    .with_poll_backoff(cfg.poll_backoff)
-                    .with_op_id(req.id),
-            ),
-        }
+        let row = row_of(req);
+        let task: Box<dyn SoftTask> = match req.kind {
+            IoKind::Read => Box::new(RtosTask::new(
+                req.lun,
+                0,
+                ReadOp::new(t, row, req.col, req.len, req.dram_addr, false),
+            )),
+            IoKind::Program => Box::new(RtosTask::new(
+                req.lun,
+                0,
+                ProgramOp::new(t, row, req.dram_addr, req.len, false),
+            )),
+            IoKind::Erase => Box::new(RtosTask::new(req.lun, 0, EraseOp::new(t, row))),
+        };
+        tagged(task, &cfg, req)
     })
 }
 

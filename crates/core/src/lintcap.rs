@@ -114,21 +114,13 @@ const DEST: u64 = 0x2_0000;
 const SRC: u64 = 0x8_0000;
 const SCRATCH: u64 = 0xF_0000;
 
-/// Runs `kind` against a pristine channel wired per `profile` and returns
-/// every transaction the operation emitted, in emission order.
-///
-/// The harness is a miniature, deterministic stand-in for the full
-/// [`crate::system::Engine`]: it advances the coroutine, forwards staged
-/// DRAM writes, executes each transaction with the real μFSM engine at the
-/// earliest legal bus time, honours sleeps by jumping simulated time, and
-/// delivers results until the operation finishes.
-///
-/// # Panics
-///
-/// Panics if the operation livelocks (no transaction, sleep, or completion
-/// for many consecutive advances) or a transaction fails to execute — both
-/// indicate a bug worth failing a lint run over.
-pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
+/// The channel the captures run on: pristine LUNs wired per `profile`
+/// (at least two, for the gang read), blocks 0 and 1 holding the seed pages
+/// the read-flavoured captures read (reading a never-programmed page
+/// reports FAIL, which would derail a capture into the error path), and
+/// DRAM holding the program-flavoured captures' source data. The
+/// verifier's tests replay captured streams on the same rig.
+pub fn rig(profile: &PackageProfile) -> (Channel, Dram, EmitConfig) {
     let lun_count = profile.luns_per_channel.max(2);
     let luns: Vec<Lun> = (0..lun_count)
         .map(|i| {
@@ -142,135 +134,48 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
         })
         .collect();
     let mut channel = Channel::new(luns);
-    let mut dram = Dram::new();
-    let emit = EmitConfig::nv_ddr2(profile.max_mts.min(200));
-
-    let layout = profile.layout();
-    let t = Target { chip: 0, layout };
-    let len = profile.geometry.page_size.min(2048);
-    let row = |block: u32, page: u32| RowAddr {
-        lun: 0,
-        block,
-        page,
-    };
-    // Source data for program-flavoured captures, and pre-programmed pages
-    // for the read-flavoured ones (reading a never-programmed page reports
-    // FAIL, which would derail the capture into the error path).
-    dram.write(SRC, &vec![0xA5u8; len]);
+    let len = page_len(profile);
     let seed_page = vec![0x5Au8; len];
+    let seeded = (0..4).map(|page| (0, page)).chain([(1, 0)]);
     for lun in 0..lun_count {
         let array = channel.lun_mut(lun).array_mut();
-        for page in 0..4 {
+        for (block, page) in seeded.clone() {
             array
-                .program_page(
-                    RowAddr {
-                        lun,
-                        block: 0,
-                        page,
-                    },
-                    &seed_page,
-                    false,
-                )
+                .program_page(RowAddr { lun, block, page }, &seed_page, false)
                 .expect("seed program");
         }
-        array
-            .program_page(
-                RowAddr {
-                    lun,
-                    block: 1,
-                    page: 0,
-                },
-                &seed_page,
-                false,
-            )
-            .expect("seed program");
     }
+    let mut dram = Dram::new();
+    dram.write(SRC, &vec![0xA5u8; len]);
+    (channel, dram, EmitConfig::nv_ddr2(profile.max_mts.min(200)))
+}
 
-    let ctx = OpCtx::new(0, 0);
+/// Bytes each capture reads or programs.
+fn page_len(profile: &PackageProfile) -> usize {
+    profile.geometry.page_size.min(2048)
+}
+
+/// Runs `kind` against a fresh [`rig`] and returns every transaction the
+/// operation emitted, in emission order.
+///
+/// The harness is a miniature, deterministic stand-in for the full
+/// [`crate::system::Engine`]: it advances the coroutine, forwards staged
+/// DRAM writes, executes each transaction with the real μFSM engine at the
+/// earliest legal bus time, honours sleeps by jumping simulated time, and
+/// delivers results until the operation finishes.
+///
+/// # Panics
+///
+/// Panics if the operation livelocks (no transaction, sleep, or completion
+/// for many consecutive advances) or a transaction fails to execute — both
+/// indicate a bug worth failing a lint run over.
+pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
+    let (mut channel, mut dram, emit) = rig(profile);
+    let mut task = op_task(profile, kind);
+
     // A realistic pacing quantum, so poll loops sleep instead of hammering
     // the bus (and the capture loop can make time progress).
-    ctx.set_poll_backoff(SimDuration::from_micros(2));
-
-    let mut task: CoroTask = {
-        let c = ctx.clone();
-        match kind {
-            OpKind::ReadStatus => CoroTask::new(&ctx, async move {
-                ops::read_status(&c, &t).await;
-            }),
-            OpKind::WaitReady => CoroTask::new(&ctx, async move {
-                ops::wait_ready(&c, &t).await;
-            }),
-            OpKind::ReadPage => CoroTask::new(&ctx, async move {
-                ops::read_page(&c, &t, row(0, 0), 0, len, DEST)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::ReadPagePslc => CoroTask::new(&ctx, async move {
-                ops::read_page_pslc(&c, &t, row(0, 0), 0, len, DEST)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::ProgramPage => CoroTask::new(&ctx, async move {
-                ops::program_page(&c, &t, row(4, 0), SRC, len)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::ProgramPagePslc => CoroTask::new(&ctx, async move {
-                ops::program_page_pslc(&c, &t, row(4, 0), SRC, len)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::EraseBlock => CoroTask::new(&ctx, async move {
-                ops::erase_block(&c, &t, row(2, 0)).await.unwrap();
-            }),
-            OpKind::SetFeatures => CoroTask::new(&ctx, async move {
-                ops::set_features(&c, &t, 0x01, [0x05, 0, 0, 0], SCRATCH)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::GetFeatures => CoroTask::new(&ctx, async move {
-                ops::get_features(&c, &t, 0x01).await;
-            }),
-            OpKind::ReadId => CoroTask::new(&ctx, async move {
-                ops::read_id(&c, &t, 8).await;
-            }),
-            OpKind::Reset => CoroTask::new(&ctx, async move {
-                ops::reset(&c, &t).await.unwrap();
-            }),
-            OpKind::ReadParamPage => CoroTask::new(&ctx, async move {
-                ops::read_param_page(&c, &t, 3).await;
-            }),
-            OpKind::ReadWithRetry => CoroTask::new(&ctx, async move {
-                // Reject level 0 once so the retry path (SET FEATURES +
-                // re-read) is part of the capture.
-                ops::read_with_retry(&c, &t, row(0, 1), len, DEST, SCRATCH, 3, |level| level >= 1)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::GangRead => CoroTask::new(&ctx, async move {
-                let targets = [Target { chip: 0, layout }, Target { chip: 1, layout }];
-                ops::gang_read(&c, &targets, row(0, 2), len, DEST)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::CacheReadSeq => CoroTask::new(&ctx, async move {
-                ops::cache_read_seq(&c, &t, row(0, 0), 3, len, DEST)
-                    .await
-                    .unwrap();
-            }),
-            OpKind::MultiPlaneRead => CoroTask::new(&ctx, async move {
-                // Blocks 0 and 1 interleave onto planes 0 and 1.
-                ops::multi_plane_read(&c, &t, [row(0, 0), row(1, 0)], len, [DEST, DEST + 0x4000])
-                    .await
-                    .unwrap();
-            }),
-            OpKind::EraseWithSuspendedRead => CoroTask::new(&ctx, async move {
-                ops::erase_with_suspended_read(&c, &t, row(3, 0), row(0, 3), len, DEST)
-                    .await
-                    .unwrap();
-            }),
-        }
-    };
+    task.mailbox().borrow_mut().poll_backoff = SimDuration::from_micros(2);
 
     let mut captured = Vec::new();
     let mut now = SimTime::ZERO;
@@ -278,18 +183,16 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
     let (mut trace, mut scratch) = (Tracer::disabled(), EmitScratch::default());
     loop {
         let status = task.advance(now);
-        let mut staged = Vec::new();
-        task.drain_staged(&mut staged);
-        for (addr, bytes) in staged {
+        let mut mb = task.mailbox().borrow_mut();
+        for (addr, bytes) in mb.staged.drain(..) {
             dram.write_data(addr, bytes);
         }
-        let mut outbox = Vec::new();
-        task.drain_outbox(&mut outbox);
+        let outbox = std::mem::take(&mut mb.outbox);
         if outbox.is_empty() {
             if status == TaskStatus::Finished {
                 break;
             }
-            if let Some(d) = task.take_sleep() {
+            if let Some(d) = mb.sleep.take() {
                 now += d;
                 idle_advances = 0;
                 continue;
@@ -318,13 +221,16 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
             .unwrap_or_else(|e| panic!("operation {}: execute failed: {e:?}", kind.name()));
             now = out.end;
             captured.push(txn);
-            task.deliver(
+            mb.deliver(
                 ticket,
                 TxnResult {
                     inline: out.inline,
                     end: out.end,
                 },
             );
+        }
+        if status == TaskStatus::Finished {
+            break;
         }
     }
     assert!(
@@ -333,6 +239,98 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
         kind.name()
     );
     captured
+}
+
+/// `kind` as a coroutine task on chip 0 of a [`rig`], reading its seed
+/// pages and programming its source data.
+fn op_task(profile: &PackageProfile, kind: OpKind) -> CoroTask {
+    let layout = profile.layout();
+    let t = Target { chip: 0, layout };
+    let len = page_len(profile);
+    let row = |block: u32, page: u32| RowAddr {
+        lun: 0,
+        block,
+        page,
+    };
+    let ctx = OpCtx::new(0, 0);
+    let c = ctx.clone();
+    match kind {
+        OpKind::ReadStatus => CoroTask::new(&ctx, async move {
+            ops::read_status(&c, &t).await;
+        }),
+        OpKind::WaitReady => CoroTask::new(&ctx, async move {
+            ops::wait_ready(&c, &t).await;
+        }),
+        OpKind::ReadPage => CoroTask::new(&ctx, async move {
+            ops::read_page(&c, &t, row(0, 0), 0, len, DEST)
+                .await
+                .unwrap();
+        }),
+        OpKind::ReadPagePslc => CoroTask::new(&ctx, async move {
+            ops::read_page_pslc(&c, &t, row(0, 0), 0, len, DEST)
+                .await
+                .unwrap();
+        }),
+        OpKind::ProgramPage => CoroTask::new(&ctx, async move {
+            ops::program_page(&c, &t, row(4, 0), SRC, len)
+                .await
+                .unwrap();
+        }),
+        OpKind::ProgramPagePslc => CoroTask::new(&ctx, async move {
+            ops::program_page_pslc(&c, &t, row(4, 0), SRC, len)
+                .await
+                .unwrap();
+        }),
+        OpKind::EraseBlock => CoroTask::new(&ctx, async move {
+            ops::erase_block(&c, &t, row(2, 0)).await.unwrap();
+        }),
+        OpKind::SetFeatures => CoroTask::new(&ctx, async move {
+            ops::set_features(&c, &t, 0x01, [0x05, 0, 0, 0], SCRATCH)
+                .await
+                .unwrap();
+        }),
+        OpKind::GetFeatures => CoroTask::new(&ctx, async move {
+            ops::get_features(&c, &t, 0x01).await;
+        }),
+        OpKind::ReadId => CoroTask::new(&ctx, async move {
+            ops::read_id(&c, &t, 8).await;
+        }),
+        OpKind::Reset => CoroTask::new(&ctx, async move {
+            ops::reset(&c, &t).await.unwrap();
+        }),
+        OpKind::ReadParamPage => CoroTask::new(&ctx, async move {
+            ops::read_param_page(&c, &t, 3).await;
+        }),
+        OpKind::ReadWithRetry => CoroTask::new(&ctx, async move {
+            // Reject level 0 once so the retry path (SET FEATURES +
+            // re-read) is part of the capture.
+            ops::read_with_retry(&c, &t, row(0, 1), len, DEST, SCRATCH, 3, |level| level >= 1)
+                .await
+                .unwrap();
+        }),
+        OpKind::GangRead => CoroTask::new(&ctx, async move {
+            let targets = [Target { chip: 0, layout }, Target { chip: 1, layout }];
+            ops::gang_read(&c, &targets, row(0, 2), len, DEST)
+                .await
+                .unwrap();
+        }),
+        OpKind::CacheReadSeq => CoroTask::new(&ctx, async move {
+            ops::cache_read_seq(&c, &t, row(0, 0), 3, len, DEST)
+                .await
+                .unwrap();
+        }),
+        OpKind::MultiPlaneRead => CoroTask::new(&ctx, async move {
+            // Blocks 0 and 1 interleave onto planes 0 and 1.
+            ops::multi_plane_read(&c, &t, [row(0, 0), row(1, 0)], len, [DEST, DEST + 0x4000])
+                .await
+                .unwrap();
+        }),
+        OpKind::EraseWithSuspendedRead => CoroTask::new(&ctx, async move {
+            ops::erase_with_suspended_read(&c, &t, row(3, 0), row(0, 3), len, DEST)
+                .await
+                .unwrap();
+        }),
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,10 @@
 //! or a timer fired), wakers are no-ops, and all context-switch costs are
 //! charged by the shared [`SoftRuntime`](crate::runtime::SoftRuntime)
 //! through the coroutine [`CostModel`](babol_sim::CostModel).
+//!
+//! A [`CoroTask`] and the [`OpCtx`] its body awaits on share one
+//! `Rc<RefCell<Mailbox>>`: the body's futures borrow it while polled, and
+//! the runtime borrows it, through [`SoftTask::mailbox`], between polls.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -18,7 +22,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use babol_sim::{BufPool, PageData, SimDuration, SimTime};
+use babol_sim::{SimDuration, SimTime};
 use babol_ufsm::Transaction;
 
 use crate::runtime::{Mailbox, OpError, SoftTask, StatusWait, TaskStatus, TxnResult};
@@ -38,8 +42,7 @@ impl OpCtx {
     /// Creates a context for a task targeting `lun` at `priority`.
     pub fn new(lun: u32, priority: u8) -> Self {
         let mb = Mailbox {
-            lun,
-            priority,
+            meta: TaskMeta { lun, priority },
             ..Mailbox::default()
         };
         OpCtx {
@@ -95,18 +98,6 @@ impl OpCtx {
     /// The runtime's poll-pacing interval (zero = hot polling).
     pub fn poll_backoff(&self) -> SimDuration {
         self.mb.borrow().poll_backoff
-    }
-
-    /// Sets the poll-pacing interval (done by the controller factory from
-    /// the runtime configuration).
-    pub fn set_poll_backoff(&self, d: SimDuration) {
-        self.mb.borrow_mut().poll_backoff = d;
-    }
-
-    /// Tags the task with the host request id it serves, so trace events
-    /// across every layer attribute to the same operation.
-    pub fn set_op_id(&self, id: u64) {
-        self.mb.borrow_mut().op_id = id;
     }
 
     /// Records the operation's final outcome (read by the controller).
@@ -172,7 +163,6 @@ impl Future for ReadyWait {
 pub struct CoroTask {
     mb: Rc<RefCell<Mailbox>>,
     future: Pin<Box<dyn Future<Output = ()>>>,
-    finished: bool,
 }
 
 impl CoroTask {
@@ -183,77 +173,30 @@ impl CoroTask {
         CoroTask {
             mb: Rc::clone(&ctx.mb),
             future: Box::pin(future),
-            finished: false,
         }
     }
 }
 
 impl SoftTask for CoroTask {
     fn advance(&mut self, now: SimTime) -> TaskStatus {
-        if self.finished {
-            return TaskStatus::Finished;
-        }
         self.mb.borrow_mut().now = now;
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
         match self.future.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.finished = true;
-                TaskStatus::Finished
-            }
+            Poll::Ready(()) => TaskStatus::Finished,
             Poll::Pending => TaskStatus::Blocked,
         }
     }
 
-    fn drain_outbox(&mut self, out: &mut Vec<(u64, Transaction)>) {
-        out.append(&mut self.mb.borrow_mut().outbox);
-    }
-
-    fn deliver(&mut self, local_ticket: u64, result: TxnResult) {
-        self.mb.borrow_mut().deliver(local_ticket, result);
-    }
-
-    fn take_sleep(&mut self) -> Option<SimDuration> {
-        self.mb.borrow_mut().sleep.take()
-    }
-
-    fn status_wait(&self) -> Option<u32> {
-        self.mb.borrow().status_wait
-    }
-
-    fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>) {
-        out.append(&mut self.mb.borrow_mut().staged);
-    }
-
-    fn attach_pool(&mut self, pool: &BufPool) {
-        self.mb.borrow_mut().pool = pool.clone();
-    }
-
-    fn take_steps(&mut self) -> u32 {
-        std::mem::take(&mut self.mb.borrow_mut().steps)
-    }
-
-    fn take_outcome(&mut self) -> Option<Result<(), OpError>> {
-        self.mb.borrow_mut().outcome.take()
-    }
-
-    fn meta(&self) -> TaskMeta {
-        let mb = self.mb.borrow();
-        TaskMeta {
-            lun: mb.lun,
-            priority: mb.priority,
-        }
-    }
-
-    fn op_id(&self) -> u64 {
-        self.mb.borrow().op_id
+    fn mailbox(&self) -> &RefCell<Mailbox> {
+        &self.mb
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::drained;
+    use crate::runtime::tests::drained;
     use babol_onfi::bus::ChipMask;
     use babol_onfi::opcode::op;
     use babol_ufsm::{DmaDest, Latch, PostWait};
@@ -281,11 +224,11 @@ mod tests {
         let mut task = CoroTask::new(&ctx, body);
         // First advance: submits and blocks.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = drained(&mut task);
+        let out = drained(&task);
         assert_eq!(out.len(), 1);
-        assert!(task.take_outcome().is_none());
+        assert!(task.mb.borrow().outcome.is_none());
         // Deliver the result; next advance finishes.
-        task.deliver(
+        task.mb.borrow_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0xE0],
@@ -293,7 +236,7 @@ mod tests {
             },
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
-        assert_eq!(task.take_outcome(), Some(Ok(())));
+        assert_eq!(task.mb.borrow().outcome, Some(Ok(())));
     }
 
     #[test]
@@ -317,9 +260,9 @@ mod tests {
         // Three busy polls, then ready.
         for i in 0..3 {
             assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked, "poll {i}");
-            let out = drained(&mut task);
+            let out = drained(&task);
             assert_eq!(out.len(), 1);
-            task.deliver(
+            task.mb.borrow_mut().deliver(
                 out[0].0,
                 TxnResult {
                     inline: vec![0x00],
@@ -328,8 +271,8 @@ mod tests {
             );
         }
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.borrow_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0x60],
@@ -337,7 +280,7 @@ mod tests {
             },
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
-        assert_eq!(task.take_steps(), 4); // one body step per poll iteration
+        assert_eq!(task.mb.borrow().steps, 4); // one body step per poll iteration
     }
 
     #[test]
@@ -352,7 +295,10 @@ mod tests {
         };
         let mut task = CoroTask::new(&ctx, body);
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        assert_eq!(task.take_sleep(), Some(SimDuration::from_micros(5)));
+        assert_eq!(
+            task.mb.borrow_mut().sleep.take(),
+            Some(SimDuration::from_micros(5))
+        );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
     }
 
@@ -361,7 +307,7 @@ mod tests {
         let ctx = OpCtx::new(5, 9);
         let task = CoroTask::new(&ctx, async {});
         assert_eq!(
-            task.meta(),
+            task.mailbox().borrow().meta,
             TaskMeta {
                 lun: 5,
                 priority: 9

@@ -7,7 +7,9 @@
 //! instruction queue, and completions wake the blocked operation (§V).
 //!
 //! This module implements that shared structure once, as [`SoftRuntime`].
-//! The two flavours plug in as [`SoftTask`] implementations:
+//! The two flavours differ only in how an operation body advances, so a
+//! [`SoftTask`] is just that plus the task's [`Mailbox`], which the runtime
+//! reads and writes directly:
 //!
 //! * [`coro`] — operations are `async fn`s polled by a tiny deterministic
 //!   executor (the C++20-coroutines analogue);
@@ -43,6 +45,7 @@
 pub mod coro;
 pub mod rtos;
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -103,7 +106,12 @@ impl fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
-/// Per-task communication area between the runtime and the operation body.
+/// Per-task communication area between the runtime and the operation body:
+/// everything the runtime knows of a task. The body fills `outbox`,
+/// `staged`, `sleep`, `steps` and `outcome` during an advance and the
+/// runtime empties them after it; the runtime sets `now` and delivers
+/// results; whoever builds the task sets `meta`, `poll_backoff` and `op_id`;
+/// the runtime attaches `pool` at spawn time.
 #[derive(Debug, Default)]
 pub struct Mailbox {
     /// Simulated time at the start of the current advance.
@@ -128,14 +136,14 @@ pub struct Mailbox {
     pub steps: u32,
     /// Final outcome, set by the operation before finishing.
     pub outcome: Option<Result<(), OpError>>,
-    /// Poll-pacing interval inherited from the runtime configuration.
+    /// Poll-pacing interval, set by whoever builds the task (the controller
+    /// factories copy the runtime configuration's).
     pub poll_backoff: SimDuration,
-    /// The LUN the operation targets (scheduling metadata).
-    pub lun: u32,
-    /// Task priority (scheduling metadata).
-    pub priority: u8,
+    /// The LUN the operation targets and its priority, as the task
+    /// scheduler sees them.
+    pub meta: TaskMeta,
     /// Host request id the operation serves (trace attribution; 0 for
-    /// anonymous tasks).
+    /// anonymous tasks — boot, calibration, tests).
     pub op_id: u64,
     /// The chip a [`StatusWait`] is pacing its polls on, while the sleep it
     /// requested after a busy status is pending.
@@ -231,51 +239,20 @@ pub enum TaskStatus {
     Finished,
 }
 
-/// A schedulable operation. Implemented by coroutine tasks ([`coro`]) and
-/// RTOS state-machine tasks ([`rtos`]).
+/// A schedulable operation: what differs between coroutine tasks ([`coro`])
+/// and RTOS state-machine tasks ([`rtos`]). Everything else the runtime
+/// reads or writes is a field of the task's [`Mailbox`].
 pub trait SoftTask {
     /// Runs the task until it blocks or finishes. `now` is the simulated
-    /// time of this scheduling slot.
+    /// time of this scheduling slot. The caller holds no borrow of the
+    /// mailbox, and never advances a task that has finished.
     fn advance(&mut self, now: SimTime) -> TaskStatus;
-    /// Drains transactions built during the last advance into `out` (an
-    /// out-parameter so the runtime reuses one scratch vector).
-    fn drain_outbox(&mut self, out: &mut Vec<(u64, Transaction)>);
-    /// Delivers a transaction result.
-    fn deliver(&mut self, local_ticket: u64, result: TxnResult);
-    /// Takes a pending sleep request.
-    fn take_sleep(&mut self) -> Option<SimDuration>;
-    /// The chip a [`StatusWait`] paces its polls on, when the sleep just
-    /// taken is that wait's backoff after a busy status.
-    fn status_wait(&self) -> Option<u32> {
-        None
-    }
-    /// Drains DRAM staging writes requested during the last advance into
-    /// `out` (an out-parameter so the runtime reuses one scratch vector).
-    fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>);
-    /// Connects the task's mailbox to the system's raw-buffer count.
-    /// Called by the runtime at spawn time; tasks without staging may
-    /// ignore it.
-    fn attach_pool(&mut self, _pool: &BufPool) {}
-    /// Takes the count of body steps executed during the last advance.
-    fn take_steps(&mut self) -> u32;
-    /// Takes the final outcome (valid once finished).
-    fn take_outcome(&mut self) -> Option<Result<(), OpError>>;
-    /// Scheduling metadata.
-    fn meta(&self) -> TaskMeta;
-    /// The host request id this task serves, for trace attribution
-    /// (0 when the task is anonymous — boot, calibration, tests).
-    fn op_id(&self) -> u64 {
-        0
-    }
+    /// The task's mailbox.
+    fn mailbox(&self) -> &RefCell<Mailbox>;
 }
 
-/// Drains a task's outbox into a fresh vector (test convenience).
-#[cfg(test)]
-fn drained(task: &mut dyn SoftTask) -> Vec<(u64, Transaction)> {
-    let mut out = Vec::new();
-    task.drain_outbox(&mut out);
-    out
-}
+/// Hardware issue latency between queued transactions.
+const ISSUE_GAP: SimDuration = SimDuration::from_nanos(150);
 
 /// Configuration of a software runtime instance.
 #[derive(Debug, Clone, Copy)]
@@ -288,8 +265,6 @@ pub struct RuntimeConfig {
     pub txn_policy: TxnPolicy,
     /// Hardware instruction queue depth (transaction look-ahead).
     pub lookahead: usize,
-    /// Hardware issue latency between queued transactions.
-    pub issue_gap: SimDuration,
     /// Maximum concurrently admitted operations.
     pub admission: usize,
     /// Pacing interval of status-poll loops: after a busy status, the
@@ -309,7 +284,6 @@ impl RuntimeConfig {
             task_policy: TaskPolicy::RoundRobinLun,
             txn_policy: TxnPolicy::RoundRobinLun,
             lookahead: 4,
-            issue_gap: SimDuration::from_nanos(150),
             admission: 64,
             poll_backoff: SimDuration::from_nanos(24_000),
         }
@@ -322,7 +296,6 @@ impl RuntimeConfig {
             task_policy: TaskPolicy::RoundRobinLun,
             txn_policy: TxnPolicy::RoundRobinLun,
             lookahead: 4,
-            issue_gap: SimDuration::from_nanos(150),
             admission: 64,
             poll_backoff: SimDuration::from_nanos(1_400),
         }
@@ -503,11 +476,8 @@ pub struct SoftRuntime {
     window: Option<PollWindow>,
     /// Rebuilding summarized polls: nothing is summarized meanwhile.
     replaying: bool,
-    /// Reused receptacles: staged DRAM writes and built transactions
-    /// drained each pump pass, the policies' candidate lists, and the
-    /// μFSM engine's phase buffers.
-    staged_scratch: Vec<(u64, PageData)>,
-    outbox_scratch: Vec<(u64, Transaction)>,
+    /// Reused receptacles: the policies' candidate lists and the μFSM
+    /// engine's phase buffers.
     task_metas: Vec<TaskMeta>,
     txn_metas: Vec<TxnMeta>,
     emit_scratch: EmitScratch,
@@ -547,8 +517,6 @@ impl SoftRuntime {
             probe: None,
             window: None,
             replaying: false,
-            staged_scratch: Vec::new(),
-            outbox_scratch: Vec::new(),
             task_metas: Vec::new(),
             txn_metas: Vec::new(),
             emit_scratch: EmitScratch::default(),
@@ -567,11 +535,13 @@ impl SoftRuntime {
 
     /// Admits a task; returns its id. The caller should schedule a
     /// zero-delay [`Event::CpuDone`] so the pump runs.
-    pub fn spawn(&mut self, sys: &mut System, mut task: Box<dyn SoftTask>) -> TaskId {
+    pub fn spawn(&mut self, sys: &mut System, task: Box<dyn SoftTask>) -> TaskId {
         self.interrupt(sys);
-        task.attach_pool(sys.pool());
-        let lun = task.meta().lun;
-        let op_id = task.op_id();
+        let (lun, op_id) = {
+            let mut mb = task.mailbox().borrow_mut();
+            mb.pool = sys.pool().clone();
+            (mb.meta.lun, mb.op_id)
+        };
         let tid = if let Some(tid) = self.free_ids.pop() {
             self.tasks[tid] = Some(task);
             tid
@@ -610,12 +580,13 @@ impl SoftRuntime {
         if sys.trace.is_enabled() {
             self.runnable_since[tid] = Some(sys.now);
             if let Some(task) = self.tasks[tid].as_ref() {
+                let mb = task.mailbox().borrow();
                 sys.trace.event(
                     sys.now,
                     Component::Sched,
                     TraceKind::TaskReady,
-                    task.meta().lun,
-                    task.op_id(),
+                    mb.meta.lun,
+                    mb.op_id,
                 );
             }
         }
@@ -686,8 +657,8 @@ impl SoftRuntime {
                 .observe(Metric::TxnLatency, sys.now.saturating_since(tag.enqueued));
         }
         let (tid, local) = tag.waiter;
-        if let Some(task) = self.tasks[tid].as_mut() {
-            task.deliver(
+        if let Some(task) = self.tasks[tid].as_ref() {
+            task.mailbox().borrow_mut().deliver(
                 local,
                 TxnResult {
                     inline: done.inline,
@@ -727,19 +698,18 @@ impl SoftRuntime {
             sys.cpu.charge(sys.now, cost.resume);
             let task = self.tasks[tid].as_mut().expect("runnable task exists");
             let status = task.advance(sys.now);
-            let steps = task.take_steps();
+            // The one mailbox borrow of this step.
+            let mut mb = task.mailbox().borrow_mut();
+            let steps = std::mem::take(&mut mb.steps);
             if steps > 0 {
                 sys.cpu.charge(sys.now, steps as u64 * cost.op_body_step);
             }
-            task.drain_staged(&mut self.staged_scratch);
-            for (addr, bytes) in self.staged_scratch.drain(..) {
+            for (addr, bytes) in mb.staged.drain(..) {
                 sys.cpu.charge(sys.now, cost.op_body_step);
                 sys.dram.write_data(addr, bytes);
             }
-            task.drain_outbox(&mut self.outbox_scratch);
-            let task_meta = task.meta();
-            let op_id = task.op_id();
-            for (local, txn) in self.outbox_scratch.drain(..) {
+            let (task_meta, op_id) = (mb.meta, mb.op_id);
+            for (local, txn) in mb.outbox.drain(..) {
                 sys.cpu.charge(sys.now, cost.enqueue_txn);
                 let ticket = self.next_ticket;
                 self.next_ticket += 1;
@@ -769,18 +739,18 @@ impl SoftRuntime {
                     avail: sys.cpu.busy_until(),
                 });
             }
-            let wake = task
-                .take_sleep()
-                .map(|dur| (sys.cpu.busy_until() + dur, task.status_wait()));
+            let wake = mb
+                .sleep
+                .take()
+                .map(|dur| (sys.cpu.busy_until() + dur, mb.status_wait));
+            let outcome = mb.outcome;
+            drop(mb);
             sys.cpu.charge(sys.now, cost.suspend);
             if let Some((at, status_wait)) = wake {
                 self.sleep(sys, tid, at, status_wait);
             }
             if status == TaskStatus::Finished {
-                let task = self.tasks[tid].as_mut().expect("finished task exists");
-                let outcome = task.take_outcome();
-                let lun = task.meta().lun;
-                let op_id = task.op_id();
+                let lun = task_meta.lun;
                 sys.trace.count(Component::Sched, Counter::TasksFinished, 1);
                 sys.trace.event(
                     sys.cpu.busy_until(),
@@ -804,7 +774,9 @@ impl SoftRuntime {
                         .iter()
                         .enumerate()
                         .max_by_key(|(i, &tid)| {
-                            let prio = tasks[tid].as_ref().map(|t| t.meta().priority).unwrap_or(0);
+                            let prio = tasks[tid]
+                                .as_ref()
+                                .map_or(0, |t| t.mailbox().borrow().meta.priority);
                             (prio, usize::MAX - i) // FIFO tie-break
                         })
                         .map(|(i, _)| i);
@@ -844,11 +816,14 @@ impl SoftRuntime {
     fn pick_runnable(&mut self, sys: &mut System) -> Option<TaskId> {
         let tasks = &self.tasks;
         self.task_metas.clear();
-        self.task_metas.extend(
-            self.runnable
-                .iter()
-                .map(|&tid| tasks[tid].as_ref().expect("runnable").meta()),
-        );
+        self.task_metas.extend(self.runnable.iter().map(|&tid| {
+            tasks[tid]
+                .as_ref()
+                .expect("runnable")
+                .mailbox()
+                .borrow()
+                .meta
+        }));
         let idx = self
             .cfg
             .task_policy
@@ -862,7 +837,9 @@ impl SoftRuntime {
                 let since = self.runnable_since[tid].take().unwrap_or(sys.now);
                 sys.trace
                     .observe(Metric::SchedWait, sys.now.saturating_since(since));
-                let op_id = self.tasks[tid].as_ref().map(|t| t.op_id()).unwrap_or(0);
+                let op_id = self.tasks[tid]
+                    .as_ref()
+                    .map_or(0, |t| t.mailbox().borrow().op_id);
                 sys.trace
                     .event(sys.now, Component::Sched, TraceKind::SchedPick, lun, op_id);
             }
@@ -1044,7 +1021,7 @@ impl SoftRuntime {
         }
         let entry = self.hw_queue.pop_front().expect("front exists");
         let tag = entry.tag;
-        let start = sys.now.max(sys.channel.busy_until()) + self.cfg.issue_gap;
+        let start = sys.now.max(sys.channel.busy_until()) + ISSUE_GAP;
         sys.trace.count(Component::Sched, Counter::TxnsIssued, 1);
         sys.trace.event(
             start,
@@ -1237,6 +1214,11 @@ mod tests {
         Transaction::new(ChipMask::single(0))
             .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
             .read(bytes, DmaDest::Inline)
+    }
+
+    /// Takes the transactions a task built (for the environments' tests).
+    pub(super) fn drained(task: &dyn SoftTask) -> Vec<(u64, Transaction)> {
+        std::mem::take(&mut task.mailbox().borrow_mut().outbox)
     }
 
     /// Drains the event queue, routing everything into the runtime.

@@ -9,14 +9,18 @@
 //! with [`crate::ops::read_page`].
 //!
 //! Both environments share the [`SoftRuntime`](crate::runtime::SoftRuntime);
-//! only the task representation and the [`CostModel`](babol_sim::CostModel)
+//! only how a body advances and the [`CostModel`](babol_sim::CostModel)
 //! differ, mirroring the paper's claim that the abstractions are
-//! runtime-agnostic.
+//! runtime-agnostic. An [`RtosTask`] owns its [`Mailbox`] inline: the
+//! machine steps on it directly, and the runtime borrows it between
+//! advances.
 
 use babol_onfi::addr::{ColumnAddr, RowAddr};
 use babol_onfi::opcode::op;
 use babol_onfi::status::Status;
-use babol_sim::{BufPool, PageData, SimDuration, SimTime};
+use std::cell::RefCell;
+
+use babol_sim::SimTime;
 use babol_ufsm::{DmaDest, Latch, PostWait, Transaction};
 
 use crate::ops::Target;
@@ -42,101 +46,41 @@ pub trait RtosMachine {
     fn step(&mut self, mb: &mut Mailbox) -> MachineStatus;
 }
 
-/// Task wrapper adapting an [`RtosMachine`] to the runtime's
-/// [`SoftTask`] interface.
+/// Task wrapper running an [`RtosMachine`] under the runtime: it steps the
+/// machine until it blocks or finishes.
 pub struct RtosTask<M: RtosMachine> {
-    mb: Mailbox,
+    mb: RefCell<Mailbox>,
     machine: M,
-    finished: bool,
 }
 
 impl<M: RtosMachine> RtosTask<M> {
     /// Wraps `machine` as a task targeting `lun` at `priority`.
     pub fn new(lun: u32, priority: u8, machine: M) -> Self {
         RtosTask {
-            mb: Mailbox {
-                lun,
-                priority,
+            mb: RefCell::new(Mailbox {
+                meta: TaskMeta { lun, priority },
                 ..Mailbox::default()
-            },
+            }),
             machine,
-            finished: false,
         }
-    }
-
-    /// Sets the poll-pacing interval (from the runtime configuration).
-    pub fn with_poll_backoff(mut self, d: SimDuration) -> Self {
-        self.mb.poll_backoff = d;
-        self
-    }
-
-    /// Tags the task with the host request id it serves, so trace events
-    /// across every layer attribute to the same operation.
-    pub fn with_op_id(mut self, id: u64) -> Self {
-        self.mb.op_id = id;
-        self
     }
 }
 
 impl<M: RtosMachine> SoftTask for RtosTask<M> {
     fn advance(&mut self, now: SimTime) -> TaskStatus {
-        if self.finished {
-            return TaskStatus::Finished;
-        }
-        self.mb.now = now;
+        let mb = self.mb.get_mut();
+        mb.now = now;
         loop {
-            match self.machine.step(&mut self.mb) {
+            match self.machine.step(mb) {
                 MachineStatus::Continue => continue,
                 MachineStatus::Blocked => return TaskStatus::Blocked,
-                MachineStatus::Finished => {
-                    self.finished = true;
-                    return TaskStatus::Finished;
-                }
+                MachineStatus::Finished => return TaskStatus::Finished,
             }
         }
     }
 
-    fn drain_outbox(&mut self, out: &mut Vec<(u64, Transaction)>) {
-        out.append(&mut self.mb.outbox);
-    }
-
-    fn deliver(&mut self, local_ticket: u64, result: TxnResult) {
-        self.mb.deliver(local_ticket, result);
-    }
-
-    fn take_sleep(&mut self) -> Option<SimDuration> {
-        self.mb.sleep.take()
-    }
-
-    fn status_wait(&self) -> Option<u32> {
-        self.mb.status_wait
-    }
-
-    fn drain_staged(&mut self, out: &mut Vec<(u64, PageData)>) {
-        out.append(&mut self.mb.staged);
-    }
-
-    fn attach_pool(&mut self, pool: &BufPool) {
-        self.mb.pool = pool.clone();
-    }
-
-    fn take_steps(&mut self) -> u32 {
-        std::mem::take(&mut self.mb.steps)
-    }
-
-    fn take_outcome(&mut self) -> Option<Result<(), OpError>> {
-        self.mb.outcome.take()
-    }
-
-    fn meta(&self) -> TaskMeta {
-        TaskMeta {
-            lun: self.mb.lun,
-            priority: self.mb.priority,
-        }
-    }
-
-    fn op_id(&self) -> u64 {
-        self.mb.op_id
+    fn mailbox(&self) -> &RefCell<Mailbox> {
+        &self.mb
     }
 }
 
@@ -406,8 +350,13 @@ impl RtosMachine for EraseOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::drained;
+    use crate::ops;
+    use crate::runtime::coro::{CoroTask, OpCtx};
+    use crate::runtime::tests::drained;
     use babol_onfi::addr::AddrLayout;
+    use babol_sim::SimDuration;
+    use babol_ufsm::Instr;
+    use std::future::Future;
 
     fn target() -> Target {
         Target {
@@ -430,9 +379,9 @@ mod tests {
         let mut task = RtosTask::new(0, 0, machine);
         // Latch.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = drained(&mut task);
+        let out = drained(&task);
         assert_eq!(out.len(), 1);
-        task.deliver(
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![],
@@ -441,8 +390,8 @@ mod tests {
         );
         // Poll: busy once, then ready.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0x80],
@@ -450,8 +399,8 @@ mod tests {
             },
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0xE0],
@@ -460,9 +409,9 @@ mod tests {
         );
         // Fetch.
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Blocked);
-        let out = drained(&mut task);
+        let out = drained(&task);
         assert_eq!(out[0].1.data_bytes(), 64);
-        task.deliver(
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![],
@@ -470,7 +419,7 @@ mod tests {
             },
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
-        assert_eq!(task.take_outcome(), Some(Ok(())));
+        assert_eq!(task.mb.get_mut().outcome, Some(Ok(())));
     }
 
     #[test]
@@ -478,8 +427,8 @@ mod tests {
         let machine = ReadOp::new(target(), row(), 0, 64, 0, false);
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![],
@@ -487,9 +436,9 @@ mod tests {
             },
         );
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
+        let out = drained(&task);
         // Ready with FAIL set.
-        task.deliver(
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0xE1],
@@ -498,7 +447,7 @@ mod tests {
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
         assert!(matches!(
-            task.take_outcome(),
+            task.mb.get_mut().outcome,
             Some(Err(OpError::Failed { .. }))
         ));
     }
@@ -508,7 +457,7 @@ mod tests {
         let machine = ReadOp::new(target(), row(), 0, 64, 0, true);
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
+        let out = drained(&task);
         let instrs = out[0].1.instrs();
         match &instrs[0] {
             babol_ufsm::Instr::CaWriter { latches, .. } => {
@@ -523,9 +472,9 @@ mod tests {
         let machine = ProgramOp::new(target(), row(), 0x2000, 64, false);
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
+        let out = drained(&task);
         assert_eq!(out[0].1.data_bytes(), 64);
-        task.deliver(
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![],
@@ -533,8 +482,8 @@ mod tests {
             },
         );
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0xE0],
@@ -542,7 +491,7 @@ mod tests {
             },
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
-        assert_eq!(task.take_outcome(), Some(Ok(())));
+        assert_eq!(task.mb.get_mut().outcome, Some(Ok(())));
     }
 
     #[test]
@@ -550,8 +499,8 @@ mod tests {
         let machine = EraseOp::new(target(), row());
         let mut task = RtosTask::new(0, 0, machine);
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![],
@@ -559,8 +508,8 @@ mod tests {
             },
         );
         task.advance(SimTime::ZERO);
-        let out = drained(&mut task);
-        task.deliver(
+        let out = drained(&task);
+        task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
                 inline: vec![0xE1],
@@ -569,8 +518,139 @@ mod tests {
         );
         assert_eq!(task.advance(SimTime::ZERO), TaskStatus::Finished);
         assert!(matches!(
-            task.take_outcome(),
+            task.mb.get_mut().outcome,
             Some(Err(OpError::Failed { .. }))
         ));
+    }
+
+    /// What an operation did when played against a scripted LUN.
+    #[derive(Debug)]
+    struct Played {
+        /// Chip mask and instructions of each transaction, in order.
+        txns: Vec<(babol_onfi::bus::ChipMask, Vec<Instr>)>,
+        sleeps: Vec<SimDuration>,
+        steps: u32,
+        outcome: Option<Result<(), OpError>>,
+    }
+
+    /// Runs `task` to completion through its mailbox, answering each READ
+    /// STATUS with the next byte of `statuses` and every other transaction
+    /// with no data.
+    fn play(task: &mut dyn SoftTask, statuses: &[u8]) -> Played {
+        task.mailbox().borrow_mut().poll_backoff = SimDuration::from_micros(1);
+        let mut statuses = statuses.iter();
+        let mut played = Played {
+            txns: Vec::new(),
+            sleeps: Vec::new(),
+            steps: 0,
+            outcome: None,
+        };
+        loop {
+            let status = task.advance(SimTime::ZERO);
+            let mut mb = task.mailbox().borrow_mut();
+            played.steps += std::mem::take(&mut mb.steps);
+            played.sleeps.extend(mb.sleep.take());
+            for (ticket, txn) in std::mem::take(&mut mb.outbox) {
+                let poll = [Latch::Cmd(op::READ_STATUS)];
+                let inline = match &txn.instrs()[0] {
+                    Instr::CaWriter { latches, .. } if latches[..] == poll => {
+                        vec![*statuses.next().expect("a scripted status")]
+                    }
+                    _ => Vec::new(),
+                };
+                mb.deliver(
+                    ticket,
+                    TxnResult {
+                        inline,
+                        end: SimTime::ZERO,
+                    },
+                );
+                played.txns.push((txn.chip_mask(), txn.instrs().to_vec()));
+            }
+            if status == TaskStatus::Finished {
+                played.outcome = mb.outcome;
+                assert!(statuses.next().is_none(), "unread scripted statuses");
+                return played;
+            }
+        }
+    }
+
+    /// A coroutine task running `op` the way the coroutine controller
+    /// does: the operation reports its own failure, the wrapper success.
+    fn coro<F>(op: impl FnOnce(OpCtx) -> F) -> CoroTask
+    where
+        F: Future<Output = Result<(), OpError>> + 'static,
+    {
+        let ctx = OpCtx::new(0, 0);
+        let (c, body) = (ctx.clone(), op(ctx.clone()));
+        CoroTask::new(&ctx, async move {
+            if body.await.is_ok() {
+                c.set_outcome(Ok(()));
+            }
+        })
+    }
+
+    /// The RTOS machines emit the programs of their coroutine counterparts,
+    /// sleep the same backoffs and end with the same outcome, polling
+    /// through a busy status to RDY or to FAIL — apart from the two pinned
+    /// differences below.
+    #[test]
+    fn rtos_ops_play_the_coroutine_programs() {
+        let (t, r) = (target(), row());
+        for statuses in [&[0x80, 0xE0][..], &[0x80, 0xE1]] {
+            let pairs: [(&str, Box<dyn SoftTask>, CoroTask); 5] = [
+                (
+                    "read_page",
+                    Box::new(RtosTask::new(0, 0, ReadOp::new(t, r, 8, 64, 0x1000, false))),
+                    coro(move |c| async move { ops::read_page(&c, &t, r, 8, 64, 0x1000).await }),
+                ),
+                (
+                    "read_page_pslc",
+                    Box::new(RtosTask::new(0, 0, ReadOp::new(t, r, 8, 64, 0x1000, true))),
+                    coro(
+                        move |c| async move { ops::read_page_pslc(&c, &t, r, 8, 64, 0x1000).await },
+                    ),
+                ),
+                (
+                    "program_page",
+                    Box::new(RtosTask::new(0, 0, ProgramOp::new(t, r, 0x2000, 64, false))),
+                    coro(move |c| async move { ops::program_page(&c, &t, r, 0x2000, 64).await }),
+                ),
+                (
+                    "program_page_pslc",
+                    Box::new(RtosTask::new(0, 0, ProgramOp::new(t, r, 0x2000, 64, true))),
+                    coro(
+                        move |c| async move { ops::program_page_pslc(&c, &t, r, 0x2000, 64).await },
+                    ),
+                ),
+                (
+                    "erase_block",
+                    Box::new(RtosTask::new(0, 0, EraseOp::new(t, r))),
+                    coro(move |c| async move { ops::erase_block(&c, &t, r).await }),
+                ),
+            ];
+            for (name, mut rtos, mut coro) in pairs {
+                let rtos = play(&mut *rtos, statuses);
+                let coro = play(&mut coro, statuses);
+                let case = format!("{name} with statuses {statuses:02x?}");
+                assert_eq!(rtos.txns, coro.txns, "{case}");
+                assert_eq!(rtos.sleeps, coro.sleeps, "{case}");
+                // Pinned differences. The coroutine program and erase count
+                // one more body step (the `ctx.step()` after their status
+                // wait), so the RTOS machines are charged one `op_body_step`
+                // less each.
+                let extra_step = u32::from(!name.starts_with("read"));
+                assert_eq!(coro.steps, rtos.steps + extra_step, "{case}");
+                // `ops::program_page_pslc` returns FAIL without recording
+                // it, so its task ends with no outcome.
+                let failed = statuses[statuses.len() - 1] & Status::FAIL != 0;
+                let outcome = if name == "program_page_pslc" && failed {
+                    None
+                } else {
+                    rtos.outcome
+                };
+                assert_eq!(coro.outcome, outcome, "{case}");
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! hardware instruction queue next.
 
 /// Metadata a policy can see about a runnable task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TaskMeta {
     /// The LUN the task's operation targets.
     pub lun: u32,

@@ -82,11 +82,11 @@ struct Busy {
 
 #[derive(Debug, Clone)]
 enum Effect {
-    /// Fetches `rows` into their page registers. A page read then streams
-    /// its register from `col`; a cache read's background fetch (`None`)
-    /// leaves the cache register streaming where it is.
+    /// Fetches the rows in `Lun::loading` into their page registers. A
+    /// page read then streams its register from `col`; a cache read's
+    /// background fetch (`None`) leaves the cache register streaming where
+    /// it is.
     LoadPage {
-        rows: Vec<RowAddr>,
         col: Option<u32>,
         pslc: bool,
     },
@@ -199,6 +199,9 @@ pub struct Lun {
     pslc_armed: bool,
     retry_armed: bool,
     queued_rows: Vec<RowAddr>,
+    /// The rows the pending `LoadPage` fetches. Kept across reads, like
+    /// `queued_rows`, so a read allocates neither.
+    loading: Vec<RowAddr>,
     initialized: bool,
     configured_phase: Option<u8>,
     required_phase: u8,
@@ -247,6 +250,7 @@ impl Lun {
             pslc_armed: false,
             retry_armed: false,
             queued_rows: Vec::new(),
+            loading: Vec::new(),
             initialized: !cfg.require_init,
             configured_phase: None,
             required_phase,
@@ -581,7 +585,8 @@ impl Lun {
     fn resolve_busy(&mut self) {
         let busy = self.busy.take().expect("a busy period to resolve");
         match busy.effect {
-            Effect::LoadPage { rows, col, pslc } => {
+            Effect::LoadPage { col, pslc } => {
+                let rows = std::mem::take(&mut self.loading);
                 for row in &rows {
                     let plane = self.array.geometry().plane_of(row.block) as usize;
                     self.fetch_with_errors(*row, pslc, plane);
@@ -591,6 +596,7 @@ impl Lun {
                     self.active_plane = self.array.geometry().plane_of(last.block);
                     self.last_row = Some(*last);
                 }
+                self.loading = rows;
                 // In a cache read the freshly fetched page lands in the page
                 // register while the previously moved page keeps streaming
                 // from the cache register, at its current column.
@@ -805,16 +811,13 @@ impl Lun {
                 let profile = &self.cfg.profile;
                 let nominal = if pslc { profile.t_r_slc } else { profile.t_r };
                 let dur = self.jittered(nominal);
-                let mut rows = std::mem::take(&mut self.queued_rows);
-                rows.push(self.latched_row());
+                let row = self.latched_row();
+                self.loading.clear();
+                self.loading.append(&mut self.queued_rows);
+                self.loading.push(row);
                 self.out = OutSource::None;
                 let col = Some(self.latch_col);
-                self.begin_busy(
-                    now,
-                    dur,
-                    BusyKind::Read,
-                    Effect::LoadPage { rows, col, pslc },
-                );
+                self.begin_busy(now, dur, BusyKind::Read, Effect::LoadPage { col, pslc });
             }
             Action::Busy(BusyKind::PlaneQueue) => {
                 // 0x00 <addr> 0x32: queue this plane's fetch, stay ready for
@@ -845,9 +848,9 @@ impl Lun {
                     ..last
                 };
                 let dur = self.jittered(self.cfg.profile.t_r);
-                let rows = vec![next];
+                self.loading.clear();
+                self.loading.push(next);
                 let effect = Effect::LoadPage {
-                    rows,
                     col: None,
                     pslc: false,
                 };
@@ -886,7 +889,17 @@ impl Lun {
                 let dur = self.jittered(nominal);
                 let plane = self.array.geometry().plane_of(row.block) as usize;
                 let data = self.page_regs[plane].clone();
-                self.begin_busy(now, dur, kind, Effect::CommitProgram { row, pslc, data });
+                // A confirm during a cache program commits the pending page
+                // first; this page's tPROG starts when the array frees.
+                let start = match &self.busy {
+                    Some(pending) if pending.kind == BusyKind::CacheProgram => {
+                        let until = pending.until;
+                        self.resolve_busy();
+                        until
+                    }
+                    _ => now,
+                };
+                self.begin_busy(start, dur, kind, Effect::CommitProgram { row, pslc, data });
             }
             Action::Busy(BusyKind::Erase) => {
                 let row = self.latched_row();
@@ -1477,25 +1490,34 @@ mod tests {
 
     #[test]
     fn cache_program_commits_the_first_page_data() {
-        let mut d = Driver::new(LunConfig::test_default());
-        d.cmd(op::PROGRAM_1);
-        let a = d.full_addr(row(0, 0), 0);
-        d.addr(a);
-        d.din(b"page-A".to_vec());
-        d.cmd(op::PROGRAM_CACHE);
-        let a_programmed = d.lun.busy_until().unwrap();
-        // Page B is latched and filled on the same plane while A programs.
-        d.cmd(op::PROGRAM_1);
-        let b = d.full_addr(row(0, 1), 0);
-        d.addr(b);
-        d.din(b"page-B".to_vec());
-        // A's tPROG ends before B's confirm.
-        d.now = a_programmed + SimDuration::from_nanos(1);
-        assert!(d.lun.status(d.now).array_ready());
-        d.cmd(op::PROGRAM_2);
-        d.wait_ready();
-        assert_eq!(d.read(row(0, 0), 6), b"page-A".to_vec());
-        assert_eq!(d.read(row(0, 1), 6), b"page-B".to_vec());
+        // B's confirm inside A's tPROG, then after it.
+        for inside in [true, false] {
+            let mut d = Driver::new(LunConfig::test_default());
+            d.cmd(op::PROGRAM_1);
+            let a = d.full_addr(row(0, 0), 0);
+            d.addr(a);
+            d.din(b"page-A".to_vec());
+            d.cmd(op::PROGRAM_CACHE);
+            let a_programmed = d.lun.busy_until().unwrap();
+            // Page B is latched and filled on the same plane while A programs.
+            d.cmd(op::PROGRAM_1);
+            let b = d.full_addr(row(0, 1), 0);
+            d.addr(b);
+            d.din(b"page-B".to_vec());
+            if !inside {
+                d.now = a_programmed + SimDuration::from_nanos(1);
+                assert!(d.lun.status(d.now).array_ready());
+            }
+            d.cmd(op::PROGRAM_2);
+            assert_eq!(d.now < a_programmed, inside);
+            let b_programmed = d.lun.busy_until().unwrap();
+            let t_prog = d.lun.profile().t_prog;
+            assert!(b_programmed >= a_programmed.max(d.now) + t_prog);
+            d.wait_ready();
+            assert_eq!(d.read(row(0, 0), 6), b"page-A".to_vec());
+            assert_eq!(d.read(row(0, 1), 6), b"page-B".to_vec());
+            assert_eq!(d.lun.stats().program_attempts, 2);
+        }
     }
 
     #[test]

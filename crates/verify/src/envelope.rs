@@ -339,8 +339,9 @@ impl EnvLun {
     }
 
     /// Resolves the pending busy window against a new trigger at offset
-    /// `p`. `begin_busy` in the model overwrites unconditionally, so the
-    /// old deadline disappears either way; only the *energy* outcome is
+    /// `p`. `begin_busy` in the model overwrites it (a program confirm
+    /// during a cache program, which chains, is resolved by its caller),
+    /// so the old deadline disappears either way; only the *energy* outcome is
     /// uncertain: committed (deadline certainly passed — `refresh` ran
     /// before the new command), dropped (certainly still pending, effect
     /// overwritten), or either (straddle).
@@ -438,7 +439,15 @@ impl EnvLun {
                 self.begin(p, window, Interval::ZERO, BusyKind::CacheRead, energy);
             }
             (Action::Busy(kind @ (BusyKind::Program | BusyKind::CacheProgram)), _) => {
-                let dur = self.array_time(b.t_prog, b.t_prog_slc);
+                let mut dur = self.array_time(b.t_prog, b.t_prog_slc);
+                if let Some(pend) = self.busy.take_if(|b| b.kind == BusyKind::CacheProgram) {
+                    // The model commits a pending cache program before this
+                    // confirm, so its energy is certain, and this tPROG
+                    // starts when the array frees.
+                    *energy += pend.energy;
+                    let d = pend.deadline;
+                    dur += Interval::new(d.min.saturating_sub(p), d.max.saturating_sub(p));
+                }
                 self.begin(p, dur, Interval::point(c.program_pj), kind, energy);
             }
             (Action::Busy(BusyKind::Erase), _) => {
@@ -1006,6 +1015,45 @@ mod tests {
         // Sanity: the detour is at least the resume penalty.
         assert!(env.time_ps.min >= plain.time_ps.min + PackageProfile::RESUME_PENALTY.as_picos());
         let _ = cfg;
+    }
+
+    #[test]
+    fn cache_program_commits_then_chains_the_next_tprog() {
+        let p = tiny(); // jitter 0: the windows are exact
+        let cfg = EmitConfig::nv_ddr2(200);
+        let mut a = analyzer(&p);
+        let page = |page| {
+            p.layout().pack_full(
+                ColumnAddr(0),
+                RowAddr {
+                    lun: 0,
+                    block: 0,
+                    page,
+                },
+            )
+        };
+        // Page 1's confirm lands inside page 0's cache-program tPROG.
+        let txn = Transaction::new(ChipMask::single(0))
+            .ca(
+                vec![Latch::Cmd(op::PROGRAM_1), Latch::Addr(page(0))],
+                PostWait::Adl,
+            )
+            .write(64, 0x200)
+            .ca(vec![Latch::Cmd(op::PROGRAM_CACHE)], PostWait::Wb)
+            .ca(
+                vec![Latch::Cmd(op::PROGRAM_1), Latch::Addr(page(1))],
+                PostWait::Adl,
+            )
+            .write(64, 0x200)
+            .ca(vec![Latch::Cmd(op::PROGRAM_2)], PostWait::Wb);
+        let env = a.transaction_envelope(&txn);
+        let costs = EnergyCosts::nand();
+        assert_eq!(
+            env.energy_pj,
+            Interval::point(2 * costs.program_pj + costs.transfer_pj(128))
+        );
+        assert!(env.time_ps.min >= 2 * p.t_prog.as_picos());
+        assert!(env.time_ps.max < (cfg.duration_of(&txn) + p.t_prog * 2).as_picos());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use babol::ops::{self, Target};
 use babol::runtime::coro::{CoroTask, OpCtx};
-use babol::runtime::{RuntimeConfig, SoftController};
+use babol::runtime::{RuntimeConfig, SoftController, SoftTask};
 use babol::sched::{TaskPolicy, TxnPolicy};
 use babol::system::{Engine, IoKind, IoRequest, System};
 use babol_channel::Channel;
@@ -51,7 +51,6 @@ fn qos_controller(cfg: RuntimeConfig) -> SoftController {
     SoftController::new("qos", cfg, move |req| {
         let priority = if req.id < LOG_IDS { 7 } else { 0 };
         let ctx = OpCtx::new(req.lun, priority);
-        ctx.set_poll_backoff(cfg.poll_backoff);
         let t = Target {
             chip: req.lun,
             layout,
@@ -71,7 +70,9 @@ fn qos_controller(cfg: RuntimeConfig) -> SoftController {
                 c.set_outcome(Ok(()));
             }
         };
-        Box::new(CoroTask::new(&ctx, fut)) as Box<dyn babol::runtime::SoftTask>
+        let task = CoroTask::new(&ctx, fut);
+        task.mailbox().borrow_mut().poll_backoff = cfg.poll_backoff;
+        Box::new(task) as Box<dyn SoftTask>
     })
 }
 

@@ -1,5 +1,7 @@
 //! The work ledger: exact work counts of small versions of the four
-//! benchmark workloads, untraced, from construction to shutdown.
+//! benchmark workloads, untraced, from construction to shutdown, plus the
+//! scheduler and μFSM counts only a traced run keeps (tasks spawned,
+//! scheduler picks, transactions enqueued, instructions dispatched).
 //!
 //! Host-time figures move with the machine; these counts do not. A change
 //! that makes the simulator do more or less work per host I/O shows up
@@ -10,6 +12,7 @@
 #[path = "common/devices.rs"]
 mod devices;
 
+use babol_trace::{Component, Counter, Tracer};
 use devices::{ModelStats, Spec, READ_16CH, READ_1CH, WRITE_CACHED_16CH, WRITE_GC_1CH};
 
 /// What one device did, summed over every job it ran.
@@ -198,6 +201,122 @@ fn write_cached_16ch_ledger() {
             reads: 2699,
             programs: 5648,
             erases: 243,
+        },
+    );
+}
+
+/// Scheduler and μFSM work of a traced run: counts only the tracer keeps
+/// (an untraced run skips the counter writes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct SchedLedger {
+    tasks_spawned: u64,
+    sched_picks: u64,
+    txns_enqueued: u64,
+    instrs_dispatched: u64,
+}
+
+impl SchedLedger {
+    fn add(&mut self, trace: &Tracer) {
+        self.tasks_spawned += trace.counter(Component::Sched, Counter::TasksSpawned);
+        self.sched_picks += trace.counter(Component::Sched, Counter::SchedPicks);
+        self.txns_enqueued += trace.counter(Component::Sched, Counter::TxnsEnqueued);
+        self.instrs_dispatched += trace.counter(Component::Ufsm, Counter::InstrsDispatched);
+    }
+}
+
+fn one_channel_traced(spec: &Spec, rtos: bool) -> SchedLedger {
+    let (mut sys, mut ctrl, mut ssd) = spec.one_channel(true, rtos);
+    for job in spec.jobs() {
+        ssd.run(&mut sys, &mut ctrl, job);
+    }
+    let mut ledger = SchedLedger::default();
+    ledger.add(&sys.trace);
+    ledger
+}
+
+fn multi_channel_traced(spec: &Spec) -> SchedLedger {
+    let mut ssd = spec.multi(2, true);
+    for job in spec.jobs() {
+        ssd.run(&job);
+    }
+    let mut ledger = SchedLedger::default();
+    for d in ssd.finish() {
+        ledger.add(&d.tracer);
+    }
+    ledger
+}
+
+fn check_sched(name: &str, got: SchedLedger, want: SchedLedger) {
+    println!("sched-ledger {name}: {got:?}");
+    assert_eq!(got, want, "{name}: the scheduler ledger moved");
+}
+
+#[test]
+fn read_1ch_sched_ledger() {
+    check_sched(
+        READ_1CH.name,
+        one_channel_traced(&READ_1CH, false),
+        SchedLedger {
+            tasks_spawned: 464,
+            sched_picks: 1976,
+            txns_enqueued: 1452,
+            instrs_dispatched: 2440,
+        },
+    );
+}
+
+#[test]
+fn write_gc_1ch_sched_ledger() {
+    check_sched(
+        WRITE_GC_1CH.name,
+        one_channel_traced(&WRITE_GC_1CH, false),
+        SchedLedger {
+            tasks_spawned: 3450,
+            sched_picks: 145245,
+            txns_enqueued: 74954,
+            instrs_dispatched: 150720,
+        },
+    );
+}
+
+#[test]
+fn write_gc_1ch_rtos_sched_ledger() {
+    check_sched(
+        "write_gc_1ch (RTOS)",
+        one_channel_traced(&WRITE_GC_1CH, true),
+        SchedLedger {
+            tasks_spawned: 3450,
+            sched_picks: 1388401,
+            txns_enqueued: 696532,
+            instrs_dispatched: 1393876,
+        },
+    );
+}
+
+#[test]
+fn read_16ch_sched_ledger() {
+    check_sched(
+        READ_16CH.name,
+        multi_channel_traced(&READ_16CH),
+        SchedLedger {
+            tasks_spawned: 416,
+            sched_picks: 3768,
+            txns_enqueued: 2300,
+            instrs_dispatched: 4184,
+        },
+    );
+}
+
+#[test]
+fn write_cached_16ch_sched_ledger() {
+    check_sched(
+        WRITE_CACHED_16CH.name,
+        multi_channel_traced(&WRITE_CACHED_16CH),
+        SchedLedger {
+            tasks_spawned: 8590,
+            sched_picks: 387667,
+            txns_enqueued: 199478,
+            instrs_dispatched: 401662,
         },
     );
 }
