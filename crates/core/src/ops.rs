@@ -214,6 +214,7 @@ pub async fn program_page_pslc(
     let status = wait_ready(ctx, t).await;
     ctx.step();
     if status & Status::FAIL != 0 {
+        ctx.set_outcome(Err(OpError::Failed { status }));
         return Err(OpError::Failed { status });
     }
     Ok(())

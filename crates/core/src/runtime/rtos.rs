@@ -592,8 +592,8 @@ mod tests {
 
     /// The RTOS machines emit the programs of their coroutine counterparts,
     /// sleep the same backoffs and end with the same outcome, polling
-    /// through a busy status to RDY or to FAIL — apart from the two pinned
-    /// differences below.
+    /// through a busy status to RDY or to FAIL — apart from the one pinned
+    /// difference below.
     #[test]
     fn rtos_ops_play_the_coroutine_programs() {
         let (t, r) = (target(), row());
@@ -635,21 +635,13 @@ mod tests {
                 let case = format!("{name} with statuses {statuses:02x?}");
                 assert_eq!(rtos.txns, coro.txns, "{case}");
                 assert_eq!(rtos.sleeps, coro.sleeps, "{case}");
-                // Pinned differences. The coroutine program and erase count
+                // Pinned difference. The coroutine program and erase count
                 // one more body step (the `ctx.step()` after their status
                 // wait), so the RTOS machines are charged one `op_body_step`
                 // less each.
                 let extra_step = u32::from(!name.starts_with("read"));
                 assert_eq!(coro.steps, rtos.steps + extra_step, "{case}");
-                // `ops::program_page_pslc` returns FAIL without recording
-                // it, so its task ends with no outcome.
-                let failed = statuses[statuses.len() - 1] & Status::FAIL != 0;
-                let outcome = if name == "program_page_pslc" && failed {
-                    None
-                } else {
-                    rtos.outcome
-                };
-                assert_eq!(coro.outcome, outcome, "{case}");
+                assert_eq!(coro.outcome, rtos.outcome, "{case}");
             }
         }
     }

@@ -178,10 +178,9 @@ impl System {
 
     /// Whether the runtime may summarize a status wait in the event being
     /// dispatched, and if so the time by which the poll that reads RDY
-    /// must fire: unbounded in a [`StepLimit::Watched`] step, the driver's
-    /// bound in a [`StepLimit::Sampled`] one, and never with an observer
-    /// that records every bus phase or event (the tracer, the channel
-    /// analyzer) or outside a step.
+    /// must fire: the driver's bound in a [`StepLimit::Watched`] step, and
+    /// never with an observer that records every bus phase or event (the
+    /// tracer, the channel analyzer) or outside a step.
     pub(crate) fn summary_limit(&self) -> Option<SimTime> {
         if self.trace.is_enabled() || self.channel.analyzer().is_enabled() {
             return None;
@@ -231,10 +230,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Under [`StepLimit::Watched`] or [`StepLimit::Sampled`], when no
-    /// event is pending (a deadlock) or when the watchdog's budget is spent
-    /// at the popped event (a stall, rule V074). Both messages carry the
-    /// same diagnostic.
+    /// Under [`StepLimit::Watched`], when no event is pending (a deadlock)
+    /// or when the watchdog's budget is spent at the popped event (a stall,
+    /// rule V074). Both messages carry the same diagnostic.
     #[inline]
     pub fn step(&mut self, ctrl: &mut dyn Controller, limit: StepLimit<'_>) -> bool {
         let watchdog = match limit {
@@ -248,7 +246,7 @@ impl System {
                 }
                 None
             }
-            StepLimit::Watched(watchdog, _) | StepLimit::Sampled(watchdog, _, _) => Some(watchdog),
+            StepLimit::Watched(watchdog, _, _) => Some(watchdog),
         };
         let Some((at, ev)) = self.pop_event() else {
             let what = "simulation deadlock: no events pending".to_string();
@@ -266,8 +264,7 @@ impl System {
             }
         }
         self.summary_limit = match limit {
-            StepLimit::Watched(..) => Some(SimTime::from_picos(u64::MAX)),
-            StepLimit::Sampled(_, _, until) => Some(until),
+            StepLimit::Watched(_, _, until) => Some(until),
             StepLimit::Horizon(_) => None,
         };
         ctrl.on_event(self, ev);
@@ -282,7 +279,7 @@ impl System {
     #[cold]
     fn stall_report(&self, ctrl: &dyn Controller, limit: StepLimit<'_>, what: String) -> String {
         let mut s = what;
-        if let StepLimit::Watched(_, headline) | StepLimit::Sampled(_, headline, _) = limit {
+        if let StepLimit::Watched(_, headline, _) = limit {
             let _ = write!(s, " ({})", headline());
         }
         let _ = writeln!(
@@ -335,17 +332,15 @@ pub enum StepLimit<'a> {
     Horizon(SimTime),
     /// A driver with work outstanding: an empty queue is a deadlock and a
     /// spent watchdog a stall. The closure renders the driver's one-line
-    /// headline for the diagnostic. The driver looks at the system again
-    /// only when a completion or an interrupt calls for it, so the runtime
-    /// may summarize a lone poller's busy status polls in this step.
-    Watched(&'a Watchdog, &'a dyn Fn() -> String),
-    /// [`StepLimit::Watched`] for a step after which the driver acts on the
-    /// system without a completion calling for it: it samples the step
-    /// (the FTL's metrics hub, window by window) or releases completions it
-    /// held back. A status wait is summarized only if the poll that reads
-    /// RDY fires before the given time, which the driver picks so that no
-    /// step it would act on is skipped.
-    Sampled(&'a Watchdog, &'a dyn Fn() -> String, SimTime),
+    /// headline for the diagnostic. The runtime may summarize a lone
+    /// poller's busy status polls in this step if the poll that reads RDY
+    /// fires before the given time. A driver that looks at the system
+    /// again only when a completion or an interrupt calls for it passes
+    /// [`SimTime::FAR_FUTURE`]; one that acts on the system after the step
+    /// without such a call (sampling the FTL's metrics hub window by
+    /// window, releasing completions it held back) picks a bound that
+    /// skips no step it would act on.
+    Watched(&'a Watchdog, &'a dyn Fn() -> String, SimTime),
 }
 
 /// A storage controller: accepts FTL requests, drives the channel, reports
@@ -437,10 +432,6 @@ impl RunReport {
 /// until `total` requests complete.
 pub struct Engine {
     queue_depth_per_lun: usize,
-    /// A caller-pinned stall watchdog; `None` derives one from the static
-    /// envelope of the target package at run start
-    /// ([`Engine::envelope_watchdog_budget`]).
-    pinned_watchdog: Option<Watchdog>,
 }
 
 impl Engine {
@@ -468,18 +459,7 @@ impl Engine {
         assert!(queue_depth_per_lun >= 1);
         Engine {
             queue_depth_per_lun,
-            pinned_watchdog: None,
         }
-    }
-
-    /// Overrides the envelope-derived stall watchdog budget; `None`
-    /// disarms it.
-    pub fn watchdog_budget(mut self, budget: Option<SimDuration>) -> Self {
-        self.pinned_watchdog = Some(match budget {
-            Some(b) => Watchdog::new(b),
-            None => Watchdog::disarmed(),
-        });
-        self
     }
 
     /// Runs `requests` to completion against `controller` on `sys`.
@@ -508,9 +488,7 @@ impl Engine {
         let mut completions = Vec::with_capacity(total);
         let mut scratch = Vec::new();
         let mut bytes = 0u64;
-        let mut watchdog = self.pinned_watchdog.clone().unwrap_or_else(|| {
-            sys.envelope_watchdog(Component::Sim, Self::envelope_watchdog_budget)
-        });
+        let mut watchdog = sys.envelope_watchdog(Component::Sim, Self::envelope_watchdog_budget);
         watchdog.arm_at(start);
 
         loop {
@@ -551,7 +529,8 @@ impl Engine {
                 }
                 s
             };
-            sys.step(controller, StepLimit::Watched(&watchdog, &headline));
+            let limit = StepLimit::Watched(&watchdog, &headline, SimTime::FAR_FUTURE);
+            sys.step(controller, limit);
         }
         RunReport {
             elapsed: sys.now - start,
@@ -677,38 +656,11 @@ mod tests {
 
     /// Events flow forever (a timer endlessly rescheduling itself) but no
     /// request ever completes: the deadlock panic can't see it, the stall
-    /// watchdog must.
+    /// watchdog must. With the envelope-derived budget, an execution that
+    /// exceeds the static envelope by the headroom factor trips the
+    /// watchdog, and the panic names the rule.
     #[test]
-    #[should_panic(expected = "stall watchdog")]
-    fn live_lock_trips_the_watchdog() {
-        struct Spinner;
-        impl Controller for Spinner {
-            fn name(&self) -> &'static str {
-                "spinner"
-            }
-            fn submit(&mut self, sys: &mut System, _r: IoRequest) -> bool {
-                sys.schedule_in(SimDuration::from_micros(10), Event::Timer { tag: 0 });
-                true
-            }
-            fn on_event(&mut self, sys: &mut System, _e: Event) {
-                sys.schedule_in(SimDuration::from_micros(10), Event::Timer { tag: 0 });
-            }
-            fn take_completions(&mut self, _o: &mut Vec<(IoRequest, SimTime)>) {}
-            fn in_flight(&self) -> usize {
-                1
-            }
-        }
-        let mut sys = tiny_system(1);
-        Engine::new(1)
-            .watchdog_budget(Some(SimDuration::from_millis(1)))
-            .run(&mut sys, &mut Spinner, reqs(1, 0));
-    }
-
-    /// Same live-lock, but with the *default* (envelope-derived) budget:
-    /// an execution that exceeds the static envelope by the headroom
-    /// factor trips the watchdog, and the panic names the rule.
-    #[test]
-    #[should_panic(expected = "V074")]
+    #[should_panic(expected = "stall watchdog (V074")]
     fn envelope_budget_trips_and_names_v074() {
         struct Spinner;
         impl Controller for Spinner {

@@ -13,8 +13,11 @@
 //!   worker threads with bit-identical results.
 //! * [`MultiSsd`] — the coordinator: stripes host LPNs over the channels
 //!   (`shard = lpn % channels`), keeps a global queue depth outstanding,
-//!   steps the shard pool in barrier windows, and merges completions
-//!   deterministically by `(time, shard, emission index)`.
+//!   and hands each barrier round's commands to the shard pool, which runs
+//!   the round and returns its completions merged deterministically by
+//!   `(time, shard, emission index)`. What stays here is the device's
+//!   own: the stripe, the fio client, the stall watchdog, the deadlock and
+//!   stall panics, and the report.
 //!
 //! The logical-to-channel stripe means a shard's FTL and GC never touch
 //! another shard's state: host submissions in, completions out, nothing
@@ -30,6 +33,7 @@
 //! on [`babol_sim::par`]).
 
 use std::collections::VecDeque;
+use std::vec::Drain;
 
 use babol::factory::coro_controller;
 use babol::runtime::{RuntimeConfig, SoftController};
@@ -95,35 +99,18 @@ impl MultiSsdConfig {
     }
 }
 
-/// One record harvested from a shard during a barrier window.
+/// One record harvested from a shard during a barrier round. It travels
+/// with its simulated time: a completion's time on the shard's clock, or
+/// the shard clock when the round ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardEvent {
-    /// A host I/O completed.
-    Done {
-        /// Global host I/O id.
-        id: u64,
-        /// Completion time on the shard's clock.
-        at: SimTime,
-    },
+    /// A host I/O completed; the global host I/O id.
+    Done(u64),
     /// Growth of the shard's production-FTL counters since its previous
     /// report, emitted at the end of a barrier round in which something
     /// changed. The coordinator folds these into the aggregate
     /// [`FioReport`].
-    Counters {
-        /// The shard clock when the round ended.
-        at: SimTime,
-        /// The counter deltas.
-        delta: FtlCounters,
-    },
-}
-
-impl ShardEvent {
-    /// The record's simulated timestamp (the merge key).
-    pub fn at(&self) -> SimTime {
-        match *self {
-            ShardEvent::Done { at, .. } | ShardEvent::Counters { at, .. } => at,
-        }
-    }
+    Counters(FtlCounters),
 }
 
 /// Final per-shard state returned by [`MultiSsd::finish`].
@@ -228,7 +215,7 @@ impl ChannelShard {
 /// it, and the round's records.
 struct Round<'a> {
     inbox: &'a mut VecDeque<HostCmd>,
-    out: &'a mut Vec<ShardEvent>,
+    out: &'a mut Vec<(SimTime, ShardEvent)>,
 }
 
 impl Host for Round<'_> {
@@ -240,7 +227,7 @@ impl Host for Round<'_> {
     /// coordinator.
     fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration> {
         metrics.note_op(at);
-        self.out.push(ShardEvent::Done { id, at });
+        self.out.push((at, ShardEvent::Done(id)));
         None
     }
 
@@ -255,15 +242,20 @@ impl Shard for ChannelShard {
     type Out = ShardEvent;
     type Digest = ShardDigest;
 
-    fn deliver(&mut self, at: SimTime, msg: HostCmd) {
-        // All events before the barrier are already processed (the pool ran
-        // this shard to the previous horizon), so clamping forward cannot
-        // reorder anything.
-        self.sys.now = self.sys.now.max(at);
-        self.inbox.push_back(msg);
-    }
-
-    fn run_until(&mut self, horizon: SimTime, out: &mut Vec<ShardEvent>) {
+    fn step(
+        &mut self,
+        at: SimTime,
+        inbox: Drain<'_, HostCmd>,
+        horizon: SimTime,
+        out: &mut Vec<(SimTime, ShardEvent)>,
+    ) -> Option<SimTime> {
+        for cmd in inbox {
+            // All events before the barrier are already processed (the pool
+            // ran this shard to the previous horizon), so clamping forward
+            // cannot reorder anything.
+            self.sys.now = self.sys.now.max(at);
+            self.inbox.push_back(cmd);
+        }
         let mut round = Round {
             inbox: &mut self.inbox,
             out,
@@ -273,10 +265,7 @@ impl Shard for ChannelShard {
         let counters = self.ssd.counters();
         if counters != self.reported {
             let delta = counters.since(&self.reported);
-            out.push(ShardEvent::Counters {
-                at: self.sys.now,
-                delta,
-            });
+            out.push((self.sys.now, ShardEvent::Counters(delta)));
             self.reported = counters;
         }
         // One telemetry sample per barrier round. The round schedule is a
@@ -287,14 +276,7 @@ impl Shard for ChannelShard {
         let depth = self.ctrl.in_flight() + usize::from(self.ssd.staged.is_some());
         let at = SimTime::from_picos(self.ssd.metrics().end_ps()).max(self.sys.now);
         self.ssd.metrics_flush(at, depth);
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
         self.sys.next_event_time()
-    }
-
-    fn now(&self) -> SimTime {
-        self.sys.now
     }
 
     fn events_processed(&self) -> u64 {
@@ -341,13 +323,10 @@ pub struct MultiFioReport {
 /// module docs for the stripe and barrier design.
 pub struct MultiSsd {
     channels: u32,
-    window: SimDuration,
     logical_pages: u64,
     page_size: usize,
     pool: ShardPool<ChannelShard>,
-    barrier: SimTime,
     watchdog: Watchdog,
-    events_seen: Vec<u64>,
     /// Device-level telemetry: host latencies observed at the coordinator
     /// (a shard only knows completion times, not issue→complete latency).
     metrics: MetricsHub,
@@ -360,16 +339,13 @@ impl MultiSsd {
     /// built (the workers may still be building theirs).
     pub fn new(cfg: MultiSsdConfig) -> Self {
         assert!(cfg.channels >= 1, "a device needs at least one channel");
-        assert!(!cfg.window.is_zero(), "the barrier window must be positive");
         let watchdog = match cfg.watchdog {
             Some(budget) => Watchdog::new(budget),
             None => Watchdog::disarmed(),
         };
         let logical_pages = cfg.shard.logical_pages * cfg.channels as u64;
         let page_size = cfg.shard.geometry.page_size;
-        let channels = cfg.channels;
-        let window = cfg.window;
-        let threads = cfg.threads;
+        let (channels, threads, window) = (cfg.channels, cfg.threads, cfg.window);
         let metrics = cfg
             .metrics_window
             .map_or_else(MetricsHub::disabled, MetricsHub::new);
@@ -381,13 +357,10 @@ impl MultiSsd {
             .collect();
         MultiSsd {
             channels,
-            window,
             logical_pages,
             page_size,
-            pool: ShardPool::new(ctors, threads),
-            barrier: SimTime::ZERO,
+            pool: ShardPool::new(ctors, threads, window),
             watchdog,
-            events_seen: vec![0; channels as usize],
             metrics,
         }
     }
@@ -415,13 +388,12 @@ impl MultiSsd {
     /// Panics on deadlock (no shard has events while I/Os are outstanding)
     /// or when the sim-time stall watchdog fires.
     pub fn run(&mut self, wl: &FioWorkload) -> MultiFioReport {
-        let start = self.barrier;
+        let start = self.pool.barrier();
         self.watchdog.arm_at(start);
-        let events_base: u64 = self.events_seen.iter().sum();
+        let events_base = self.pool.events();
         let mut client = FioClient::new(*wl, self.logical_pages);
         let mut completion_log = Vec::with_capacity(wl.total_ios as usize);
         let mut per_shard_ios = vec![0u64; self.channels as usize];
-        let mut next_events: Vec<Option<SimTime>> = vec![None; self.channels as usize];
         let mut inboxes: Vec<Vec<HostCmd>> = vec![Vec::new(); self.channels as usize];
         let mut counters = FtlCounters::default();
         let mut rounds = 0u64;
@@ -430,20 +402,13 @@ impl MultiSsd {
         let channels = self.channels as u64;
         while !client.finished() {
             // Refill the global queue depth; the stripe routes each LPN.
+            let barrier = self.pool.barrier();
             while let Some(cmd) = client.next() {
                 let lpn = cmd.lpn / channels;
                 inboxes[(cmd.lpn % channels) as usize].push(HostCmd { lpn, ..cmd });
-                client.issued(cmd.id, self.barrier);
+                client.issued(cmd.id, barrier);
             }
-            // Conservative horizon: nothing can happen before the earliest
-            // pending event or queued delivery; the fixed window bounds how
-            // far past it any shard may run this round.
-            let queued = inboxes.iter().any(|b| !b.is_empty());
-            let mut earliest = next_events.iter().flatten().copied().min();
-            if queued {
-                earliest = Some(earliest.map_or(self.barrier, |e| e.min(self.barrier)));
-            }
-            let Some(earliest) = earliest else {
+            let Some(round) = self.pool.round(&mut inboxes) else {
                 panic!(
                     "multi-SSD deadlock: {} of {} I/Os complete, \
                      no events pending on any of {} shards",
@@ -452,43 +417,25 @@ impl MultiSsd {
                     self.channels
                 );
             };
-            debug_assert!(earliest >= self.barrier, "horizon moved backwards");
-            let horizon = earliest + self.window;
-            let outcomes = self.pool.step(
-                self.barrier,
-                horizon,
-                std::mem::replace(&mut inboxes, vec![Vec::new(); self.channels as usize]),
-            );
             rounds += 1;
-            // Deterministic merge: a stable sort on (time, shard) keeps
-            // each shard's emission order as the tiebreak, and the outcomes
-            // vector is already indexed by shard id, so the merged stream
-            // is independent of worker scheduling.
-            let mut round: Vec<(SimTime, u32, ShardEvent)> = Vec::new();
-            for (sid, o) in outcomes.iter().enumerate() {
-                round.extend(o.out.iter().map(|ev| (ev.at(), sid as u32, *ev)));
-                next_events[sid] = o.next_event;
-                self.events_seen[sid] = o.events_processed;
-            }
-            round.sort_by_key(|&(at, sid, _)| (at, sid));
             for (at, sid, ev) in round {
                 self.watchdog.note_progress(at);
                 match ev {
-                    ShardEvent::Done { id, .. } => {
+                    ShardEvent::Done(id) => {
                         client.complete(id, at, &mut self.metrics);
-                        completion_log.push((at, sid, id));
-                        per_shard_ios[sid as usize] += 1;
+                        completion_log.push((at, sid as u32, id));
+                        per_shard_ios[sid] += 1;
                         end = end.max(at);
                     }
-                    ShardEvent::Counters { delta, .. } => counters += delta,
+                    ShardEvent::Counters(delta) => counters += delta,
                 }
             }
-            self.barrier = horizon;
-            if self.watchdog.is_stalled(self.barrier) {
+            let barrier = self.pool.barrier();
+            if self.watchdog.is_stalled(barrier) {
                 panic!(
                     "multi-SSD stall watchdog (V074 EnvelopeExceeded): no completion for {:?} \
                      ({} of {} I/Os complete, {} in flight, {rounds} rounds, {} GC cycles)",
-                    self.watchdog.stalled_for(self.barrier),
+                    self.watchdog.stalled_for(barrier),
                     client.latencies.len(),
                     wl.total_ios,
                     client.inflight.len(),
@@ -506,7 +453,7 @@ impl MultiSsd {
             completion_log,
             per_shard_ios,
             rounds,
-            events: self.events_seen.iter().sum::<u64>() - events_base,
+            events: self.pool.events() - events_base,
         }
     }
 
@@ -669,17 +616,16 @@ mod tests {
             map.invalidate(lpn);
         }
         assert!(map.needs_gc(0));
-        for id in 0..2 {
-            let cmd = HostCmd {
+        let mut inbox: Vec<HostCmd> = (0..2)
+            .map(|id| HostCmd {
                 id,
                 lpn: 60 + id,
                 slot: id,
                 write: true,
-            };
-            shard.deliver(SimTime::ZERO, cmd);
-        }
-        let mut out = Vec::new();
-        shard.run_until(SimTime::ZERO + cfg.window, &mut out);
+            })
+            .collect();
+        let horizon = SimTime::ZERO + cfg.window;
+        shard.step(SimTime::ZERO, inbox.drain(..), horizon, &mut Vec::new());
         assert_eq!(shard.ssd.gc_cycles, 2, "each write must need a GC cycle");
         let events: Vec<_> = shard.sys.trace.events().collect();
         let at = |kind: TraceKind, op_id: u64| {

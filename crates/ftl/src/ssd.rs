@@ -516,7 +516,7 @@ impl Ssd {
     /// time. With no `horizon` it steps under the FTL's stall watchdog
     /// until the host is finished and no job is queued; with one it
     /// returns at the first step the horizon stops.
-    // Inlined into its callers, so `run` and the shard's `run_until` each
+    // Inlined into its callers, so `run` and the shard's `step` each
     // keep `System::step` inline: one shared out-of-line copy measured ~3%
     // more simbench host time per I/O on a 2-vCPU x86-64 host.
     #[inline]
@@ -581,14 +581,14 @@ impl Ssd {
             let limit = match horizon {
                 Some(h) if !busy => StepLimit::Horizon(h),
                 _ if !busy && !self.done.is_empty() => {
-                    StepLimit::Sampled(&self.watchdog, &headline, sys.now)
+                    StepLimit::Watched(&self.watchdog, &headline, sys.now)
                 }
                 _ if !busy && self.metrics.is_enabled() => {
                     let window = self.metrics.window();
                     let until = sys.now.window_start(window) + window * 2;
-                    StepLimit::Sampled(&self.watchdog, &headline, until)
+                    StepLimit::Watched(&self.watchdog, &headline, until)
                 }
-                _ => StepLimit::Watched(&self.watchdog, &headline),
+                _ => StepLimit::Watched(&self.watchdog, &headline, SimTime::FAR_FUTURE),
             };
             let stepped = sys.step(controller, limit);
             // A horizon stop is host-level too, or completions held in a

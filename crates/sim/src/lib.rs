@@ -30,8 +30,10 @@
 //!   formula describes, shared read-only as one [`data::PageBuf`] slice.
 //! * [`par::ShardPool`] — conservative parallel DES: per-channel [`Shard`]s
 //!   with private event queues advance concurrently up to a shared time
-//!   barrier, with a deterministic shard-id merge so any thread count
-//!   reproduces the single-threaded event order bit for bit.
+//!   barrier. The pool runs the whole protocol, one call per round (the
+//!   horizon, the deliveries, every shard's step and a deterministic
+//!   `(time, shard)` merge), so any thread count reproduces the
+//!   single-threaded event order bit for bit.
 //! * [`rng::SplitMix64`] — a tiny deterministic RNG used where the kernel
 //!   itself needs randomness without pulling in external crates.
 //! * [`watchdog::Watchdog`] — a sim-time progress monitor that turns a
@@ -51,7 +53,7 @@ pub mod watchdog;
 pub use cpu::{CostModel, Cpu};
 pub use data::{PageBuf, PageData};
 pub use dram::Dram;
-pub use par::{Shard, ShardCtor, ShardPool, StepOutcome};
+pub use par::{Shard, ShardCtor, ShardPool};
 pub use pool::{BufPool, PoolStats};
 pub use queue::EventQueue;
 pub use time::{Freq, SimDuration, SimTime};

@@ -4,16 +4,19 @@
 //! a whole-device simulation (8–16 channels, Amber/SimpleSSD scale) runs one
 //! queue per channel and advances them concurrently. This module provides the
 //! generic kernel: a [`Shard`] is an isolated simulation domain with its own
-//! clock and event queue, and a [`ShardPool`] steps every shard in windows
-//! bounded by a conservative time barrier.
+//! clock and event queue, and a [`ShardPool`] runs the whole conservative
+//! barrier protocol over them, one [`ShardPool::round`] call per round.
 //!
 //! # Barrier protocol
 //!
 //! Shards only interact through the coordinator: messages delivered at a
-//! barrier time, and outputs harvested at the end of each window. Each round:
+//! barrier time, and records harvested at the end of each round. The
+//! coordinator hands each round its inboxes, one per shard, and
+//! [`ShardPool::round`] does the rest:
 //!
-//! 1. The coordinator computes `earliest` — the minimum of every shard's
-//!    next-event time and, if any delivery is queued, the barrier itself.
+//! 1. `earliest` is the minimum of every shard's next-event time and, if any
+//!    delivery is queued, the barrier itself. With neither, the round does
+//!    not run and the call returns `None`.
 //! 2. The horizon is `earliest + window`. The window is a fixed model
 //!    parameter: it never depends on thread count, so the set of events each
 //!    shard processes per round is identical whether the round runs on one
@@ -21,49 +24,57 @@
 //! 3. Every shard receives its queued messages stamped at the barrier time
 //!    (all events before the barrier are already processed, so the stamp
 //!    never rewrites history), then runs until its next event is at or past
-//!    the horizon.
-//! 4. Outputs are merged in shard-id order. Within a shard outputs are
-//!    already in simulated-time order, so a stable merge keyed by
-//!    `(time, shard, emission index)` gives one global deterministic order.
-//! 5. The barrier advances to the horizon.
+//!    the horizon, in one [`Shard::step`] call.
+//! 4. Records are merged by `(time, shard, emission index)`: a stable sort
+//!    on `(time, shard)` keeps each shard's emission order as the tiebreak,
+//!    which gives one global deterministic order.
+//! 5. The barrier advances to the horizon, and the call returns the merged
+//!    records.
 //!
-//! A shard may *overshoot* the horizon if its `run_until` chooses to. The
+//! A shard may *overshoot* the horizon if its `step` chooses to. The
 //! multi-channel SSD's shard runs the one-channel FTL drive loop, whose
 //! step limit is the one such choice: while an FTL job (GC, cache flushes,
 //! wear migration) is queued it steps past the horizon until the job has
 //! run. That is safe: the shard's own clock is private,
 //! deliveries clamp forward (`now = max(now, barrier)`), and the merge key
-//! still orders its outputs globally. Overshoot changes nothing across
+//! still orders its records globally. Overshoot changes nothing across
 //! thread counts because it is a property of the shard's event stream, not
 //! of scheduling.
 //!
+//! The pool keeps every shard's next-event time from one round to the next,
+//! also across a coordinator's separate jobs. After a round every shard's
+//! next event is at or past the new barrier (it ran to the horizon or
+//! beyond), so a job whose first round has a delivery queued starts that
+//! round at the barrier, exactly as if no next-event time were known.
+//!
 //! # Threads
 //!
-//! With `threads = N >= 2` the pool spawns N-1 workers; the calling thread
-//! is worker 0. Each round the caller sends the spawned workers their
-//! inboxes, runs its own shards while they run theirs, then collects their
-//! replies, so a round costs the shards' own work rather than a thread
-//! hand-off. A waiting thread (a worker between rounds, the caller for
-//! replies) polls its channel for a fixed budget, spinning and now and then
-//! yielding its CPU, before it parks in a blocking receive: back-to-back
-//! rounds never pay a kernel wake-up, and an idle pool burns no CPU.
+//! With `threads = N` the pool spawns N-1 workers; the calling thread is
+//! worker 0. One thread is the caller alone with no worker spawned. Each
+//! round the caller sends the spawned workers their inboxes, steps its own
+//! shards while they step theirs, then collects their replies, so a round
+//! costs the shards' own work rather than a thread hand-off. A waiting
+//! thread (a worker between rounds, the caller for replies) polls its
+//! channel for a fixed budget, spinning and now and then yielding its CPU,
+//! before it parks in a blocking receive: back-to-back rounds never pay a
+//! kernel wake-up, and an idle pool burns no CPU.
 //!
 //! # Determinism
 //!
-//! With `threads <= 1` the pool keeps every shard on the caller's thread and
-//! steps them in shard-id order — this *defines* the reference order. With
-//! more threads, shards are pinned to workers (`shard % threads`, worker 0
-//! being the caller), constructed on the thread that owns them (shards need
-//! not be `Send`; only messages, outputs and ctors are), and every round's
-//! results are re-assembled by shard id before the coordinator looks at
-//! them. Arrival order never reaches the model, so any thread count
+//! With one thread the caller steps every shard in shard-id order — this
+//! *defines* the reference order. With more threads, shards are pinned to
+//! workers (`shard % threads`, worker 0 being the caller), constructed on
+//! the thread that owns them (shards need not be `Send`; only messages,
+//! records and ctors are), and every record carries its shard id into the
+//! merge. Arrival order never reaches the model, so any thread count
 //! reproduces the single-thread stream bit for bit.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::vec::Drain;
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// One isolated simulation domain driven by a [`ShardPool`].
 ///
@@ -75,29 +86,28 @@ pub trait Shard: 'static {
     /// Message type delivered into the shard at a barrier (host commands,
     /// cross-shard notifications).
     type In: Send + 'static;
-    /// Output record harvested from the shard (completions). Outputs must
-    /// carry their simulated emission time for the deterministic merge.
+    /// Record harvested from the shard (completions); it travels with its
+    /// simulated emission time, the merge key.
     type Out: Send + 'static;
     /// Final state summary returned by [`Shard::finish`].
     type Digest: Send + 'static;
 
-    /// Accepts one cross-shard message stamped at barrier time `at`.
-    /// The shard must clamp its clock forward (`now = max(now, at)`) and
-    /// must not run events here; work happens in [`Shard::run_until`].
-    fn deliver(&mut self, at: SimTime, msg: Self::In);
+    /// Runs one barrier round. Each message of `inbox` arrives at barrier
+    /// time `at`: the shard clamps its clock forward (`now = max(now, at)`)
+    /// when the inbox holds one, and leaves it alone otherwise. Then it runs
+    /// until its next pending event is at or past `horizon` (or the queue is
+    /// empty), appending `(time, record)` pairs in emission order, and
+    /// returns its next pending event, if any.
+    fn step(
+        &mut self,
+        at: SimTime,
+        inbox: Drain<'_, Self::In>,
+        horizon: SimTime,
+        out: &mut Vec<(SimTime, Self::Out)>,
+    ) -> Option<SimTime>;
 
-    /// Runs the shard until its next pending event is at or past `horizon`
-    /// (or the queue is empty), appending outputs in emission order.
-    fn run_until(&mut self, horizon: SimTime, out: &mut Vec<Self::Out>);
-
-    /// Earliest pending event, if any. Drives the coordinator's horizon.
-    fn next_event_time(&self) -> Option<SimTime>;
-
-    /// The shard's local clock.
-    fn now(&self) -> SimTime;
-
-    /// Events processed since construction (monotonic; feeds the event-rate
-    /// benchmarks).
+    /// Events processed since construction (monotonic; feeds
+    /// [`ShardPool::events`]).
     fn events_processed(&self) -> u64;
 
     /// Consumes the shard, returning its final digest.
@@ -107,25 +117,17 @@ pub trait Shard: 'static {
 /// Constructor for one shard, run on the thread that will own it.
 pub type ShardCtor<S> = Box<dyn FnOnce() -> S + Send>;
 
-/// Per-shard result of one barrier window.
-#[derive(Debug)]
-pub struct StepOutcome<O> {
-    /// Outputs emitted during the window, in emission order.
-    pub out: Vec<O>,
-    /// The shard's next pending event after the window.
-    pub next_event: Option<SimTime>,
-    /// The shard's clock after the window (may exceed the horizon when the
-    /// shard ran blocking internal work).
-    pub now: SimTime,
-    /// Total events the shard has processed since construction.
-    pub events_processed: u64,
-}
+/// One merged record: `(time, shard id, record)`.
+pub type Record<O> = (SimTime, usize, O);
+
+/// After a round: `(shard id, next pending event, events processed)`.
+type ShardState = (usize, Option<SimTime>, u64);
 
 enum Cmd<I> {
-    /// Run one window: deliver `inboxes[i]` to the worker's i-th shard at
-    /// `deliver_at`, then run each shard to `horizon`.
+    /// Run one round: deliver `inboxes[i]` to the worker's i-th shard at
+    /// `at`, then run each shard to `horizon`.
     Step {
-        deliver_at: SimTime,
+        at: SimTime,
         horizon: SimTime,
         inboxes: Vec<Vec<I>>,
     },
@@ -133,38 +135,38 @@ enum Cmd<I> {
 }
 
 enum Reply<O, D> {
-    /// `(global shard id, outcome)` for each shard the worker owns.
-    Stepped(Vec<(usize, StepOutcome<O>)>),
+    /// The records of every shard the worker owns, and each one's state.
+    Stepped(Vec<Record<O>>, Vec<ShardState>),
+    /// `(global shard id, digest)` for each shard the worker owns.
     Finished(Vec<(usize, D)>),
     /// A shard panicked; the payload is the rendered panic message.
     Panicked(String),
 }
 
-struct Worker<S: Shard> {
-    cmd: mpsc::Sender<Cmd<S::In>>,
+struct Worker<I> {
+    cmd: mpsc::Sender<Cmd<I>>,
     handle: Option<JoinHandle<()>>,
 }
 
-enum Backend<S: Shard> {
-    /// `threads <= 1`: shards live on the caller's thread, stepped in
-    /// shard-id order. This is the reference order every other mode must
-    /// reproduce.
-    Inline(Vec<S>),
-    /// `threads = N >= 2`: the caller is worker 0 and owns `local`
-    /// (`(global shard id, shard)`); `workers` are the N-1 spawned threads.
-    Threaded {
-        local: Vec<(usize, S)>,
-        workers: Vec<Worker<S>>,
-        replies: mpsc::Receiver<Reply<S::Out, S::Digest>>,
-        shards: usize,
-    },
-}
-
-/// A fixed-size pool driving [`Shard`]s under the conservative barrier
+/// A fixed-size pool running [`Shard`]s under the conservative barrier
 /// protocol. Built on std threads only; see the module docs for the
-/// determinism argument.
+/// protocol and the determinism argument.
 pub struct ShardPool<S: Shard> {
-    backend: Backend<S>,
+    /// Worker 0's shards, `(global shard id, shard)`: the caller's.
+    local: Vec<(usize, S)>,
+    /// The spawned workers, 1 to N-1.
+    workers: Vec<Worker<S::In>>,
+    replies: mpsc::Receiver<Reply<S::Out, S::Digest>>,
+    window: SimDuration,
+    barrier: SimTime,
+    /// Each shard's next pending event after the last round.
+    next: Vec<Option<SimTime>>,
+    /// Each shard's processed-event count after the last round.
+    events: Vec<u64>,
+    /// One local shard's records while it steps.
+    scratch: Vec<(SimTime, S::Out)>,
+    /// The round's records, merged in place.
+    merged: Vec<Record<S::Out>>,
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -201,24 +203,19 @@ fn spin_recv<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
 }
 
 impl<S: Shard> ShardPool<S> {
-    /// Builds the pool. Each constructor runs exactly once, on the thread
-    /// that will own the shard; shard `i` is pinned to worker `i % threads`,
-    /// and worker 0 is the calling thread, so `threads` counts the caller
-    /// and `threads - 1` threads are spawned. The spawned workers start
+    /// Builds the pool with its barrier at zero. Each constructor runs
+    /// exactly once, on the thread that will own the shard; shard `i` is
+    /// pinned to worker `i % threads`, and worker 0 is the calling thread,
+    /// so `threads` counts the caller and `threads - 1` threads are spawned
+    /// (none for one thread or one shard). The spawned workers start
     /// building before the caller builds its own shards, so all
-    /// construction overlaps. `threads <= 1` (or a single shard) selects the
-    /// inline backend.
-    pub fn new(ctors: Vec<ShardCtor<S>>, threads: usize) -> Self {
+    /// construction overlaps. `window` is how far past the earliest pending
+    /// event every shard runs per round.
+    pub fn new(ctors: Vec<ShardCtor<S>>, threads: usize, window: SimDuration) -> Self {
         assert!(!ctors.is_empty(), "a shard pool needs at least one shard");
+        assert!(!window.is_zero(), "the barrier window must be positive");
         let shards = ctors.len();
-        let threads = threads.min(shards);
-        if threads <= 1 {
-            let built = ctors.into_iter().map(|c| c()).collect();
-            return ShardPool {
-                backend: Backend::Inline(built),
-            };
-        }
-
+        let threads = threads.clamp(1, shards);
         let (reply_tx, replies) = mpsc::channel();
         let mut slots: Vec<Vec<(usize, ShardCtor<S>)>> = (0..threads).map(|_| Vec::new()).collect();
         for (id, ctor) in ctors.into_iter().enumerate() {
@@ -243,175 +240,150 @@ impl<S: Shard> ShardPool<S> {
             })
             .collect();
         let mut pool = ShardPool {
-            backend: Backend::Threaded {
-                local: Vec::new(),
-                workers,
-                replies,
-                shards,
-            },
+            local: Vec::new(),
+            workers,
+            replies,
+            window,
+            barrier: SimTime::ZERO,
+            next: vec![None; shards],
+            events: vec![0; shards],
+            scratch: Vec::new(),
+            merged: Vec::new(),
         };
         // Built after every worker is spawned, so construction overlaps; if
         // a constructor panics, dropping `pool` joins the workers.
-        let built = own.into_iter().map(|(id, ctor)| (id, ctor())).collect();
-        if let Backend::Threaded { local, .. } = &mut pool.backend {
-            *local = built;
-        }
+        pool.local = own.into_iter().map(|(id, ctor)| (id, ctor())).collect();
         pool
     }
 
-    /// Number of shards in the pool.
-    pub fn shards(&self) -> usize {
-        match &self.backend {
-            Backend::Inline(s) => s.len(),
-            Backend::Threaded { shards, .. } => *shards,
-        }
+    /// The barrier: every shard has processed every event before it, and
+    /// the next round delivers its inboxes at it.
+    pub fn barrier(&self) -> SimTime {
+        self.barrier
     }
 
-    /// Runs one barrier window on every shard: deliver `inboxes[i]` to shard
-    /// `i` at `deliver_at`, run each shard to `horizon`, and return outcomes
-    /// indexed by shard id. `inboxes` must have one entry per shard.
-    pub fn step(
-        &mut self,
-        deliver_at: SimTime,
-        horizon: SimTime,
-        mut inboxes: Vec<Vec<S::In>>,
-    ) -> Vec<StepOutcome<S::Out>> {
-        assert_eq!(inboxes.len(), self.shards(), "one inbox per shard");
-        match &mut self.backend {
-            Backend::Inline(shards) => shards
-                .iter_mut()
-                .zip(inboxes.drain(..))
-                .map(|(shard, inbox)| run_window(shard, deliver_at, horizon, inbox))
-                .collect(),
-            Backend::Threaded {
-                local,
-                workers,
-                replies,
-                shards,
-            } => {
-                let threads = workers.len() + 1;
-                let mut per_worker: Vec<Vec<Vec<S::In>>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for (id, inbox) in inboxes.drain(..).enumerate() {
-                    per_worker[id % threads].push(inbox);
-                }
-                let mut per_worker = per_worker.into_iter();
-                let own = per_worker.next().expect("worker 0 is the caller");
-                for (worker, inboxes) in workers.iter().zip(per_worker) {
-                    // A worker that hung up has already sent its panic as a
-                    // reply; the collection below surfaces it.
-                    let _ = worker.cmd.send(Cmd::Step {
-                        deliver_at,
-                        horizon,
-                        inboxes,
-                    });
-                }
-                let mut outcomes: Vec<Option<StepOutcome<S::Out>>> =
-                    (0..*shards).map(|_| None).collect();
-                for ((id, shard), inbox) in local.iter_mut().zip(own) {
-                    outcomes[*id] = Some(run_window(shard, deliver_at, horizon, inbox));
-                }
-                for _ in 0..workers.len() {
-                    match spin_recv(replies).expect("shard worker hung up") {
-                        Reply::Stepped(list) => {
-                            for (id, outcome) in list {
-                                outcomes[id] = Some(outcome);
-                            }
-                        }
-                        Reply::Panicked(msg) => panic!("{msg}"),
-                        Reply::Finished(_) => unreachable!("finish reply during step"),
+    /// Events processed across all shards as of the last round.
+    pub fn events(&self) -> u64 {
+        self.events.iter().sum()
+    }
+
+    /// Runs one barrier round (see the module docs): delivers `inboxes[i]`
+    /// to shard `i` at the barrier, leaving every inbox empty, runs every
+    /// shard to the horizon, advances the barrier to it and returns the
+    /// round's records in merge order. Returns `None`, running nothing, when
+    /// no shard has a pending event and every inbox is empty. `inboxes`
+    /// must have one entry per shard.
+    pub fn round(&mut self, inboxes: &mut [Vec<S::In>]) -> Option<Drain<'_, Record<S::Out>>> {
+        assert_eq!(inboxes.len(), self.next.len(), "one inbox per shard");
+        let mut earliest = self.next.iter().flatten().copied().min();
+        if inboxes.iter().any(|b| !b.is_empty()) {
+            earliest = Some(earliest.map_or(self.barrier, |e| e.min(self.barrier)));
+        }
+        let earliest = earliest?;
+        debug_assert!(earliest >= self.barrier, "horizon moved backwards");
+        let (at, horizon) = (self.barrier, earliest + self.window);
+
+        let threads = self.workers.len() + 1;
+        for (w, worker) in self.workers.iter().enumerate() {
+            let inboxes = (w + 1..inboxes.len())
+                .step_by(threads)
+                .map(|id| std::mem::take(&mut inboxes[id]))
+                .collect();
+            // A worker that hung up has already sent its panic as a reply;
+            // the collection below surfaces it.
+            let _ = worker.cmd.send(Cmd::Step {
+                at,
+                horizon,
+                inboxes,
+            });
+        }
+        let (scratch, merged) = (&mut self.scratch, &mut self.merged);
+        for local in &mut self.local {
+            let inbox = &mut inboxes[local.0];
+            let (id, next, events) = step_shard(local, (at, horizon), inbox, scratch, merged);
+            (self.next[id], self.events[id]) = (next, events);
+        }
+        for _ in &self.workers {
+            match spin_recv(&self.replies).expect("shard worker hung up") {
+                Reply::Stepped(records, states) => {
+                    self.merged.extend(records);
+                    for (id, next, events) in states {
+                        (self.next[id], self.events[id]) = (next, events);
                     }
                 }
-                outcomes
-                    .into_iter()
-                    .map(|o| o.expect("worker skipped a shard"))
-                    .collect()
+                Reply::Panicked(msg) => panic!("{msg}"),
+                Reply::Finished(_) => unreachable!("finish reply during a round"),
             }
         }
+        self.merged.sort_by_key(|&(t, id, _)| (t, id));
+        self.barrier = horizon;
+        Some(self.merged.drain(..))
     }
 
     /// Shuts the pool down, returning every shard's digest in shard-id order.
     pub fn finish(mut self) -> Vec<S::Digest> {
-        match std::mem::replace(&mut self.backend, Backend::Inline(Vec::new())) {
-            Backend::Inline(shards) => shards.into_iter().map(Shard::finish).collect(),
-            Backend::Threaded {
-                local,
-                mut workers,
-                replies,
-                shards,
-            } => {
-                for worker in &workers {
-                    let _ = worker.cmd.send(Cmd::Finish);
-                }
-                let mut digests: Vec<Option<S::Digest>> = (0..shards).map(|_| None).collect();
-                for (id, shard) in local {
-                    digests[id] = Some(shard.finish());
-                }
-                for _ in 0..workers.len() {
-                    match spin_recv(&replies).expect("shard worker hung up") {
-                        Reply::Finished(list) => {
-                            for (id, digest) in list {
-                                digests[id] = Some(digest);
-                            }
-                        }
-                        Reply::Panicked(msg) => panic!("{msg}"),
-                        Reply::Stepped(_) => unreachable!("step reply during finish"),
+        for worker in &self.workers {
+            let _ = worker.cmd.send(Cmd::Finish);
+        }
+        let mut digests: Vec<Option<S::Digest>> = self.next.iter().map(|_| None).collect();
+        for (id, shard) in std::mem::take(&mut self.local) {
+            digests[id] = Some(shard.finish());
+        }
+        for _ in &self.workers {
+            match spin_recv(&self.replies).expect("shard worker hung up") {
+                Reply::Finished(list) => {
+                    for (id, digest) in list {
+                        digests[id] = Some(digest);
                     }
                 }
-                for worker in &mut workers {
-                    if let Some(handle) = worker.handle.take() {
-                        if let Err(payload) = handle.join() {
-                            resume_unwind(payload);
-                        }
-                    }
-                }
-                digests
-                    .into_iter()
-                    .map(|d| d.expect("worker dropped a digest"))
-                    .collect()
+                Reply::Panicked(msg) => panic!("{msg}"),
+                Reply::Stepped(..) => unreachable!("round reply during finish"),
             }
         }
+        for worker in &mut self.workers {
+            if let Some(handle) = worker.handle.take() {
+                if let Err(payload) = handle.join() {
+                    resume_unwind(payload);
+                }
+            }
+        }
+        digests
+            .into_iter()
+            .map(|d| d.expect("worker dropped a digest"))
+            .collect()
     }
 }
 
 impl<S: Shard> Drop for ShardPool<S> {
     fn drop(&mut self) {
-        if let Backend::Threaded { local, workers, .. } = &mut self.backend {
-            // Closing the command channels makes workers drop their shards
-            // and exit while the caller drops its own; join so no thread
-            // outlives the pool. Panics were either already surfaced through
-            // a reply or are repeated here.
-            for worker in workers.iter_mut() {
-                worker.cmd = mpsc::channel().0;
-            }
-            local.clear();
-            for worker in workers.iter_mut() {
-                if let Some(handle) = worker.handle.take() {
-                    let _ = handle.join();
-                }
+        // Closing the command channels makes workers drop their shards and
+        // exit while the caller drops its own; join so no thread outlives
+        // the pool. Panics were either already surfaced through a reply or
+        // are repeated here.
+        for worker in &mut self.workers {
+            worker.cmd = mpsc::channel().0;
+        }
+        self.local.clear();
+        for worker in &mut self.workers {
+            if let Some(handle) = worker.handle.take() {
+                let _ = handle.join();
             }
         }
     }
 }
 
-/// Delivers one inbox and runs one window on one shard.
-fn run_window<S: Shard>(
-    shard: &mut S,
-    deliver_at: SimTime,
-    horizon: SimTime,
-    inbox: Vec<S::In>,
-) -> StepOutcome<S::Out> {
-    let mut out = Vec::new();
-    for msg in inbox {
-        shard.deliver(deliver_at, msg);
-    }
-    shard.run_until(horizon, &mut out);
-    StepOutcome {
-        out,
-        next_event: shard.next_event_time(),
-        now: shard.now(),
-        events_processed: shard.events_processed(),
-    }
+/// Steps one `(global shard id, shard)` through the round `(at, horizon)`,
+/// moving its records, tagged with its id, from `scratch` to `merged`.
+fn step_shard<S: Shard>(
+    (id, shard): &mut (usize, S),
+    (at, horizon): (SimTime, SimTime),
+    inbox: &mut Vec<S::In>,
+    scratch: &mut Vec<(SimTime, S::Out)>,
+    merged: &mut Vec<Record<S::Out>>,
+) -> ShardState {
+    let next = shard.step(at, inbox.drain(..), horizon, scratch);
+    merged.extend(scratch.drain(..).map(|(t, out)| (t, *id, out)));
+    (*id, next, shard.events_processed())
 }
 
 fn worker_main<S: Shard>(
@@ -433,24 +405,27 @@ fn worker_main<S: Shard>(
             return;
         }
     };
+    let mut scratch = Vec::new();
     while let Ok(cmd) = spin_recv(&cmd_rx) {
         match cmd {
             Cmd::Step {
-                deliver_at,
+                at,
                 horizon,
-                inboxes,
+                mut inboxes,
             } => {
                 let reply = catch_unwind(AssertUnwindSafe(|| {
-                    shards
+                    let mut records = Vec::new();
+                    let states = shards
                         .iter_mut()
-                        .zip(inboxes)
-                        .map(|((id, shard), inbox)| {
-                            (*id, run_window(shard, deliver_at, horizon, inbox))
+                        .zip(&mut inboxes)
+                        .map(|(shard, inbox)| {
+                            step_shard(shard, (at, horizon), inbox, &mut scratch, &mut records)
                         })
-                        .collect::<Vec<_>>()
+                        .collect();
+                    Reply::Stepped(records, states)
                 }));
                 let reply = match reply {
-                    Ok(list) => Reply::Stepped(list),
+                    Ok(reply) => reply,
                     Err(payload) => {
                         let _ = reply_tx.send(Reply::Panicked(panic_message(payload)));
                         return;
@@ -479,8 +454,8 @@ mod tests {
     use crate::time::SimDuration;
 
     /// A minimal shard: delivered numbers become events `delay` later; each
-    /// popped event emits `(time, value)` and schedules a decremented echo
-    /// until the value reaches zero.
+    /// popped event emits `(shard, value)` at its time and schedules a
+    /// decremented echo until the value reaches zero.
     struct Echo {
         id: u64,
         now: SimTime,
@@ -503,14 +478,20 @@ mod tests {
 
     impl Shard for Echo {
         type In = u64;
-        type Out = (SimTime, u64, u64);
+        type Out = (u64, u64);
         type Digest = (u64, u64);
 
-        fn deliver(&mut self, at: SimTime, msg: u64) {
-            self.now = self.now.max(at);
-            self.events.push(self.now + self.delay, msg);
-        }
-        fn run_until(&mut self, horizon: SimTime, out: &mut Vec<Self::Out>) {
+        fn step(
+            &mut self,
+            at: SimTime,
+            inbox: Drain<'_, u64>,
+            horizon: SimTime,
+            out: &mut Vec<(SimTime, Self::Out)>,
+        ) -> Option<SimTime> {
+            for msg in inbox {
+                self.now = self.now.max(at);
+                self.events.push(self.now + self.delay, msg);
+            }
             while let Some(t) = self.events.peek_time() {
                 if t >= horizon {
                     break;
@@ -518,17 +499,12 @@ mod tests {
                 let (at, v) = self.events.pop().unwrap();
                 self.now = at;
                 self.processed += 1;
-                out.push((at, self.id, v));
+                out.push((at, (self.id, v)));
                 if v > 0 {
                     self.events.push(at + self.delay, v - 1);
                 }
             }
-        }
-        fn next_event_time(&self) -> Option<SimTime> {
             self.events.peek_time()
-        }
-        fn now(&self) -> SimTime {
-            self.now
         }
         fn events_processed(&self) -> u64 {
             self.processed
@@ -538,41 +514,24 @@ mod tests {
         }
     }
 
-    type EchoRun = (Vec<(SimTime, u64, u64)>, Vec<(u64, u64)>);
+    type EchoRun = (Vec<Record<(u64, u64)>>, Vec<(u64, u64)>);
 
     fn drive(threads: usize) -> EchoRun {
         let ctors: Vec<ShardCtor<Echo>> = (0..4u64)
             .map(|id| Box::new(move || Echo::new(id, 100 + id * 37)) as ShardCtor<Echo>)
             .collect();
-        let mut pool = ShardPool::new(ctors, threads);
-        let mut barrier = SimTime::ZERO;
-        let window = SimDuration::from_picos(250);
+        let mut pool = ShardPool::new(ctors, threads, SimDuration::from_picos(250));
         let mut merged = Vec::new();
-        // Seed every shard with a chain, then drain in windows.
+        // Seed every shard with a chain, then drain in rounds.
         let mut inboxes: Vec<Vec<u64>> = (0..4).map(|i| vec![i + 3]).collect();
-        loop {
-            let queued = inboxes.iter().any(|i| !i.is_empty());
-            let outcomes = pool.step(
-                barrier,
-                barrier + window,
-                std::mem::replace(&mut inboxes, (0..4).map(|_| Vec::new()).collect()),
-            );
-            let mut round: Vec<(SimTime, u64, u64)> = Vec::new();
-            for o in &outcomes {
-                round.extend(o.out.iter().copied());
-            }
-            round.sort_by_key(|&(t, shard, _)| (t, shard));
+        while let Some(round) = pool.round(&mut inboxes) {
             merged.extend(round);
-            barrier += window;
-            if !queued && outcomes.iter().all(|o| o.next_event.is_none()) {
-                break;
-            }
         }
         (merged, pool.finish())
     }
 
     #[test]
-    fn threaded_pools_reproduce_the_inline_order() {
+    fn threaded_pools_reproduce_the_one_thread_order() {
         let (reference, digests1) = drive(1);
         assert!(!reference.is_empty());
         for threads in [2, 3, 8] {
@@ -603,7 +562,7 @@ mod tests {
                 }) as ShardCtor<Echo>
             })
             .collect();
-        let pool = ShardPool::new(ctors, 2);
+        let pool = ShardPool::new(ctors, 2, SimDuration::from_picos(100));
         let mut built: Vec<_> = rx.iter().take(2).collect();
         built.sort_by_key(|&(id, _)| id);
         let caller = std::thread::current().id();
@@ -628,27 +587,27 @@ mod tests {
                 Echo::new(1, 100)
             }),
         ];
-        drop(ShardPool::new(ctors, 2));
+        drop(ShardPool::new(ctors, 2, SimDuration::from_picos(100)));
     }
 
-    /// A shard that panics in its first window if it is the bomb.
+    /// A shard that panics in its first round if it is the bomb.
     struct Bomb(bool);
 
     impl Shard for Bomb {
         type In = ();
         type Out = ();
         type Digest = ();
-        fn deliver(&mut self, _at: SimTime, _msg: ()) {}
-        fn run_until(&mut self, _h: SimTime, _o: &mut Vec<()>) {
+        fn step(
+            &mut self,
+            _at: SimTime,
+            _inbox: Drain<'_, ()>,
+            _horizon: SimTime,
+            _out: &mut Vec<(SimTime, ())>,
+        ) -> Option<SimTime> {
             if self.0 {
                 panic!("echo shard exploded");
             }
-        }
-        fn next_event_time(&self) -> Option<SimTime> {
             None
-        }
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
         }
         fn events_processed(&self) -> u64 {
             0
@@ -662,13 +621,9 @@ mod tests {
         let ctors: Vec<ShardCtor<Bomb>> = (0..2)
             .map(|id| Box::new(move || Bomb(id == bomb)) as ShardCtor<Bomb>)
             .collect();
-        let mut pool = ShardPool::new(ctors, 2);
+        let mut pool = ShardPool::new(ctors, 2, SimDuration::from_picos(1));
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            pool.step(
-                SimTime::ZERO,
-                SimTime::ZERO + SimDuration::from_picos(1),
-                vec![vec![], vec![]],
-            )
+            pool.round(&mut [vec![()], vec![()]]).map(|r| r.count())
         }))
         .expect_err("the bomb went off");
         assert_eq!(panic_message(payload), "echo shard exploded");

@@ -189,32 +189,14 @@ impl Default for EnergyCosts {
     }
 }
 
-/// Analyzer configuration: how the controller plays phases, what energy
-/// costs, and when an envelope counts as suspiciously wide (V073).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnvelopeConfig {
-    /// The emit configuration the controller executes with (interface,
-    /// timing set, packetizer) — determines exact bus time.
-    pub emit: EmitConfig,
-    /// Energy cost table.
-    pub energy: EnergyCosts,
-    /// V073 threshold: warn when `time.max * 10 > time.min * ratio_x10`.
-    /// The default 15 (width ratio 1.5×) clears every shipped operation —
-    /// 8% array jitter widens a read to at most ~1.18× — while catching
-    /// pSLC-ambiguous programs (~1.9× on the paper profiles).
-    pub width_ratio_x10: u64,
-}
+/// V073 threshold: warn when `time.max * 10 > time.min * WIDTH_RATIO_X10`.
+/// 15 (width ratio 1.5×) clears every shipped operation — 8% array jitter
+/// widens a read to at most ~1.18× — while catching pSLC-ambiguous programs
+/// (~1.9× on the paper profiles).
+const WIDTH_RATIO_X10: u64 = 15;
 
-impl EnvelopeConfig {
-    /// Default configuration for a given emit setup.
-    pub fn new(emit: EmitConfig) -> Self {
-        EnvelopeConfig {
-            emit,
-            energy: EnergyCosts::nand(),
-            width_ratio_x10: 15,
-        }
-    }
-}
+/// The energy table the analyzer charges: the FTL's default costs.
+const ENERGY: EnergyCosts = EnergyCosts::nand();
 
 /// Worst-case array timing bounds of a package, in picoseconds, and the
 /// address layout its LUNs decode with.
@@ -381,7 +363,6 @@ impl EnvLun {
         p: u64,
         event: &Event,
         b: &ArrayBounds,
-        c: &EnergyCosts,
         energy: &mut Interval,
         moved: &mut Interval,
     ) {
@@ -421,7 +402,7 @@ impl EnvLun {
                 let dur = self.array_time(b.t_r, b.t_r_slc);
                 let rows = self.queued_rows + 1;
                 self.queued_rows = 0;
-                let cost = Interval::point(c.read_pj * rows);
+                let cost = Interval::point(ENERGY.read_pj * rows);
                 self.begin(p, dur, cost, BusyKind::Read, energy);
             }
             (Action::Busy(BusyKind::PlaneQueue), _) => {
@@ -431,7 +412,7 @@ impl EnvLun {
             }
             (Action::Busy(BusyKind::CacheRead), _) => {
                 // Always the nominal tR: the model passes `pslc: false`.
-                let cost = Interval::point(c.read_pj);
+                let cost = Interval::point(ENERGY.read_pj);
                 self.begin(p, b.t_r, cost, BusyKind::CacheRead, energy);
             }
             (Action::CacheEnd, _) => {
@@ -448,10 +429,10 @@ impl EnvLun {
                     let d = pend.deadline;
                     dur += Interval::new(d.min.saturating_sub(p), d.max.saturating_sub(p));
                 }
-                self.begin(p, dur, Interval::point(c.program_pj), kind, energy);
+                self.begin(p, dur, Interval::point(ENERGY.program_pj), kind, energy);
             }
             (Action::Busy(BusyKind::Erase), _) => {
-                let cost = Interval::point(c.erase_pj);
+                let cost = Interval::point(ENERGY.erase_pj);
                 self.begin(p, b.t_bers, cost, BusyKind::Erase, energy);
             }
             (Action::Busy(BusyKind::ParamPage), _) => {
@@ -573,7 +554,7 @@ pub(crate) enum Event<'a> {
 /// accumulates the stream total plus V073 width warnings.
 #[derive(Debug)]
 pub struct EnvelopeAnalyzer {
-    cfg: EnvelopeConfig,
+    emit: EmitConfig,
     bounds: ArrayBounds,
     luns: Vec<EnvLun>,
     total: Envelope,
@@ -583,10 +564,11 @@ pub struct EnvelopeAnalyzer {
 
 impl EnvelopeAnalyzer {
     /// Analyzer for a channel of `luns` LUNs of one package, played with
-    /// `cfg`. State starts at power-on (everything idle, features reset).
-    pub fn new(profile: &PackageProfile, luns: u32, cfg: EnvelopeConfig) -> Self {
+    /// `emit` (interface, timing set, packetizer — it fixes exact bus time).
+    /// State starts at power-on (everything idle, features reset).
+    pub fn new(profile: &PackageProfile, luns: u32, emit: EmitConfig) -> Self {
         EnvelopeAnalyzer {
-            cfg,
+            emit,
             bounds: ArrayBounds::from_profile(profile),
             luns: vec![EnvLun::power_on(); luns as usize],
             total: Envelope::ZERO,
@@ -597,7 +579,7 @@ impl EnvelopeAnalyzer {
 
     /// Envelope of one μFSM transaction, advancing the abstract state.
     pub fn transaction_envelope(&mut self, txn: &Transaction) -> Envelope {
-        let timings = self.cfg.emit.phase_timings(txn);
+        let timings = self.emit.phase_timings(txn);
         let bus_ps = timings.last().map(|m| m.end.as_picos()).unwrap_or_default();
         let mut events = Vec::new();
         for (instr, timing) in txn.instrs().iter().zip(&timings) {
@@ -679,14 +661,7 @@ impl EnvelopeAnalyzer {
                             bytes += Interval::point(n);
                         }
                     }
-                    _ => st.on_event(
-                        *p,
-                        event,
-                        &self.bounds,
-                        &self.cfg.energy,
-                        &mut energy,
-                        &mut bytes,
-                    ),
+                    _ => st.on_event(*p, event, &self.bounds, &mut energy, &mut bytes),
                 }
             }
             // Transaction end: the replay harness waits out every pending
@@ -702,16 +677,12 @@ impl EnvelopeAnalyzer {
             }
             self.luns[chip as usize] = st;
         }
-        let transfer = Interval::new(
-            self.cfg.energy.transfer_pj(bytes.min),
-            self.cfg.energy.transfer_pj(bytes.max),
-        );
+        let transfer = Interval::new(ENERGY.transfer_pj(bytes.min), ENERGY.transfer_pj(bytes.max));
         let env = Envelope {
             time_ps: time,
             energy_pj: energy + transfer,
         };
-        if env.time_ps.min > 0 && env.time_ps.max * 10 > env.time_ps.min * self.cfg.width_ratio_x10
-        {
+        if env.time_ps.min > 0 && env.time_ps.max * 10 > env.time_ps.min * WIDTH_RATIO_X10 {
             self.report.push(Diagnostic {
                 rule: Rule::WideEnvelope,
                 severity: Rule::WideEnvelope.severity(),
@@ -724,7 +695,7 @@ impl EnvelopeAnalyzer {
                      transaction's timing unpredictable",
                     env.time_ps.min as f64 / 1e6,
                     env.time_ps.max as f64 / 1e6,
-                    self.cfg.width_ratio_x10 as f64 / 10.0,
+                    WIDTH_RATIO_X10 as f64 / 10.0,
                 ),
             });
         }
@@ -799,11 +770,7 @@ mod tests {
     }
 
     fn analyzer(p: &PackageProfile) -> EnvelopeAnalyzer {
-        EnvelopeAnalyzer::new(
-            p,
-            p.luns_per_channel,
-            EnvelopeConfig::new(EmitConfig::nv_ddr2(200)),
-        )
+        EnvelopeAnalyzer::new(p, p.luns_per_channel, EmitConfig::nv_ddr2(200))
     }
 
     fn addr_full(p: &PackageProfile) -> Vec<u8> {

@@ -54,7 +54,7 @@ pub mod envelope;
 pub mod rules;
 
 pub use diag::{Diagnostic, Report};
-pub use envelope::{EnergyCosts, Envelope, EnvelopeAnalyzer, EnvelopeConfig, Interval};
+pub use envelope::{EnergyCosts, Envelope, EnvelopeAnalyzer, Interval};
 pub use rules::{Rule, Severity};
 
 use babol_channel::Channel;

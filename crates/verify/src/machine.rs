@@ -977,7 +977,7 @@ mod tests {
     //! each ends in, and on the busy period each starts.
 
     use super::*;
-    use crate::envelope::{ArrayBounds, EnergyCosts, EnvLun, Event, Interval};
+    use crate::envelope::{ArrayBounds, EnvLun, Event, Interval};
     use babol_flash::lun::{Lun, LunConfig, LunResponse};
     use babol_flash::PackageProfile;
     use babol_onfi::decode::step;
@@ -1100,8 +1100,7 @@ mod tests {
                     },
                 };
                 let (mut energy, mut moved) = (Interval::ZERO, Interval::ZERO);
-                let costs = EnergyCosts::nand();
-                e.on_event(0, &event, &bounds, &costs, &mut energy, &mut moved);
+                e.on_event(0, &event, &bounds, &mut energy, &mut moved);
                 let envelope_ok = e.dec.is_some();
 
                 assert_eq!(lun_ok, verifier_ok, "{at}: LUN vs verifier accept");

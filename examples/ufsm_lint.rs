@@ -33,9 +33,7 @@ use babol::system::{IoKind, IoRequest};
 use babol_flash::PackageProfile;
 use babol_onfi::bus::ChipMask;
 use babol_ufsm::EmitConfig;
-use babol_verify::{
-    verify_stream, Envelope, EnvelopeAnalyzer, EnvelopeConfig, Report, TargetModel, Verifier,
-};
+use babol_verify::{verify_stream, Envelope, EnvelopeAnalyzer, Report, TargetModel, Verifier};
 
 /// DRAM window the lint harness assumes (bounds-checks `DmaDest::Dram`).
 const DRAM_BYTES: u64 = 1 << 32;
@@ -173,11 +171,7 @@ fn main() -> ExitCode {
             let txns = lintcap::capture(profile, kind);
             let mut report = verify_stream(&model, &txns);
             let envelope = envelopes.then(|| {
-                let mut a = EnvelopeAnalyzer::new(
-                    profile,
-                    profile.luns_per_channel,
-                    EnvelopeConfig::new(emit),
-                );
+                let mut a = EnvelopeAnalyzer::new(profile, profile.luns_per_channel, emit);
                 for txn in &txns {
                     a.transaction_envelope(txn);
                 }
@@ -230,11 +224,7 @@ fn main() -> ExitCode {
                 }
                 let mut report = v.finish();
                 let envelope = envelopes.then(|| {
-                    let mut a = EnvelopeAnalyzer::new(
-                        profile,
-                        profile.luns_per_channel,
-                        EnvelopeConfig::new(emit),
-                    );
+                    let mut a = EnvelopeAnalyzer::new(profile, profile.luns_per_channel, emit);
                     for tenure in &tenures {
                         a.phases_envelope(ChipMask::single(0), tenure);
                     }

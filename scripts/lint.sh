@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Workspace determinism, `unsafe`, FTL-counter, completion-harvest,
-# drive-loop, status-wait and page-bytes lint.
+# drive-loop, status-wait, page-bytes, one-decoder and barrier-round lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -35,9 +35,9 @@
 # The FTL has one drive loop, `Ssd::drive`, which the one-channel run, the
 # cache flush and every multi-channel shard share, so all of them admit
 # host I/O by one policy. Production code in crates/ftl must not call
-# `.step(` in any other function; the shard pool's barrier round
-# (`pool.step(`) is the coordinator's, not a second loop over the event
-# queue.
+# `.step(` in any other function. A shard's `Shard::step` is a definition,
+# not a call: it runs `Ssd::drive`, and the coordinator starts a barrier
+# round with `pool.round(`.
 #
 # Status waits go through one runtime primitive, `StatusWait::poll`
 # (crates/core/src/runtime/mod.rs), which is how the runtime recognizes a
@@ -57,6 +57,15 @@
 # the actions of its one transition function. The decode-state enum
 # (`Decode`) and `BusyKind` may be defined nowhere else, so no consumer
 # grows a second grammar beside it.
+#
+# The conservative barrier protocol is written once, in `ShardPool::round`
+# (crates/sim/src/par.rs): it picks each round's horizon (the earliest
+# pending event or queued delivery, plus the window) and merges the round's
+# records by `(time, shard)`. The model check (tests/shard_barrier.rs)
+# drives that call, so it checks the code the device runs only while no
+# coordinator keeps a copy. No other production file may compute a horizon
+# from a window (a statement naming `horizon` or `earliest` that adds a
+# `window`) or sort records by a pair key (`.sort*_by_key(|..| (a, b))`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -170,13 +179,12 @@ done <<< "$ftl_writes"
 
 # FTL production-code calls matching CALL outside `fn ALLOWED_FN` of
 # ssd.rs, printed as `file:line: in fn name`; each call is attributed to
-# the last `fn` before it. A call on a receiver named SKIP is ignored.
+# the last `fn` before it.
 ftl_calls_outside() {
-  local call="$1" allowed_fn="$2" skip="${3:-}"
+  local call="$1" allowed_fn="$2"
   find crates/ftl -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
     s/^#\[cfg\(test\)\].*//ms;
-    while (/(\w*)\s*\.'"$call"'\(/g) {
-      next if "'"$skip"'" ne "" && $1 eq "'"$skip"'";
+    while (/\.'"$call"'\(/g) {
       my $before = substr($_, 0, $-[0]);
       my ($fn) = $before =~ /.*\bfn\s+(\w+)/s;
       $fn //= "?";
@@ -256,7 +264,22 @@ done
 report "FTL completions taken outside Ssd::harvest" \
   "$(ftl_calls_outside take_completions harvest)"
 report "event queue stepped outside Ssd::drive" \
-  "$(ftl_calls_outside step drive pool)"
+  "$(ftl_calls_outside step drive)"
+
+# Barrier horizons and round merges in production code outside the shard
+# pool, printed as `file:line: what`; comments are skipped.
+barrier_copies=$(find crates src examples -name '*.rs' ! -path crates/sim/src/par.rs -print0 | sort -z | xargs -0 perl -0777 -ne '
+  s/^#\[cfg\(test\)\].*//ms;
+  s{//[^\n]*}{}g;
+  while (/[^;{}\s][^;{}]*/g) {
+    my ($stmt, $at) = ($&, $-[0]);
+    my $what = ($stmt =~ /\b(?:horizon|earliest)\b/ && $stmt =~ /\+\s*[\w.]*window\b/)
+      ? "barrier horizon"
+      : $stmt =~ /\.sort\w*_by_key\(\s*\|[^|]*\|\s*\([^()]*,[^()]*\)\s*\)/ ? "round merge" : next;
+    my $line = 1 + (substr($_, 0, $at) =~ tr/\n//);
+    print "$ARGV:$line: $what\n";
+  }')
+report "barrier round computed outside ShardPool::round" "$barrier_copies"
 
 if [ "$fail" -ne 0 ]; then
   echo
@@ -268,6 +291,7 @@ if [ "$fail" -ne 0 ]; then
   echo "event queue only in Ssd::drive. Status waits go through StatusWait."
   echo "Page data stays a PageData between the edges in PAGE_BYTES_ALLOW."
   echo "The ONFI grammar's states and busy kinds live in babol_onfi::decode."
+  echo "Barrier horizons and round merges live in ShardPool::round."
   exit 1
 fi
-echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait, page-bytes and one-decoder lint: clean"
+echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait, page-bytes, one-decoder and barrier-round lint: clean"

@@ -299,7 +299,10 @@ fn boundary_run(case: &Case, profile: &PackageProfile, traced: bool) -> Boundary
                 continue;
             }
         }
-        sys.step(&mut ctrl, StepLimit::Watched(&watchdog, &headline));
+        sys.step(
+            &mut ctrl,
+            StepLimit::Watched(&watchdog, &headline, SimTime::FAR_FUTURE),
+        );
         let lun = sys.channel.lun(0);
         if let (Some(kind), Some(until)) = (lun.busy_kind(), lun.busy_until()) {
             if windows.last().map(|w| w.1) != Some(until) {

@@ -5,15 +5,18 @@
 //! stream — keyed `(time, shard, emission index)` — is identical to a
 //! single global event queue processing every shard's events in time order,
 //! at any thread count and any barrier window. This property drives random
-//! cross-shard schedules through a [`ShardPool`] and checks the merged
-//! stream against an independently implemented single-queue reference.
+//! cross-shard schedules through [`ShardPool::round`], the round call the
+//! multi-channel device runs, and checks the merged stream against an
+//! independently implemented single-queue reference.
 //!
-//! The reference is not the pool's own inline backend: it is a separate
+//! The reference is not the pool at one thread: it is a separate
 //! interpreter that repeatedly picks the globally earliest pending event
 //! (ties broken by shard id) and processes it, with no windows and no
 //! barriers at all. Agreement therefore checks the barrier protocol itself
 //! — that windows never split, lose, or reorder events — not merely that
-//! two code paths through the same loop agree.
+//! two thread counts of the same loop agree.
+
+use std::vec::Drain;
 
 use babol_sim::{EventQueue, Shard, ShardCtor, ShardPool, SimDuration, SimTime};
 use babol_testkit::prop::{range, select, vec_of, Property};
@@ -26,6 +29,9 @@ type Op = (u64, u64);
 
 /// One output record: `(time, shard, remaining echo count)`.
 type Rec = (SimTime, u32, u64);
+
+/// A shard's output: `(time, (shard, remaining echo count))`.
+type Emitted = (SimTime, (u32, u64));
 
 /// A deterministic toy shard: its own clock, its own event queue, and a
 /// per-shard service time so schedules interleave unevenly across shards.
@@ -58,10 +64,10 @@ impl ScriptShard {
     }
 
     /// Processes one popped event: emit, then echo if the count remains.
-    fn process(&mut self, at: SimTime, payload: u64, out: &mut Vec<Rec>) {
+    fn process(&mut self, at: SimTime, payload: u64, out: &mut Vec<Emitted>) {
         self.now = at;
         self.processed += 1;
-        out.push((at, self.id, payload));
+        out.push((at, (self.id, payload)));
         if payload > 0 {
             let service = self.service();
             self.queue.push(at + service, payload - 1);
@@ -71,15 +77,20 @@ impl ScriptShard {
 
 impl Shard for ScriptShard {
     type In = Op;
-    type Out = Rec;
+    type Out = (u32, u64);
     type Digest = u64;
 
-    fn deliver(&mut self, at: SimTime, (offset, payload): Op) {
-        self.now = self.now.max(at);
-        self.schedule(at, offset, payload);
-    }
-
-    fn run_until(&mut self, horizon: SimTime, out: &mut Vec<Rec>) {
+    fn step(
+        &mut self,
+        at: SimTime,
+        inbox: Drain<'_, Op>,
+        horizon: SimTime,
+        out: &mut Vec<Emitted>,
+    ) -> Option<SimTime> {
+        for (offset, payload) in inbox {
+            self.now = self.now.max(at);
+            self.schedule(at, offset, payload);
+        }
         while let Some(t) = self.queue.peek_time() {
             if t >= horizon {
                 break;
@@ -87,14 +98,7 @@ impl Shard for ScriptShard {
             let (at, payload) = self.queue.pop().expect("peeked event vanished");
             self.process(at, payload, out);
         }
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
     }
 
     fn events_processed(&self) -> u64 {
@@ -115,41 +119,20 @@ fn route(ops: &[Op], shards: u32) -> Vec<Vec<Op>> {
 }
 
 /// Drives the schedule through the parallel kernel: deliver everything at
-/// t=0, then run barrier rounds (horizon = earliest pending + window) until
-/// every shard drains, merging each round by `(time, shard)` with per-shard
-/// emission order as the stable tiebreak.
+/// t=0, then let the pool run barrier rounds until every shard drains. The
+/// pool picks each horizon and merges each round.
 fn run_parallel(ops: &[Op], shards: u32, threads: usize, window: SimDuration) -> Vec<Rec> {
     let ctors: Vec<ShardCtor<ScriptShard>> = (0..shards)
         .map(|id| Box::new(move || ScriptShard::new(id)) as ShardCtor<ScriptShard>)
         .collect();
-    let mut pool = ShardPool::new(ctors, threads);
+    let mut pool = ShardPool::new(ctors, threads, window);
     let mut inboxes = route(ops, shards);
-    let mut next: Vec<Option<SimTime>> = vec![None; shards as usize];
-    let mut barrier = SimTime::ZERO;
-    let mut merged = Vec::new();
-    loop {
-        let queued = inboxes.iter().any(|b| !b.is_empty());
-        let mut earliest = next.iter().flatten().copied().min();
-        if queued {
-            earliest = Some(earliest.map_or(barrier, |e| e.min(barrier)));
+    let mut merged: Vec<Rec> = Vec::new();
+    while let Some(round) = pool.round(&mut inboxes) {
+        for (at, sid, (id, payload)) in round {
+            assert_eq!(sid, id as usize, "a record carries its own shard's id");
+            merged.push((at, id, payload));
         }
-        let Some(earliest) = earliest else {
-            break;
-        };
-        let horizon = earliest + window;
-        let outcomes = pool.step(
-            barrier,
-            horizon,
-            std::mem::replace(&mut inboxes, vec![Vec::new(); shards as usize]),
-        );
-        let mut round: Vec<Rec> = Vec::new();
-        for (sid, o) in outcomes.iter().enumerate() {
-            round.extend(o.out.iter().copied());
-            next[sid] = o.next_event;
-        }
-        round.sort_by_key(|&(t, s, _)| (t, s));
-        merged.extend(round);
-        barrier = horizon;
     }
     let digests = pool.finish();
     assert_eq!(
@@ -169,7 +152,7 @@ fn run_reference(ops: &[Op], shards: u32) -> Vec<Rec> {
             shard.schedule(SimTime::ZERO, offset, payload);
         }
     }
-    let mut out = Vec::new();
+    let mut out: Vec<Emitted> = Vec::new();
     loop {
         let next = pool
             .iter()
@@ -183,7 +166,7 @@ fn run_reference(ops: &[Op], shards: u32) -> Vec<Rec> {
         let (at, payload) = shard.queue.pop().expect("peeked event vanished");
         shard.process(at, payload, &mut out);
     }
-    out
+    out.into_iter().map(|(at, (id, p))| (at, id, p)).collect()
 }
 
 /// Random schedules, shard counts, thread counts, and windows: the merged
@@ -220,7 +203,7 @@ fn barrier_rounds_reproduce_the_single_queue_order() {
 }
 
 /// A degenerate but important corner: one shard, many threads. The pool
-/// must clamp to the shard count and stay on the inline reference path.
+/// must clamp to the shard count and spawn no worker.
 #[test]
 fn single_shard_is_unaffected_by_thread_count() {
     let ops: Vec<Op> = (0..12).map(|i| (i * 113 % 700, i % 4)).collect();

@@ -32,9 +32,7 @@ use babol_testkit::mutate::{MutOp, MutateCtx};
 use babol_testkit::prop::{any, range, vec_of, Property};
 use babol_testkit::rng::Xoshiro256pp;
 use babol_ufsm::{EmitConfig, Transaction};
-use babol_verify::{
-    verify_stream, EnergyCosts, Envelope, EnvelopeAnalyzer, EnvelopeConfig, TargetModel, Verifier,
-};
+use babol_verify::{verify_stream, EnergyCosts, Envelope, EnvelopeAnalyzer, TargetModel, Verifier};
 
 use common::{sim_replay, sim_replay_measured};
 
@@ -147,8 +145,7 @@ fn envelopes_bound_the_simulator() {
                 let measures = sim_replay_measured(&profile, &stream)
                     .map_err(|e| format!("clean capture replay failed: {e}"))?;
 
-                let mut analyzer =
-                    EnvelopeAnalyzer::new(&profile, lun_count, EnvelopeConfig::new(emit));
+                let mut analyzer = EnvelopeAnalyzer::new(&profile, lun_count, emit);
                 let mut measured_total = Envelope::ZERO;
                 for (i, (txn, m)) in stream.iter().zip(&measures).enumerate() {
                     let env = analyzer.transaction_envelope(txn);
@@ -233,8 +230,7 @@ fn envelope_composition_is_sound() {
                 ops.iter().flat_map(|&i| vocab[i].iter().cloned()).collect();
 
             // Sequence envelope == interval sum of per-transaction envelopes.
-            let mut analyzer =
-                EnvelopeAnalyzer::new(&profile, lun_count, EnvelopeConfig::new(emit));
+            let mut analyzer = EnvelopeAnalyzer::new(&profile, lun_count, emit);
             let mut summed = Envelope::ZERO;
             for txn in &stream {
                 summed += analyzer.transaction_envelope(txn);

@@ -24,7 +24,7 @@ use babol_flash::PackageProfile;
 use babol_testkit::mutate::{MutOp, MutateCtx};
 use babol_testkit::rng::Xoshiro256pp;
 use babol_ufsm::{EmitConfig, Transaction};
-use babol_verify::envelope::{EnvelopeAnalyzer, EnvelopeConfig};
+use babol_verify::envelope::EnvelopeAnalyzer;
 use babol_verify::{verify_stream, Report, TargetModel};
 
 use common::sim_replay;
@@ -74,8 +74,7 @@ fn report_codes(report: &Report) -> Vec<&'static str> {
 fn full_verify(profile: &PackageProfile, m: &TargetModel, stream: &[Transaction]) -> Report {
     let mut report = verify_stream(m, stream);
     let emit = EmitConfig::nv_ddr2(profile.max_mts.min(200));
-    let mut analyzer =
-        EnvelopeAnalyzer::new(profile, profile.luns_per_channel, EnvelopeConfig::new(emit));
+    let mut analyzer = EnvelopeAnalyzer::new(profile, profile.luns_per_channel, emit);
     for txn in stream {
         analyzer.transaction_envelope(txn);
     }
