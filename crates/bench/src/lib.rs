@@ -124,23 +124,14 @@ pub fn read_microbench(
     kind: ControllerKind,
     count: u64,
 ) -> RunReport {
-    let mut sys = build_system(profile, luns, mts, cpu_mhz, kind);
-    let mut ctrl = build_controller(kind, profile, luns);
-    let reqs = ReadWorkload {
-        luns,
-        count,
-        order: Order::Sequential,
-        len: profile.geometry.page_size,
-    }
-    .generate(&profile.geometry);
-    Engine::new(1).run(&mut sys, ctrl.as_mut(), reqs)
+    read_microbench_traced(profile, luns, mts, cpu_mhz, kind, count, false).0
 }
 
-/// [`read_microbench`] with the controller-wide tracing layer switched on;
-/// returns the tracer alongside the report so callers can export the event
-/// timeline or read the per-component counters. With `trace` false this is
-/// exactly `read_microbench` (the returned tracer is empty and disabled) —
-/// useful for on/off determinism comparisons.
+/// [`read_microbench`] with the controller-wide tracing layer switched on
+/// when `trace` is set; returns the tracer alongside the report so callers
+/// can export the event timeline or read the counters. With `trace` false
+/// the returned tracer is empty and disabled — useful for on/off
+/// determinism comparisons.
 pub fn read_microbench_traced(
     profile: &PackageProfile,
     luns: u32,

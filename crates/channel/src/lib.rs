@@ -26,7 +26,7 @@ use std::fmt;
 use babol_flash::{Lun, LunError, LunResponse};
 use babol_onfi::bus::{BusPhase, ChipMask, PhaseKind};
 use babol_sim::{BufPool, PageData, SimDuration, SimTime};
-use babol_trace::{Component, Counter, Metric, TraceKind, Tracer};
+use babol_trace::{Component, Metric, TraceKind, Tracer};
 
 pub use analyzer::{Analyzer, TraceEvent};
 
@@ -236,8 +236,9 @@ impl Channel {
     ///
     /// Bus occupancy goes to `trace`: a `BusAcquire`/`BusRelease` event
     /// pair tagged with `op_id`, an `ArrayBegin`/`ArrayEnd` pair for every
-    /// array busy period a phase starts, segment/phase/byte counters, and a
-    /// `BusHold` latency observation.
+    /// array busy period a phase starts, and a `BusHold` latency
+    /// observation. Segments, phases and bytes are counted once, in
+    /// [`Channel::stats`], which the system publishes to the tracer.
     pub fn transmit(
         &mut self,
         start: SimTime,
@@ -263,7 +264,6 @@ impl Channel {
                 });
             }
         }
-        let stats_before = self.stats;
         let traced = trace.is_enabled();
         let mut t = start;
         let mut data = PageData::empty();
@@ -326,22 +326,6 @@ impl Channel {
         self.stats.segments += 1;
         self.stats.busy += t - start;
         self.busy_until = t;
-        trace.count(Component::Channel, Counter::SegmentsTransmitted, 1);
-        trace.count(
-            Component::Channel,
-            Counter::PhasesTransmitted,
-            self.stats.phases - stats_before.phases,
-        );
-        trace.count(
-            Component::Channel,
-            Counter::BytesFromFlash,
-            self.stats.bytes_out - stats_before.bytes_out,
-        );
-        trace.count(
-            Component::Channel,
-            Counter::BytesToFlash,
-            self.stats.bytes_in - stats_before.bytes_in,
-        );
         trace.observe(Metric::BusHold, t - start);
         if traced {
             let lun = mask.iter().next().unwrap_or(0);
@@ -502,14 +486,8 @@ mod tests {
         let tx = ch
             .transmit(SimTime::ZERO, ChipMask::single(1), &phases, 42, &mut tracer)
             .unwrap();
-        assert_eq!(
-            tracer.counter(Component::Channel, Counter::SegmentsTransmitted),
-            1
-        );
-        assert_eq!(
-            tracer.counter(Component::Channel, Counter::PhasesTransmitted),
-            1
-        );
+        assert_eq!(ch.stats().segments, 1);
+        assert_eq!(ch.stats().phases, 1);
         assert_eq!(tracer.metric(Metric::BusHold).count(), 1);
         assert_eq!(tracer.metric(Metric::BusHold).max(), tx.end - SimTime::ZERO);
         let evs: Vec<_> = tracer.events().collect();

@@ -551,7 +551,7 @@ impl SoftRuntime {
             self.tasks.len() - 1
         };
         self.active += 1;
-        sys.trace.count(Component::Sched, Counter::TasksSpawned, 1);
+        sys.trace.count(Counter::TasksSpawned, 1);
         sys.trace
             .event(sys.now, Component::Sched, TraceKind::TaskSpawn, lun, op_id);
         // One operation per LUN at a time: a LUN has one page register, so
@@ -644,7 +644,6 @@ impl SoftRuntime {
         debug_assert_eq!(done.tag.ticket, ticket);
         let tag = done.tag;
         sys.cpu.charge(sys.now, self.cfg.cost.completion_irq);
-        sys.trace.count(Component::Sched, Counter::TxnsCompleted, 1);
         if sys.trace.is_enabled() {
             sys.trace.event(
                 sys.now,
@@ -718,7 +717,7 @@ impl SoftRuntime {
                     data_bytes: txn.data_bytes(),
                     priority: task_meta.priority,
                 };
-                sys.trace.count(Component::Sched, Counter::TxnsEnqueued, 1);
+                sys.trace.count(Counter::TxnsEnqueued, 1);
                 sys.trace.event(
                     sys.now,
                     Component::Sched,
@@ -751,7 +750,6 @@ impl SoftRuntime {
             }
             if status == TaskStatus::Finished {
                 let lun = task_meta.lun;
-                sys.trace.count(Component::Sched, Counter::TasksFinished, 1);
                 sys.trace.event(
                     sys.cpu.busy_until(),
                     Component::Sched,
@@ -831,7 +829,7 @@ impl SoftRuntime {
         let lun = self.task_metas[idx].lun;
         self.last_task_lun = lun;
         let tid = self.runnable.remove(idx);
-        sys.trace.count(Component::Sched, Counter::SchedPicks, 1);
+        sys.trace.count(Counter::SchedPicks, 1);
         if sys.trace.is_enabled() {
             if let Some(&tid) = tid.as_ref() {
                 let since = self.runnable_since[tid].take().unwrap_or(sys.now);
@@ -1022,7 +1020,7 @@ impl SoftRuntime {
         let entry = self.hw_queue.pop_front().expect("front exists");
         let tag = entry.tag;
         let start = sys.now.max(sys.channel.busy_until()) + ISSUE_GAP;
-        sys.trace.count(Component::Sched, Counter::TxnsIssued, 1);
+        sys.trace.count(Counter::TxnsIssued, 1);
         sys.trace.event(
             start,
             Component::Sched,
@@ -1098,7 +1096,6 @@ impl SoftController {
                 if let Some(Err(e)) = outcome {
                     self.errors.push((req, e));
                 }
-                sys.trace.count(Component::Ctrl, Counter::OpsCompleted, 1);
                 if sys.trace.is_enabled() {
                     sys.trace
                         .event(at, Component::Ctrl, TraceKind::OpComplete, req.lun, req.id);
@@ -1132,7 +1129,6 @@ impl Controller for SoftController {
             self.req_of.resize(tid + 1, None);
         }
         self.req_of[tid] = Some((req, sys.trace.is_enabled().then_some(sys.now)));
-        sys.trace.count(Component::Ctrl, Counter::OpsSubmitted, 1);
         sys.trace.event(
             sys.now,
             Component::Ctrl,

@@ -147,8 +147,6 @@ impl System {
             self.parked.is_none(),
             "an event scheduled while a summarized status wait is parked"
         );
-        self.trace
-            .count(Component::Sim, Counter::EventsScheduled, 1);
         self.events.push(at, event);
     }
 
@@ -213,7 +211,6 @@ impl System {
         };
         if popped.is_some() {
             self.popped += 1;
-            self.trace.count(Component::Sim, Counter::EventsPopped, 1);
         }
         popped
     }
@@ -221,6 +218,24 @@ impl System {
     /// Events popped since construction, whether or not tracing is on.
     pub fn events_popped(&self) -> u64 {
         self.popped
+    }
+
+    /// Snapshots the counts the kernel and the channel keep always-on into
+    /// the tracer: events popped and the channel's segments, phases and
+    /// bytes, each since this system was built. The one place they reach
+    /// the tracer, called wherever a job ends (next to the FTL's
+    /// counter export). A no-op while tracing is off.
+    pub fn publish_counters(&mut self) {
+        let bus = self.channel.stats();
+        for (counter, n) in [
+            (Counter::EventsPopped, self.popped),
+            (Counter::SegmentsTransmitted, bus.segments),
+            (Counter::PhasesTransmitted, bus.phases),
+            (Counter::BytesFromFlash, bus.bytes_out),
+            (Counter::BytesToFlash, bus.bytes_in),
+        ] {
+            self.trace.set_counter(counter, n);
+        }
     }
 
     /// The event-stepping primitive every driver loop shares: pops the
@@ -301,25 +316,6 @@ impl System {
             }
         }
         s
-    }
-
-    /// A stall watchdog with the budget `budget_of` derives from the static
-    /// timing envelope (rule V074) of the channel's package. The budget and
-    /// the worst single operation's envelope are recorded as `component`'s
-    /// [`Counter::WatchdogBudgetPs`] and [`Counter::EnvelopeWorstOpPs`].
-    pub fn envelope_watchdog(
-        &mut self,
-        component: Component,
-        budget_of: fn(&babol_flash::PackageProfile) -> SimDuration,
-    ) -> Watchdog {
-        let profile = self.channel.lun(0).profile();
-        let worst = babol_verify::envelope::worst_op_envelope(profile);
-        let budget = budget_of(profile);
-        self.trace
-            .set_counter(component, Counter::EnvelopeWorstOpPs, worst.as_picos());
-        self.trace
-            .set_counter(component, Counter::WatchdogBudgetPs, budget.as_picos());
-        Watchdog::new(budget)
     }
 }
 
@@ -488,7 +484,8 @@ impl Engine {
         let mut completions = Vec::with_capacity(total);
         let mut scratch = Vec::new();
         let mut bytes = 0u64;
-        let mut watchdog = sys.envelope_watchdog(Component::Sim, Self::envelope_watchdog_budget);
+        let mut watchdog =
+            Watchdog::new(Self::envelope_watchdog_budget(sys.channel.lun(0).profile()));
         watchdog.arm_at(start);
 
         loop {
@@ -532,6 +529,7 @@ impl Engine {
             let limit = StepLimit::Watched(&watchdog, &headline, SimTime::FAR_FUTURE);
             sys.step(controller, limit);
         }
+        sys.publish_counters();
         RunReport {
             elapsed: sys.now - start,
             bytes,

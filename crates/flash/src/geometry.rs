@@ -69,11 +69,6 @@ impl Geometry {
         self.blocks_per_lun() as u64 * self.pages_per_block as u64
     }
 
-    /// Data capacity of one LUN in bytes.
-    pub const fn lun_capacity(&self) -> u64 {
-        self.pages_per_lun() * self.page_size as u64
-    }
-
     /// Full page size including spare area.
     pub const fn raw_page_size(&self) -> usize {
         self.page_size + self.spare_size
@@ -118,7 +113,6 @@ mod tests {
         let g = Geometry::paper_16k();
         assert_eq!(g.blocks_per_lun(), 1024);
         assert_eq!(g.pages_per_lun(), 1024 * 256);
-        assert_eq!(g.lun_capacity(), 1024 * 256 * 16384);
         assert_eq!(g.raw_page_size(), 16384 + 1872);
     }
 

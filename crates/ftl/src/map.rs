@@ -343,15 +343,6 @@ impl PageMap {
         self.alloc[lun as usize].blocks[block as usize].erase_count
     }
 
-    /// Retired blocks on `lun`.
-    pub fn retired_blocks(&self, lun: u32) -> u32 {
-        self.alloc[lun as usize]
-            .blocks
-            .iter()
-            .filter(|b| b.state == BlockState::Retired)
-            .count() as u32
-    }
-
     /// Physical pages still in circulation (retired blocks excluded),
     /// across the whole map — the over-provisioning denominator once
     /// blocks start dying.
@@ -632,7 +623,6 @@ mod tests {
         let usable = m.usable_pages();
         m.retire_block(0, 3);
         assert_eq!(m.block_state(0, 3), BlockState::Retired);
-        assert_eq!(m.retired_blocks(0), 1);
         assert_eq!(m.usable_pages(), usable - 8);
         assert_eq!(m.free_blocks(0), 7);
         // Drain LUN 0 completely: block 3 must never be handed out.

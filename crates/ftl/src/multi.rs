@@ -285,6 +285,7 @@ impl Shard for ChannelShard {
 
     fn finish(mut self) -> ShardDigest {
         self.ssd.export_counters(&mut self.sys.trace);
+        self.sys.publish_counters();
         ShardDigest {
             shard: self.id,
             now: self.sys.now,
@@ -503,10 +504,11 @@ mod tests {
 
     /// Bugfix regression: events the FTL stepped inline (cache flushes,
     /// GC) once bypassed the shard's count, so a cached-write job reported
-    /// next to no events. Every pop counts, FTL job steps included.
+    /// next to no events. Every pop counts, FTL job steps included, and
+    /// each shard's tracer carries its kernel's and channel's counts.
     #[test]
     fn events_include_inline_ftl_steps() {
-        use babol_trace::{Component, Counter};
+        use babol_trace::Counter;
         let mut cfg = MultiSsdConfig::tiny(2, 1);
         cfg.preload = false;
         cfg.shard.cache_pages = 8;
@@ -514,13 +516,35 @@ mod tests {
         let mut ssd = MultiSsd::new(cfg);
         let r = ssd.run(&job(IoPattern::RandomWrite, 200, 8, 5));
         assert!(r.fio.cache_dirty_evicts > 0, "the job must flush inline");
-        let popped: u64 = ssd
-            .finish()
+        let digests = ssd.finish();
+        let popped: u64 = digests
             .iter()
-            .map(|d| d.tracer.counter(Component::Sim, Counter::EventsPopped))
+            .map(|d| d.tracer.counter_total(Counter::EventsPopped))
             .sum();
         assert!(popped > 0);
         assert_eq!(r.events, popped);
+        for d in &digests {
+            let t = &d.tracer;
+            assert_eq!(t.counter_total(Counter::EventsPopped), d.events);
+            assert!(d.channel.segments > 0, "shard {} moved no data", d.shard);
+            assert_eq!(
+                [
+                    Counter::SegmentsTransmitted,
+                    Counter::PhasesTransmitted,
+                    Counter::BytesFromFlash,
+                    Counter::BytesToFlash,
+                ]
+                .map(|c| t.counter_total(c)),
+                [
+                    d.channel.segments,
+                    d.channel.phases,
+                    d.channel.bytes_out,
+                    d.channel.bytes_in,
+                ],
+                "shard {}",
+                d.shard
+            );
+        }
     }
 
     /// An unloaded device has nothing to read; the shard's panic names the

@@ -465,7 +465,7 @@ impl Ssd {
             (Counter::EnergyErasePj, e.erase_pj),
             (Counter::EnergyTransferPj, e.transfer_pj),
         ] {
-            trace.set_counter(Component::Ftl, counter, n);
+            trace.set_counter(counter, n);
         }
     }
 
@@ -495,7 +495,16 @@ impl Ssd {
     ) -> FioReport {
         let start = sys.now;
         if self.watchdog_auto {
-            self.watchdog = sys.envelope_watchdog(Component::Ftl, Self::envelope_watchdog_budget);
+            // The budget and its basis, the worst single operation's
+            // envelope, travel in the trace footer.
+            let profile = sys.channel.lun(0).profile();
+            let worst = babol_verify::envelope::worst_op_envelope(profile);
+            let budget = Self::envelope_watchdog_budget(profile);
+            sys.trace
+                .set_counter(Counter::EnvelopeWorstOpPs, worst.as_picos());
+            sys.trace
+                .set_counter(Counter::WatchdogBudgetPs, budget.as_picos());
+            self.watchdog = Watchdog::new(budget);
         }
         self.watchdog.arm_at(start);
         self.metrics_prime();
@@ -507,6 +516,7 @@ impl Ssd {
         let close = SimTime::from_picos(self.metrics.end_ps().max(sys.now.as_picos()));
         self.metrics_flush(close, 0);
         self.export_counters(&mut sys.trace);
+        sys.publish_counters();
         let (page, elapsed) = (self.cfg.geometry.page_size, sys.now - start);
         FioReport::summarize(client.latencies, page, elapsed, &self.counters())
     }
@@ -936,6 +946,7 @@ impl Ssd {
         }
         self.drive(sys, controller, &mut FioClient::new(NO_HOST_IO, 0), None);
         self.export_counters(&mut sys.trace);
+        sys.publish_counters();
     }
 
     /// Charges one admitted operation's energy.
@@ -965,7 +976,7 @@ impl Ssd {
 /// it measured.
 fn complete(host: &mut impl Host, hub: &mut MetricsHub, trace: &mut Tracer, id: u64, at: SimTime) {
     if let Some(latency) = host.complete(id, at, hub) {
-        trace.count(Component::Ftl, Counter::OpsCompleted, 1);
+        trace.count(Counter::OpsCompleted, 1);
         trace.observe(Metric::HostLatency, latency);
     }
 }
@@ -1265,14 +1276,8 @@ mod tests {
             seed: 3,
         };
         let r = ssd.run(&mut sys, &mut ctrl, wl);
-        assert_eq!(
-            sys.trace.counter(Component::Ftl, Counter::OpsCompleted),
-            r.ios
-        );
-        assert_eq!(
-            sys.trace.counter(Component::Ftl, Counter::GcCycles),
-            r.gc_cycles
-        );
+        assert_eq!(sys.trace.counter_total(Counter::OpsCompleted), r.ios);
+        assert_eq!(sys.trace.counter_total(Counter::GcCycles), r.gc_cycles);
         assert_eq!(sys.trace.metric(Metric::HostLatency).count(), r.ios);
         let gc_starts = sys
             .trace
@@ -1362,10 +1367,7 @@ mod tests {
             ] {
                 assert_eq!(footer.ftl_counter(c), want, "{} ({bad:?})", c.name());
             }
-            assert_eq!(
-                sys.trace.counter(Component::Ftl, Counter::GcCycles),
-                r.gc_cycles
-            );
+            assert_eq!(sys.trace.counter_total(Counter::GcCycles), r.gc_cycles);
         }
     }
 
@@ -1891,11 +1893,11 @@ mod tests {
         assert_eq!(r.energy_pj, ssd.energy().total_pj());
         assert!(r.joules() > 0.0);
         assert_eq!(
-            sys.trace.counter(Component::Ftl, Counter::EnergyReadPj),
+            sys.trace.counter_total(Counter::EnergyReadPj),
             ssd.energy().read_pj
         );
         assert_eq!(
-            sys.trace.counter(Component::Ftl, Counter::EnergyTransferPj),
+            sys.trace.counter_total(Counter::EnergyTransferPj),
             ssd.energy().transfer_pj
         );
     }
@@ -1925,7 +1927,7 @@ mod tests {
             (Counter::EnergyErasePj, e.erase_pj),
             (Counter::EnergyTransferPj, e.transfer_pj),
         ] {
-            assert_eq!(sys.trace.counter(Component::Ftl, c), want, "{}", c.name());
+            assert_eq!(sys.trace.counter_total(c), want, "{}", c.name());
         }
     }
 }

@@ -61,12 +61,6 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Returns a value uniformly distributed in `[lo, hi]`.
-    pub fn next_in_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Returns a uniform `f64` in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -103,8 +97,6 @@ mod tests {
         let mut r = SplitMix64::new(99);
         for _ in 0..10_000 {
             assert!(r.next_below(10) < 10);
-            let v = r.next_in_range(5, 8);
-            assert!((5..=8).contains(&v));
         }
     }
 

@@ -377,22 +377,9 @@ impl Freq {
         Freq::from_hz(ghz * 1_000_000_000)
     }
 
-    /// Creates a frequency from megatransfers per second.
-    ///
-    /// This is an alias of [`Freq::from_mhz`] that matches the vocabulary
-    /// used for ONFI data interfaces (e.g. "NV-DDR2 at 200 MT/s").
-    pub const fn from_mts(mts: u64) -> Self {
-        Freq::from_mhz(mts)
-    }
-
     /// Returns the frequency in hertz.
     pub const fn as_hz(self) -> u64 {
         self.hz
-    }
-
-    /// Returns the frequency in megahertz (truncating).
-    pub const fn as_mhz(self) -> u64 {
-        self.hz / 1_000_000
     }
 
     /// Duration of a single cycle, rounded to the nearest picosecond.
@@ -571,10 +558,5 @@ mod tests {
         assert_eq!(SimDuration::from_nanos(25).to_string(), "25ns");
         assert_eq!(SimDuration::from_picos(1).to_string(), "1ps");
         assert_eq!(SimDuration::ZERO.to_string(), "0s");
-    }
-
-    #[test]
-    fn mts_alias() {
-        assert_eq!(Freq::from_mts(200), Freq::from_mhz(200));
     }
 }

@@ -47,11 +47,6 @@ impl Watchdog {
         }
     }
 
-    /// Whether the watchdog is armed.
-    pub fn is_armed(&self) -> bool {
-        self.enabled
-    }
-
     /// The configured budget.
     pub fn budget(&self) -> SimDuration {
         self.budget
@@ -122,6 +117,5 @@ mod tests {
     fn disarmed_never_fires() {
         let wd = Watchdog::disarmed();
         assert!(!wd.is_stalled(t(u64::MAX / 2_000_000)));
-        assert!(!wd.is_armed());
     }
 }

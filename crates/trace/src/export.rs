@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::{Component, Counter, TraceEvent, TraceKind, Tracer};
+use crate::{Counter, TraceEvent, TraceKind, Tracer};
 
 impl TraceKind {
     /// The kind that opens the span this one closes, if any.
@@ -105,7 +105,7 @@ impl Tracer {
             extend(&format!("dropped_{}", k.name()), n);
         }
         for c in Counter::FTL_FOOTER {
-            let n = self.counter(Component::Ftl, c);
+            let n = self.counter_total(c);
             if n != 0 {
                 extend(c.name(), n);
             }
@@ -266,19 +266,15 @@ mod tests {
     fn jsonl_footer_carries_nonzero_ftl_counters() {
         use crate::Counter;
         let mut t = Tracer::enabled();
-        t.count(Component::Ftl, Counter::CacheHits, 12);
-        t.count(Component::Ftl, Counter::EnergyProgramPj, 33_000_000);
+        t.set_counter(Counter::CacheHits, 12);
+        t.set_counter(Counter::EnergyProgramPj, 33_000_000);
+        // Counters outside the footer set never leak into it.
+        t.count(Counter::SchedPicks, 5);
+        t.set_counter(Counter::EventsPopped, 9);
         let s = t.to_json_lines();
         assert_eq!(
             s.lines().last().unwrap(),
             r#"{"footer":true,"events":0,"dropped":0,"shard":0,"cache_hits":12,"energy_program_pj":33000000}"#
-        );
-        // Counters on other components never leak into the footer.
-        let mut plain = Tracer::enabled();
-        plain.count(Component::Sim, Counter::CacheHits, 5);
-        assert_eq!(
-            plain.to_json_lines(),
-            "{\"footer\":true,\"events\":0,\"dropped\":0,\"shard\":0}\n"
         );
     }
 

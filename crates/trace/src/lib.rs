@@ -6,9 +6,11 @@
 //! This crate gives every layer of the simulation a shared, allocation-free
 //! way to account for them:
 //!
-//! * **Counters** — per-[`Component`] monotonic `u64` counts (events
-//!   scheduled, transactions issued, bus segments transmitted, ...), stored
-//!   in a fixed 2-D array.
+//! * **Counters** — one flat row of `u64` [`Counter`]s (scheduler picks,
+//!   transactions issued, bus phases, FTL cache hits, ...), each with one
+//!   writer. A count a layer keeps itself (the kernel's events, the
+//!   channel's traffic, the FTL's production counters) is snapshotted in
+//!   where a job ends; the rest are counted at their record sites.
 //! * **Histograms** — log2-bucketed latency distributions ([`Histogram`])
 //!   for op issue→complete, channel acquire→release, scheduler pick wait,
 //!   and friends. Fixed size, no allocation on the record path.
@@ -49,7 +51,7 @@ pub use tracer::Tracer;
 
 use babol_sim::SimTime;
 
-/// The subsystem a trace event or counter belongs to.
+/// The subsystem a trace event belongs to.
 ///
 /// Mirrors the crate layering: the simulation core, the shared channel bus,
 /// the μFSM instruction layer, the software scheduler, the controller
@@ -71,7 +73,7 @@ pub enum Component {
 }
 
 impl Component {
-    /// Number of components (array dimension for counter storage).
+    /// Number of components (array dimension for per-component storage).
     pub const COUNT: usize = 6;
 
     /// All components, in display order.
@@ -350,28 +352,24 @@ impl QueueDepths {
     }
 }
 
-/// Monotonic counters, indexed per [`Component`].
+/// The tracer's counters: one flat row, one writer per counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Events pushed onto the simulation event queue.
-    EventsScheduled,
-    /// Events popped off the simulation event queue.
+    /// Events popped off the simulation event queue, published from
+    /// `System::events_popped`.
     EventsPopped,
     /// Tasks spawned into the runtime.
     TasksSpawned,
-    /// Tasks that ran to completion.
-    TasksFinished,
     /// Task-scheduler picks performed.
     SchedPicks,
     /// Transactions enqueued by tasks.
     TxnsEnqueued,
     /// Transactions issued to the hardware queue.
     TxnsIssued,
-    /// Transaction completion interrupts taken.
-    TxnsCompleted,
     /// μFSM instructions dispatched.
     InstrsDispatched,
-    /// Bus segments (transmissions) carried.
+    /// Bus segments (transmissions) carried, published from the
+    /// channel's statistics like the next three.
     SegmentsTransmitted,
     /// Individual bus phases carried.
     PhasesTransmitted,
@@ -379,9 +377,7 @@ pub enum Counter {
     BytesToFlash,
     /// Bytes read back from the flash array.
     BytesFromFlash,
-    /// Host-visible operations submitted.
-    OpsSubmitted,
-    /// Host-visible operations completed.
+    /// Host I/Os the FTL completed.
     OpsCompleted,
     /// Foreground GC cycles run.
     GcCycles,
@@ -415,24 +411,20 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension for storage).
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 23;
 
     /// All counters, in display order.
     pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::EventsScheduled,
         Counter::EventsPopped,
         Counter::TasksSpawned,
-        Counter::TasksFinished,
         Counter::SchedPicks,
         Counter::TxnsEnqueued,
         Counter::TxnsIssued,
-        Counter::TxnsCompleted,
         Counter::InstrsDispatched,
         Counter::SegmentsTransmitted,
         Counter::PhasesTransmitted,
         Counter::BytesToFlash,
         Counter::BytesFromFlash,
-        Counter::OpsSubmitted,
         Counter::OpsCompleted,
         Counter::GcCycles,
         Counter::CacheHits,
@@ -457,20 +449,16 @@ impl Counter {
     /// Snake-case name used in exports and tables.
     pub const fn name(self) -> &'static str {
         match self {
-            Counter::EventsScheduled => "events_scheduled",
             Counter::EventsPopped => "events_popped",
             Counter::TasksSpawned => "tasks_spawned",
-            Counter::TasksFinished => "tasks_finished",
             Counter::SchedPicks => "sched_picks",
             Counter::TxnsEnqueued => "txns_enqueued",
             Counter::TxnsIssued => "txns_issued",
-            Counter::TxnsCompleted => "txns_completed",
             Counter::InstrsDispatched => "instrs_dispatched",
             Counter::SegmentsTransmitted => "segments_transmitted",
             Counter::PhasesTransmitted => "phases_transmitted",
             Counter::BytesToFlash => "bytes_to_flash",
             Counter::BytesFromFlash => "bytes_from_flash",
-            Counter::OpsSubmitted => "ops_submitted",
             Counter::OpsCompleted => "ops_completed",
             Counter::GcCycles => "gc_cycles",
             Counter::CacheHits => "cache_hits",

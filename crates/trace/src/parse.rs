@@ -295,10 +295,9 @@ mod tests {
 
     #[test]
     fn footer_roundtrips_ftl_counters() {
-        use crate::Component;
         let mut t = Tracer::enabled();
-        t.count(Component::Ftl, Counter::CacheDirtyEvicts, 4);
-        t.count(Component::Ftl, Counter::EnergyErasePj, 248_000_000);
+        t.set_counter(Counter::CacheDirtyEvicts, 4);
+        t.set_counter(Counter::EnergyErasePj, 248_000_000);
         let parsed = parse_json_lines(&t.to_json_lines()).unwrap();
         assert!(parsed.has_ftl_counters());
         assert_eq!(parsed.ftl_counter(Counter::CacheDirtyEvicts), 4);

@@ -26,7 +26,7 @@ pub struct Tracer {
     ring: VecDeque<TraceEvent>,
     dropped: u64,
     dropped_by_kind: [u64; TraceKind::COUNT],
-    counters: [[u64; Counter::COUNT]; Component::COUNT],
+    counters: [u64; Counter::COUNT],
     metrics: [Histogram; Metric::COUNT],
     last_activity: [Option<SimTime>; Component::COUNT],
     /// Which simulation shard (channel) this tracer observes. Single-system
@@ -50,7 +50,7 @@ impl Tracer {
             ring: VecDeque::new(),
             dropped: 0,
             dropped_by_kind: [0; TraceKind::COUNT],
-            counters: [[0; Counter::COUNT]; Component::COUNT],
+            counters: [0; Counter::COUNT],
             metrics: std::array::from_fn(|_| Histogram::new()),
             last_activity: [None; Component::COUNT],
             shard: 0,
@@ -125,24 +125,19 @@ impl Tracer {
         self.ring.iter()
     }
 
-    /// Current value of one counter.
-    pub fn counter(&self, component: Component, counter: Counter) -> u64 {
-        self.counters[component.index()][counter.index()]
-    }
-
-    /// Overwrites one counter with an externally maintained value (gauges
-    /// such as the buffer-pool statistics, which accumulate outside the
-    /// tracer and are snapshotted in).
-    pub fn set_counter(&mut self, component: Component, counter: Counter, value: u64) {
+    /// Overwrites one counter with a value its layer keeps itself (the
+    /// FTL's production counters, the kernel's and the channel's counts),
+    /// snapshotted in at the points where a job ends.
+    pub fn set_counter(&mut self, counter: Counter, value: u64) {
         if !self.enabled {
             return;
         }
-        self.counters[component.index()][counter.index()] = value;
+        self.counters[counter.index()] = value;
     }
 
-    /// Sum of one counter across all components.
+    /// Current value of one counter.
     pub fn counter_total(&self, counter: Counter) -> u64 {
-        self.counters.iter().map(|row| row[counter.index()]).sum()
+        self.counters[counter.index()]
     }
 
     /// The histogram behind one metric.
@@ -195,13 +190,13 @@ impl Tracer {
         self.ring.push_back(event);
     }
 
-    /// Adds `n` to a per-component counter.
+    /// Adds `n` to a counter.
     #[inline]
-    pub fn count(&mut self, component: Component, counter: Counter, n: u64) {
+    pub fn count(&mut self, counter: Counter, n: u64) {
         if !self.enabled {
             return;
         }
-        self.counters[component.index()][counter.index()] += n;
+        self.counters[counter.index()] += n;
     }
 
     /// Records one latency observation.
@@ -233,10 +228,12 @@ mod tests {
     fn disabled_records_nothing() {
         let mut t = Tracer::disabled();
         t.record(ev(1, 1));
-        t.count(Component::Sim, Counter::EventsScheduled, 9);
+        t.count(Counter::SchedPicks, 9);
+        t.set_counter(Counter::EventsPopped, 4);
         t.observe(Metric::BusHold, SimDuration::from_nanos(3));
         assert_eq!(t.events().count(), 0);
-        assert_eq!(t.counter(Component::Sim, Counter::EventsScheduled), 0);
+        assert_eq!(t.counter_total(Counter::SchedPicks), 0);
+        assert_eq!(t.counter_total(Counter::EventsPopped), 0);
         assert!(t.metric(Metric::BusHold).is_empty());
     }
 
@@ -295,14 +292,14 @@ mod tests {
     #[test]
     fn counters_and_metrics_accumulate() {
         let mut t = Tracer::enabled();
-        t.count(Component::Channel, Counter::SegmentsTransmitted, 2);
-        t.count(Component::Channel, Counter::SegmentsTransmitted, 1);
-        t.count(Component::Ufsm, Counter::SegmentsTransmitted, 4);
-        assert_eq!(
-            t.counter(Component::Channel, Counter::SegmentsTransmitted),
-            3
-        );
-        assert_eq!(t.counter_total(Counter::SegmentsTransmitted), 7);
+        t.count(Counter::SchedPicks, 2);
+        t.count(Counter::SchedPicks, 1);
+        assert_eq!(t.counter_total(Counter::SchedPicks), 3);
+        // A published value replaces the count, it does not add to it.
+        t.set_counter(Counter::SchedPicks, 7);
+        t.set_counter(Counter::SegmentsTransmitted, 4);
+        assert_eq!(t.counter_total(Counter::SchedPicks), 7);
+        assert_eq!(t.counter_total(Counter::SegmentsTransmitted), 4);
         t.observe(Metric::SchedWait, SimDuration::from_nanos(10));
         assert_eq!(t.metric(Metric::SchedWait).count(), 1);
     }

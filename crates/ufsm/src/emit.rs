@@ -282,11 +282,7 @@ pub fn execute(
         }
     }
     let tx = channel.transmit(start, txn.chip_mask(), phases, op_id, trace)?;
-    trace.count(
-        Component::Ufsm,
-        Counter::InstrsDispatched,
-        txn.instrs().len() as u64,
-    );
+    trace.count(Counter::InstrsDispatched, txn.instrs().len() as u64);
     if trace_on {
         let lun = txn.chip_mask().iter().next().unwrap_or(0);
         let mut t = start;
@@ -584,10 +580,7 @@ mod tests {
         let (mut ch2, mut dram2, _) = setup(1);
         let plain = run(&mut ch2, &mut dram2, &cfg, SimTime::ZERO, &txn).unwrap();
         assert_eq!(traced, plain, "tracing changed the outcome");
-        assert_eq!(
-            tracer.counter(Component::Ufsm, Counter::InstrsDispatched),
-            2
-        );
+        assert_eq!(tracer.counter_total(Counter::InstrsDispatched), 2);
         let dispatches: Vec<_> = tracer
             .events()
             .filter(|e| e.kind == TraceKind::InstrDispatch)

@@ -64,11 +64,11 @@ fn tracing_does_not_perturb_the_simulation() {
             "{kind:?}: tracing changed the run report"
         );
         // Every controller drives the bus through the one traced
-        // `Channel::transmit`, so each run schedules sim events, accounts
+        // `Channel::transmit`, so each run pops sim events, accounts
         // for every picosecond of bus time and leaves its bus ownership in
         // the event ring.
         assert!(
-            tracer.counter_total(babol_trace::Counter::EventsScheduled) > 0,
+            tracer.counter_total(babol_trace::Counter::EventsPopped) > 0,
             "{kind:?}: no sim events counted"
         );
         assert_eq!(

@@ -12,7 +12,7 @@
 #[path = "common/devices.rs"]
 mod devices;
 
-use babol_trace::{Component, Counter, Tracer};
+use babol_trace::{Counter, Tracer};
 use devices::{ModelStats, Spec, READ_16CH, READ_1CH, WRITE_CACHED_16CH, WRITE_GC_1CH};
 
 /// What one device did, summed over every job it ran.
@@ -217,10 +217,10 @@ struct SchedLedger {
 
 impl SchedLedger {
     fn add(&mut self, trace: &Tracer) {
-        self.tasks_spawned += trace.counter(Component::Sched, Counter::TasksSpawned);
-        self.sched_picks += trace.counter(Component::Sched, Counter::SchedPicks);
-        self.txns_enqueued += trace.counter(Component::Sched, Counter::TxnsEnqueued);
-        self.instrs_dispatched += trace.counter(Component::Ufsm, Counter::InstrsDispatched);
+        self.tasks_spawned += trace.counter_total(Counter::TasksSpawned);
+        self.sched_picks += trace.counter_total(Counter::SchedPicks);
+        self.txns_enqueued += trace.counter_total(Counter::TxnsEnqueued);
+        self.instrs_dispatched += trace.counter_total(Counter::InstrsDispatched);
     }
 }
 
