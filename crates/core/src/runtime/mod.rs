@@ -55,7 +55,7 @@ use babol_onfi::bus::ChipMask;
 use babol_onfi::opcode::op;
 use babol_onfi::status::Status;
 use babol_sim::{BufPool, PageData, SimDuration, SimTime};
-use babol_trace::{Component, Counter, Metric, TraceKind};
+use babol_trace::{Component, Counter, TraceKind};
 use babol_ufsm::{execute, DmaDest, EmitScratch, Latch, PostWait, Transaction};
 
 use crate::sched::{TaskMeta, TaskPolicy, TxnMeta, TxnPolicy};
@@ -309,8 +309,6 @@ struct TxnTag {
     ticket: u64,
     /// The owning task and the local ticket its result is delivered under.
     waiter: (TaskId, u64),
-    /// Enqueue time, for the transaction-latency metric.
-    enqueued: SimTime,
     lun: u32,
     op_id: u64,
 }
@@ -364,7 +362,6 @@ struct PollMark {
     channel: ChannelStats,
     lun: LunStats,
     popped: u64,
-    txns: u64,
     tickets: u64,
     timers: u64,
 }
@@ -382,7 +379,6 @@ impl PollMark {
         let lun = next.lun.since(&self.lun);
         let channel = next.channel.since(&self.channel);
         let plain = next.popped == self.popped + 3
-            && next.txns == self.txns + 1
             && next.tickets == self.tickets + 1
             && next.timers == self.timers + 1
             && channel.segments == 1
@@ -465,11 +461,6 @@ pub struct SoftRuntime {
     /// Admission state per LUN, indexed by LUN.
     luns: Vec<LunSlot>,
     finished: Vec<FinishedTask>,
-    /// Cumulative count of issued transactions (stats).
-    pub txns_issued: u64,
-    /// When each task entered the runnable queue, indexed by task id
-    /// (traced runs only; feeds the scheduler pick-wait histogram).
-    runnable_since: Vec<Option<SimTime>>,
     /// The last sleep point of a lone status wait (see the module docs).
     probe: Option<PollMark>,
     /// The open summary of a lone status wait, if one is open.
@@ -512,8 +503,6 @@ impl SoftRuntime {
             last_txn_lun: 0,
             luns: Vec::new(),
             finished: Vec::new(),
-            txns_issued: 0,
-            runnable_since: Vec::new(),
             probe: None,
             window: None,
             replaying: false,
@@ -547,7 +536,6 @@ impl SoftRuntime {
             tid
         } else {
             self.tasks.push(Some(task));
-            self.runnable_since.push(None);
             self.tasks.len() - 1
         };
         self.active += 1;
@@ -571,14 +559,12 @@ impl SoftRuntime {
         tid
     }
 
-    /// Pushes a task onto the runnable queue. Traced runs also stamp when
-    /// the wait began (for the scheduler-latency metric) and emit a
+    /// Pushes a task onto the runnable queue. Traced runs also emit a
     /// `TaskReady` event — the anchor phase attribution pairs with the
     /// matching `SchedPick` to measure scheduler wait.
     fn mark_runnable(&mut self, sys: &mut System, tid: TaskId) {
         self.runnable.push_back(tid);
         if sys.trace.is_enabled() {
-            self.runnable_since[tid] = Some(sys.now);
             if let Some(task) = self.tasks[tid].as_ref() {
                 let mb = task.mailbox().borrow();
                 sys.trace.event(
@@ -644,17 +630,13 @@ impl SoftRuntime {
         debug_assert_eq!(done.tag.ticket, ticket);
         let tag = done.tag;
         sys.cpu.charge(sys.now, self.cfg.cost.completion_irq);
-        if sys.trace.is_enabled() {
-            sys.trace.event(
-                sys.now,
-                Component::Sched,
-                TraceKind::TxnComplete,
-                tag.lun,
-                tag.op_id,
-            );
-            sys.trace
-                .observe(Metric::TxnLatency, sys.now.saturating_since(tag.enqueued));
-        }
+        sys.trace.event(
+            sys.now,
+            Component::Sched,
+            TraceKind::TxnComplete,
+            tag.lun,
+            tag.op_id,
+        );
         let (tid, local) = tag.waiter;
         if let Some(task) = self.tasks[tid].as_ref() {
             task.mailbox().borrow_mut().deliver(
@@ -717,7 +699,6 @@ impl SoftRuntime {
                     data_bytes: txn.data_bytes(),
                     priority: task_meta.priority,
                 };
-                sys.trace.count(Counter::TxnsEnqueued, 1);
                 sys.trace.event(
                     sys.now,
                     Component::Sched,
@@ -729,7 +710,6 @@ impl SoftRuntime {
                     tag: TxnTag {
                         ticket,
                         waiter: (tid, local),
-                        enqueued: sys.now,
                         lun: meta.lun,
                         op_id,
                     },
@@ -832,9 +812,6 @@ impl SoftRuntime {
         sys.trace.count(Counter::SchedPicks, 1);
         if sys.trace.is_enabled() {
             if let Some(&tid) = tid.as_ref() {
-                let since = self.runnable_since[tid].take().unwrap_or(sys.now);
-                sys.trace
-                    .observe(Metric::SchedWait, sys.now.saturating_since(since));
                 let op_id = self.tasks[tid]
                     .as_ref()
                     .map_or(0, |t| t.mailbox().borrow().op_id);
@@ -905,7 +882,6 @@ impl SoftRuntime {
             channel: sys.channel.stats(),
             lun: sys.channel.lun(chip).stats(),
             popped: sys.events_popped(),
-            txns: self.txns_issued,
             tickets: self.next_ticket,
             timers: self.next_timer,
         };
@@ -959,7 +935,6 @@ impl SoftRuntime {
         sys.channel
             .lun_mut(w.chip)
             .credit_status_reads(m, w.cycle.status_bytes);
-        self.txns_issued += m;
         self.next_ticket += m;
         self.next_timer += m;
     }
@@ -1020,7 +995,6 @@ impl SoftRuntime {
         let entry = self.hw_queue.pop_front().expect("front exists");
         let tag = entry.tag;
         let start = sys.now.max(sys.channel.busy_until()) + ISSUE_GAP;
-        sys.trace.count(Counter::TxnsIssued, 1);
         sys.trace.event(
             start,
             Component::Sched,
@@ -1039,7 +1013,6 @@ impl SoftRuntime {
             &mut self.emit_scratch,
         )
         .unwrap_or_else(|e| panic!("operation logic drove an illegal waveform: {e}"));
-        self.txns_issued += 1;
         self.in_flight = Some(InFlight {
             tag,
             end: outcome.end,
@@ -1055,9 +1028,8 @@ pub struct SoftController {
     name: &'static str,
     rt: SoftRuntime,
     factory: TaskFactory,
-    /// The request each task serves and, in traced runs, its submission
-    /// time (for op-latency observations); indexed by task id.
-    req_of: Vec<Option<(IoRequest, Option<SimTime>)>>,
+    /// The request each task serves, indexed by task id.
+    req_of: Vec<Option<IoRequest>>,
     done: Vec<(IoRequest, SimTime)>,
     scratch: Vec<FinishedTask>,
     /// Operations that finished with an error (visible to experiments).
@@ -1092,16 +1064,12 @@ impl SoftController {
         let mut fin = std::mem::take(&mut self.scratch);
         self.rt.drain_finished(&mut fin);
         for (tid, at, outcome) in fin.drain(..) {
-            if let Some((req, t0)) = self.req_of.get_mut(tid).and_then(Option::take) {
+            if let Some(req) = self.req_of.get_mut(tid).and_then(Option::take) {
                 if let Some(Err(e)) = outcome {
                     self.errors.push((req, e));
                 }
-                if sys.trace.is_enabled() {
-                    sys.trace
-                        .event(at, Component::Ctrl, TraceKind::OpComplete, req.lun, req.id);
-                    sys.trace
-                        .observe(Metric::OpLatency, at.saturating_since(t0.unwrap_or(at)));
-                }
+                sys.trace
+                    .event(at, Component::Ctrl, TraceKind::OpComplete, req.lun, req.id);
                 self.done.push((req, at));
             }
         }
@@ -1128,7 +1096,7 @@ impl Controller for SoftController {
         if tid >= self.req_of.len() {
             self.req_of.resize(tid + 1, None);
         }
-        self.req_of[tid] = Some((req, sys.trace.is_enabled().then_some(sys.now)));
+        self.req_of[tid] = Some(req);
         sys.trace.event(
             sys.now,
             Component::Ctrl,
@@ -1238,7 +1206,7 @@ mod tests {
         assert_eq!(fin.len(), 1);
         assert_eq!(fin[0].2, Some(Ok(())));
         assert_eq!(rt.active_tasks(), 0);
-        assert_eq!(rt.txns_issued, 1);
+        assert_eq!(s.channel.stats().segments, 1);
     }
 
     #[test]
@@ -1344,7 +1312,7 @@ mod tests {
         let mut fin = Vec::new();
         rt.drain_finished(&mut fin);
         assert_eq!(fin[0].2, Some(Ok(())));
-        assert_eq!(rt.txns_issued, 2);
+        assert_eq!(s.channel.stats().segments, 2);
     }
 
     /// Under `TaskPolicy::Priority`, tasks parked on a busy LUN are admitted

@@ -221,15 +221,15 @@ impl System {
     }
 
     /// Snapshots the counts the kernel and the channel keep always-on into
-    /// the tracer: events popped and the channel's segments, phases and
-    /// bytes, each since this system was built. The one place they reach
-    /// the tracer, called wherever a job ends (next to the FTL's
-    /// counter export). A no-op while tracing is off.
+    /// the tracer: events popped and the channel's transactions (bus
+    /// segments), phases and bytes, each since this system was built. The
+    /// one place they reach the tracer, called wherever a job ends (next
+    /// to the FTL's counter export). A no-op while tracing is off.
     pub fn publish_counters(&mut self) {
         let bus = self.channel.stats();
         for (counter, n) in [
             (Counter::EventsPopped, self.popped),
-            (Counter::SegmentsTransmitted, bus.segments),
+            (Counter::TxnsIssued, bus.segments),
             (Counter::PhasesTransmitted, bus.phases),
             (Counter::BytesFromFlash, bus.bytes_out),
             (Counter::BytesToFlash, bus.bytes_in),
@@ -380,9 +380,7 @@ pub struct RunReport {
     pub elapsed: SimDuration,
     /// Data bytes moved by completed requests.
     pub bytes: u64,
-    /// CPU busy cycles charged during the run.
-    pub cpu_cycles: u64,
-    /// Channel bus busy time.
+    /// Channel bus busy time during the run.
     pub bus_busy: SimDuration,
 }
 
@@ -472,6 +470,7 @@ impl Engine {
         requests: Vec<IoRequest>,
     ) -> RunReport {
         let start = sys.now;
+        let busy_at_start = sys.channel.stats().busy;
         let mut per_lun_inflight: Vec<usize> = vec![0; sys.channel.lun_count() as usize];
         let mut pending: Vec<VecDeque<IoRequest>> =
             vec![VecDeque::new(); sys.channel.lun_count() as usize];
@@ -533,8 +532,7 @@ impl Engine {
         RunReport {
             elapsed: sys.now - start,
             bytes,
-            cpu_cycles: sys.cpu.busy_cycles(),
-            bus_busy: sys.channel.stats().busy,
+            bus_busy: sys.channel.stats().busy - busy_at_start,
             completions,
         }
     }

@@ -137,13 +137,12 @@ impl Host for FioClient {
         self.inflight.insert(id, (at, slot));
     }
 
-    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration> {
+    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) {
         let (t0, slot) = self.inflight.remove(&id).expect("unknown host id");
         self.free_slots.push_back(slot);
         let latency = at - t0;
         self.latencies.push(latency);
         metrics.observe_latency(at, latency);
-        Some(latency)
     }
 
     fn finished(&self) -> bool {

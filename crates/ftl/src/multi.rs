@@ -139,8 +139,6 @@ pub struct ShardDigest {
     pub luns: Vec<LunStats>,
     /// Cycles the shard's processor was charged since construction.
     pub cpu_cycles: u64,
-    /// Transactions the shard's controller issued since construction.
-    pub txns_issued: u64,
 }
 
 /// One channel's complete simulation stack. See the module docs. Every
@@ -225,10 +223,9 @@ impl Host for Round<'_> {
 
     /// One op in the shard's telemetry; the latency is only known at the
     /// coordinator.
-    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration> {
+    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) {
         metrics.note_op(at);
         self.out.push((at, ShardEvent::Done(id)));
-        None
     }
 
     /// A shard runs to its barrier horizon.
@@ -299,7 +296,6 @@ impl Shard for ChannelShard {
                 .map(|l| self.sys.channel.lun(l).stats())
                 .collect(),
             cpu_cycles: self.sys.cpu.busy_cycles(),
-            txns_issued: self.ctrl.runtime().txns_issued,
         }
     }
 }
@@ -529,7 +525,7 @@ mod tests {
             assert!(d.channel.segments > 0, "shard {} moved no data", d.shard);
             assert_eq!(
                 [
-                    Counter::SegmentsTransmitted,
+                    Counter::TxnsIssued,
                     Counter::PhasesTransmitted,
                     Counter::BytesFromFlash,
                     Counter::BytesToFlash,

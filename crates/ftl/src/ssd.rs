@@ -45,8 +45,7 @@ use babol::system::{Controller, IoKind, IoRequest, StepLimit, System};
 use babol_flash::Geometry;
 use babol_sim::{PageData, SimDuration, SimTime, Watchdog};
 use babol_trace::{
-    Component, Counter, FtlCounter, FtlCounters, Metric, MetricsHub, MetricsSnapshot, TraceKind,
-    Tracer,
+    Component, Counter, FtlCounter, FtlCounters, MetricsHub, MetricsSnapshot, TraceKind, Tracer,
 };
 use babol_verify::EnergyCosts;
 
@@ -169,9 +168,8 @@ pub(crate) trait Host {
     /// Host I/O `id` was admitted, or absorbed by the cache, at `at`.
     fn issued(&mut self, _id: u64, _at: SimTime) {}
 
-    /// Host I/O `id` completed at `at`. Returns its latency when the host
-    /// measures one, for the trace.
-    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub) -> Option<SimDuration>;
+    /// Host I/O `id` completed at `at`.
+    fn complete(&mut self, id: u64, at: SimTime, metrics: &mut MetricsHub);
 
     /// Whether the host is done; the drive then returns as soon as no job
     /// is queued.
@@ -540,13 +538,13 @@ impl Ssd {
         loop {
             self.harvest(controller);
             while let Some(id) = self.pump(sys, controller) {
-                complete(host, &mut self.metrics, &mut sys.trace, id, sys.now);
+                host.complete(id, sys.now, &mut self.metrics);
             }
             let busy = self.job_queued();
             if !busy {
                 if std::mem::take(&mut self.host_step) {
                     for (req, at) in self.done.drain(..) {
-                        complete(host, &mut self.metrics, &mut sys.trace, req.id, at);
+                        host.complete(req.id, at, &mut self.metrics);
                     }
                 }
                 // A staged request needs no room check: `next` found it
@@ -972,15 +970,6 @@ impl Ssd {
     }
 }
 
-/// Hands host I/O `id`'s completion at `at` to `host`, tracing the latency
-/// it measured.
-fn complete(host: &mut impl Host, hub: &mut MetricsHub, trace: &mut Tracer, id: u64, at: SimTime) {
-    if let Some(latency) = host.complete(id, at, hub) {
-        trace.count(Counter::OpsCompleted, 1);
-        trace.observe(Metric::HostLatency, latency);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1261,10 +1250,10 @@ mod tests {
         assert!(a.starts_with("{\"schema\":\"babol-metrics-v1\""));
     }
 
-    /// With tracing enabled, the FTL layer accounts every host completion
-    /// and brackets each GC cycle with start/end events.
+    /// With tracing enabled, the FTL layer publishes its GC count and
+    /// brackets each GC cycle with start/end events.
     #[test]
-    fn tracing_accounts_host_ios_and_gc() {
+    fn tracing_accounts_gc_cycles() {
         let (mut sys, mut ctrl, mut ssd) = tiny_stack(2, false);
         // Large ring so this GC-heavy job's full event stream is retained
         // (the default capacity drops the oldest events under this load).
@@ -1276,9 +1265,7 @@ mod tests {
             seed: 3,
         };
         let r = ssd.run(&mut sys, &mut ctrl, wl);
-        assert_eq!(sys.trace.counter_total(Counter::OpsCompleted), r.ios);
         assert_eq!(sys.trace.counter_total(Counter::GcCycles), r.gc_cycles);
-        assert_eq!(sys.trace.metric(Metric::HostLatency).count(), r.ios);
         let gc_starts = sys
             .trace
             .events()

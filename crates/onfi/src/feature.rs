@@ -74,11 +74,6 @@ impl FeatureSet {
         self.get(addr::PSLC_ENABLE)[0] != 0
     }
 
-    /// Current ONFI timing mode (feature `0x01`, byte 0).
-    pub fn timing_mode(&self) -> u8 {
-        self.get(addr::TIMING_MODE)[0]
-    }
-
     /// Resets all features to boot defaults (the effect of a RESET command).
     pub fn reset(&mut self) {
         self.values.clear();
@@ -108,7 +103,6 @@ mod tests {
         assert_eq!(f.get(addr::TIMING_MODE), [0; 4]);
         assert_eq!(f.read_retry_level(), 0);
         assert!(!f.pslc_enabled());
-        assert_eq!(f.timing_mode(), 0);
     }
 
     #[test]
@@ -125,7 +119,7 @@ mod tests {
         let mut f = FeatureSet::new();
         f.set(addr::TIMING_MODE, [4, 0, 0, 0]);
         f.reset();
-        assert_eq!(f.timing_mode(), 0);
+        assert_eq!(f.get(addr::TIMING_MODE), [0; 4]);
     }
 
     #[test]

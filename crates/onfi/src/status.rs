@@ -65,11 +65,6 @@ impl Status {
         Status(Self::WP_N)
     }
 
-    /// A ready LUN whose last operation failed.
-    pub const fn ready_failed() -> Self {
-        Status(Self::RDY | Self::ARDY | Self::WP_N | Self::FAIL)
-    }
-
     /// A LUN that is ready for commands while its array still works
     /// (cache operations: RDY set, ARDY clear).
     pub const fn cache_busy() -> Self {
@@ -186,8 +181,8 @@ mod tests {
 
     #[test]
     fn fail_bits() {
-        assert!(Status::ready_failed().failed());
-        assert!(Status::ready_failed().is_ready());
+        assert!(Status::ready().with_fail().failed());
+        assert!(Status::ready().with_fail().is_ready());
         assert!(Status::from_bits(Status::FAILC).cache_failed());
         assert!(Status::busy().with_fail().failed());
     }

@@ -162,14 +162,6 @@ impl TimingParams {
         }
     }
 
-    /// Selects the timing set matching a data interface.
-    pub const fn for_interface(iface: DataInterface) -> Self {
-        match iface {
-            DataInterface::Sdr { .. } => TimingParams::sdr(),
-            DataInterface::NvDdr2 { .. } => TimingParams::nv_ddr2(),
-        }
-    }
-
     /// Duration of a command/address latch segment of `n` latch cycles,
     /// including CE#/CLE/ALE setup and hold (the shaded region of the
     /// paper's Figure 2).
@@ -240,18 +232,6 @@ mod tests {
         let one = t.ca_segment(iface, 1);
         let six = t.ca_segment(iface, 6);
         assert_eq!(six - one, iface.ca_cycle() * 5);
-    }
-
-    #[test]
-    fn interface_timing_selection() {
-        assert_eq!(
-            TimingParams::for_interface(DataInterface::Sdr { mode: 0 }),
-            TimingParams::sdr()
-        );
-        assert_eq!(
-            TimingParams::for_interface(DataInterface::NvDdr2 { mts: 200 }),
-            TimingParams::nv_ddr2()
-        );
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
 }
 
 #[cfg(test)]
@@ -119,13 +114,6 @@ mod tests {
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "counts {counts:?}");
         }
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SplitMix64::new(5);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl IntervalSet {
         self.spans.is_empty()
     }
 
-    /// Total busy time across all intervals.
-    pub fn total_busy(&self) -> SimDuration {
-        SimDuration::from_picos(self.spans.iter().map(|&(s, e)| e - s).sum())
-    }
-
     /// Busy time overlapping the window `[a, b)`.
     pub fn busy_between(&self, a: SimTime, b: SimTime) -> SimDuration {
         let (a, b) = (a.as_picos(), b.as_picos());
@@ -155,7 +150,7 @@ mod tests {
         let a = set(&[(40, 50), (10, 20), (10, 20), (45, 60)]);
         let b = set(&[(10, 20), (40, 60)]);
         assert_eq!(a, b);
-        assert_eq!(a.total_busy(), SimDuration::from_picos(30));
+        assert_eq!(a.busy_between(t(0), t(100)), SimDuration::from_picos(30));
     }
 
     #[test]
@@ -164,7 +159,7 @@ mod tests {
         s.add_ps(10, 10);
         s.add_ps(20, 5);
         assert!(s.is_empty());
-        assert_eq!(s.total_busy(), SimDuration::ZERO);
+        assert_eq!(s.busy_between(t(0), t(100)), SimDuration::ZERO);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! * **Counters** — one flat row of `u64` [`Counter`]s (scheduler picks,
 //!   transactions issued, bus phases, FTL cache hits, ...), each with one
 //!   writer. A count a layer keeps itself (the kernel's events, the
-//!   channel's traffic, the FTL's production counters) is snapshotted in
-//!   where a job ends; the rest are counted at their record sites.
-//! * **Histograms** — log2-bucketed latency distributions ([`Histogram`])
-//!   for op issue→complete, channel acquire→release, scheduler pick wait,
-//!   and friends. Fixed size, no allocation on the record path.
+//!   channel's transactions and traffic, the FTL's production counters)
+//!   is snapshotted in where a job ends; the rest are counted at their
+//!   record sites.
+//! * **Histogram** — the log2-bucketed distribution ([`Histogram`]) of the
+//!   channel's bus hold times ([`Metric::BusHold`]). Fixed size, no
+//!   allocation on the record path. Scheduler wait, transaction and
+//!   end-to-end latencies are spans of the event trace
+//!   ([`PhaseLedger`]).
 //! * **Event trace** — a bounded ring buffer of [`TraceEvent`]s exportable
 //!   as line-JSON or Chrome `trace_event` JSON, so `chrome://tracing` (or
 //!   Perfetto) renders a controller timeline with one LUN per track.
@@ -362,23 +365,17 @@ pub enum Counter {
     TasksSpawned,
     /// Task-scheduler picks performed.
     SchedPicks,
-    /// Transactions enqueued by tasks.
-    TxnsEnqueued,
-    /// Transactions issued to the hardware queue.
+    /// Transactions carried: CE#-selected bus segments, published from
+    /// the channel's statistics like the next three.
     TxnsIssued,
     /// μFSM instructions dispatched.
     InstrsDispatched,
-    /// Bus segments (transmissions) carried, published from the
-    /// channel's statistics like the next three.
-    SegmentsTransmitted,
     /// Individual bus phases carried.
     PhasesTransmitted,
     /// Bytes written toward the flash array.
     BytesToFlash,
     /// Bytes read back from the flash array.
     BytesFromFlash,
-    /// Host I/Os the FTL completed.
-    OpsCompleted,
     /// Foreground GC cycles run.
     GcCycles,
     /// Host writes absorbed by the write-back cache (and reads whose dirty
@@ -411,21 +408,18 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array dimension for storage).
-    pub const COUNT: usize = 23;
+    pub const COUNT: usize = 20;
 
     /// All counters, in display order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::EventsPopped,
         Counter::TasksSpawned,
         Counter::SchedPicks,
-        Counter::TxnsEnqueued,
         Counter::TxnsIssued,
         Counter::InstrsDispatched,
-        Counter::SegmentsTransmitted,
         Counter::PhasesTransmitted,
         Counter::BytesToFlash,
         Counter::BytesFromFlash,
-        Counter::OpsCompleted,
         Counter::GcCycles,
         Counter::CacheHits,
         Counter::CacheMisses,
@@ -452,14 +446,11 @@ impl Counter {
             Counter::EventsPopped => "events_popped",
             Counter::TasksSpawned => "tasks_spawned",
             Counter::SchedPicks => "sched_picks",
-            Counter::TxnsEnqueued => "txns_enqueued",
             Counter::TxnsIssued => "txns_issued",
             Counter::InstrsDispatched => "instrs_dispatched",
-            Counter::SegmentsTransmitted => "segments_transmitted",
             Counter::PhasesTransmitted => "phases_transmitted",
             Counter::BytesToFlash => "bytes_to_flash",
             Counter::BytesFromFlash => "bytes_from_flash",
-            Counter::OpsCompleted => "ops_completed",
             Counter::GcCycles => "gc_cycles",
             Counter::CacheHits => "cache_hits",
             Counter::CacheMisses => "cache_misses",
@@ -493,50 +484,11 @@ impl Counter {
     ];
 }
 
-/// Latency distributions tracked as log2 histograms.
+/// Durations the tracer keeps as log2 histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
-    /// Host op issue → completion (controller front-end view).
-    OpLatency,
-    /// Host request latency as the FTL sees it (fio driver view).
-    HostLatency,
-    /// Transaction enqueue → completion interrupt.
-    TxnLatency,
     /// Channel bus acquire → release (occupancy per transmission).
     BusHold,
-    /// Task became runnable → task scheduler picked it.
-    SchedWait,
-}
-
-impl Metric {
-    /// Number of metrics (array dimension for storage).
-    pub const COUNT: usize = 5;
-
-    /// All metrics, in display order.
-    pub const ALL: [Metric; Metric::COUNT] = [
-        Metric::OpLatency,
-        Metric::HostLatency,
-        Metric::TxnLatency,
-        Metric::BusHold,
-        Metric::SchedWait,
-    ];
-
-    /// Dense index for array storage.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Snake-case name used in exports and tables.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Metric::OpLatency => "op_latency",
-            Metric::HostLatency => "host_latency",
-            Metric::TxnLatency => "txn_latency",
-            Metric::BusHold => "bus_hold",
-            Metric::SchedWait => "sched_wait",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -550,9 +502,6 @@ mod tests {
         }
         for (i, c) in Counter::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-        }
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            assert_eq!(m.index(), i);
         }
     }
 

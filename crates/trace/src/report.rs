@@ -201,11 +201,6 @@ impl TraceReport {
         self.ledger.ops()
     }
 
-    /// The idle-gap distribution (see module docs).
-    pub fn gap_histogram(&self) -> &Histogram {
-        &self.gaps
-    }
-
     /// The per-op phase attribution.
     pub fn ledger(&self) -> &PhaseLedger {
         &self.ledger
@@ -523,19 +518,23 @@ mod tests {
         ]
     }
 
+    /// The value of one `section,key` row of `r`'s CSV report.
+    fn csv_value(r: &TraceReport, section_key: &str) -> String {
+        r.render_csv()
+            .lines()
+            .find_map(|l| l.strip_prefix(section_key)?.strip_prefix(','))
+            .unwrap_or_else(|| panic!("missing {section_key}"))
+            .to_string()
+    }
+
     #[test]
     fn gap_and_utilization_from_stream() {
         let r = TraceReport::from_events(&sample_events(), 0);
         assert_eq!(r.ops(), 1);
-        assert_eq!(r.gap_histogram().count(), 1);
-        assert_eq!(r.gap_histogram().max(), SimDuration::from_picos(400));
+        assert_eq!(csv_value(&r, "gap,count"), "1");
+        assert_eq!(csv_value(&r, "gap,max_ps"), "400");
         // Bus busy 400 ps over the 1000 ps window.
-        let csv = r.render_csv();
-        let busy = csv
-            .lines()
-            .find_map(|l| l.strip_prefix("util,channel_busy_ps,"))
-            .expect("missing util,channel_busy_ps");
-        assert_eq!(busy, "400");
+        assert_eq!(csv_value(&r, "util,channel_busy_ps"), "400");
     }
 
     #[test]
@@ -549,7 +548,7 @@ mod tests {
             ev(900, Channel, TraceKind::BusRelease, 0, 1),
         ];
         let r = TraceReport::from_events(&events, 0);
-        assert_eq!(r.gap_histogram().count(), 0);
+        assert_eq!(csv_value(&r, "gap,count"), "0");
     }
 
     #[test]

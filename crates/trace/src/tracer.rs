@@ -1,4 +1,4 @@
-//! The trace sink: counters + histograms + bounded event ring.
+//! The trace sink: counters + the bus-hold histogram + bounded event ring.
 
 use std::collections::VecDeque;
 
@@ -12,7 +12,7 @@ use crate::{Component, Counter, Metric, TraceEvent, TraceKind};
 /// every `System` without thought.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Counters, histograms and a bounded event ring.
+/// Counters, the bus-hold histogram and a bounded event ring.
 ///
 /// Starts **disabled**: every record method is an `#[inline]` early return
 /// on one `bool`, so a non-traced run pays a predictable branch per site
@@ -27,7 +27,7 @@ pub struct Tracer {
     dropped: u64,
     dropped_by_kind: [u64; TraceKind::COUNT],
     counters: [u64; Counter::COUNT],
-    metrics: [Histogram; Metric::COUNT],
+    bus_hold: Histogram,
     last_activity: [Option<SimTime>; Component::COUNT],
     /// Which simulation shard (channel) this tracer observes. Single-system
     /// runs stay at 0; the multi-channel device tags each shard's tracer so
@@ -51,7 +51,7 @@ impl Tracer {
             dropped: 0,
             dropped_by_kind: [0; TraceKind::COUNT],
             counters: [0; Counter::COUNT],
-            metrics: std::array::from_fn(|_| Histogram::new()),
+            bus_hold: Histogram::new(),
             last_activity: [None; Component::COUNT],
             shard: 0,
         }
@@ -142,7 +142,9 @@ impl Tracer {
 
     /// The histogram behind one metric.
     pub fn metric(&self, metric: Metric) -> &Histogram {
-        &self.metrics[metric.index()]
+        match metric {
+            Metric::BusHold => &self.bus_hold,
+        }
     }
 
     /// Convenience: record an event from its parts.
@@ -199,13 +201,15 @@ impl Tracer {
         self.counters[counter.index()] += n;
     }
 
-    /// Records one latency observation.
+    /// Records one duration observation.
     #[inline]
-    pub fn observe(&mut self, metric: Metric, latency: SimDuration) {
+    pub fn observe(&mut self, metric: Metric, duration: SimDuration) {
         if !self.enabled {
             return;
         }
-        self.metrics[metric.index()].record(latency);
+        match metric {
+            Metric::BusHold => self.bus_hold.record(duration),
+        }
     }
 }
 
@@ -297,10 +301,10 @@ mod tests {
         assert_eq!(t.counter_total(Counter::SchedPicks), 3);
         // A published value replaces the count, it does not add to it.
         t.set_counter(Counter::SchedPicks, 7);
-        t.set_counter(Counter::SegmentsTransmitted, 4);
+        t.set_counter(Counter::TxnsIssued, 4);
         assert_eq!(t.counter_total(Counter::SchedPicks), 7);
-        assert_eq!(t.counter_total(Counter::SegmentsTransmitted), 4);
-        t.observe(Metric::SchedWait, SimDuration::from_nanos(10));
-        assert_eq!(t.metric(Metric::SchedWait).count(), 1);
+        assert_eq!(t.counter_total(Counter::TxnsIssued), 4);
+        t.observe(Metric::BusHold, SimDuration::from_nanos(10));
+        assert_eq!(t.metric(Metric::BusHold).count(), 1);
     }
 }

@@ -5,8 +5,8 @@
 # binaries.
 #
 # Each line of RUNS is an output file under results/ and the shell
-# command whose stdout it is. The two trace exports are hundreds of MB,
-# so their line holds their SHA-256 instead. The determinism digests are
+# command whose stdout it is. The trace exports are hundreds of MB, so
+# their lines hold their SHA-256 instead. The determinism digests are
 # not run here: the determinism matrix (scripts/ci.sh and the workflow's
 # determinism jobs) compares its BABOL_THREADS=1 leg with
 # results/golden_determinism_digests.txt. A change that moves an output on
@@ -26,6 +26,14 @@ RUNS=(
   "golden_ssd_fio_8ch_report.txt|$fio --channels 8 --threads 2 --report"
   "golden_ufsm_lint_envelopes.json|$lint --envelopes --json"
 )
+# The multi-channel sidecar and per-shard traces must not depend on the
+# worker count, so each thread count is held to the one committed file.
+for t in 1 2 3; do
+  RUNS+=(
+    "golden_ssd_fio_8ch_metrics.jsonl|d=\$(mktemp -d) && $fio --channels 8 --threads $t --metrics \$d/m.jsonl >/dev/null && cat \$d/m.jsonl && rm -r \$d"
+    "golden_ssd_fio_8ch_trace.sha256|d=\$(mktemp -d) && $fio --channels 8 --threads $t --trace \$d/trace.json >/dev/null && (cd \$d && sha256sum trace.json.shard*) && rm -r \$d"
+  )
+done
 
 cargo build --release --offline --example ssd_fio --example ufsm_lint
 out_dir=$(mktemp -d)

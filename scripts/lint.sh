@@ -24,8 +24,8 @@
 # its one export point: the FTL's production counters (cache, GC, wear,
 # retirement, energy) from `Ssd::export_counters`, which reads the counter
 # set every other report reads, and the kernel's and channel's counts
-# (events popped, bus segments, phases and bytes) from
-# `System::publish_counters`. Production code (above `#[cfg(test)]`) must
+# (events popped; transactions, which are bus segments; phases and bytes)
+# from `System::publish_counters`. Production code (above `#[cfg(test)]`) must
 # not write either set anywhere else: no `count` or `set_counter` call may
 # name one, a call through a counter variable may only appear in those two
 # functions (EXPORT_ALLOW), and each of them may name only its own set. So
@@ -33,6 +33,9 @@
 # takes a component. The kernel's `System::schedule` and `pop_event` make
 # no tracer call, and `Channel::transmit` reads its statistics only to
 # increment them (`self.stats.field +=`), so it keeps no copy of them.
+# The tracer keeps one histogram, the bus hold time: production code calls
+# `.observe(` only in `Channel::transmit`, so no layer feeds a histogram
+# that nothing reads.
 #
 # The FTL collects controller completions in one place, `Ssd::harvest`,
 # which every driver loop shares: it notes watchdog progress and takes out
@@ -94,7 +97,7 @@ UNSAFE_ALLOW=(
   "tests/common/counting_alloc.rs"
 )
 FTL_COUNTERS='CacheHits|CacheMisses|CacheDirtyEvicts|GcCycles|WearMigrations|BlocksRetired|Energy(Read|Program|Erase|Transfer)Pj'
-STATS_COUNTERS='EventsPopped|SegmentsTransmitted|PhasesTransmitted|BytesToFlash|BytesFromFlash'
+STATS_COUNTERS='EventsPopped|TxnsIssued|PhasesTransmitted|BytesToFlash|BytesFromFlash'
 # file:fn → the counter set it exports.
 EXPORT_ALLOW=(
   "crates/ftl/src/ssd.rs:export_counters"
@@ -179,6 +182,14 @@ counter_writes=$(find crates src examples -name '*.rs' -print0 | sort -z | xargs
       : $counter =~ /^Counter::/ || $export{"$ARGV:$fn"} ? next
       : "tracer write through a variable or a component outside the export points";
     print "$what\t$ARGV:$line: in fn $fn: $counter\n";
+  }
+  while (/\.observe\(/g) {
+    my $before = substr($_, 0, $-[0]);
+    my ($fn) = $before =~ /.*\bfn\s+(\w+)/s;
+    $fn //= "?";
+    next if "$ARGV:$fn" eq "crates/channel/src/lib.rs:transmit";
+    my $line = 1 + ($before =~ tr/\n//);
+    print "tracer histogram observed outside Channel::transmit\t$ARGV:$line: in fn $fn\n";
   }
   for my $at (sort keys %export) {
     my ($file, $fn) = split /:/, $at;
@@ -318,7 +329,8 @@ if [ "$fail" -ne 0 ]; then
   echo "#[allow] / SAFETY note with a written justification and extend the"
   echo "allowlist in scripts/lint.sh. Counters a layer keeps are counted once,"
   echo "at their source, and reach the tracer through Ssd::export_counters (FTL)"
-  echo "or System::publish_counters (kernel and channel). The FTL"
+  echo "or System::publish_counters (kernel and channel); only Channel::transmit"
+  echo "observes a tracer histogram. The FTL"
   echo "takes controller completions only in Ssd::harvest and steps the"
   echo "event queue only in Ssd::drive. Status waits go through StatusWait."
   echo "Page data stays a PageData between the edges in PAGE_BYTES_ALLOW."

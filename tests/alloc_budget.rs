@@ -7,9 +7,9 @@
 //! and address vectors), the inline result bytes and per-task setup. The
 //! budget catches a per-transaction map, `Vec` or `Box` creeping back in.
 //!
-//! Status polls the runtime summarizes count as issued transactions
-//! (`txns_issued` credits them) without allocating, so the per-transaction
-//! figure can only fall when more polls are summarized. The per-host-I/O
+//! Status polls the runtime summarizes count as transactions (the
+//! channel's `segments` credits them) without allocating, so the
+//! per-transaction figure can only fall when more polls are summarized. The per-host-I/O
 //! budget is the one that sees every allocation of the job.
 //!
 //! One test only: the counter is process-wide, so a second test running
@@ -81,12 +81,12 @@ fn steady_state_gc_writes_stay_within_the_allocation_budget() {
     }
     assert!(ssd.gc_cycles > 0, "warm-up must reach GC");
 
-    let txns_before = ctrl.runtime().txns_issued;
+    let txns_before = sys.channel.stats().segments;
     let gc_before = ssd.gc_cycles;
     let allocs_before = counting_alloc::allocs();
     let report = ssd.run(&mut sys, &mut ctrl, job(4));
     let allocs = counting_alloc::allocs() - allocs_before;
-    let txns = ctrl.runtime().txns_issued - txns_before;
+    let txns = sys.channel.stats().segments - txns_before;
 
     assert_eq!(report.ios, 200);
     assert!(ssd.gc_cycles > gc_before, "the measured job must run GC");

@@ -75,13 +75,13 @@ fn preloaded_random_reads_stay_within_the_allocation_budget() {
         ssd.run(&mut sys, &mut ctrl, job(seed));
     }
 
-    let txns_before = ctrl.runtime().txns_issued;
+    let txns_before = sys.channel.stats().segments;
     let allocs_before = counting_alloc::allocs();
     let pages_before = counting_alloc::large_allocs();
     let report = ssd.run(&mut sys, &mut ctrl, job(3));
     let allocs = counting_alloc::allocs() - allocs_before;
     let page_allocs = counting_alloc::large_allocs() - pages_before;
-    let txns = ctrl.runtime().txns_issued - txns_before;
+    let txns = sys.channel.stats().segments - txns_before;
 
     assert_eq!(report.ios, 400);
     let per_read = allocs as f64 / report.ios as f64;

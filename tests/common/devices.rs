@@ -211,19 +211,17 @@ pub struct ModelStats {
     pub channel: ChannelStats,
     pub luns: Vec<LunStats>,
     pub cpu_cycles: u64,
-    pub txns_issued: u64,
 }
 
 impl ModelStats {
     /// Reads the counters of a one-channel device.
-    pub fn of(sys: &System, ctrl: &SoftController) -> Self {
+    pub fn of(sys: &System) -> Self {
         ModelStats {
             channel: sys.channel.stats(),
             luns: (0..sys.channel.lun_count())
                 .map(|l| sys.channel.lun(l).stats())
                 .collect(),
             cpu_cycles: sys.cpu.busy_cycles(),
-            txns_issued: ctrl.runtime().txns_issued,
         }
     }
 }

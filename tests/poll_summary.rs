@@ -95,7 +95,7 @@ fn gc_writes(rtos: bool, traced: bool, metrics: Option<SimDuration>) -> (Simulat
     let sim = Simulated {
         reports,
         log: rec.log,
-        model: vec![ModelStats::of(&sys, &rec.inner)],
+        model: vec![ModelStats::of(&sys)],
         now: sys.now,
     };
     (sim, sys.events_popped())
@@ -156,7 +156,6 @@ fn cached_multi(threads: usize, traced: bool) -> (Simulated, u64) {
                 channel: d.channel,
                 luns: d.luns,
                 cpu_cycles: d.cpu_cycles,
-                txns_issued: d.txns_issued,
             })
             .collect(),
     };
@@ -319,7 +318,7 @@ fn boundary_run(case: &Case, profile: &PackageProfile, traced: bool) -> Boundary
     let sim = Simulated {
         reports: vec![format!("{:?}", ctrl.inner.errors)],
         log: ctrl.log,
-        model: vec![ModelStats::of(&sys, &ctrl.inner)],
+        model: vec![ModelStats::of(&sys)],
         now: sys.now,
     };
     Boundary {

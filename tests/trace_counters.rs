@@ -1,12 +1,13 @@
 //! The tracer's published counters equal the counts their layers keep.
 //!
 //! The kernel counts the events it pops (`System::events_popped`) and the
-//! channel its segments, phases and bytes (`Channel::stats`), whether or
-//! not tracing is on. A traced run gets them in its tracer from
-//! `System::publish_counters` at every point where a job ends:
-//! `Engine::run`, `Ssd::run` and `Ssd::flush_cache` here, and each shard's
-//! finish in `babol_ftl::multi`'s own tests. These tests hold each
-//! published counter to its layer's count after every such point.
+//! channel its transactions (bus segments), phases and bytes
+//! (`Channel::stats`), whether or not tracing is on. A traced run gets
+//! them in its tracer from `System::publish_counters` at every point where
+//! a job ends: `Engine::run`, `Ssd::run` and `Ssd::flush_cache` here, and
+//! each shard's finish in `babol_ftl::multi`'s own tests. These tests hold
+//! each published counter to its layer's count after every such point, and
+//! an `Engine::run` report to its own run.
 
 #[path = "common/devices.rs"]
 mod devices;
@@ -15,17 +16,18 @@ use babol::workload::{Order, ReadWorkload};
 use babol::{Engine, System};
 use babol_bench::{build_controller, build_system, read_microbench_traced, ControllerKind};
 use babol_flash::PackageProfile;
-use babol_trace::{Counter, Tracer};
+use babol_trace::{Counter, TraceKind, Tracer};
 use devices::{Spec, WRITE_GC_1CH};
 
 /// Asserts that `trace` carries `sys`'s kernel and channel counts.
+/// `TxnsIssued` is the channel's segment count for every controller.
 fn assert_published(trace: &Tracer, sys: &System, at: &str) {
     let bus = sys.channel.stats();
     assert!(sys.events_popped() > 0 && bus.segments > 0, "{at}: no work");
     assert_eq!(
         [
             Counter::EventsPopped,
-            Counter::SegmentsTransmitted,
+            Counter::TxnsIssued,
             Counter::PhasesTransmitted,
             Counter::BytesFromFlash,
             Counter::BytesToFlash,
@@ -67,7 +69,45 @@ fn engine_run_publishes_the_kernel_and_channel_counts() {
         let again = Engine::new(1).run(&mut sys, ctrl.as_mut(), reqs);
         assert_eq!(format!("{report:?}"), format!("{again:?}"), "{kind:?}");
         assert_published(&tracer, &sys, &format!("{kind:?} Engine::run"));
+        // A software controller traces each transaction it issues, so a
+        // ring that dropped nothing holds one `TxnIssue` per segment.
+        if matches!(kind, ControllerKind::Rtos | ControllerKind::Coro) {
+            assert_eq!(tracer.dropped(), 0, "{kind:?}: the ring overflowed");
+            let issued = tracer
+                .events()
+                .filter(|e| e.kind == TraceKind::TxnIssue)
+                .count() as u64;
+            assert_eq!(
+                issued,
+                tracer.counter_total(Counter::TxnsIssued),
+                "{kind:?}: traced issues differ from the published transactions"
+            );
+        }
     }
+}
+
+/// Bugfix regression: a report's bus time once held the channel's busy
+/// time since the system was built, so a second run on one system also
+/// reported the first run's.
+#[test]
+fn a_second_engine_run_reports_only_its_own_bus_time() {
+    let profile = PackageProfile::hynix();
+    let kind = ControllerKind::Coro;
+    let mut sys = build_system(&profile, 2, 200, 1000, kind);
+    let mut ctrl = build_controller(kind, &profile, 2);
+    let reqs = ReadWorkload {
+        luns: 2,
+        count: 16,
+        order: Order::Sequential,
+        len: profile.geometry.page_size,
+    }
+    .generate(&profile.geometry);
+    let first = Engine::new(1).run(&mut sys, ctrl.as_mut(), reqs.clone());
+    let before = sys.channel.stats().busy;
+    assert_eq!(first.bus_busy, before, "the first run starts at zero");
+    let second = Engine::new(1).run(&mut sys, ctrl.as_mut(), reqs);
+    assert!(!second.bus_busy.is_zero(), "the second run used the bus");
+    assert_eq!(second.bus_busy, sys.channel.stats().busy - before);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The work ledger: exact work counts of small versions of the four
 //! benchmark workloads, untraced, from construction to shutdown, plus the
-//! scheduler and μFSM counts only a traced run keeps (tasks spawned,
-//! scheduler picks, transactions enqueued, instructions dispatched).
+//! scheduler and μFSM counts of a traced run's tracer (tasks spawned,
+//! scheduler picks, the transactions it publishes from the channel,
+//! instructions dispatched).
 //!
 //! Host-time figures move with the machine; these counts do not. A change
 //! that makes the simulator do more or less work per host I/O shows up
@@ -24,11 +25,10 @@ struct Ledger {
     events: u64,
     /// Barrier rounds (0 on one channel).
     rounds: u64,
-    /// Transactions the controllers issued.
-    txns: u64,
     /// READ STATUS bytes the LUNs served.
     status_polls: u64,
-    /// Bus segments, bus phases and bus-busy picoseconds.
+    /// Bus segments (one per transaction), bus phases and bus-busy
+    /// picoseconds.
     segments: u64,
     phases: u64,
     bus_busy_ps: u64,
@@ -42,7 +42,6 @@ struct Ledger {
 
 impl Ledger {
     fn add_model(&mut self, m: &ModelStats) {
-        self.txns += m.txns_issued;
         self.segments += m.channel.segments;
         self.phases += m.channel.phases;
         self.bus_busy_ps += m.channel.busy.as_picos();
@@ -61,7 +60,6 @@ fn zero() -> Ledger {
         ios: 0,
         events: 0,
         rounds: 0,
-        txns: 0,
         status_polls: 0,
         segments: 0,
         phases: 0,
@@ -80,7 +78,7 @@ fn one_channel(spec: &Spec) -> Ledger {
         ledger.ios += ssd.run(&mut sys, &mut ctrl, job).ios;
     }
     ledger.events = sys.events_popped();
-    ledger.add_model(&ModelStats::of(&sys, &ctrl));
+    ledger.add_model(&ModelStats::of(&sys));
     ledger
 }
 
@@ -98,7 +96,6 @@ fn multi_channel(spec: &Spec) -> Ledger {
             channel: d.channel,
             luns: d.luns,
             cpu_cycles: d.cpu_cycles,
-            txns_issued: d.txns_issued,
         });
     }
     ledger
@@ -110,7 +107,7 @@ fn check(spec: &Spec, got: Ledger, want: Ledger) {
         "work-ledger {}: {got:?}\n  per I/O: {:.1} events, {:.1} txns, {:.1} status polls, {:.0} cycles",
         spec.name,
         per_io(got.events),
-        per_io(got.txns),
+        per_io(got.segments),
         per_io(got.status_polls),
         per_io(got.cpu_cycles),
     );
@@ -126,7 +123,6 @@ fn read_1ch_ledger() {
             ios: 464,
             events: 2824,
             rounds: 0,
-            txns: 1452,
             status_polls: 524,
             segments: 1452,
             phases: 12708,
@@ -148,7 +144,6 @@ fn write_gc_1ch_ledger() {
             ios: 918,
             events: 94344,
             rounds: 0,
-            txns: 74954,
             status_polls: 70291,
             segments: 74954,
             phases: 285160,
@@ -170,7 +165,6 @@ fn read_16ch_ledger() {
             ios: 416,
             events: 6528,
             rounds: 745,
-            txns: 2300,
             status_polls: 1468,
             segments: 2300,
             phases: 14388,
@@ -192,7 +186,6 @@ fn write_cached_16ch_ledger() {
             ios: 3372,
             events: 99888,
             rounds: 211,
-            txns: 199478,
             status_polls: 188189,
             segments: 199478,
             phases: 748923,
@@ -205,13 +198,14 @@ fn write_cached_16ch_ledger() {
     );
 }
 
-/// Scheduler and μFSM work of a traced run: counts only the tracer keeps
-/// (an untraced run skips the counter writes).
+/// Scheduler and μFSM work of a traced run, read from its tracer (an
+/// untraced run skips the counter writes); the transactions are the
+/// channel's segments as `System::publish_counters` publishes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct SchedLedger {
     tasks_spawned: u64,
     sched_picks: u64,
-    txns_enqueued: u64,
+    txns_issued: u64,
     instrs_dispatched: u64,
 }
 
@@ -219,7 +213,7 @@ impl SchedLedger {
     fn add(&mut self, trace: &Tracer) {
         self.tasks_spawned += trace.counter_total(Counter::TasksSpawned);
         self.sched_picks += trace.counter_total(Counter::SchedPicks);
-        self.txns_enqueued += trace.counter_total(Counter::TxnsEnqueued);
+        self.txns_issued += trace.counter_total(Counter::TxnsIssued);
         self.instrs_dispatched += trace.counter_total(Counter::InstrsDispatched);
     }
 }
@@ -259,7 +253,7 @@ fn read_1ch_sched_ledger() {
         SchedLedger {
             tasks_spawned: 464,
             sched_picks: 1976,
-            txns_enqueued: 1452,
+            txns_issued: 1452,
             instrs_dispatched: 2440,
         },
     );
@@ -273,7 +267,7 @@ fn write_gc_1ch_sched_ledger() {
         SchedLedger {
             tasks_spawned: 3450,
             sched_picks: 145245,
-            txns_enqueued: 74954,
+            txns_issued: 74954,
             instrs_dispatched: 150720,
         },
     );
@@ -287,7 +281,7 @@ fn write_gc_1ch_rtos_sched_ledger() {
         SchedLedger {
             tasks_spawned: 3450,
             sched_picks: 1388401,
-            txns_enqueued: 696532,
+            txns_issued: 696532,
             instrs_dispatched: 1393876,
         },
     );
@@ -301,7 +295,7 @@ fn read_16ch_sched_ledger() {
         SchedLedger {
             tasks_spawned: 416,
             sched_picks: 3768,
-            txns_enqueued: 2300,
+            txns_issued: 2300,
             instrs_dispatched: 4184,
         },
     );
@@ -315,7 +309,7 @@ fn write_cached_16ch_sched_ledger() {
         SchedLedger {
             tasks_spawned: 8590,
             sched_picks: 387667,
-            txns_enqueued: 199478,
+            txns_issued: 199478,
             instrs_dispatched: 401662,
         },
     );
