@@ -10,18 +10,18 @@ use babol::system::Engine;
 use babol::workload::{Order, ReadWorkload};
 use babol_bench::{build_soft_controller, build_system, render_table, ControllerKind};
 use babol_flash::PackageProfile;
+use babol_sim::{CostModel, Cpu};
 
 fn main() {
     let profile = PackageProfile::hynix();
     println!("Ablation: software action cost scale (Coro, Hynix, 200 MT/s, 8 LUNs, 1 GHz)\n");
     let mut rows = Vec::new();
     for (num, den) in [(1u64, 4u64), (1, 2), (1, 1), (2, 1), (4, 1), (8, 1)] {
-        let mut cfg = RuntimeConfig::coroutine();
-        cfg.cost = cfg.cost.scaled(num, den);
         let mut sys = build_system(&profile, 8, 200, 1000, ControllerKind::Coro);
-        // Scale the CPU model identically (the cost model lives there too).
-        sys.cpu = babol_sim::Cpu::new(sys.cpu.freq(), cfg.cost);
-        let mut ctrl = build_soft_controller(ControllerKind::Coro, &profile, cfg);
+        // The runtime charges the processor's cost model.
+        sys.cpu = Cpu::new(sys.cpu.freq(), CostModel::coroutine().scaled(num, den));
+        let mut ctrl =
+            build_soft_controller(ControllerKind::Coro, &profile, RuntimeConfig::coroutine());
         let reqs = ReadWorkload {
             luns: 8,
             count: 240,

@@ -16,18 +16,23 @@
 //!    page reads back with a valid CRC at speed, then lock that phase in
 //!    the pad registers.
 //!
-//! Boot is firmware, not datapath: it runs synchronously over the μFSM
-//! engine with no scheduling subtleties, exactly as init code would.
+//! Boot is firmware, not datapath: each step is an operation of the
+//! library in [`crate::ops`] (`reset`, `read_param_page`, `set_features`)
+//! played on the synchronous op player, [`lintcap::play`], with no
+//! scheduler, exactly as init code would run. So boot puts on the bus the
+//! very programs `ufsm_lint` captures and lints; the Rust here only checks
+//! the rate, picks the timing-mode byte and sets the drive phase.
 
 use std::fmt;
+use std::future::Future;
 
-use babol_onfi::opcode::op;
+use babol_onfi::feature::addr::TIMING_MODE;
 use babol_onfi::param_page::ParamPage;
-use babol_onfi::status::Status;
-use babol_ufsm::{execute, DmaDest, EmitConfig, EmitScratch, Latch, PostWait, Transaction};
+use babol_ufsm::EmitConfig;
 
-use babol_onfi::bus::ChipMask;
-
+use crate::lintcap;
+use crate::ops::{self, Target};
+use crate::runtime::coro::OpCtx;
 use crate::system::System;
 
 /// The result of bringing up one LUN.
@@ -90,63 +95,35 @@ impl fmt::Display for BootError {
 
 impl std::error::Error for BootError {}
 
-/// Executes one transaction synchronously, advancing `sys.now` past its end.
-fn run_txn(sys: &mut System, emit: &EmitConfig, txn: &Transaction) -> Vec<u8> {
-    let start = sys.now.max(sys.channel.busy_until());
-    let out = execute(
-        &mut sys.channel,
-        &mut sys.dram,
-        emit,
-        start,
-        txn,
-        0,
-        &mut sys.trace,
-        &mut EmitScratch::default(),
-    )
-    .unwrap_or_else(|e| panic!("boot waveform rejected: {e}"));
-    sys.now = out.end;
-    out.inline
-}
-
-/// Polls READ STATUS until ready, advancing simulated time.
-fn wait_ready(sys: &mut System, emit: &EmitConfig, chip: u32) {
-    loop {
-        let txn = Transaction::new(ChipMask::single(chip))
-            .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
-            .read(1, DmaDest::Inline);
-        let data = run_txn(sys, emit, &txn);
-        if data[0] & Status::RDY != 0 {
-            return;
-        }
-        // Idle between polls, as init firmware would.
-        sys.now += babol_sim::SimDuration::from_micros(2);
-    }
+/// Plays one library operation on `sys` at `emit`, advancing `sys.now`.
+fn play<T: 'static, F: Future<Output = T> + 'static>(
+    sys: &mut System,
+    emit: &EmitConfig,
+    op: impl FnOnce(OpCtx) -> F,
+) -> T {
+    let (channel, dram, trace) = (&mut sys.channel, &mut sys.dram, &mut sys.trace);
+    lintcap::play(channel, dram, emit, trace, &mut sys.now, op, drop)
 }
 
 /// Brings up one LUN to NV-DDR2 at `mts` and calibrates its DQS phase.
 pub fn boot_lun(sys: &mut System, chip: u32, mts: u32) -> Result<LunBootReport, BootError> {
+    let t = Target {
+        chip,
+        layout: sys.channel.lun(chip).profile().layout(),
+    };
     let sdr = EmitConfig::sdr();
 
     // Step 1: RESET in SDR mode 0 and wait for recovery.
-    let reset =
-        Transaction::new(ChipMask::single(chip)).ca(vec![Latch::Cmd(op::RESET)], PostWait::Wb);
-    run_txn(sys, &sdr, &reset);
-    wait_ready(sys, &sdr, chip);
+    play(sys, &sdr, move |c| async move { ops::reset(&c, &t).await })
+        .expect("RESET reports no failure");
 
     // Step 2: READ PARAMETER PAGE (three redundant copies) over SDR.
-    let kick = Transaction::new(ChipMask::single(chip)).ca(
-        vec![Latch::Cmd(op::READ_PARAM_PAGE), Latch::Addr(vec![0x00])],
-        PostWait::Wb,
-    );
-    run_txn(sys, &sdr, &kick);
-    wait_ready(sys, &sdr, chip);
-    let restore = Transaction::new(ChipMask::single(chip))
-        .ca(vec![Latch::Cmd(op::READ_1)], PostWait::Whr)
-        .read(256 * 3, DmaDest::Inline);
-    let raw = run_txn(sys, &sdr, &restore);
-    let params = (0..3)
-        .filter_map(|i| ParamPage::from_bytes(&raw[i * 256..(i + 1) * 256]).ok())
-        .next()
+    let raw = play(sys, &sdr, move |c| async move {
+        ops::read_param_page(&c, &t, 3).await
+    });
+    let params = raw
+        .chunks(256)
+        .find_map(|copy| ParamPage::from_bytes(copy).ok())
         .ok_or(BootError::BadParamPage { chip })?;
     if (params.max_mts as u32) < mts {
         return Err(BootError::UnsupportedRate {
@@ -164,47 +141,28 @@ pub fn boot_lun(sys: &mut System, chip: u32, mts: u32) -> Result<LunBootReport, 
         100 => 5,
         _ => 5,
     };
-    sys.dram.write(BOOT_SCRATCH, &[mode, 2, 0, 0]);
-    let setf = Transaction::new(ChipMask::single(chip))
-        .ca(
-            vec![
-                Latch::Cmd(op::SET_FEATURES),
-                Latch::Addr(vec![babol_onfi::feature::addr::TIMING_MODE]),
-            ],
-            PostWait::Adl,
-        )
-        .write(4, BOOT_SCRATCH);
-    run_txn(sys, &sdr, &setf);
+    play(sys, &sdr, move |c| async move {
+        ops::set_features(&c, &t, TIMING_MODE, [mode, 2, 0, 0], BOOT_SCRATCH).await
+    })
+    .expect("SET FEATURES reports no failure");
 
     // Step 4: calibration — scan DQS phases until the parameter page reads
     // back with a valid CRC at full speed.
     let fast = EmitConfig::nv_ddr2(mts);
-    let mut locked = None;
-    let mut tried = 0u8;
-    for phase in 0..8u8 {
-        tried += 1;
-        sys.channel.lun_mut(chip).set_drive_phase(phase);
-        let kick = Transaction::new(ChipMask::single(chip)).ca(
-            vec![Latch::Cmd(op::READ_PARAM_PAGE), Latch::Addr(vec![0x00])],
-            PostWait::Wb,
-        );
-        run_txn(sys, &fast, &kick);
-        wait_ready(sys, &fast, chip);
-        let fetch = Transaction::new(ChipMask::single(chip))
-            .ca(vec![Latch::Cmd(op::READ_1)], PostWait::Whr)
-            .read(256, DmaDest::Inline);
-        let raw = run_txn(sys, &fast, &fetch);
-        if ParamPage::from_bytes(&raw).is_ok() {
-            locked = Some(phase);
-            break;
-        }
-    }
-    let phase = locked.ok_or(BootError::CalibrationFailed { chip })?;
+    let phase = (0..8u8)
+        .find(|&phase| {
+            sys.channel.lun_mut(chip).set_drive_phase(phase);
+            let raw = play(sys, &fast, move |c| async move {
+                ops::read_param_page(&c, &t, 1).await
+            });
+            ParamPage::from_bytes(&raw).is_ok()
+        })
+        .ok_or(BootError::CalibrationFailed { chip })?;
     Ok(LunBootReport {
         chip,
         params,
         phase,
-        phases_tried: tried,
+        phases_tried: phase + 1,
     })
 }
 
@@ -277,10 +235,9 @@ mod tests {
     fn booted_lun_serves_high_speed_reads() {
         let mut sys = strict_system(1);
         boot_lun(&mut sys, 0, 200).unwrap();
-        // After boot, a full read sequence at NV-DDR2 works and returns
-        // clean (unscrambled) data.
-        use babol_onfi::addr::{ColumnAddr, RowAddr};
-        let layout = sys.channel.lun(0).profile().geometry.addr_layout(16);
+        // After boot, the library's READ at NV-DDR2 works and returns clean
+        // (unscrambled) data.
+        use babol_onfi::addr::RowAddr;
         let row = RowAddr {
             lun: 0,
             block: 0,
@@ -291,29 +248,15 @@ mod tests {
             .array_mut()
             .program_page(row, b"booted!", false)
             .unwrap();
-        let fast = EmitConfig::nv_ddr2(200);
-        let addr = layout.pack_full(ColumnAddr(0), row);
-        let latch = Transaction::new(ChipMask::single(0)).ca(
-            vec![
-                Latch::Cmd(op::READ_1),
-                Latch::Addr(addr),
-                Latch::Cmd(op::READ_2),
-            ],
-            PostWait::Wb,
-        );
-        run_txn(&mut sys, &fast, &latch);
-        wait_ready(&mut sys, &fast, 0);
-        let fetch = Transaction::new(ChipMask::single(0))
-            .ca(
-                vec![
-                    Latch::Cmd(op::CHANGE_READ_COL_1),
-                    Latch::Addr(layout.pack_col(ColumnAddr(0))),
-                    Latch::Cmd(op::CHANGE_READ_COL_2),
-                ],
-                PostWait::Ccs,
-            )
-            .read(7, DmaDest::Inline);
-        let data = run_txn(&mut sys, &fast, &fetch);
-        assert_eq!(&data, b"booted!");
+        let t = Target {
+            chip: 0,
+            layout: sys.channel.lun(0).profile().layout(),
+        };
+        const DEST: u64 = 0x1000;
+        play(&mut sys, &EmitConfig::nv_ddr2(200), move |c| async move {
+            ops::read_page(&c, &t, row, 0, 7, DEST).await
+        })
+        .unwrap();
+        assert_eq!(sys.dram.read_vec(DEST, 7), b"booted!");
     }
 }

@@ -9,6 +9,16 @@
 //! real execution engine (so polls terminate and data flows), and returns
 //! the emitted transactions in order. `examples/ufsm_lint.rs` and the
 //! mutation/differential tests feed these captures to the verifier.
+//!
+//! The loop that plays an operation, [`play`], is the crate's one
+//! synchronous op player: package boot ([`crate::boot`]) plays its library
+//! operations on it, and [`capture`] is the player with a sink that
+//! collects the transactions.
+
+use std::cell::Cell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
 
 use babol_channel::Channel;
 use babol_flash::array::ContentMode;
@@ -155,34 +165,48 @@ fn page_len(profile: &PackageProfile) -> usize {
     profile.geometry.page_size.min(2048)
 }
 
-/// Runs `kind` against a fresh [`rig`] and returns every transaction the
-/// operation emitted, in emission order.
+/// Busy status polls of a played operation sleep this long, so poll loops
+/// make simulated time progress instead of hammering the bus.
+const POLL_BACKOFF: SimDuration = SimDuration::from_micros(2);
+
+/// Plays one coroutine operation to completion, synchronously and with no
+/// scheduler, and returns its value: the one op player, which boot and
+/// [`capture`] share.
 ///
-/// The harness is a miniature, deterministic stand-in for the full
-/// [`crate::system::Engine`]: it advances the coroutine, forwards staged
-/// DRAM writes, executes each transaction with the real μFSM engine at the
-/// earliest legal bus time, honours sleeps by jumping simulated time, and
-/// delivers results until the operation finishes.
+/// `op` builds the operation over the [`OpCtx`] it is handed. The player is
+/// a miniature, deterministic stand-in for the full
+/// [`crate::system::Engine`]: it advances the operation, forwards its staged
+/// DRAM writes, executes each transaction it submits with the real μFSM
+/// engine under `emit` at the earliest legal bus time (`now` or later),
+/// hands the transaction to `sink`, honours sleeps by jumping `now`, and
+/// delivers results until the operation finishes. Busy status polls sleep
+/// 2 µs between polls.
 ///
 /// # Panics
 ///
 /// Panics if the operation livelocks (no transaction, sleep, or completion
 /// for many consecutive advances) or a transaction fails to execute — both
-/// indicate a bug worth failing a lint run over.
-pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
-    let (mut channel, mut dram, emit) = rig(profile);
-    let mut task = op_task(profile, kind);
+/// indicate a bug.
+pub fn play<T: 'static, F: Future<Output = T> + 'static>(
+    channel: &mut Channel,
+    dram: &mut Dram,
+    emit: &EmitConfig,
+    trace: &mut Tracer,
+    now: &mut SimTime,
+    op: impl FnOnce(OpCtx) -> F,
+    mut sink: impl FnMut(Transaction),
+) -> T {
+    let ctx = OpCtx::new(0, 0);
+    let value = Rc::new(Cell::new(None));
+    let slot = Rc::clone(&value);
+    let body = op(ctx.clone());
+    let mut task = CoroTask::new(&ctx, async move { slot.set(Some(body.await)) });
+    task.mailbox().borrow_mut().poll_backoff = POLL_BACKOFF;
 
-    // A realistic pacing quantum, so poll loops sleep instead of hammering
-    // the bus (and the capture loop can make time progress).
-    task.mailbox().borrow_mut().poll_backoff = SimDuration::from_micros(2);
-
-    let mut captured = Vec::new();
-    let mut now = SimTime::ZERO;
     let mut idle_advances = 0u32;
-    let (mut trace, mut scratch) = (Tracer::disabled(), EmitScratch::default());
+    let mut scratch = EmitScratch::default();
     loop {
-        let status = task.advance(now);
+        let status = task.advance(*now);
         let mut mb = task.mailbox().borrow_mut();
         for (addr, bytes) in mb.staged.drain(..) {
             dram.write_data(addr, bytes);
@@ -193,34 +217,24 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
                 break;
             }
             if let Some(d) = mb.sleep.take() {
-                now += d;
+                *now += d;
                 idle_advances = 0;
                 continue;
             }
             idle_advances += 1;
             assert!(
                 idle_advances < 10_000,
-                "operation {} livelocked: blocked with nothing submitted",
-                kind.name()
+                "operation livelocked: blocked with nothing submitted"
             );
             continue;
         }
         idle_advances = 0;
         for (ticket, txn) in outbox {
-            let start = now.max(channel.busy_until());
-            let out = execute(
-                &mut channel,
-                &mut dram,
-                &emit,
-                start,
-                &txn,
-                0,
-                &mut trace,
-                &mut scratch,
-            )
-            .unwrap_or_else(|e| panic!("operation {}: execute failed: {e:?}", kind.name()));
-            now = out.end;
-            captured.push(txn);
+            let start = (*now).max(channel.busy_until());
+            let out = execute(channel, dram, emit, start, &txn, 0, trace, &mut scratch)
+                .unwrap_or_else(|e| panic!("operation transaction rejected: {e:?}"));
+            *now = out.end;
+            sink(txn);
             mb.deliver(
                 ticket,
                 TxnResult {
@@ -233,6 +247,27 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
             break;
         }
     }
+    value.take().expect("a finished operation has its value")
+}
+
+/// Runs `kind` against a fresh [`rig`] on the [`play`]er and returns every
+/// transaction the operation emitted, in emission order.
+///
+/// # Panics
+///
+/// Panics where [`play`] does, or if the operation emits no transaction.
+pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
+    let (mut channel, mut dram, emit) = rig(profile);
+    let (mut captured, mut now) = (Vec::new(), SimTime::ZERO);
+    play(
+        &mut channel,
+        &mut dram,
+        &emit,
+        &mut Tracer::disabled(),
+        &mut now,
+        |ctx| op_body(profile, kind, ctx),
+        |txn| captured.push(txn),
+    );
     assert!(
         !captured.is_empty(),
         "operation {} emitted no transactions",
@@ -241,9 +276,9 @@ pub fn capture(profile: &PackageProfile, kind: OpKind) -> Vec<Transaction> {
     captured
 }
 
-/// `kind` as a coroutine task on chip 0 of a [`rig`], reading its seed
-/// pages and programming its source data.
-fn op_task(profile: &PackageProfile, kind: OpKind) -> CoroTask {
+/// `kind` on chip 0 of a [`rig`] over `c`, reading its seed pages and
+/// programming its source data.
+fn op_body(profile: &PackageProfile, kind: OpKind, c: OpCtx) -> Pin<Box<dyn Future<Output = ()>>> {
     let layout = profile.layout();
     let t = Target { chip: 0, layout };
     let len = page_len(profile);
@@ -252,80 +287,78 @@ fn op_task(profile: &PackageProfile, kind: OpKind) -> CoroTask {
         block,
         page,
     };
-    let ctx = OpCtx::new(0, 0);
-    let c = ctx.clone();
     match kind {
-        OpKind::ReadStatus => CoroTask::new(&ctx, async move {
+        OpKind::ReadStatus => Box::pin(async move {
             ops::read_status(&c, &t).await;
         }),
-        OpKind::WaitReady => CoroTask::new(&ctx, async move {
+        OpKind::WaitReady => Box::pin(async move {
             ops::wait_ready(&c, &t).await;
         }),
-        OpKind::ReadPage => CoroTask::new(&ctx, async move {
+        OpKind::ReadPage => Box::pin(async move {
             ops::read_page(&c, &t, row(0, 0), 0, len, DEST)
                 .await
                 .unwrap();
         }),
-        OpKind::ReadPagePslc => CoroTask::new(&ctx, async move {
+        OpKind::ReadPagePslc => Box::pin(async move {
             ops::read_page_pslc(&c, &t, row(0, 0), 0, len, DEST)
                 .await
                 .unwrap();
         }),
-        OpKind::ProgramPage => CoroTask::new(&ctx, async move {
+        OpKind::ProgramPage => Box::pin(async move {
             ops::program_page(&c, &t, row(4, 0), SRC, len)
                 .await
                 .unwrap();
         }),
-        OpKind::ProgramPagePslc => CoroTask::new(&ctx, async move {
+        OpKind::ProgramPagePslc => Box::pin(async move {
             ops::program_page_pslc(&c, &t, row(4, 0), SRC, len)
                 .await
                 .unwrap();
         }),
-        OpKind::EraseBlock => CoroTask::new(&ctx, async move {
+        OpKind::EraseBlock => Box::pin(async move {
             ops::erase_block(&c, &t, row(2, 0)).await.unwrap();
         }),
-        OpKind::SetFeatures => CoroTask::new(&ctx, async move {
+        OpKind::SetFeatures => Box::pin(async move {
             ops::set_features(&c, &t, 0x01, [0x05, 0, 0, 0], SCRATCH)
                 .await
                 .unwrap();
         }),
-        OpKind::GetFeatures => CoroTask::new(&ctx, async move {
+        OpKind::GetFeatures => Box::pin(async move {
             ops::get_features(&c, &t, 0x01).await;
         }),
-        OpKind::ReadId => CoroTask::new(&ctx, async move {
+        OpKind::ReadId => Box::pin(async move {
             ops::read_id(&c, &t, 8).await;
         }),
-        OpKind::Reset => CoroTask::new(&ctx, async move {
+        OpKind::Reset => Box::pin(async move {
             ops::reset(&c, &t).await.unwrap();
         }),
-        OpKind::ReadParamPage => CoroTask::new(&ctx, async move {
+        OpKind::ReadParamPage => Box::pin(async move {
             ops::read_param_page(&c, &t, 3).await;
         }),
-        OpKind::ReadWithRetry => CoroTask::new(&ctx, async move {
+        OpKind::ReadWithRetry => Box::pin(async move {
             // Reject level 0 once so the retry path (SET FEATURES +
             // re-read) is part of the capture.
             ops::read_with_retry(&c, &t, row(0, 1), len, DEST, SCRATCH, 3, |level| level >= 1)
                 .await
                 .unwrap();
         }),
-        OpKind::GangRead => CoroTask::new(&ctx, async move {
+        OpKind::GangRead => Box::pin(async move {
             let targets = [Target { chip: 0, layout }, Target { chip: 1, layout }];
             ops::gang_read(&c, &targets, row(0, 2), len, DEST)
                 .await
                 .unwrap();
         }),
-        OpKind::CacheReadSeq => CoroTask::new(&ctx, async move {
+        OpKind::CacheReadSeq => Box::pin(async move {
             ops::cache_read_seq(&c, &t, row(0, 0), 3, len, DEST)
                 .await
                 .unwrap();
         }),
-        OpKind::MultiPlaneRead => CoroTask::new(&ctx, async move {
+        OpKind::MultiPlaneRead => Box::pin(async move {
             // Blocks 0 and 1 interleave onto planes 0 and 1.
             ops::multi_plane_read(&c, &t, [row(0, 0), row(1, 0)], len, [DEST, DEST + 0x4000])
                 .await
                 .unwrap();
         }),
-        OpKind::EraseWithSuspendedRead => CoroTask::new(&ctx, async move {
+        OpKind::EraseWithSuspendedRead => Box::pin(async move {
             ops::erase_with_suspended_read(&c, &t, row(3, 0), row(0, 3), len, DEST)
                 .await
                 .unwrap();

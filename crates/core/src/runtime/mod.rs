@@ -143,7 +143,8 @@ pub struct Mailbox {
     /// scheduler sees them.
     pub meta: TaskMeta,
     /// Host request id the operation serves (trace attribution; 0 for
-    /// anonymous tasks — boot, calibration, tests).
+    /// anonymous tasks — tests). The synchronous op player that boot and
+    /// lint capture run on, [`crate::lintcap::play`], traces under id 0.
     pub op_id: u64,
     /// The chip a [`StatusWait`] is pacing its polls on, while the sleep it
     /// requested after a busy status is pending.
@@ -257,8 +258,6 @@ const ISSUE_GAP: SimDuration = SimDuration::from_nanos(150);
 /// Configuration of a software runtime instance.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
-    /// Cycle costs of software actions (coroutine vs RTOS).
-    pub cost: babol_sim::CostModel,
     /// Task scheduling policy.
     pub task_policy: TaskPolicy,
     /// Transaction scheduling policy.
@@ -280,7 +279,6 @@ impl RuntimeConfig {
     /// experiments.
     pub fn coroutine() -> Self {
         RuntimeConfig {
-            cost: babol_sim::CostModel::coroutine(),
             task_policy: TaskPolicy::RoundRobinLun,
             txn_policy: TxnPolicy::RoundRobinLun,
             lookahead: 4,
@@ -292,7 +290,6 @@ impl RuntimeConfig {
     /// The RTOS software environment.
     pub fn rtos() -> Self {
         RuntimeConfig {
-            cost: babol_sim::CostModel::rtos(),
             task_policy: TaskPolicy::RoundRobinLun,
             txn_policy: TxnPolicy::RoundRobinLun,
             lookahead: 4,
@@ -629,7 +626,7 @@ impl SoftRuntime {
             .expect("completion for unknown transaction");
         debug_assert_eq!(done.tag.ticket, ticket);
         let tag = done.tag;
-        sys.cpu.charge(sys.now, self.cfg.cost.completion_irq);
+        sys.cpu.charge(sys.now, sys.cpu.cost().completion_irq);
         sys.trace.event(
             sys.now,
             Component::Sched,
@@ -657,7 +654,7 @@ impl SoftRuntime {
     /// Runs every runnable task, moving built transactions toward the
     /// hardware queue, charging the CPU for each step.
     fn pump(&mut self, sys: &mut System) {
-        let cost = self.cfg.cost;
+        let cost = *sys.cpu.cost();
         if sys.trace.is_enabled() {
             // Queue-depth-over-time sample: one event per pump entry, all
             // four depths packed into the op_id word (layout unchanged).

@@ -406,19 +406,16 @@ impl RunReport {
         total / self.completions.len() as u64
     }
 
-    /// Latency at percentile `p` (0.0..=1.0).
+    /// Latency at percentile `p` (0.0..=1.0), by
+    /// [`SimDuration::percentile`].
     pub fn latency_percentile(&self, p: f64) -> SimDuration {
-        if self.completions.is_empty() {
-            return SimDuration::ZERO;
-        }
         let mut lats: Vec<SimDuration> = self
             .completions
             .iter()
             .map(|c| c.completed - c.submitted)
             .collect();
         lats.sort();
-        let idx = ((lats.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
-        lats[idx]
+        SimDuration::percentile(&lats, p)
     }
 }
 

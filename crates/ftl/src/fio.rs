@@ -201,12 +201,7 @@ impl FioReport {
     ) -> FioReport {
         latencies.sort();
         let ios = latencies.len() as u64;
-        let pct = |p: f64| {
-            latencies
-                .get(((latencies.len().saturating_sub(1)) as f64 * p) as usize)
-                .copied()
-                .unwrap_or(SimDuration::ZERO)
-        };
+        let pct = |p: f64| SimDuration::percentile(&latencies, p);
         FioReport {
             ios,
             bytes: ios * page as u64,
@@ -279,6 +274,42 @@ mod tests {
             assert!(x < 50);
             assert_eq!(x, w.lpn_of(i, 50, &mut b));
         }
+    }
+
+    /// An engine run and an fio job rank the same latencies alike: with 16
+    /// samples the median is the one at the truncated rank 15 * 0.5 = 7.
+    #[test]
+    fn run_and_fio_reports_share_one_percentile_rule() {
+        use babol::system::{Completion, IoKind, IoRequest, RunReport};
+        let lats: Vec<SimDuration> = (1..=16).map(SimDuration::from_micros).collect();
+        let req = IoRequest {
+            id: 0,
+            kind: IoKind::Read,
+            lun: 0,
+            block: 0,
+            page: 0,
+            col: 0,
+            len: 0,
+            dram_addr: 0,
+        };
+        let run = RunReport {
+            completions: lats
+                .iter()
+                .map(|&lat| Completion {
+                    req,
+                    submitted: SimTime::ZERO,
+                    completed: SimTime::ZERO + lat,
+                })
+                .collect(),
+            elapsed: SimDuration::ZERO,
+            bytes: 0,
+            bus_busy: SimDuration::ZERO,
+        };
+        let counters = FtlCounters::default();
+        let fio = FioReport::summarize(lats, 0, SimDuration::ZERO, &counters);
+        assert_eq!(fio.p50_latency, SimDuration::from_micros(8));
+        assert_eq!(run.latency_percentile(0.5), fio.p50_latency);
+        assert_eq!(run.latency_percentile(0.99), fio.p99_latency);
     }
 
     #[test]

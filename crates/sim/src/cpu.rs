@@ -174,7 +174,9 @@ impl Cpu {
         self.freq
     }
 
-    /// The cycle budgets charged for software actions.
+    /// The cycle budgets charged for software actions: the software
+    /// runtime charges this model, so a processor's cost model is the one
+    /// its controller pays.
     pub fn cost(&self) -> &CostModel {
         &self.cost
     }

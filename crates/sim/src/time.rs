@@ -108,6 +108,15 @@ impl SimDuration {
             other
         }
     }
+
+    /// The duration at percentile `p` (0.0..=1.0) of `sorted`, an
+    /// ascending slice: the one at the truncated rank `(len - 1) * p`, or
+    /// zero for an empty slice. The latency reports take their percentiles
+    /// here, so they agree on one sample set.
+    pub fn percentile(sorted: &[SimDuration], p: f64) -> SimDuration {
+        let rank = (sorted.len().saturating_sub(1) as f64 * p.clamp(0.0, 1.0)) as usize;
+        sorted.get(rank).copied().unwrap_or(SimDuration::ZERO)
+    }
 }
 
 impl Add for SimDuration {

@@ -53,19 +53,14 @@ cargo build --release --offline --locked
 step "cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
-# The paper's figures and tables: all ten repro binaries rerun with the
-# arguments their committed results/repro_*.txt were made with
-# (`repro_fig10 160`, `repro_fig12 200`, the rest without arguments), and
-# each output compared byte for byte.
-step "paper repro outputs (scripts/repro_check.sh)"
-scripts/repro_check.sh
-
-# The simulated outputs no repro binary prints: ssd_fio's default stdout,
-# its --metrics sidecar and --trace exports (by SHA-256), the 8-channel
-# --report and ufsm_lint --envelopes --json, each compared with its
-# committed results/golden_*. The determinism matrix below compares the
-# digests with theirs.
-step "golden simulated outputs (scripts/golden_check.sh)"
+# Every committed simulated output: the paper's figures and tables (all
+# ten repro binaries rerun with the arguments their results/repro_*.txt
+# were made with: `repro_fig10 160`, `repro_fig12 200`, the rest without
+# arguments), ssd_fio's default stdout, its --metrics sidecar and --trace
+# exports (by SHA-256), the 8-channel --report and ufsm_lint --envelopes
+# --json, each compared byte for byte with its committed file. The
+# determinism matrix below compares the digests with theirs.
+step "committed simulated outputs (scripts/golden_check.sh)"
 scripts/golden_check.sh
 
 step "verifier mutation gate"
@@ -152,90 +147,9 @@ done
 step "multi-channel smoke (ssd_fio --channels 8 --threads 2)"
 cargo run --release --offline --example ssd_fio -- --channels 8 --threads 2
 
-step "trace export smoke (ssd_fio --trace)"
-cargo run --release --offline --example ssd_fio -- --trace /tmp/babol_trace.json
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-d = json.load(open("/tmp/babol_trace.json"))
-assert d["traceEvents"], "trace file has no events"
-assert all("ph" in e and "ts" in e for e in d["traceEvents"])
-assert d["metadata"]["events"] == len(d["traceEvents"]), "metadata event count mismatch"
-print(f"trace OK: {len(d['traceEvents'])} events, {d['metadata']['dropped']} dropped")
-EOF
-else
-  echo "python3 not found; skipped trace JSON validation"
-fi
-
-step "trace report smoke (trace_report on the exported .jsonl)"
-cargo run --release --offline --example trace_report -- /tmp/babol_trace.json.jsonl \
-  > /tmp/babol_report.txt
-cargo run --release --offline --example trace_report -- /tmp/babol_trace.json.jsonl --csv \
-  > /tmp/babol_report.csv
-grep -q "phase breakdown" /tmp/babol_report.txt
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-rows = {}
-for line in open("/tmp/babol_report.csv"):
-    section, key, value = line.strip().split(",", 2)
-    rows[(section, key)] = value
-for need in [("meta", "events"), ("util", "channel_busy_ps"), ("gap", "p50_ps"),
-             ("gap", "p95_ps"), ("gap", "p99_ps"), ("phase", "array_sum_ps"),
-             ("recon", "phase_sum_ps"), ("recon", "e2e_sum_ps")]:
-    assert need in rows, f"CSV missing {need}"
-phase_sum = int(rows[("recon", "phase_sum_ps")])
-e2e_sum = int(rows[("recon", "e2e_sum_ps")])
-assert e2e_sum > 0, "report attributed no ops"
-assert abs(phase_sum - e2e_sum) <= e2e_sum // 100, \
-    f"phase sum {phase_sum} != e2e sum {e2e_sum} (>1% off)"
-print(f"report OK: phase sum reconciles ({phase_sum} ps over {rows[('meta', 'events')]} events)")
-EOF
-else
-  echo "python3 not found; skipped trace report validation"
-fi
-
-step "metrics export smoke (ssd_fio --metrics, SLO verdicts, dashboard)"
-cargo run --release --offline --example ssd_fio -- \
-  --metrics /tmp/babol_metrics.jsonl --slo "p99<800us" --slo "iops>1000"
-cargo run --release --offline --example trace_report -- --metrics /tmp/babol_metrics.jsonl \
-  > /tmp/babol_metrics_dash.txt
-grep -q -- "-- slo --" /tmp/babol_metrics_dash.txt
-grep -q "p99" /tmp/babol_metrics_dash.txt
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-lines = open("/tmp/babol_metrics.jsonl").read().splitlines()
-head = json.loads(lines[0])
-assert head["schema"] == "babol-metrics-v1", f"bad schema: {head}"
-foot = json.loads(lines[-1])
-assert foot.get("footer") is True, "last record is not the footer"
-rows = [json.loads(l) for l in lines[1:-1]]
-device = [r for r in rows if r.get("shard") == -1]
-verdicts = [r for r in rows if "slo" in r]
-assert len(device) == head["frames"] == foot["frames"], "frame count mismatch"
-assert foot["end_ps"] // head["window_ps"] + 1 == len(device), \
-    "device frames must tile sim time from the epoch"
-assert [r["frame"] for r in device] == list(range(len(device))), \
-    "device lane is not index-contiguous"
-assert len(verdicts) == 2, f"expected 2 SLO verdicts, got {len(verdicts)}"
-assert sum(r["ops"] for r in device) > 0, "metrics recorded no ops"
-print(f"metrics OK: {len(device)} windows x {head['shards']} shard(s), "
-      f"{len(verdicts)} SLO verdicts, end_ps={foot['end_ps']}")
-EOF
-else
-  echo "python3 not found; skipped metrics JSON validation"
-fi
-
-step "metrics determinism (repeat run + threads 1 vs 2, byte-identical)"
-cargo run --release --offline --example ssd_fio -- \
-  --metrics /tmp/babol_metrics_rerun.jsonl --slo "p99<800us" --slo "iops>1000" >/dev/null
-cmp /tmp/babol_metrics.jsonl /tmp/babol_metrics_rerun.jsonl
-cargo run --release --offline --example ssd_fio -- --channels 4 --threads 1 \
-  --metrics /tmp/babol_metrics_t1.jsonl >/dev/null
-cargo run --release --offline --example ssd_fio -- --channels 4 --threads 2 \
-  --metrics /tmp/babol_metrics_t2.jsonl >/dev/null
-cmp /tmp/babol_metrics_t1.jsonl /tmp/babol_metrics_t2.jsonl
-echo "metrics sidecars byte-identical across repeat runs and thread counts"
+# The export smoke runs and their validators live in one script, which the
+# hosted workflow's example job runs too.
+scripts/export_smoke.sh /tmp/babol_exports
 
 # The benchmark (simbench/) is a package of its own that compiles against
 # the crates' public API, so an API break must fail here rather than in a

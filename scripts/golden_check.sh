@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Reruns the simulated outputs that no repro binary covers and compares
-# each with its committed copy in results/ byte for byte; exits 1 on any
-# difference. scripts/repro_check.sh does the same for the ten repro
-# binaries.
+# Reruns every committed simulated output in results/ and compares each
+# with its committed copy byte for byte; exits 1 on any difference. This
+# is the one output-compare loop: the ten paper repro binaries with the
+# arguments their outputs were made with (`repro_fig10 160`,
+# `repro_fig12 200`, the rest without arguments), and the outputs no repro
+# binary prints (ssd_fio's stdout, sidecars and trace exports, ufsm_lint's
+# JSON).
 #
 # Each line of RUNS is an output file under results/ and the shell
 # command whose stdout it is. The trace exports are hundreds of MB, so
@@ -20,6 +23,16 @@ lint=target/release/examples/ufsm_lint
 # The sidecar and the traces are written to a scratch directory and read
 # back; the commands run from the repository root.
 RUNS=(
+  "repro_table1.txt|target/release/repro_table1"
+  "repro_table2.txt|target/release/repro_table2"
+  "repro_table3.txt|target/release/repro_table3"
+  "repro_fig10.txt|target/release/repro_fig10 160"
+  "repro_fig11.txt|target/release/repro_fig11"
+  "repro_fig12.txt|target/release/repro_fig12 200"
+  "repro_ablation_lookahead.txt|target/release/repro_ablation_lookahead"
+  "repro_ablation_polling.txt|target/release/repro_ablation_polling"
+  "repro_ablation_switchcost.txt|target/release/repro_ablation_switchcost"
+  "repro_ablation_sched.txt|target/release/repro_ablation_sched"
   "golden_ssd_fio.txt|$fio"
   "golden_ssd_fio_metrics.jsonl|d=\$(mktemp -d) && $fio --metrics \$d/m.jsonl >/dev/null && cat \$d/m.jsonl && rm -r \$d"
   "golden_ssd_fio_trace.sha256|d=\$(mktemp -d) && $fio --trace \$d/trace.json >/dev/null && (cd \$d && sha256sum trace.json trace.json.jsonl) && rm -r \$d"
@@ -35,6 +48,7 @@ for t in 1 2 3; do
   )
 done
 
+cargo build --release --offline -p babol-bench --bins
 cargo build --release --offline --example ssd_fio --example ufsm_lint
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT

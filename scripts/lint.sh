@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Workspace determinism, `unsafe`, FTL-counter, completion-harvest,
-# drive-loop, status-wait, page-bytes, one-decoder and barrier-round lint.
+# drive-loop, status-wait, one-program, page-bytes, one-decoder and
+# barrier-round lint.
 #
 # The simulation's results must be bit-identical across runs and machines,
 # so randomized-iteration-order collections (HashMap/HashSet) and wall-clock
@@ -55,6 +56,15 @@
 # paced status poll and can summarize a lone poller's busy polls. No other
 # production function may pair a READ STATUS with the poll backoff, except
 # the ones in STATUS_WAIT_ALLOW, whose waits the runtime must not summarize.
+#
+# Each ONFI program the controller software plays is written once: in the
+# operation library (crates/core/src/ops.rs), the status wait
+# (`StatusWait::poll`) or the RTOS state machines
+# (crates/core/src/runtime/rtos.rs). Package boot plays the library's
+# operations on the synchronous op player (`lintcap::play`), as lint
+# capture does. Production code in crates/core may build a transaction
+# (`Transaction::new(`) only in the functions TXN_BUILD_ALLOW names, so no
+# firmware path grows a hand-built second copy of a program.
 #
 # Page payloads are described (`babol_sim::PageData`) from the flash array
 # to DRAM; bytes are produced only where something reads them. Production
@@ -114,6 +124,15 @@ STATUS_WAIT_ALLOW=(
   # Waits for ARDY (the array), not RDY: in a cache read the LUN stays
   # ready while the array works, and the status it polls changes mid-busy.
   "crates/core/src/ops.rs:wait_ready_cached"
+)
+# file:fn patterns → what they hold.
+TXN_BUILD_ALLOW=(
+  # The operation library.
+  "crates/core/src/ops.rs:*"
+  # The status wait.
+  "crates/core/src/runtime/mod.rs:poll"
+  # The RTOS state machines (the library's programs, step by step).
+  "crates/core/src/runtime/rtos.rs:*"
 )
 PAGE_BYTES_ALLOW=(
   # DRAM byte reads.
@@ -271,6 +290,29 @@ while IFS= read -r hit; do
   fail=1
 done <<< "$status_waits"
 
+# Production functions in crates/core that build a transaction, printed as
+# `file:fn`.
+txn_builds=$(find crates/core -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
+  s/^#\[cfg\(test\)\].*//ms;
+  my %seen;
+  while (/\bTransaction::new\(/g) {
+    my ($fn) = substr($_, 0, $-[0]) =~ /.*\bfn\s+(\w+)/s;
+    $fn //= "?";
+    print "$ARGV:$fn\n" unless $seen{$fn}++;
+  }')
+while IFS= read -r hit; do
+  [ -z "$hit" ] && continue
+  ok=0
+  for a in "${TXN_BUILD_ALLOW[@]}"; do
+    # shellcheck disable=SC2053 # the allowlist entries are patterns
+    [[ "$hit" == $a ]] && ok=1 && break
+  done
+  [ "$ok" -eq 1 ] && continue
+  echo "lint: transaction built outside the operation library and the runtime:"
+  echo "  $hit"
+  fail=1
+done <<< "$txn_builds"
+
 # Production functions that turn a PageData into bytes, printed as
 # `file:fn`; the type's own module is where the bytes are made.
 page_bytes=$(find crates src examples -name '*.rs' ! -path crates/sim/src/data.rs -print0 | sort -z | xargs -0 perl -0777 -ne '
@@ -333,9 +375,11 @@ if [ "$fail" -ne 0 ]; then
   echo "observes a tracer histogram. The FTL"
   echo "takes controller completions only in Ssd::harvest and steps the"
   echo "event queue only in Ssd::drive. Status waits go through StatusWait."
+  echo "Transactions are built in the op library, StatusWait and the RTOS"
+  echo "machines; other firmware plays the library's ops."
   echo "Page data stays a PageData between the edges in PAGE_BYTES_ALLOW."
   echo "The ONFI grammar's states and busy kinds live in babol_onfi::decode."
   echo "Barrier horizons and round merges live in ShardPool::round."
   exit 1
 fi
-echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait, page-bytes, one-decoder and barrier-round lint: clean"
+echo "determinism, unsafe, FTL-counter, completion-harvest, drive-loop, status-wait, one-program, page-bytes, one-decoder and barrier-round lint: clean"

@@ -159,11 +159,12 @@ fn area_reproduces_table3() {
 #[test]
 fn polling_periods_reproduce_fig11() {
     use babol::runtime::RuntimeConfig;
+    use babol_sim::CostModel;
     let coro = RuntimeConfig::coroutine();
     let rtos = RuntimeConfig::rtos();
     let freq = babol_sim::Freq::from_ghz(1);
-    let coro_period = coro.poll_backoff + freq.cycles(coro.cost.poll_cycle());
-    let rtos_period = rtos.poll_backoff + freq.cycles(rtos.cost.poll_cycle());
+    let coro_period = coro.poll_backoff + freq.cycles(CostModel::coroutine().poll_cycle());
+    let rtos_period = rtos.poll_backoff + freq.cycles(CostModel::rtos().poll_cycle());
     let c = coro_period.as_micros_f64();
     let r = rtos_period.as_micros_f64();
     assert!((25.0..35.0).contains(&c), "coro period {c} us");

@@ -41,7 +41,7 @@ fn make_system(luns: u32) -> System {
     System::new(
         Channel::new(l),
         EmitConfig::nv_ddr2(200),
-        Cpu::new(Freq::from_ghz(1), CostModel::rtos()),
+        Cpu::new(Freq::from_ghz(1), CostModel::coroutine()),
     )
 }
 
