@@ -87,9 +87,9 @@ pub struct System {
     /// non-traced run pays one branch per record site and nothing else.
     pub trace: Tracer,
     events: EventQueue<Event>,
-    /// The wake-up of a summarized status wait, held outside the queue so
-    /// the runtime can withdraw it when something interrupts the wait
-    /// (see [`System::park`]).
+    /// The first wake-up after a summary of status waits, held outside the
+    /// queue so the runtime can withdraw it when something interrupts the
+    /// summary (see [`System::park`]).
     parked: Option<(SimTime, Event)>,
     /// When the step dispatching the current event lets the runtime
     /// summarize a status wait, the time its summary must end before (see
@@ -155,17 +155,21 @@ impl System {
         self.schedule(self.now + delay, event);
     }
 
-    /// Holds `event` at `at` outside the queue: the wake-up of a status wait
-    /// whose busy polls the runtime summarizes. Nothing else may be due
-    /// before `at`; it pops after any queued event at the same time, and
-    /// [`System::unpark`] withdraws it. At most one event is parked.
-    pub(crate) fn park(&mut self, at: SimTime, event: Event) {
+    /// Opens a summarized status wait: withdraws the `queued` events in
+    /// the queue, which must be all of them (the sleeping pollers' timers,
+    /// which the runtime queues again when the summary ends), and holds
+    /// `event` at `at` outside the queue instead. It pops after any queued
+    /// event at the same time, and [`System::unpark`] withdraws it.
+    /// At most one event is parked.
+    pub(crate) fn park(&mut self, at: SimTime, event: Event, queued: usize) {
         debug_assert!(at >= self.now, "parking into the past");
         debug_assert!(self.parked.is_none(), "a second parked event");
-        debug_assert!(
-            self.events.peek_time().is_none_or(|t| t > at),
-            "an event is due before the parked one"
+        assert_eq!(
+            self.events.len(),
+            queued,
+            "a summary withdrew an event that is not a poller's timer"
         );
+        self.events.clear();
         self.parked = Some((at, event));
     }
 
@@ -174,11 +178,12 @@ impl System {
         self.parked.take()
     }
 
-    /// Whether the runtime may summarize a status wait in the event being
-    /// dispatched, and if so the time by which the poll that reads RDY
-    /// must fire: the driver's bound in a [`StepLimit::Watched`] step, and
-    /// never with an observer that records every bus phase or event (the
-    /// tracer, the channel analyzer) or outside a step.
+    /// Whether the runtime may summarize status waits in the event being
+    /// dispatched, and if so the time by which the first timer after the
+    /// skipped polls must fire: the driver's bound in a
+    /// [`StepLimit::Watched`] step, and never with an observer that records
+    /// every bus phase or event (the tracer, the channel analyzer) or
+    /// outside a step.
     pub(crate) fn summary_limit(&self) -> Option<SimTime> {
         if self.trace.is_enabled() || self.channel.analyzer().is_enabled() {
             return None;
@@ -328,14 +333,14 @@ pub enum StepLimit<'a> {
     Horizon(SimTime),
     /// A driver with work outstanding: an empty queue is a deadlock and a
     /// spent watchdog a stall. The closure renders the driver's one-line
-    /// headline for the diagnostic. The runtime may summarize a lone
-    /// poller's busy status polls in this step if the poll that reads RDY
-    /// fires before the given time. A driver that looks at the system
-    /// again only when a completion or an interrupt calls for it passes
-    /// [`SimTime::FAR_FUTURE`]; one that acts on the system after the step
-    /// without such a call (sampling the FTL's metrics hub window by
-    /// window, releasing completions it held back) picks a bound that
-    /// skips no step it would act on.
+    /// headline for the diagnostic. The runtime may summarize its
+    /// pollers' busy status polls in this step if the first timer after
+    /// the skipped polls fires before the given time. A driver that looks
+    /// at the system again only when a completion or an interrupt calls
+    /// for it passes [`SimTime::FAR_FUTURE`]; one that acts on the system
+    /// after the step without such a call (sampling the FTL's metrics hub
+    /// window by window, releasing completions it held back) picks a bound
+    /// that skips no step it would act on.
     Watched(&'a Watchdog, &'a dyn Fn() -> String, SimTime),
 }
 

@@ -53,7 +53,9 @@
 //! worker 0. One thread is the caller alone with no worker spawned. Each
 //! round the caller sends the spawned workers their inboxes, steps its own
 //! shards while they step theirs, then collects their replies, so a round
-//! costs the shards' own work rather than a thread hand-off. A waiting
+//! costs the shards' own work rather than a thread hand-off. The vectors
+//! the inboxes, records and states travel in go back with the next round,
+//! so no round allocates them anew. A waiting
 //! thread (a worker between rounds, the caller for replies) polls its
 //! channel for a fixed budget, spinning and now and then yielding its CPU,
 //! before it parks in a blocking receive: back-to-back rounds never pay a
@@ -123,29 +125,42 @@ pub type Record<O> = (SimTime, usize, O);
 /// After a round: `(shard id, next pending event, events processed)`.
 type ShardState = (usize, Option<SimTime>, u64);
 
-enum Cmd<I> {
+/// The vectors a round's messages travel in, handed back and forth between
+/// the caller and a worker so that neither allocates them per round: the
+/// worker's inboxes, one per shard it owns, and its records and states.
+struct Carry<I, O> {
+    inboxes: Vec<Vec<I>>,
+    records: Vec<Record<O>>,
+    states: Vec<ShardState>,
+}
+
+enum Cmd<I, O> {
     /// Run one round: deliver `inboxes[i]` to the worker's i-th shard at
-    /// `at`, then run each shard to `horizon`.
+    /// `at`, then run each shard to `horizon`, filling the emptied records
+    /// and states.
     Step {
         at: SimTime,
         horizon: SimTime,
-        inboxes: Vec<Vec<I>>,
+        carry: Carry<I, O>,
     },
     Finish,
 }
 
-enum Reply<O, D> {
-    /// The records of every shard the worker owns, and each one's state.
-    Stepped(Vec<Record<O>>, Vec<ShardState>),
+enum Reply<I, O, D> {
+    /// Worker `.0`'s records of every shard it owns and each one's state,
+    /// with its inboxes emptied.
+    Stepped(usize, Carry<I, O>),
     /// `(global shard id, digest)` for each shard the worker owns.
     Finished(Vec<(usize, D)>),
     /// A shard panicked; the payload is the rendered panic message.
     Panicked(String),
 }
 
-struct Worker<I> {
-    cmd: mpsc::Sender<Cmd<I>>,
+struct Worker<I, O> {
+    cmd: mpsc::Sender<Cmd<I, O>>,
     handle: Option<JoinHandle<()>>,
+    /// The vectors the worker handed back with its last reply.
+    carry: Option<Carry<I, O>>,
 }
 
 /// A fixed-size pool running [`Shard`]s under the conservative barrier
@@ -155,8 +170,8 @@ pub struct ShardPool<S: Shard> {
     /// Worker 0's shards, `(global shard id, shard)`: the caller's.
     local: Vec<(usize, S)>,
     /// The spawned workers, 1 to N-1.
-    workers: Vec<Worker<S::In>>,
-    replies: mpsc::Receiver<Reply<S::Out, S::Digest>>,
+    workers: Vec<Worker<S::In, S::Out>>,
+    replies: mpsc::Receiver<Reply<S::In, S::Out, S::Digest>>,
     window: SimDuration,
     barrier: SimTime,
     /// Each shard's next pending event after the last round.
@@ -227,15 +242,16 @@ impl<S: Shard> ShardPool<S> {
             .enumerate()
             .skip(1)
             .map(|(w, ctors)| {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<S::In>>();
+                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<S::In, S::Out>>();
                 let reply_tx = reply_tx.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("babol-shard-{w}"))
-                    .spawn(move || worker_main::<S>(ctors, cmd_rx, reply_tx))
+                    .spawn(move || worker_main::<S>(w, ctors, cmd_rx, reply_tx))
                     .expect("spawning shard worker");
                 Worker {
                     cmd: cmd_tx,
                     handle: Some(handle),
+                    carry: None,
                 }
             })
             .collect();
@@ -284,18 +300,22 @@ impl<S: Shard> ShardPool<S> {
         let (at, horizon) = (self.barrier, earliest + self.window);
 
         let threads = self.workers.len() + 1;
-        for (w, worker) in self.workers.iter().enumerate() {
-            let inboxes = (w + 1..inboxes.len())
-                .step_by(threads)
-                .map(|id| std::mem::take(&mut inboxes[id]))
-                .collect();
+        for (w, worker) in self.workers.iter_mut().enumerate() {
+            // The worker's inboxes swap with the ones it emptied last
+            // round, so both sides keep their capacity.
+            let mut carry = worker.carry.take().unwrap_or_else(|| Carry {
+                inboxes: Vec::new(),
+                records: Vec::new(),
+                states: Vec::new(),
+            });
+            let ids = (w + 1..inboxes.len()).step_by(threads);
+            carry.inboxes.resize_with(ids.len(), Vec::new);
+            for (id, inbox) in ids.zip(&mut carry.inboxes) {
+                std::mem::swap(&mut inboxes[id], inbox);
+            }
             // A worker that hung up has already sent its panic as a reply;
             // the collection below surfaces it.
-            let _ = worker.cmd.send(Cmd::Step {
-                at,
-                horizon,
-                inboxes,
-            });
+            let _ = worker.cmd.send(Cmd::Step { at, horizon, carry });
         }
         let (scratch, merged) = (&mut self.scratch, &mut self.merged);
         for local in &mut self.local {
@@ -303,13 +323,14 @@ impl<S: Shard> ShardPool<S> {
             let (id, next, events) = step_shard(local, (at, horizon), inbox, scratch, merged);
             (self.next[id], self.events[id]) = (next, events);
         }
-        for _ in &self.workers {
+        for _ in 0..self.workers.len() {
             match spin_recv(&self.replies).expect("shard worker hung up") {
-                Reply::Stepped(records, states) => {
-                    self.merged.extend(records);
-                    for (id, next, events) in states {
+                Reply::Stepped(w, mut carry) => {
+                    self.merged.append(&mut carry.records);
+                    for (id, next, events) in carry.states.drain(..) {
                         (self.next[id], self.events[id]) = (next, events);
                     }
+                    self.workers[w - 1].carry = Some(carry);
                 }
                 Reply::Panicked(msg) => panic!("{msg}"),
                 Reply::Finished(_) => unreachable!("finish reply during a round"),
@@ -387,9 +408,10 @@ fn step_shard<S: Shard>(
 }
 
 fn worker_main<S: Shard>(
+    w: usize,
     ctors: Vec<(usize, ShardCtor<S>)>,
-    cmd_rx: mpsc::Receiver<Cmd<S::In>>,
-    reply_tx: mpsc::Sender<Reply<S::Out, S::Digest>>,
+    cmd_rx: mpsc::Receiver<Cmd<S::In, S::Out>>,
+    reply_tx: mpsc::Sender<Reply<S::In, S::Out, S::Digest>>,
 ) {
     // Construct in-thread: shards never cross a thread boundary.
     let built = catch_unwind(AssertUnwindSafe(|| {
@@ -411,18 +433,20 @@ fn worker_main<S: Shard>(
             Cmd::Step {
                 at,
                 horizon,
-                mut inboxes,
+                mut carry,
             } => {
                 let reply = catch_unwind(AssertUnwindSafe(|| {
-                    let mut records = Vec::new();
-                    let states = shards
-                        .iter_mut()
-                        .zip(&mut inboxes)
-                        .map(|(shard, inbox)| {
-                            step_shard(shard, (at, horizon), inbox, &mut scratch, &mut records)
-                        })
-                        .collect();
-                    Reply::Stepped(records, states)
+                    for (shard, inbox) in shards.iter_mut().zip(&mut carry.inboxes) {
+                        let state = step_shard(
+                            shard,
+                            (at, horizon),
+                            inbox,
+                            &mut scratch,
+                            &mut carry.records,
+                        );
+                        carry.states.push(state);
+                    }
+                    Reply::Stepped(w, carry)
                 }));
                 let reply = match reply {
                     Ok(reply) => reply,

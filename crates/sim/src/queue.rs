@@ -105,6 +105,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.at)
     }
 
+    /// Drops every pending event.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+    }
+
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

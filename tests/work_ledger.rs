@@ -121,7 +121,7 @@ fn read_1ch_ledger() {
         one_channel(&READ_1CH),
         Ledger {
             ios: 464,
-            events: 2824,
+            events: 2806,
             rounds: 0,
             status_polls: 524,
             segments: 1452,
@@ -142,7 +142,7 @@ fn write_gc_1ch_ledger() {
         one_channel(&WRITE_GC_1CH),
         Ledger {
             ios: 918,
-            events: 94344,
+            events: 39589,
             rounds: 0,
             status_polls: 70291,
             segments: 74954,
@@ -184,7 +184,7 @@ fn write_cached_16ch_ledger() {
         multi_channel(&WRITE_CACHED_16CH),
         Ledger {
             ios: 3372,
-            events: 99888,
+            events: 74130,
             rounds: 211,
             status_polls: 188189,
             segments: 199478,
