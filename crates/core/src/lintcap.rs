@@ -229,7 +229,8 @@ pub fn play<T: 'static, F: Future<Output = T> + 'static>(
             continue;
         }
         idle_advances = 0;
-        for (ticket, txn) in outbox {
+        for (ticket, sub) in outbox {
+            let txn = sub.into_transaction();
             let start = (*now).max(channel.busy_until());
             let out = execute(channel, dram, emit, start, &txn, 0, trace, &mut scratch)
                 .unwrap_or_else(|e| panic!("operation transaction rejected: {e:?}"));

@@ -292,7 +292,7 @@ pub async fn read_id(ctx: &OpCtx, t: &Target, len: usize) -> Vec<u8> {
             PostWait::Whr,
         )
         .read(len, DmaDest::Inline);
-    ctx.submit(txn).await.inline
+    ctx.submit(txn).await.inline.into_vec()
 }
 
 /// RESET: issues `0xFF` and polls until the package recovers.
@@ -315,7 +315,7 @@ pub async fn read_param_page(ctx: &OpCtx, t: &Target, copies: usize) -> Vec<u8> 
     let fetch = Transaction::new(t.mask())
         .ca(vec![Latch::Cmd(op::READ_1)], PostWait::Whr)
         .read(256 * copies, DmaDest::Inline);
-    ctx.submit(fetch).await.inline
+    ctx.submit(fetch).await.inline.into_vec()
 }
 
 // ------------------------------------------------------ advanced operations

@@ -199,7 +199,7 @@ mod tests {
     use crate::runtime::tests::drained;
     use babol_onfi::bus::ChipMask;
     use babol_onfi::opcode::op;
-    use babol_ufsm::{DmaDest, Latch, PostWait};
+    use babol_ufsm::{DmaDest, InlineBytes, Latch, PostWait};
 
     fn status_txn() -> Transaction {
         Transaction::new(ChipMask::single(0))
@@ -231,7 +231,7 @@ mod tests {
         task.mb.borrow_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0xE0],
+                inline: InlineBytes::from(&[0xE0][..]),
                 end: SimTime::ZERO,
             },
         );
@@ -265,7 +265,7 @@ mod tests {
             task.mb.borrow_mut().deliver(
                 out[0].0,
                 TxnResult {
-                    inline: vec![0x00],
+                    inline: InlineBytes::from(&[0x00][..]),
                     end: SimTime::ZERO,
                 },
             );
@@ -275,7 +275,7 @@ mod tests {
         task.mb.borrow_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0x60],
+                inline: InlineBytes::from(&[0x60][..]),
                 end: SimTime::ZERO,
             },
         );

@@ -22,7 +22,11 @@
 //! The transaction control path allocates nothing and hashes nothing at
 //! steady state: a transaction's owner and trace attribution ride in its
 //! queue entry, per-task and per-LUN state lives in vectors indexed by task
-//! id or LUN, and the scheduler passes reuse scratch vectors.
+//! id or LUN, and the scheduler passes reuse scratch vectors. A status
+//! wait's poll is a [`Submission::Status`], which the runtime plays from the
+//! one READ STATUS transaction it builds per chip, and its status byte comes
+//! back in place ([`InlineBytes`]), so a played busy poll allocates nothing
+//! either.
 //!
 //! # Status-wait summarization
 //!
@@ -68,7 +72,7 @@ use babol_onfi::opcode::op;
 use babol_onfi::status::Status;
 use babol_sim::{BufPool, PageData, SimDuration, SimTime};
 use babol_trace::{Component, Counter, TraceKind};
-use babol_ufsm::{execute, DmaDest, EmitScratch, Latch, PostWait, Transaction};
+use babol_ufsm::{execute, DmaDest, EmitScratch, InlineBytes, Latch, PostWait, Transaction};
 
 use crate::sched::{TaskMeta, TaskPolicy, TxnMeta, TxnPolicy};
 use crate::system::{Controller, Event, IoRequest, System};
@@ -86,8 +90,9 @@ pub type TaskFactory = Box<dyn FnMut(&IoRequest) -> Box<dyn SoftTask>>;
 /// Result of one completed transaction, delivered to the owning task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnResult {
-    /// Bytes returned inline (status bytes, feature values, IDs).
-    pub inline: Vec<u8>,
+    /// Bytes returned inline (status bytes, feature values, IDs), in place
+    /// up to [`InlineBytes::CAPACITY`].
+    pub inline: InlineBytes,
     /// When the transaction finished on the bus.
     pub end: SimTime,
 }
@@ -118,6 +123,27 @@ impl fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
+/// A transaction a task hands the runtime: one the operation built, or a
+/// [`StatusWait`]'s READ STATUS, which the runtime plays from one copy it
+/// builds per chip, so a busy poll builds nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Submission {
+    /// A transaction the operation built.
+    Built(Transaction),
+    /// READ STATUS on this chip ([`StatusWait::transaction`]).
+    Status(u32),
+}
+
+impl Submission {
+    /// The transaction itself: a [`Submission::Status`] is built here.
+    pub fn into_transaction(self) -> Transaction {
+        match self {
+            Submission::Built(txn) => txn,
+            Submission::Status(chip) => StatusWait::transaction(chip),
+        }
+    }
+}
+
 /// Per-task communication area between the runtime and the operation body:
 /// everything the runtime knows of a task. The body fills `outbox`,
 /// `staged`, `sleep`, `steps` and `outcome` during an advance and the
@@ -129,8 +155,9 @@ pub struct Mailbox {
     /// Simulated time at the start of the current advance.
     pub now: SimTime,
     next_local: u64,
-    /// Transactions built during the current advance (local ticket, txn).
-    pub outbox: Vec<(u64, Transaction)>,
+    /// Transactions submitted during the current advance (local ticket,
+    /// submission).
+    pub outbox: Vec<(u64, Submission)>,
     /// Results delivered by the runtime and not yet taken, with their local
     /// tickets. A task awaits few transactions at once, so a scan beats a
     /// map.
@@ -166,9 +193,13 @@ pub struct Mailbox {
 impl Mailbox {
     /// Allocates a local ticket and queues `txn` for submission.
     pub fn submit(&mut self, txn: Transaction) -> u64 {
+        self.push(Submission::Built(txn))
+    }
+
+    fn push(&mut self, sub: Submission) -> u64 {
         let t = self.next_local;
         self.next_local += 1;
-        self.outbox.push((t, txn));
+        self.outbox.push((t, sub));
         t
     }
 
@@ -212,6 +243,14 @@ impl StatusWait {
         }
     }
 
+    /// The READ STATUS transaction every poll of a wait on `chip` plays:
+    /// a command latch, tWHR and one status byte read inline.
+    pub fn transaction(chip: u32) -> Transaction {
+        Transaction::new(ChipMask::single(chip))
+            .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
+            .read(1, DmaDest::Inline)
+    }
+
     /// Advances the wait: `Some(status)` once a poll reads RDY, `None`
     /// while a poll or its backoff sleep is outstanding. Each poll result
     /// counts one body step.
@@ -219,10 +258,7 @@ impl StatusWait {
         loop {
             let Some(ticket) = self.pending.take() else {
                 mb.status_wait = None;
-                let txn = Transaction::new(ChipMask::single(self.chip))
-                    .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
-                    .read(1, DmaDest::Inline);
-                self.pending = Some(mb.submit(txn));
+                self.pending = Some(mb.push(Submission::Status(self.chip)));
                 return None;
             };
             let Some(result) = mb.take_result(ticket) else {
@@ -325,7 +361,7 @@ struct TxnTag {
 #[derive(Debug)]
 struct ReadyTxn {
     tag: TxnTag,
-    txn: Transaction,
+    txn: Submission,
     meta: TxnMeta,
     avail: SimTime,
 }
@@ -333,7 +369,7 @@ struct ReadyTxn {
 #[derive(Debug)]
 struct HwEntry {
     tag: TxnTag,
-    txn: Transaction,
+    txn: Submission,
     avail: SimTime,
 }
 
@@ -342,7 +378,7 @@ struct HwEntry {
 struct InFlight {
     tag: TxnTag,
     end: SimTime,
-    inline: Vec<u8>,
+    inline: InlineBytes,
 }
 
 /// Admission state of one LUN: the task scheduler admits "an operation
@@ -510,6 +546,9 @@ pub struct SoftRuntime {
     task_metas: Vec<TaskMeta>,
     txn_metas: Vec<TxnMeta>,
     emit_scratch: EmitScratch,
+    /// The READ STATUS transaction of each chip polled so far, indexed by
+    /// chip: what a [`Submission::Status`] plays.
+    status_txns: Vec<Transaction>,
 }
 
 impl fmt::Debug for SoftRuntime {
@@ -550,6 +589,7 @@ impl SoftRuntime {
             task_metas: Vec::new(),
             txn_metas: Vec::new(),
             emit_scratch: EmitScratch::default(),
+            status_txns: Vec::new(),
         }
     }
 
@@ -747,9 +787,15 @@ impl SoftRuntime {
                 sys.cpu.charge(sys.now, cost.enqueue_txn);
                 let ticket = self.next_ticket;
                 self.next_ticket += 1;
+                if let Submission::Status(chip) = txn {
+                    let built = &mut self.status_txns;
+                    while built.len() <= chip as usize {
+                        built.push(StatusWait::transaction(built.len() as u32));
+                    }
+                }
                 let meta = TxnMeta {
                     lun: task_meta.lun,
-                    data_bytes: txn.data_bytes(),
+                    data_bytes: resolve(&self.status_txns, &txn).data_bytes(),
                     priority: task_meta.priority,
                 };
                 sys.trace.event(
@@ -1121,7 +1167,7 @@ impl SoftRuntime {
             &mut sys.dram,
             &sys.emit,
             start,
-            &entry.txn,
+            resolve(&self.status_txns, &entry.txn),
             tag.op_id,
             &mut sys.trace,
             &mut self.emit_scratch,
@@ -1133,6 +1179,14 @@ impl SoftRuntime {
             inline: outcome.inline,
         });
         sys.schedule(outcome.end, Event::TxnDone { ticket: tag.ticket });
+    }
+}
+
+/// The transaction `sub` plays: its own, or its chip's in `status_txns`.
+fn resolve<'a>(status_txns: &'a [Transaction], sub: &'a Submission) -> &'a Transaction {
+    match sub {
+        Submission::Built(txn) => txn,
+        Submission::Status(chip) => &status_txns[*chip as usize],
     }
 }
 
@@ -1297,7 +1351,11 @@ mod tests {
 
     /// Takes the transactions a task built (for the environments' tests).
     pub(super) fn drained(task: &dyn SoftTask) -> Vec<(u64, Transaction)> {
-        std::mem::take(&mut task.mailbox().borrow_mut().outbox)
+        let outbox = std::mem::take(&mut task.mailbox().borrow_mut().outbox);
+        outbox
+            .into_iter()
+            .map(|(ticket, sub)| (ticket, sub.into_transaction()))
+            .collect()
     }
 
     /// Drains the event queue, routing everything into the runtime.
@@ -1384,7 +1442,7 @@ mod tests {
                 .ca(vec![Latch::Cmd(op::READ_STATUS)], PostWait::Whr)
                 .read(1, DmaDest::Inline);
             let r = c.submit(txn).await;
-            c.set_outcome(if r.inline == vec![0xE0] {
+            c.set_outcome(if *r.inline == [0xE0] {
                 Ok(())
             } else {
                 Err(OpError::Timeout)

@@ -355,7 +355,7 @@ mod tests {
     use crate::runtime::tests::drained;
     use babol_onfi::addr::AddrLayout;
     use babol_sim::SimDuration;
-    use babol_ufsm::Instr;
+    use babol_ufsm::{InlineBytes, Instr};
     use std::future::Future;
 
     fn target() -> Target {
@@ -384,7 +384,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![],
+                inline: InlineBytes::new(),
                 end: SimTime::ZERO,
             },
         );
@@ -394,7 +394,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0x80],
+                inline: InlineBytes::from(&[0x80][..]),
                 end: SimTime::ZERO,
             },
         );
@@ -403,7 +403,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0xE0],
+                inline: InlineBytes::from(&[0xE0][..]),
                 end: SimTime::ZERO,
             },
         );
@@ -414,7 +414,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![],
+                inline: InlineBytes::new(),
                 end: SimTime::ZERO,
             },
         );
@@ -431,7 +431,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![],
+                inline: InlineBytes::new(),
                 end: SimTime::ZERO,
             },
         );
@@ -441,7 +441,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0xE1],
+                inline: InlineBytes::from(&[0xE1][..]),
                 end: SimTime::ZERO,
             },
         );
@@ -477,7 +477,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![],
+                inline: InlineBytes::new(),
                 end: SimTime::ZERO,
             },
         );
@@ -486,7 +486,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0xE0],
+                inline: InlineBytes::from(&[0xE0][..]),
                 end: SimTime::ZERO,
             },
         );
@@ -503,7 +503,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![],
+                inline: InlineBytes::new(),
                 end: SimTime::ZERO,
             },
         );
@@ -512,7 +512,7 @@ mod tests {
         task.mb.get_mut().deliver(
             out[0].0,
             TxnResult {
-                inline: vec![0xE1],
+                inline: InlineBytes::from(&[0xE1][..]),
                 end: SimTime::ZERO,
             },
         );
@@ -550,7 +550,8 @@ mod tests {
             let mut mb = task.mailbox().borrow_mut();
             played.steps += std::mem::take(&mut mb.steps);
             played.sleeps.extend(mb.sleep.take());
-            for (ticket, txn) in std::mem::take(&mut mb.outbox) {
+            for (ticket, sub) in std::mem::take(&mut mb.outbox) {
+                let txn = sub.into_transaction();
                 let poll = [Latch::Cmd(op::READ_STATUS)];
                 let inline = match &txn.instrs()[0] {
                     Instr::CaWriter { latches, .. } if latches[..] == poll => {
@@ -561,7 +562,7 @@ mod tests {
                 mb.deliver(
                     ticket,
                     TxnResult {
-                        inline,
+                        inline: InlineBytes::from(&inline[..]),
                         end: SimTime::ZERO,
                     },
                 );

@@ -6,49 +6,22 @@
 //! figures must regenerate identically run after run — so ties in time are
 //! broken by insertion order rather than container internals.
 //!
-//! # Implementation: one binary min-heap
+//! # Implementation: one sorted array
 //!
-//! Pop order is defined purely by the `(time, seq)` key, where `seq` is a
-//! per-queue push counter, so a plain `BinaryHeap` keyed on it is exact.
+//! The pending events sit in one `Vec`, kept sorted latest-first: the
+//! earliest event is the last element, so `pop` and `peek_time` read the
+//! end, and `push` scans from that end to the first event later than the
+//! new one and inserts there. An event is inserted behind every event of
+//! its own time, so its position among equal times records push order and
+//! ties pop first-in, first-out without a sequence number.
+//!
 //! Every queue the simulator builds is small — the peak pending population
 //! is 32 events on the single-channel random-read benchmark and under ten
-//! elsewhere (DESIGN.md §Event queue) — and at that size the heap's
-//! O(log n) push and pop beat any calendar or timing-wheel bookkeeping.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! elsewhere (DESIGN.md §Event queue) — and at that size a scan and a short
+//! `memmove` beat a binary heap's sift-up and sift-down, which move a
+//! hole through the tree with a compare and a branch at every level.
 
 use crate::time::SimTime;
-
-/// An event scheduled to fire at a specific simulated time.
-#[derive(Debug, Clone)]
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
 
 /// A time-ordered queue of simulation events.
 ///
@@ -72,52 +45,51 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
+    /// Pending events, latest first: the next to pop is the last.
+    pending: Vec<(SimTime, E)>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            pending: Vec::new(),
         }
     }
 
-    /// Schedules `event` to fire at time `at`.
+    /// Schedules `event` to fire at time `at`, after every pending event
+    /// of the same time.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        // A wrapped seq would silently reorder ties and break determinism;
-        // at one push per picosecond that is ~584 years of simulated time,
-        // so the increment's debug-build overflow check is the only guard.
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, event });
+        let mut i = self.pending.len();
+        while i > 0 && self.pending[i - 1].0 <= at {
+            i -= 1;
+        }
+        self.pending.insert(i, (at, event));
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+        self.pending.pop()
     }
 
     /// Returns the time of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.pending.last().map(|&(at, _)| at)
     }
 
     /// Drops every pending event.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.pending.clear();
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.pending.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending.is_empty()
     }
 }
 

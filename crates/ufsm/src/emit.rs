@@ -15,6 +15,7 @@ use babol_onfi::timing::{DataInterface, TimingParams};
 use babol_sim::{Dram, SimDuration, SimTime};
 use babol_trace::{Component, Counter, TraceKind, Tracer};
 
+use crate::inline::InlineBytes;
 use crate::instr::{DmaDest, Instr, Latch, PostWait, Transaction};
 use crate::packetizer::PacketizerConfig;
 
@@ -185,8 +186,8 @@ pub struct Outcome {
     /// When the bus went free.
     pub end: SimTime,
     /// Bytes delivered inline (from `DmaDest::Inline` readers), in
-    /// instruction order.
-    pub inline: Vec<u8>,
+    /// instruction order: in place up to [`InlineBytes::CAPACITY`].
+    pub inline: InlineBytes,
 }
 
 /// Working buffers of [`execute`], owned by its caller so a
@@ -304,17 +305,13 @@ pub fn execute(
     // Split the returned stream across the data readers: DRAM readers
     // land described, inline bytes (status, IDs) are materialized for the
     // software.
-    let mut inline = Vec::new();
+    let mut inline = InlineBytes::new();
     let mut cursor = 0usize;
     for (len, dest) in reads.drain(..) {
         let chunk = tx.data.slice(cursor, len);
         cursor += len;
         match dest {
-            DmaDest::Inline => {
-                let at = inline.len();
-                inline.resize(at + len, 0);
-                chunk.materialize_into(&mut inline[at..]);
-            }
+            DmaDest::Inline => chunk.materialize_into(inline.extend_zeroed(len)),
             DmaDest::Dram(addr) => dram.write_data(addr, chunk),
         }
     }

@@ -26,9 +26,11 @@ pub mod area;
 pub mod emit;
 #[cfg(debug_assertions)]
 pub mod hook;
+pub mod inline;
 pub mod instr;
 pub mod packetizer;
 
 pub use emit::{execute, EmitConfig, EmitScratch, Outcome};
+pub use inline::InlineBytes;
 pub use instr::{DmaDest, Instr, Latch, PostWait, Transaction};
 pub use packetizer::PacketizerConfig;

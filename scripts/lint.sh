@@ -51,11 +51,15 @@
 # not a call: it runs `Ssd::drive`, and the coordinator starts a barrier
 # round with `pool.round(`.
 #
-# Status waits go through one runtime primitive, `StatusWait::poll`
+# Status waits go through one runtime primitive, `StatusWait`
 # (crates/core/src/runtime/mod.rs), which is how the runtime recognizes a
-# paced status poll and can summarize its pollers' busy polls. No other
-# production function may pair a READ STATUS with the poll backoff, except
-# the ones in STATUS_WAIT_ALLOW, whose waits the runtime must not summarize.
+# paced status poll and can summarize its pollers' busy polls: `poll`
+# paces the polls by the backoff and submits each as a status submission
+# (`Submission::Status`), which the runtime plays from the one READ STATUS
+# transaction per chip that `StatusWait::transaction` builds. No other
+# production function may pair a READ STATUS or a status submission with
+# the poll backoff, except the ones in STATUS_WAIT_ALLOW, whose waits the
+# runtime must not summarize.
 #
 # Skipped work is credited in one place, the runtime's summary
 # (crates/core/src/runtime/mod.rs): no other file may call
@@ -65,7 +69,7 @@
 #
 # Each ONFI program the controller software plays is written once: in the
 # operation library (crates/core/src/ops.rs), the status wait
-# (`StatusWait::poll`) or the RTOS state machines
+# (`StatusWait::transaction`) or the RTOS state machines
 # (crates/core/src/runtime/rtos.rs). Package boot plays the library's
 # operations on the synchronous op player (`lintcap::play`), as lint
 # capture does. Production code in crates/core may build a transaction
@@ -125,7 +129,7 @@ EXPORT_ALLOW=(
 
 # file:fn → justification.
 STATUS_WAIT_ALLOW=(
-  # The primitive itself.
+  # The primitive itself: paces by the backoff, submits a status submission.
   "crates/core/src/runtime/mod.rs:poll"
   # Polls several replicas per round and takes whichever is ready first:
   # a round's outcome depends on more than one LUN's deadline.
@@ -138,8 +142,8 @@ STATUS_WAIT_ALLOW=(
 TXN_BUILD_ALLOW=(
   # The operation library.
   "crates/core/src/ops.rs:*"
-  # The status wait.
-  "crates/core/src/runtime/mod.rs:poll"
+  # The status wait's READ STATUS.
+  "crates/core/src/runtime/mod.rs:transaction"
   # The RTOS state machines (the library's programs, step by step).
   "crates/core/src/runtime/rtos.rs:*"
 )
@@ -274,14 +278,19 @@ report() {
   done <<< "$hits"
 }
 
-# Production functions that name both a READ STATUS and the poll backoff,
-# printed as `file:fn`; each name is attributed to the last `fn` before it.
+# Production functions that name both a READ STATUS (or a status
+# submission, which plays one) and the poll backoff, printed as `file:fn`;
+# each name outside a comment is attributed to the last `fn`, `struct` or
+# `enum` before it, and only names in a function count (a struct's
+# `poll_backoff` field is not a use).
 status_waits=$(find crates src examples -name '*.rs' -print0 | sort -z | xargs -0 perl -0777 -ne '
   s/^#\[cfg\(test\)\].*//ms;
+  s{//[^\n]*}{}g;
   my %uses;
-  while (/\b(READ_STATUS|read_status\(|poll_backoff)/g) {
+  while (/\b(READ_STATUS|read_status\(|Submission::Status|poll_backoff)/g) {
     my $what = $1 eq "poll_backoff" ? "backoff" : "status";
-    my ($fn) = substr($_, 0, $-[0]) =~ /.*\bfn\s+(\w+)/s;
+    my ($item, $fn) = substr($_, 0, $-[0]) =~ /.*\b(fn|struct|enum)\s+(\w+)/s;
+    next if defined $item && $item ne "fn";
     $uses{$fn // "?"}{$what} = 1;
   }
   for my $fn (sort keys %uses) {

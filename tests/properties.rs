@@ -141,6 +141,61 @@ fn event_queue_is_stable_priority() {
     });
 }
 
+/// The queue agrees with a `BTreeMap<time, FIFO>` model, step by step, at
+/// the populations simulator runs keep (up to 64 pending): pushes onto four
+/// times only (0, 1 and 2 ps and `SimTime::FAR_FUTURE`) so nearly every
+/// push ties, pops interleaved with them, and occasional `clear`s. Before
+/// every operation `len`, `is_empty` and `peek_time` match the model.
+#[test]
+fn event_queue_matches_model_under_ties_and_clear() {
+    const TIMES: [u64; 4] = [0, 1, 2, u64::MAX];
+    assert_eq!(SimTime::FAR_FUTURE.as_picos(), TIMES[3]);
+    Property::new("event_queue_matches_model_under_ties_and_clear").run(
+        vec_of((range(0u32..64), range(0usize..TIMES.len())), 1..400),
+        |ops| {
+            use std::collections::{BTreeMap, VecDeque};
+            let mut q = EventQueue::new();
+            let mut model: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
+            let mut pending = 0usize;
+            for (id, &(op, slot)) in ops.iter().enumerate() {
+                prop_assert_eq!(q.len(), pending, "len");
+                prop_assert_eq!(q.is_empty(), pending == 0, "is_empty");
+                let head = q.peek_time().map(|t| t.as_picos());
+                prop_assert_eq!(head, model.keys().next().copied(), "peek_time");
+                match op {
+                    // One clear in 64 operations.
+                    0 => {
+                        q.clear();
+                        model.clear();
+                        pending = 0;
+                    }
+                    // Push about six times in ten, never past 64 pending.
+                    1..=38 if pending < 64 => {
+                        let t = TIMES[slot];
+                        q.push(SimTime::from_picos(t), id);
+                        model.entry(t).or_default().push_back(id);
+                        pending += 1;
+                    }
+                    _ => {
+                        let got = q.pop().map(|(t, i)| (t.as_picos(), i));
+                        let want = model.first_entry().map(|mut e| {
+                            let t = *e.key();
+                            let i = e.get_mut().pop_front().expect("no empty bucket");
+                            if e.get().is_empty() {
+                                e.remove();
+                            }
+                            (t, i)
+                        });
+                        prop_assert_eq!(got, want, "pop (time, push index)");
+                        pending = pending.saturating_sub(1);
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 /// The queue stays a stable priority queue under sustained load with
 /// interleaved pops: 10k pushes per case, times drawn from a narrow range
 /// so ties are dense, checked against a `BTreeMap<time, FIFO>` model.
